@@ -446,8 +446,12 @@ class Forecaster:
         return self.parallel_decode(memory, dec_x), pairs
 
     def predict(self, enc_x: np.ndarray, dec_x: np.ndarray) -> np.ndarray:
-        """Forecast as a plain array, shape (batch, horizon, n_targets)."""
-        pred, _ = self.forward(enc_x, dec_x)
+        """Forecast as a plain array, shape (batch, horizon, n_targets).
+
+        Runs under te.no_grad(): nothing is recorded for a backward pass.
+        """
+        with te.no_grad():
+            pred, _ = self.forward(enc_x, dec_x)
         return pred.data.copy()
 
 
@@ -509,10 +513,12 @@ class Autoencoder:
         """Per-step squared reconstruction error, shape (n, window_len).
 
         Each step's error is the mean over features of the squared
-        difference between the window and its reconstruction.
+        difference between the window and its reconstruction. Runs under
+        te.no_grad().
         """
         flat = self._flatten(windows)
-        recon = self.reconstruct(te.constant(flat)).data
+        with te.no_grad():
+            recon = self.reconstruct(te.constant(flat)).data
         sq = (flat - recon) ** 2
         return sq.reshape(-1, self.window_len, self.n_features).mean(axis=2)
 

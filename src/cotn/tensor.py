@@ -4,6 +4,8 @@ Every operation builds the result eagerly with numpy and, when some input
 needs gradients, records the inputs plus one vector-Jacobian closure per
 input on the result. backward() walks that implicit graph once in reverse
 topological order, so each node's closure runs exactly once per call.
+Inside ``with no_grad():`` nothing is recorded: every result is a
+constant, so inference keeps no tape alive.
 
 The op set is deliberately small: what a toy encoder-decoder forecaster
 needs (batched matmul, layer norm, masked softmax, elementwise arithmetic
@@ -19,6 +21,7 @@ Set ``check_finite = True`` (tests do) to assert every op output is finite.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -47,6 +50,7 @@ __all__ = [
     "repeat_time2",
     "sum_all",
     "mean_all",
+    "no_grad",
     "topo_order",
     "backward",
     "save_tensors",
@@ -54,6 +58,8 @@ __all__ = [
 ]
 
 check_finite = False
+
+_grad_enabled = True  # process-wide, like check_finite; see no_grad()
 
 NEG_INF = -1e30  # additive mask value; exp() underflows to exactly 0.0
 
@@ -138,12 +144,30 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
     return rng.uniform(-limit, limit, size=tuple(shape))
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Record nothing inside the block; the previous mode comes back after.
+
+    Op results made inside have requires_grad False and no parents or
+    VJP closures, and apply_activation asks only for values. Leaves made
+    with parameter() still require gradients. The switch is process-wide,
+    not per thread.
+    """
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor],
           vjps: Sequence[Callable[[np.ndarray], np.ndarray]], op: str) -> Tensor:
     if check_finite and not np.all(np.isfinite(data)):
         raise FloatingPointError(f"non-finite values produced by op {op!r}")
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjps = tuple(vjps)
@@ -270,18 +294,23 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def apply_activation(x: Tensor, act) -> Tensor:
-    """Elementwise activation through a paired value/derivative object."""
-    y = act.value(x.data)
+    """Elementwise activation through an object with two methods.
+
+    When the result is recorded, ``act.value_and_slope(x)`` gives the
+    output and the elementwise slope in one call, and the VJP reuses that
+    slope; otherwise ``act.value(x)`` alone runs.
+    """
+    if _grad_enabled and x.requires_grad:
+        y, slope = act.value_and_slope(x.data)
+        vjps = (lambda g: g * slope,)
+    else:
+        y, vjps = act.value(x.data), ()
     if y.shape != x.data.shape:
         raise ValueError(
             f"activation {getattr(act, 'name', act)!r} changed shape: "
             f"{x.data.shape} -> {y.shape}"
         )
-
-    def dx(g: np.ndarray) -> np.ndarray:
-        return g * act.deriv(x.data)
-
-    return _make(y, (x,), (dx,), f"apply_activation[{getattr(act, 'name', '?')}]")
+    return _make(y, (x,), vjps, f"apply_activation[{getattr(act, 'name', '?')}]")
 
 
 def _check_time_axis(x: Tensor, op: str) -> int:

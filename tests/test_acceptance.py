@@ -210,8 +210,9 @@ class _RecordingActivation:
         self.xs.append(np.array(x, copy=True))
         return self.inner.value(x)
 
-    def deriv(self, x):
-        return self.inner.deriv(x)
+    def value_and_slope(self, x):
+        self.xs.append(np.array(x, copy=True))
+        return self.inner.value_and_slope(x)
 
 
 def _grad_check(mode: ActivationMode, h: float):
@@ -251,6 +252,7 @@ def _grad_check(mode: ActivationMode, h: float):
         v = float(loss().data)
         segs = None
         if tab is not None:
+            assert recorder.xs, "the recorder saw no activation inputs"
             segs = [table_segment(tab, x.ravel()) for x in recorder.xs]
         return v, segs
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from cotn.activation import (
+    _bracket,
     GateConfig,
     GatedLeeActivation,
     GeluActivation,
@@ -19,14 +20,17 @@ from cotn.activation import (
     fixed_step_activation,
     gated_activation,
     gated_grad,
+    gated_value_and_slope,
     gelu,
     gelu_grad,
+    gelu_value_and_slope,
     mot_activation_exact,
     read_table,
     table_eval,
     table_for_type,
     table_grad,
     table_segment,
+    table_value_and_slope,
     write_table,
 )
 from cotn.oscillator import builtin_params, builtin_type_ids, simulate
@@ -107,6 +111,24 @@ class TestTableBuild:
         with pytest.raises(ValueError):
             MetaActivationTable(0, 0.0, 1.0, np.array([0.0, 1.0]),
                                 np.array([0.0, math.nan]))
+
+    def test_nodes_must_be_the_linspace_grid(self):
+        with pytest.raises(ValueError, match="linspace"):
+            MetaActivationTable(0, 0.0, 1.0, np.array([0.0, 0.3, 1.0]), np.zeros(3))
+        tab = small_table()
+        nodes = tab.nodes.copy()
+        nodes[5] = np.nextafter(nodes[5], np.inf)
+        with pytest.raises(ValueError, match="linspace"):
+            MetaActivationTable(4, tab.x_min, tab.x_max, nodes, tab.values)
+
+    def test_grid_too_fine_for_the_bracket_rejected(self):
+        # A strictly ascending linspace grid whose spacing is subnormal:
+        # its inverse overflows, so the scaled guess is useless.
+        x_min, x_max = 9.046800706458055e-301, 9.046800706458122e-301
+        nodes = np.linspace(x_min, x_max, 38)
+        assert np.all(np.diff(nodes) > 0) and nodes[-1] == x_max
+        with pytest.raises(ValueError, match="too fine"):
+            MetaActivationTable(0, x_min, x_max, nodes, np.zeros(38))
 
 
 class TestTableEval:
@@ -295,21 +317,34 @@ class TestTableIO:
         with pytest.raises(ValueError):
             read_table(p)
 
+    def test_hand_edited_non_uniform_grid_names_the_file(self, tmp_path):
+        path = tmp_path / "edited.txt"
+        write_table(small_table(type_id=4), path)
+        lines = path.read_text().splitlines()
+        row = lines.index("x,f") + 4  # node 3 of 201 on [-2, 2]: -1.94
+        x, f = lines[row].split(",")
+        assert float(x) == pytest.approx(-1.94)
+        lines[row] = f"-1.935,{f}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="linspace") as err:
+            read_table(path)
+        assert str(path) in str(err.value)
+
 
 class TestHandles:
     def test_identity_and_tanh(self):
         x = np.linspace(-2, 2, 9)
         assert np.array_equal(IdentityActivation().value(x), x)
-        assert np.array_equal(IdentityActivation().deriv(x), np.ones(9))
+        assert np.array_equal(IdentityActivation().value_and_slope(x)[1], np.ones(9))
         np.testing.assert_allclose(TanhActivation().value(x), np.tanh(x))
-        np.testing.assert_allclose(TanhActivation().deriv(x),
+        np.testing.assert_allclose(TanhActivation().value_and_slope(x)[1],
                                    1 - np.tanh(x) ** 2)
 
     def test_gelu_handle_matches_functions(self):
         x = np.linspace(-3, 3, 31)
         h = GeluActivation()
         assert np.array_equal(h.value(x), gelu(x))
-        assert np.array_equal(h.deriv(x), gelu_grad(x))
+        assert np.array_equal(h.value_and_slope(x)[1], gelu_grad(x))
 
     def test_gated_handle_matches_functions(self):
         tab = small_table()
@@ -317,6 +352,162 @@ class TestHandles:
         h = GatedLeeActivation(cfg, tab)
         x = np.linspace(-3, 3, 31)
         assert np.array_equal(h.value(x), gated_activation(x, cfg, tab))
-        assert np.array_equal(h.deriv(x), gated_grad(x, cfg, tab))
+        assert np.array_equal(h.value_and_slope(x)[1], gated_grad(x, cfg, tab))
         assert np.array_equal(h.segment_ids(x), table_segment(tab, x))
         assert "type=4" in h.name
+
+
+# -- constant-time bracket and the fused value/slope call ----------------------
+
+_SPECIALS = np.array([
+    math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0,
+    5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+    -2.2250738585072014e-308, 1e300, -1e300,
+])
+
+
+def _grid(name):
+    """The default 4001-node grid, the 201-node test grid, a 2-node grid."""
+    if name == "default":
+        return table_for_type(1)
+    if name == "test":
+        return small_table()
+    return table_for_type(4, -1.0, 1.0, 2)
+
+
+_GRIDS = ("default", "test", "two")
+
+
+def _searchsorted_bracket(tab, x):
+    j = np.searchsorted(tab.nodes, x, side="right") - 1
+    return np.clip(j, 0, tab.n_nodes - 2)
+
+
+def _reference_lookup(tab, x):
+    """Binary-search lookup and slope, written as separate passes."""
+    xq = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    j = _searchsorted_bracket(tab, xq)
+    left, right = tab.nodes[j], tab.nodes[j + 1]
+    w = (xq - left) / (right - left)
+    out = tab.values[j] + w * (tab.values[j + 1] - tab.values[j])
+    out = np.where(xq == left, tab.values[j], out)
+    out = np.where(xq <= tab.x_min, tab.values[0], out)
+    out = np.where(xq >= tab.x_max, tab.values[-1], out)
+    slope = (tab.values[j + 1] - tab.values[j]) / (right - left)
+    slope = np.where((xq < tab.x_min) | (xq >= tab.x_max), 0.0, slope)
+    return out, slope
+
+
+def _reference_gelu(x):
+    value = x * 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    phi = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    return value, 0.5 * (1.0 + erf(x / math.sqrt(2.0))) + x * phi
+
+
+def _same(a, b):
+    """Equal element for element, NaN included, with equal signs of zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _edge_inputs(tab):
+    """Every node, 1 ulp either side of it, and the special values."""
+    return np.concatenate([
+        tab.nodes, np.nextafter(tab.nodes, np.inf),
+        np.nextafter(tab.nodes, -np.inf), _SPECIALS,
+    ])
+
+
+_FLOATS = st.one_of(st.floats(), st.floats(min_value=-5.0, max_value=5.0))
+_INPUTS = st.lists(_FLOATS, min_size=1, max_size=40).map(np.array)
+
+
+# inf and +-1e300 inputs overflow intermediate terms by design.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestConstantTimeBracket:
+    @pytest.mark.parametrize("grid", _GRIDS)
+    def test_matches_searchsorted_on_nodes_ulps_and_specials(self, grid):
+        tab = _grid(grid)
+        x = _edge_inputs(tab)
+        assert np.array_equal(_bracket(tab, x), _searchsorted_bracket(tab, x))
+
+    def test_nan_lands_on_the_last_segment(self):
+        tab = small_table()
+        assert _bracket(tab, np.array([math.nan]))[0] == tab.n_nodes - 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid=st.sampled_from(_GRIDS), x=_INPUTS)
+    def test_matches_searchsorted_on_random_floats(self, grid, x):
+        tab = _grid(grid)
+        assert np.array_equal(_bracket(tab, x), _searchsorted_bracket(tab, x))
+
+    def test_forward_and_backward_do_not_binary_search(self, monkeypatch):
+        tab = small_table()
+        handle = GatedLeeActivation(GateConfig(0.5, 4), tab)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.searchsorted called")
+
+        monkeypatch.setattr(np, "searchsorted", refuse)
+        x = _edge_inputs(tab)
+        handle.value(x)
+        handle.value_and_slope(x)
+        table_grad(tab, x)
+
+
+# inf and +-1e300 inputs overflow intermediate terms by design.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestFusedValueAndSlope:
+    @pytest.mark.parametrize("grid", _GRIDS)
+    def test_table_matches_reference_on_edges(self, grid):
+        tab = _grid(grid)
+        x = _edge_inputs(tab)
+        value, slope = table_value_and_slope(tab, x)
+        want_value, want_slope = _reference_lookup(tab, x)
+        assert _same(value, want_value) and _same(slope, want_slope)
+        assert _same(table_eval(tab, x), want_value)
+        assert _same(table_grad(tab, x), want_slope)
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid=st.sampled_from(_GRIDS), x=_INPUTS)
+    def test_table_matches_reference_on_random_floats(self, grid, x):
+        tab = _grid(grid)
+        value, slope = table_value_and_slope(tab, x)
+        want_value, want_slope = _reference_lookup(tab, x)
+        assert _same(value, want_value) and _same(slope, want_slope)
+
+    def test_scalar_input_gives_floats(self):
+        tab = small_table()
+        for fused in (table_value_and_slope(tab, 0.3), gelu_value_and_slope(0.3),
+                      gated_value_and_slope(0.3, GateConfig(0.5, 4), tab)):
+            assert all(isinstance(v, float) for v in fused)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=_INPUTS)
+    def test_gelu_and_gate_match_reference(self, x):
+        tab = small_table()
+        cfg = GateConfig(0.3, 4)
+        g_value, g_slope = _reference_gelu(x)
+        value, slope = gelu_value_and_slope(x)
+        assert _same(value, g_value) and _same(slope, g_slope)
+        t_value, t_slope = _reference_lookup(tab, x)
+        value, slope = gated_value_and_slope(x, cfg, tab)
+        assert _same(value, 0.3 * g_value + 0.7 * t_value)
+        assert _same(slope, 0.3 * g_slope + 0.7 * t_slope)
+
+    @pytest.mark.parametrize("kind", ["gelu", "gated", "tanh", "identity"])
+    @settings(max_examples=100, deadline=None)
+    @given(x=_INPUTS)
+    def test_handles_return_value_and_their_slope(self, kind, x):
+        tab = small_table()
+        cfg = GateConfig(0.5, 4)
+        handle, slope_of = {
+            "gelu": (GeluActivation(), gelu_grad),
+            "gated": (GatedLeeActivation(cfg, tab), lambda v: gated_grad(v, cfg, tab)),
+            "tanh": (TanhActivation(), lambda v: 1.0 - np.tanh(v) * np.tanh(v)),
+            "identity": (IdentityActivation(), np.ones_like),
+        }[kind]
+        value, slope = handle.value_and_slope(x)
+        assert _same(value, handle.value(x))
+        assert _same(slope, slope_of(x))

@@ -251,6 +251,18 @@ class TestForecaster:
         model.predict(enc, dec)
         assert model.decode_calls == 2
 
+    @pytest.mark.parametrize("mode", [ActivationMode(kind="gelu"),
+                                      ActivationMode(kind="gated", type_id=4)])
+    def test_predict_records_nothing_and_matches_forward(self, mode):
+        cfg = tiny_cfg(activation=mode)
+        model = Forecaster(cfg, seed=1)
+        enc, dec = batch_for(cfg, n=3)
+        out = model.predict(enc, dec)
+        assert all(p.grad is None for p in model.params.values())
+        pred, _ = model.forward(enc, dec)
+        assert pred.requires_grad
+        assert np.array_equal(out, pred.data)
+
     def test_placeholder_rows_must_be_zero(self):
         cfg = tiny_cfg()
         model = Forecaster(cfg, seed=1)
@@ -372,6 +384,15 @@ class TestAutoencoder:
         recon = ae.reconstruct(te.constant(flat)).data
         manual = ((flat - recon) ** 2).reshape(40, 8, 2).mean(axis=2)
         np.testing.assert_allclose(errs, manual, rtol=0, atol=0)
+
+    def test_weights_match_recorded_reconstruction(self):
+        ae, windows = self._fitted()
+        flat = windows.reshape(40, -1)
+        recon = ae.reconstruct(te.constant(flat))
+        assert recon.requires_grad
+        errs = ((flat - recon.data) ** 2).reshape(40, 8, 2).mean(axis=2)
+        assert np.array_equal(ae.weights(windows), 1.0 / (1.0 + errs.max(axis=1) / ae.tau))
+        assert all(p.grad is None for p in ae.params.values())
 
     def test_threshold_is_95th_percentile(self):
         ae, windows = self._fitted()

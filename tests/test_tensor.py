@@ -331,6 +331,78 @@ class TestGraph:
             te.check_finite = False
 
 
+class _CountingActivation:
+    """Tanh that counts which of its two methods the tape asked for."""
+
+    name = "counting"
+
+    def __init__(self):
+        self.calls = []
+
+    def value(self, x):
+        self.calls.append("value")
+        return TanhActivation().value(x)
+
+    def value_and_slope(self, x):
+        self.calls.append("value_and_slope")
+        return TanhActivation().value_and_slope(x)
+
+
+class TestNoGrad:
+    def test_outputs_are_constants(self):
+        a = parameter(RNG.standard_normal((2, 3)))
+        b = parameter(RNG.standard_normal((3, 4)))
+        with te.no_grad():
+            outs = [a + a, a * 2.0, matmul(a, b), softmax_last_axis(a),
+                    apply_activation(a, GeluActivation()), mean_all(a)]
+        for out in outs:
+            assert out.requires_grad is False
+            assert out._parents == () and out._vjps == ()
+            assert topo_order(out) == [out]
+        assert backward(outs[-1]) == {}
+        assert a.grad is None and b.grad is None
+
+    def test_values_match_recorded_run(self):
+        a = parameter(RNG.standard_normal((2, 5, 3)))
+        gamma, beta = parameter(np.ones(3)), parameter(np.zeros(3))
+        recorded = layer_norm(apply_activation(a, GeluActivation()), gamma, beta)
+        with te.no_grad():
+            plain = layer_norm(apply_activation(a, GeluActivation()), gamma, beta)
+        assert recorded.requires_grad
+        assert np.array_equal(plain.data, recorded.data)
+
+    def test_leaves_still_require_grad(self):
+        with te.no_grad():
+            p = parameter(np.ones(2))
+        assert p.requires_grad
+        assert backward(sum_all(p))[p].tolist() == [1.0, 1.0]
+
+    def test_state_restored_on_exit_exception_and_nesting(self):
+        a = parameter(np.ones(3))
+        with te.no_grad():
+            with te.no_grad():
+                assert not (a * 2.0).requires_grad
+            assert not (a * 2.0).requires_grad
+        assert (a * 2.0).requires_grad
+        with pytest.raises(RuntimeError):
+            with te.no_grad():
+                raise RuntimeError("boom")
+        assert (a * 2.0).requires_grad
+
+    def test_activation_asks_for_slope_only_when_recording(self):
+        act = _CountingActivation()
+        x = parameter(RNG.standard_normal((3, 4)))
+        apply_activation(constant(x.data), act)
+        with te.no_grad():
+            apply_activation(x, act)
+        assert act.calls == ["value", "value"]
+        y = apply_activation(x, act)
+        assert act.calls[-1] == "value_and_slope"
+        grads = backward(sum_all(y))
+        assert len(act.calls) == 3  # backward reuses the saved slope
+        assert np.array_equal(grads[x], act.value_and_slope(x.data)[1])
+
+
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)
