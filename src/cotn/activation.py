@@ -203,15 +203,10 @@ def _bracket(tab: MetaActivationTable, x: np.ndarray) -> np.ndarray:
     return np.clip(j, 0, top, out=j)
 
 
-def table_value_and_slope(tab: MetaActivationTable, x):
-    """Table lookup and the slope of the segment it used, in one pass.
-
-    The value interpolates linearly between nodes, reproduces the stored
-    value exactly when x hits a node and clamps to the boundary node
-    value outside [x_min, x_max]. The slope is the right-hand segment's
-    at an interior node, and 0 below x_min and at or beyond x_max, where
-    the lookup clamps. Scalar input gives a pair of floats.
-    """
+def _table_lookup(tab: MetaActivationTable, x, with_slope: bool):
+    # Value and, with with_slope, slope of the lookup; the slope is None
+    # without it, which skips the slope's last steps. Scalar input gives
+    # floats.
     xq = np.asarray(x, dtype=np.float64)
     scalar = xq.ndim == 0
     xq = np.atleast_1d(xq)
@@ -233,15 +228,32 @@ def table_value_and_slope(tab: MetaActivationTable, x):
     np.copyto(value, base, where=xq <= left)
     clamped = xq >= tab.x_max
     np.copyto(value, tab.values[-1], where=clamped)
-    slope /= step
-    clamped |= xq < tab.x_min
-    np.copyto(slope, 0.0, where=clamped)
-    return (float(value[0]), float(slope[0])) if scalar else (value, slope)
+    if with_slope:
+        slope /= step
+        clamped |= xq < tab.x_min
+        np.copyto(slope, 0.0, where=clamped)
+    else:
+        slope = None
+    if scalar:
+        return float(value[0]), None if slope is None else float(slope[0])
+    return value, slope
+
+
+def table_value_and_slope(tab: MetaActivationTable, x):
+    """Table lookup and the slope of the segment it used, in one pass.
+
+    The value interpolates linearly between nodes, reproduces the stored
+    value exactly when x hits a node and clamps to the boundary node
+    value outside [x_min, x_max]. The slope is the right-hand segment's
+    at an interior node, and 0 below x_min and at or beyond x_max, where
+    the lookup clamps. Scalar input gives a pair of floats.
+    """
+    return _table_lookup(tab, x, True)
 
 
 def table_eval(tab: MetaActivationTable, x):
     """Piecewise-linear table lookup with clamping outside the range."""
-    return table_value_and_slope(tab, x)[0]
+    return _table_lookup(tab, x, False)[0]
 
 
 def table_grad(tab: MetaActivationTable, x):
@@ -270,6 +282,10 @@ def _gelu_value(xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xq * 0.5 * cdf2, cdf2
 
 
+def _gelu_slope(xq: np.ndarray, cdf2: np.ndarray) -> np.ndarray:
+    return 0.5 * cdf2 + xq * (np.exp(-0.5 * xq * xq) * _INV_SQRT_2PI)
+
+
 def gelu(x):
     """Exact-erf GELU: x * Phi(x) with Phi the standard normal CDF."""
     out = _gelu_value(np.asarray(x, dtype=np.float64))[0]
@@ -284,7 +300,7 @@ def gelu_value_and_slope(x):
     """
     xq = np.asarray(x, dtype=np.float64)
     value, cdf2 = _gelu_value(xq)
-    slope = 0.5 * cdf2 + xq * (np.exp(-0.5 * xq * xq) * _INV_SQRT_2PI)
+    slope = _gelu_slope(xq, cdf2)
     return (float(value), float(slope)) if xq.ndim == 0 else (value, slope)
 
 
@@ -313,22 +329,34 @@ def _check_gate(cfg: GateConfig, tab: MetaActivationTable) -> None:
         )
 
 
+def _gated(x, cfg: GateConfig, tab: MetaActivationTable, with_slope: bool):
+    # The blend and, if asked, its slope; scalar input gives floats. The
+    # value-only path skips the GELU derivative and the table slope.
+    _check_gate(cfg, tab)
+    xq = np.asarray(x, dtype=np.float64)
+    x1 = np.atleast_1d(xq)
+    g_value, cdf2 = _gelu_value(x1)
+    t_value, t_slope = _table_lookup(tab, x1, with_slope)
+    rest = 1.0 - cfg.lam
+    value = cfg.lam * g_value + rest * t_value
+    slope = cfg.lam * _gelu_slope(x1, cdf2) + rest * t_slope if with_slope else None
+    if xq.ndim == 0:
+        return float(value[0]), None if slope is None else float(slope[0])
+    return value, slope
+
+
 def gated_value_and_slope(x, cfg: GateConfig, tab: MetaActivationTable):
     """The blend ``lam * gelu(x) + (1 - lam) * table(x)`` and its slope.
 
     The slope blends the GELU derivative with the table's segment slope
     (right-segment convention at nodes).
     """
-    _check_gate(cfg, tab)
-    g_value, g_slope = gelu_value_and_slope(x)
-    t_value, t_slope = table_value_and_slope(tab, x)
-    rest = 1.0 - cfg.lam
-    return cfg.lam * g_value + rest * t_value, cfg.lam * g_slope + rest * t_slope
+    return _gated(x, cfg, tab, True)
 
 
 def gated_activation(x, cfg: GateConfig, tab: MetaActivationTable):
     """Blend ``lam * gelu(x) + (1 - lam) * table(x)``."""
-    return gated_value_and_slope(x, cfg, tab)[0]
+    return _gated(x, cfg, tab, False)[0]
 
 
 def gated_grad(x, cfg: GateConfig, tab: MetaActivationTable):
@@ -371,7 +399,12 @@ def read_table(path) -> MetaActivationTable:
     missing = [k for k in required if k not in header]
     if missing:
         raise ValueError(f"{path}: header missing keys {missing}")
-    n_nodes = int(header["n_nodes"])
+    try:
+        n_nodes = int(header["n_nodes"])
+    except ValueError:
+        raise ValueError(
+            f"{path}: n_nodes must be an integer, got {header['n_nodes']!r}"
+        ) from None
     rows = lines[idx + 1 :]
     rows = [r for r in rows if r]
     if len(rows) != n_nodes:
@@ -379,11 +412,11 @@ def read_table(path) -> MetaActivationTable:
     nodes = np.empty(n_nodes)
     values = np.empty(n_nodes)
     for r, row in enumerate(rows):
-        parts = row.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{path}: malformed row {r + 1}: {row!r}")
-        nodes[r] = float(parts[0])
-        values[r] = float(parts[1])
+        try:
+            x_text, f_text = row.split(",")
+            nodes[r], values[r] = float(x_text), float(f_text)
+        except ValueError:
+            raise ValueError(f"{path}: malformed row {r + 1}: {row!r}") from None
     try:
         return MetaActivationTable(
             int(header["type_id"]), float(header["x_min"]), float(header["x_max"]),

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -35,7 +36,10 @@ from .data import (
     denormalize_feature,
     epoch_to_text,
     featurize,
+    fit_stats,
     load_csv,
+    normalize,
+    window,
     write_stats,
 )
 from .model import (
@@ -50,6 +54,7 @@ from .model import (
 from .oscillator import bifurcation_sweep, builtin_params, write_bifurcation_csv
 from .training import (
     TrainConfig,
+    _batched_predict,
     fit_autoencoder,
     mae,
     mse,
@@ -270,7 +275,7 @@ def _parse_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _prepare_dataset(spec: DataSpec, args):
+def _load_frame(spec: DataSpec, args):
     _vlog(args, f"loading {spec.path} ({spec.schema})")
     raw = load_csv(spec.path, spec.schema)
     cleaned = clean(
@@ -284,6 +289,11 @@ def _prepare_dataset(spec: DataSpec, args):
     frame = featurize(cleaned)
     _vlog(args, f"{cleaned.n_rows} rows, {frame.n_features} features, "
                 f"{len(cleaned.report)} cleaning actions")
+    return frame, cleaned
+
+
+def _prepare_dataset(spec: DataSpec, args):
+    frame, cleaned = _load_frame(spec, args)
     dataset = build_dataset(
         frame,
         enc_len=spec.enc_len,
@@ -377,7 +387,17 @@ def cmd_train(args) -> int:
     train_cfg = _build_train_cfg(raw, mode, args.seed)
     _vlog(args, f"training plan={train_cfg.plan} activation={mode.kind} "
                 f"seed={train_cfg.seed}")
-    model, report = run_training(dataset, model_cfg, train_cfg)
+    ae = None
+    if train_cfg.anomaly_weighting:
+        # Fitted once: training weights with it and autoencoder.bin saves it.
+        ae = fit_autoencoder(
+            dataset.splits.train.enc,
+            hidden=train_cfg.ae_hidden,
+            bottleneck=train_cfg.ae_bottleneck,
+            seed=train_cfg.seed,
+            epochs=train_cfg.ae_epochs,
+        )
+    model, report = run_training(dataset, model_cfg, train_cfg, ae)
     out = _out_dir(args)
     ckpt = os.path.join(out, "checkpoint.bin")
     save_forecaster(
@@ -390,14 +410,7 @@ def cmd_train(args) -> int:
     with open(os.path.join(out, "cleaning_report.txt"), "w", encoding="utf-8") as fh:
         for action in cleaned.report:
             fh.write(action.render() + "\n")
-    if train_cfg.anomaly_weighting:
-        ae = fit_autoencoder(
-            dataset.splits.train.enc,
-            hidden=train_cfg.ae_hidden,
-            bottleneck=train_cfg.ae_bottleneck,
-            seed=train_cfg.seed,
-            epochs=train_cfg.ae_epochs,
-        )
+    if ae is not None:
         save_autoencoder(os.path.join(out, "autoencoder.bin"), ae)
     print(ckpt)
     print(f"test_mae = {_FLOAT_FMT % report.test_mae}")
@@ -406,29 +419,36 @@ def cmd_train(args) -> int:
 
 
 def _restore(args):
+    """Load a checkpoint and cut the data's windows with its statistics.
+
+    The data is loaded, cleaned and featurized once. Statistics fitted
+    afresh on its training rows only check that its feature set matches
+    the checkpoint's; a mismatch, too few training rows or no training
+    windows fail exactly as training on the data would.
+    """
     model, extra, meta = load_forecaster(args.checkpoint)
     stats = _stats_from_extra(extra, meta)
     spec = _spec_from_meta(meta, model.cfg, args.data)
-    dataset, _ = _prepare_dataset(spec, args)
-    if tuple(dataset.stats.names) != stats.names:
-        raise RuntimeError(
-            "feature set of the data does not match the checkpoint "
-            f"({dataset.stats.names} vs {stats.names})"
-        )
-    # Use the checkpoint's statistics, not fresh ones, so scoring matches
-    # the training run exactly.
-    from .data import normalize, window
-
-    frame = normalize(
-        featurize(clean(load_csv(spec.path, spec.schema), CleanConfig(
-            max_ffill_gap=spec.max_ffill_gap, z_max=spec.z_max,
-            return_limit=spec.return_limit))),
-        stats,
-    )
+    frame, _ = _load_frame(spec, args)
+    n_train = int(math.floor(spec.train_ratio * frame.n_rows))
+    if n_train < 2:
+        raise ValueError(f"training split of {n_train} rows is too small")
+    fresh = fit_stats(frame.slice_rows(0, n_train))
+    match = fresh.names == stats.names
+    # Which statistics normalize does not change the windows' positions,
+    # so the window checks run before the feature-set check either way.
+    frame = normalize(frame, stats if match else fresh)
     splits = window(
         frame, spec.enc_len, spec.label_len, spec.horizon, spec.stride,
         (spec.train_ratio, spec.val_ratio, spec.test_ratio),
     )
+    if splits.train.n_windows == 0:
+        raise ValueError("training split produced no windows")
+    if not match:
+        raise RuntimeError(
+            "feature set of the data does not match the checkpoint "
+            f"({fresh.names} vs {stats.names})"
+        )
     return model, stats, frame, splits
 
 
@@ -441,10 +461,7 @@ def cmd_eval(args) -> int:
             print(f"{name}_mae = nan")
             print(f"{name}_mse = nan")
             continue
-        parts = []
-        for lo in range(0, batch.n_windows, 512):
-            parts.append(model.predict(batch.enc[lo:lo + 512], batch.dec[lo:lo + 512]))
-        pred = np.concatenate(parts, axis=0)
+        pred = _batched_predict(model, batch.enc, batch.dec)
         p = denormalize_feature(pred, stats, target)
         t = denormalize_feature(batch.tgt, stats, target)
         print(f"{name}_mae = {_FLOAT_FMT % mae(p, t)}")
@@ -516,7 +533,7 @@ def cmd_anomaly(args) -> int:
     stats_path = args.stats or os.path.join(
         os.path.dirname(os.path.abspath(args.ae)), "norm_stats.txt"
     )
-    from .data import normalize, read_stats
+    from .data import read_stats
 
     stats = read_stats(stats_path)
     raw = load_csv(args.data, args.schema)

@@ -163,6 +163,8 @@ class TrialReport:
 
     Two runs with identical seeds produce identical reports except for
     wall_time_s; metric_dict() exposes exactly the reproducible part.
+    wall_time_s counts an autoencoder fit made during the run, not one
+    passed in already fitted.
     """
 
     seed: int
@@ -378,17 +380,31 @@ def _stage_loop(
     return history, len(history)
 
 
-def _anomaly_weights(dataset: Dataset, cfg: TrainConfig) -> Optional[np.ndarray]:
-    if not cfg.anomaly_weighting:
-        return None
-    train = dataset.splits.train
-    ae = fit_autoencoder(
-        train.enc,
+def _fit_for(dataset: Dataset, cfg: TrainConfig) -> Autoencoder:
+    # The autoencoder cfg's anomaly weighting fits: it depends only on the
+    # training windows, cfg.seed and the ae_* settings.
+    return fit_autoencoder(
+        dataset.splits.train.enc,
         hidden=cfg.ae_hidden,
         bottleneck=cfg.ae_bottleneck,
         seed=cfg.seed,
         epochs=cfg.ae_epochs,
     )
+
+
+def _anomaly_weights(
+    dataset: Dataset, cfg: TrainConfig, ae: Optional[Autoencoder]
+) -> Optional[np.ndarray]:
+    train = dataset.splits.train
+    if ae is not None and (ae.window_len, ae.n_features) != train.enc.shape[1:]:
+        raise ValueError(
+            f"autoencoder expects ({ae.window_len}, {ae.n_features}) windows but "
+            f"the training windows are {train.enc.shape[1:]}"
+        )
+    if not cfg.anomaly_weighting:
+        return None
+    if ae is None:
+        ae = _fit_for(dataset, cfg)
     return ae.weights(train.enc)
 
 
@@ -426,16 +442,20 @@ def train_stage(
     dataset: Dataset,
     cfg: TrainConfig,
     activation_mode: ActivationMode,
+    ae: Optional[Autoencoder] = None,
 ) -> TrialReport:
     """Train one stage under a single activation mode.
 
     Minimizes anomaly-weighted forecast MSE plus w_distill times the
     distillation consistency loss, with Adam and an optional cosine
     schedule; early stopping keeps the best-validation parameters.
+    The anomaly weights come from ``ae`` when given (it must have been
+    fitted on the same training windows with cfg's seed and ae_* settings
+    to reproduce a run that fits its own); otherwise one is fitted here.
     """
     t0 = time.perf_counter()
     model.set_activation(activation_mode)
-    weights = _anomaly_weights(dataset, cfg)
+    weights = _anomaly_weights(dataset, cfg, ae)
     rng = np.random.default_rng(cfg.seed)
     history, epochs_run = _stage_loop(
         model, dataset, cfg, rng, cfg.epochs, weights
@@ -443,15 +463,18 @@ def train_stage(
     return _finish_report(model, dataset, cfg, history, epochs_run, t0)
 
 
-def two_stage_train(model: Forecaster, dataset: Dataset, cfg: TrainConfig) -> TrialReport:
+def two_stage_train(model: Forecaster, dataset: Dataset, cfg: TrainConfig,
+                    ae: Optional[Autoencoder] = None) -> TrialReport:
     """GELU pretrain, in-place swap to the target activation, fine-tune.
 
     Stage one runs pretrain_epochs under GELU; the swap touches no
     parameter; stage two fine-tunes all parameters for the remaining
     budget. Validation histories concatenate for the convergence measure.
+    Both stages share one set of anomaly weights, from ``ae`` as in
+    train_stage.
     """
     t0 = time.perf_counter()
-    weights = _anomaly_weights(dataset, cfg)
+    weights = _anomaly_weights(dataset, cfg, ae)
     rng = np.random.default_rng(cfg.seed)
     stage1 = min(cfg.pretrain_epochs, cfg.epochs)
     stage2 = cfg.epochs - stage1
@@ -463,18 +486,25 @@ def two_stage_train(model: Forecaster, dataset: Dataset, cfg: TrainConfig) -> Tr
 
 
 def run_training(
-    dataset: Dataset, model_cfg: ModelConfig, cfg: TrainConfig
+    dataset: Dataset, model_cfg: ModelConfig, cfg: TrainConfig,
+    ae: Optional[Autoencoder] = None,
 ) -> tuple[Forecaster, TrialReport]:
-    """Build a model per the config's plan and train it."""
+    """Build a model per the config's plan and train it.
+
+    ``ae`` is an already fitted anomaly autoencoder to weight with, so
+    runs that share one fit it once; a run passed the autoencoder it
+    would have fitted itself is bit-identical to one that fits it. The
+    report's wall_time_s then leaves the fit out.
+    """
     model_cfg = replace(
         model_cfg,
         activation=cfg.activation if cfg.plan == "direct" else ActivationMode(kind="gelu"),
     )
     model = Forecaster(model_cfg, seed=cfg.seed)
     if cfg.plan == "warm_start":
-        report = two_stage_train(model, dataset, cfg)
+        report = two_stage_train(model, dataset, cfg, ae)
     else:
-        report = train_stage(model, dataset, cfg, cfg.activation)
+        report = train_stage(model, dataset, cfg, cfg.activation, ae)
     return model, report
 
 
@@ -500,9 +530,9 @@ class SweepResult:
 
 
 def _run_sweep_one(args) -> "SweepEntry":
-    dataset, model_cfg, cfg, type_id = args
+    dataset, model_cfg, cfg, type_id, ae = args
     mode = ActivationMode(kind="gated", type_id=type_id, lam=cfg.activation.lam)
-    _, report = run_training(dataset, model_cfg, replace(cfg, activation=mode))
+    _, report = run_training(dataset, model_cfg, replace(cfg, activation=mode), ae)
     return SweepEntry(type_id, report.val_mae, report)
 
 
@@ -517,9 +547,12 @@ def sweep_types(
     rank the types by validation MAE.
 
     Each type is an independent run, so jobs > 1 fans them out over
-    processes; the ranking is identical either way.
+    processes; the ranking is identical either way. The types differ only
+    in activation, so the anomaly autoencoder is fitted once, here, and
+    every run weights with it.
     """
-    work = [(dataset, model_cfg, cfg, t) for t in type_ids]
+    ae = _fit_for(dataset, cfg) if cfg.anomaly_weighting else None
+    work = [(dataset, model_cfg, cfg, t, ae) for t in type_ids]
     if jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             entries = list(pool.map(_run_sweep_one, work))
@@ -568,10 +601,19 @@ def _aggregate(values: list[float]) -> dict[str, float]:
     }
 
 
+def _ae_settings(cfg: TrainConfig) -> tuple[int, int, int]:
+    return cfg.ae_hidden, cfg.ae_bottleneck, cfg.ae_epochs
+
+
 def _run_pair(args) -> tuple[TrialReport, TrialReport]:
     dataset, model_cfg, t_cfg, b_cfg, seed = args
-    _, t_report = run_training(dataset, model_cfg, replace(t_cfg, seed=seed))
-    _, b_report = run_training(dataset, model_cfg, replace(b_cfg, seed=seed))
+    t_cfg, b_cfg = replace(t_cfg, seed=seed), replace(b_cfg, seed=seed)
+    # Both arms share the seed; with the same ae_* settings they would fit
+    # the same autoencoder, so it is fitted once for the pair.
+    t_ae = _fit_for(dataset, t_cfg) if t_cfg.anomaly_weighting else None
+    share = b_cfg.anomaly_weighting and _ae_settings(b_cfg) == _ae_settings(t_cfg)
+    _, t_report = run_training(dataset, model_cfg, t_cfg, t_ae)
+    _, b_report = run_training(dataset, model_cfg, b_cfg, t_ae if share else None)
     return t_report, b_report
 
 
@@ -587,8 +629,10 @@ def multi_trial(
     """Run seeds 1..n_trials over a treatment/baseline pair.
 
     Each seed trains both arms with identical data order and initial
-    parameters; the summary aggregates treatment and baseline metrics
-    and the paired test-MAE win rate of the treatment.
+    parameters; when both arms weight with the same ae_* settings they
+    share one autoencoder fit per seed. The summary aggregates treatment
+    and baseline metrics and the paired test-MAE win rate of the
+    treatment.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
+from cotn import activation
 from cotn.activation import (
     _bracket,
     GateConfig,
@@ -317,6 +318,25 @@ class TestTableIO:
         with pytest.raises(ValueError):
             read_table(p)
 
+    def test_non_numeric_row_value_names_file_and_row(self, tmp_path):
+        p = tmp_path / "bad_row.txt"
+        p.write_text("type_id=1\nx_min=0\nx_max=1\nn_nodes=2\nx,f\n0,abc\n1,1\n")
+        with pytest.raises(ValueError, match="malformed row 1: '0,abc'") as err:
+            read_table(p)
+        assert str(p) in str(err.value)
+        p.write_text("type_id=1\nx_min=0\nx_max=1\nn_nodes=2\nx,f\n0,0\n1,1,2\n")
+        with pytest.raises(ValueError, match="malformed row 2") as err:
+            read_table(p)
+        assert str(p) in str(err.value)
+
+    def test_non_integer_n_nodes_names_the_file(self, tmp_path):
+        for text in ("2.5", "two", ""):
+            p = tmp_path / "bad_n.txt"
+            p.write_text(f"type_id=1\nx_min=0\nx_max=1\nn_nodes={text}\nx,f\n0,0\n1,1\n")
+            with pytest.raises(ValueError, match="n_nodes must be an integer") as err:
+                read_table(p)
+            assert str(p) in str(err.value)
+
     def test_hand_edited_non_uniform_grid_names_the_file(self, tmp_path):
         path = tmp_path / "edited.txt"
         write_table(small_table(type_id=4), path)
@@ -511,3 +531,35 @@ class TestFusedValueAndSlope:
         value, slope = handle.value_and_slope(x)
         assert _same(value, handle.value(x))
         assert _same(slope, slope_of(x))
+
+    @pytest.mark.parametrize("grid", _GRIDS)
+    def test_value_only_paths_equal_the_fused_value(self, grid):
+        # Nodes, 1 ulp either side, NaN, +-inf, +-0, subnormals and inputs
+        # clamped on both sides of the grid.
+        tab = _grid(grid)
+        cfg = GateConfig(0.3, tab.type_id)
+        x = np.concatenate([_edge_inputs(tab), [tab.x_min - 1.0, tab.x_max + 1.0]])
+        assert _same(table_eval(tab, x), table_value_and_slope(tab, x)[0])
+        assert _same(gated_activation(x, cfg, tab),
+                     gated_value_and_slope(x, cfg, tab)[0])
+        handle = GatedLeeActivation(cfg, tab)
+        assert _same(handle.value(x), handle.value_and_slope(x)[0])
+        for v in x:
+            assert _same(gated_activation(v, cfg, tab),
+                         gated_value_and_slope(v, cfg, tab)[0])
+            assert isinstance(gated_activation(v, cfg, tab), float)
+            assert isinstance(table_eval(tab, v), float)
+
+    def test_value_only_paths_skip_the_slope(self, monkeypatch):
+        tab = small_table()
+        handle = GatedLeeActivation(GateConfig(0.5, 4), tab)
+        x = _edge_inputs(tab)
+        want = handle.value(x)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("slope computed on a value-only path")
+
+        monkeypatch.setattr(activation, "_gelu_slope", refuse)
+        assert _same(handle.value(x), want)
+        table_eval(tab, x)
+        gelu(x)

@@ -5,8 +5,12 @@ import os
 import numpy as np
 import pytest
 
+import cotn.cli
+from cotn import training
 from cotn.activation import read_table
 from cotn.cli import main
+from cotn.data import CleanConfig, build_dataset, clean, featurize, load_csv
+from cotn.model import save_autoencoder
 from cotn.training import read_trial_report, write_synthetic_ett_csv
 
 
@@ -157,6 +161,36 @@ class TestTrain:
         assert report["seed"] == "42"
 
 
+class TestTrainFitsOnce:
+    def test_one_fit_and_it_is_the_saved_autoencoder(self, workspace, tmp_path,
+                                                      monkeypatch):
+        calls = []
+        real = training.fit_autoencoder
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        # cmd_train fits through its own binding; a fit inside training
+        # would go through the module's.
+        monkeypatch.setattr(cotn.cli, "fit_autoencoder", counting)
+        monkeypatch.setattr(training, "fit_autoencoder", counting)
+        out = tmp_path / "run"
+        code, _ = run("train", "--config", str(workspace["cfg"]), "--out", str(out))
+        assert code == 0
+        assert len(calls) == 1
+        # Byte-identical to a fresh fit of the run's training windows.
+        frame = featurize(clean(load_csv(workspace["csv"], "ett"), CleanConfig()))
+        dataset = build_dataset(frame, enc_len=16, label_len=8, horizon=4)
+        ae = real(dataset.splits.train.enc, hidden=32, bottleneck=8, seed=1,
+                  epochs=2)
+        save_autoencoder(tmp_path / "fresh.bin", ae)
+        assert (out / "autoencoder.bin").read_bytes() == (tmp_path / "fresh.bin").read_bytes()
+        # And the run matches the workspace run made the same way.
+        for name in ("checkpoint.bin", "autoencoder.bin", "norm_stats.txt"):
+            assert (out / name).read_bytes() == (workspace["out"] / name).read_bytes()
+
+
 class TestConfigErrors:
     def test_missing_config_file_is_runtime_error(self, tmp_path):
         code, _ = run("train", "--config", str(tmp_path / "absent.ini"))
@@ -208,6 +242,63 @@ class TestEval:
         code, _ = run("eval", "--checkpoint", str(tmp_path / "nope.bin"),
                       "--data", str(workspace["csv"]))
         assert code == 1
+
+
+def _count_loads(monkeypatch):
+    calls = []
+    real = cotn.cli.load_csv
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cotn.cli, "load_csv", counting)
+    return calls
+
+
+class TestRestore:
+    @pytest.mark.parametrize("command", ["eval", "forecast"])
+    def test_data_loaded_once(self, workspace, tmp_path, monkeypatch, command):
+        calls = _count_loads(monkeypatch)
+        code, _ = run(command,
+                      "--checkpoint", str(workspace["out"] / "checkpoint.bin"),
+                      "--data", str(workspace["csv"]), "--out", str(tmp_path))
+        assert code == 0
+        assert len(calls) == 1
+
+    def _restore_error(self, workspace, data, capsys):
+        code, _ = run("eval",
+                      "--checkpoint", str(workspace["out"] / "checkpoint.bin"),
+                      "--data", str(data))
+        return code, capsys.readouterr().err
+
+    def test_feature_mismatch_is_runtime_error(self, workspace, tmp_path, capsys):
+        # A constant HUFL column is dropped by fresh statistics.
+        rows = workspace["csv"].read_text().splitlines()
+        head = rows[0].split(",")
+        col = head.index("HUFL")
+        edited = [rows[0]]
+        for row in rows[1:]:
+            parts = row.split(",")
+            parts[col] = "1.5"
+            edited.append(",".join(parts))
+        data = tmp_path / "flat.csv"
+        data.write_text("\n".join(edited) + "\n")
+        code, err = self._restore_error(workspace, data, capsys)
+        assert code == 1
+        assert "feature set of the data does not match the checkpoint" in err
+
+    def test_too_small_and_no_windows(self, workspace, tmp_path, capsys):
+        rows = workspace["csv"].read_text().splitlines()
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text("\n".join(rows[:3]) + "\n")
+        code, err = self._restore_error(workspace, tiny, capsys)
+        assert code == 1 and "is too small" in err
+        # 21 rows: 14 training rows, too few for one 16 + 4 window.
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join(rows[:22]) + "\n")
+        code, err = self._restore_error(workspace, short, capsys)
+        assert code == 1 and "training split produced no windows" in err
 
 
 class TestForecast:

@@ -2,10 +2,13 @@
 
 import json
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cotn import training
 from cotn.data import build_dataset, load_csv
 from cotn.model import ActivationMode, ModelConfig
 from cotn.tensor import parameter
@@ -202,6 +205,118 @@ class TestRunTraining:
         _, rep_off = run_training(tiny_dataset, TINY_MODEL, off)
         _, rep_on = run_training(tiny_dataset, TINY_MODEL, on)
         assert rep_off.metric_dict() != rep_on.metric_dict()
+
+
+def _param_bytes(model):
+    return {name: p.data.tobytes() for name, p in model.params.items()}
+
+
+@pytest.fixture
+def count_fits(monkeypatch):
+    """Count fit_autoencoder calls; a call in a forked worker fails."""
+    home = os.getpid()
+    calls = []
+    real = training.fit_autoencoder
+
+    def counting(*args, **kwargs):
+        if os.getpid() != home:
+            raise AssertionError("autoencoder fitted in a worker process")
+        calls.append(kwargs.get("seed"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "fit_autoencoder", counting)
+    return calls
+
+
+def _fit_for_run(dataset, cfg):
+    return fit_autoencoder(dataset.splits.train.enc, hidden=cfg.ae_hidden,
+                           bottleneck=cfg.ae_bottleneck, seed=cfg.seed,
+                           epochs=cfg.ae_epochs)
+
+
+class TestSharedAutoencoder:
+    @pytest.mark.parametrize("plan,pretrain", [("direct", 0), ("warm_start", 1)])
+    def test_passed_in_fit_is_bit_identical(self, tiny_dataset, plan, pretrain):
+        cfg = tiny_train_cfg(epochs=2, plan=plan, pretrain_epochs=pretrain,
+                             anomaly_weighting=True, ae_epochs=3)
+        model_own, rep_own = run_training(tiny_dataset, TINY_MODEL, cfg)
+        ae = _fit_for_run(tiny_dataset, cfg)
+        model_in, rep_in = run_training(tiny_dataset, TINY_MODEL, cfg, ae=ae)
+        assert rep_in.metric_dict() == rep_own.metric_dict()
+        assert _param_bytes(model_in) == _param_bytes(model_own)
+
+    def test_passed_in_fit_is_not_refitted(self, tiny_dataset, count_fits):
+        cfg = tiny_train_cfg(epochs=1, anomaly_weighting=True, ae_epochs=2)
+        ae = _fit_for_run(tiny_dataset, cfg)
+        run_training(tiny_dataset, TINY_MODEL, cfg, ae=ae)
+        assert count_fits == []
+        run_training(tiny_dataset, TINY_MODEL, cfg)
+        assert count_fits == [1]
+
+    def test_mismatched_autoencoder_rejected(self, tiny_dataset):
+        cfg = tiny_train_cfg(epochs=1, anomaly_weighting=True, ae_epochs=2)
+        short = fit_autoencoder(tiny_dataset.splits.train.enc[:, :8], hidden=4,
+                                bottleneck=2, epochs=1)
+        with pytest.raises(ValueError, match="autoencoder expects"):
+            run_training(tiny_dataset, TINY_MODEL, cfg, ae=short)
+        wide = fit_autoencoder(np.zeros((4, 16, 2)), hidden=4, bottleneck=2,
+                               epochs=1)
+        with pytest.raises(ValueError, match="autoencoder expects"):
+            run_training(tiny_dataset, TINY_MODEL,
+                         tiny_train_cfg(epochs=1, plan="warm_start",
+                                        pretrain_epochs=1), ae=wide)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_fits_once(self, tiny_dataset, count_fits, jobs):
+        cfg = tiny_train_cfg(epochs=1, anomaly_weighting=True, ae_epochs=2)
+        types = (1, 4, 7)
+        result = sweep_types(tiny_dataset, TINY_MODEL, cfg, type_ids=types,
+                             jobs=jobs)
+        assert count_fits == [1]
+        # Same ranking and reports as runs that each fit their own.
+        own = []
+        for t in types:
+            mode = ActivationMode(kind="gated", type_id=t, lam=0.5)
+            _, rep = run_training(tiny_dataset, TINY_MODEL,
+                                  tiny_train_cfg(epochs=1, anomaly_weighting=True,
+                                                 ae_epochs=2, activation=mode))
+            own.append((rep.val_mae, t, rep.metric_dict()))
+        own.sort(key=lambda e: (e[0], e[1]))
+        assert [e.type_id for e in result.entries] == [t for _, t, _ in own]
+        assert [e.report.metric_dict() for e in result.entries] == [d for _, _, d in own]
+
+    def test_sweep_without_weighting_fits_nothing(self, tiny_dataset, count_fits):
+        sweep_types(tiny_dataset, TINY_MODEL, tiny_train_cfg(epochs=1),
+                    type_ids=(2, 3))
+        assert count_fits == []
+
+    @pytest.mark.parametrize("baseline_kw,fits", [
+        (dict(), [1, 2]),                               # shared: one per seed
+        (dict(ae_epochs=3), [1, 1, 2, 2]),              # different AE settings
+        (dict(ae_hidden=16), [1, 1, 2, 2]),
+        (dict(anomaly_weighting=False), [1, 2]),        # baseline unweighted
+    ])
+    def test_multi_trial_fits(self, tiny_dataset, count_fits, baseline_kw, fits):
+        treatment = tiny_train_cfg(epochs=1, anomaly_weighting=True, ae_epochs=2)
+        gelu = ActivationMode(kind="gelu")
+        b_kw = dict(epochs=1, anomaly_weighting=True, ae_epochs=2,
+                    activation=gelu)
+        b_kw.update(baseline_kw)
+        baseline = tiny_train_cfg(**b_kw)
+        summary = multi_trial(tiny_dataset, TINY_MODEL, treatment, baseline,
+                              n_trials=2)
+        assert sorted(count_fits) == fits
+        # Each arm reports what it reports when it fits its own.
+        reports = [
+            run_training(tiny_dataset, TINY_MODEL, replace(cfg, seed=seed))[1]
+            for seed in (1, 2) for cfg in (treatment, baseline)
+        ]
+        t_mae = [r.test_mae for r in reports[0::2]]
+        b_mae = [r.test_mae for r in reports[1::2]]
+        assert summary.metrics["test_mae"]["min"] == min(t_mae)
+        assert summary.metrics["test_mae"]["max"] == max(t_mae)
+        assert summary.baseline_metrics["test_mae"]["min"] == min(b_mae)
+        assert summary.baseline_metrics["test_mae"]["max"] == max(b_mae)
 
 
 class TestWarmStart:
