@@ -65,8 +65,6 @@ __all__ = [
     "read_table",
     "GeluActivation",
     "GatedLeeActivation",
-    "IdentityActivation",
-    "TanhActivation",
 ]
 
 TABLE_X_MIN_DEFAULT = -4.0
@@ -426,30 +424,6 @@ def read_table(path) -> MetaActivationTable:
         raise ValueError(f"{path}: {exc}") from None
 
 
-class IdentityActivation:
-    """Pass-through activation; handy for isolating graph plumbing."""
-
-    name = "identity"
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        return np.array(x, dtype=np.float64, copy=True)
-
-    def value_and_slope(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = self.value(x)
-        return y, np.ones_like(y)
-
-
-class TanhActivation:
-    name = "tanh"
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        return np.tanh(np.asarray(x, dtype=np.float64))
-
-    def value_and_slope(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        t = self.value(x)
-        return t, 1.0 - t * t
-
-
 class GeluActivation:
     """Array-valued exact-erf GELU for the tensor engine."""
 
@@ -476,7 +450,3 @@ class GatedLeeActivation:
 
     def value_and_slope(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return gated_value_and_slope(np.asarray(x, dtype=np.float64), self.cfg, self.tab)
-
-    def segment_ids(self, x: np.ndarray) -> np.ndarray:
-        """Linear-piece ids used by gradient checks to spot kink crossings."""
-        return table_segment(self.tab, x)

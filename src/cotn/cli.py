@@ -39,6 +39,7 @@ from .data import (
     fit_stats,
     load_csv,
     normalize,
+    read_stats,
     window,
     write_stats,
 )
@@ -46,6 +47,7 @@ from .model import (
     ActivationMode,
     Forecaster,
     ModelConfig,
+    _required,
     load_autoencoder,
     load_forecaster,
     save_autoencoder,
@@ -54,10 +56,8 @@ from .model import (
 from .oscillator import bifurcation_sweep, builtin_params, write_bifurcation_csv
 from .training import (
     TrainConfig,
-    _batched_predict,
+    _split_metrics,
     fit_autoencoder,
-    mae,
-    mse,
     run_training,
     sweep_types,
     write_trial_report,
@@ -321,27 +321,34 @@ def _dataset_meta(spec: DataSpec, dataset: Dataset) -> dict[str, str]:
     }
 
 
-def _spec_from_meta(meta: dict[str, str], cfg: ModelConfig, path: str) -> DataSpec:
+def _spec_from_meta(meta: dict[str, str], cfg: ModelConfig, path: str,
+                    checkpoint: str) -> DataSpec:
+    def get(key, kind):
+        return kind(_required(meta, f"data.{key}", checkpoint))
+
     return DataSpec(
         path=path,
-        schema=meta["data.schema"],
+        schema=get("schema", str),
         enc_len=cfg.enc_len,
         label_len=cfg.label_len,
         horizon=cfg.horizon,
-        stride=int(meta["data.stride"]),
-        train_ratio=float(meta["data.train_ratio"]),
-        val_ratio=float(meta["data.val_ratio"]),
-        test_ratio=float(meta["data.test_ratio"]),
-        max_ffill_gap=int(meta["data.max_ffill_gap"]),
-        z_max=float(meta["data.z_max"]),
-        return_limit=float(meta["data.return_limit"]),
+        stride=get("stride", int),
+        train_ratio=get("train_ratio", float),
+        val_ratio=get("val_ratio", float),
+        test_ratio=get("test_ratio", float),
+        max_ffill_gap=get("max_ffill_gap", int),
+        z_max=get("z_max", float),
+        return_limit=get("return_limit", float),
     )
 
 
-def _stats_from_extra(extra: dict[str, np.ndarray], meta: dict[str, str]) -> NormStats:
-    names = tuple(n for n in meta["norm.names"].split(",") if n)
-    dropped = tuple(n for n in meta["norm.dropped"].split(",") if n)
-    return NormStats(names, extra["norm.mean"], extra["norm.std"], dropped)
+def _stats_from_extra(extra: dict[str, np.ndarray], meta: dict[str, str],
+                      checkpoint: str) -> NormStats:
+    def names(key):
+        return tuple(n for n in _required(meta, key, checkpoint).split(",") if n)
+
+    return NormStats(names("norm.names"), _required(extra, "norm.mean", checkpoint),
+                     _required(extra, "norm.std", checkpoint), names("norm.dropped"))
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -418,7 +425,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _restore(args):
+def _restore(args) -> tuple[Forecaster, Dataset]:
     """Load a checkpoint and cut the data's windows with its statistics.
 
     The data is loaded, cleaned and featurized once. Statistics fitted
@@ -427,8 +434,8 @@ def _restore(args):
     windows fail exactly as training on the data would.
     """
     model, extra, meta = load_forecaster(args.checkpoint)
-    stats = _stats_from_extra(extra, meta)
-    spec = _spec_from_meta(meta, model.cfg, args.data)
+    stats = _stats_from_extra(extra, meta, args.checkpoint)
+    spec = _spec_from_meta(meta, model.cfg, args.data, args.checkpoint)
     frame, _ = _load_frame(spec, args)
     n_train = int(math.floor(spec.train_ratio * frame.n_rows))
     if n_train < 2:
@@ -449,28 +456,22 @@ def _restore(args):
             "feature set of the data does not match the checkpoint "
             f"({fresh.names} vs {stats.names})"
         )
-    return model, stats, frame, splits
+    return model, Dataset(splits, stats, frame)
 
 
 def cmd_eval(args) -> int:
-    model, stats, frame, splits = _restore(args)
-    target = frame.target
+    # The metrics training writes to report.txt, from the same function.
+    model, dataset = _restore(args)
     for name in ("train", "val", "test"):
-        batch = getattr(splits, name)
-        if batch.n_windows == 0:
-            print(f"{name}_mae = nan")
-            print(f"{name}_mse = nan")
-            continue
-        pred = _batched_predict(model, batch.enc, batch.dec)
-        p = denormalize_feature(pred, stats, target)
-        t = denormalize_feature(batch.tgt, stats, target)
-        print(f"{name}_mae = {_FLOAT_FMT % mae(p, t)}")
-        print(f"{name}_mse = {_FLOAT_FMT % mse(p, t)}")
+        split_mae, split_mse = _split_metrics(model, dataset, name)
+        print(f"{name}_mae = {_FLOAT_FMT % split_mae}")
+        print(f"{name}_mse = {_FLOAT_FMT % split_mse}")
     return 0
 
 
 def cmd_forecast(args) -> int:
-    model, stats, frame, _ = _restore(args)
+    model, dataset = _restore(args)
+    stats, frame = dataset.stats, dataset.frame
     cfg = model.cfg
     if args.horizon is not None and args.horizon != cfg.horizon:
         raise ConfigError(
@@ -533,8 +534,6 @@ def cmd_anomaly(args) -> int:
     stats_path = args.stats or os.path.join(
         os.path.dirname(os.path.abspath(args.ae)), "norm_stats.txt"
     )
-    from .data import read_stats
-
     stats = read_stats(stats_path)
     raw = load_csv(args.data, args.schema)
     frame = normalize(featurize(clean(raw)), stats)
@@ -549,19 +548,19 @@ def cmd_anomaly(args) -> int:
         raise RuntimeError(
             f"need at least {length} rows to score, have {frame.n_rows}"
         )
+    # Non-overlapping windows of consecutive rows, scored in one batch.
+    windows = frame.data[: n_windows * length].reshape(n_windows, length, -1)
+    errors = ae.step_errors(windows)
+    weights = ae.weights(windows)
     path = os.path.join(_out_dir(args), "anomaly.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("window,timestamp,step_error,window_weight\n")
         for w in range(n_windows):
-            rows = slice(w * length, (w + 1) * length)
-            win = frame.data[rows]
-            errs = ae.step_errors(win[None])[0]
-            weight = float(1.0 / (1.0 + errs.max() / ae.tau))
-            for offset, err in enumerate(errs):
+            for offset, err in enumerate(errors[w]):
                 epoch = int(frame.epochs[w * length + offset])
                 fh.write(
                     f"{w},{epoch_to_text(epoch)},{_FLOAT_FMT % err},"
-                    f"{_FLOAT_FMT % weight}\n"
+                    f"{_FLOAT_FMT % weights[w]}\n"
                 )
     print(path)
     return 0
@@ -572,15 +571,15 @@ def cmd_anomaly(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="INI run configuration file")
-    common.add_argument("--seed", type=int, help="override the configured seed")
     common.add_argument("--out", help="output directory (default: current)")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers where supported")
     common.add_argument("--verbose", action="store_true",
                         help="progress chatter on stderr")
-    common.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
-                        help="override one config value (repeatable)")
+    # The flags of the subcommands that train from a run configuration.
+    run_cfg = argparse.ArgumentParser(add_help=False)
+    run_cfg.add_argument("--config", required=True, help="INI run configuration file")
+    run_cfg.add_argument("--seed", type=int, help="override the configured seed")
+    run_cfg.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
+                         help="override one config value (repeatable)")
 
     parser = argparse.ArgumentParser(
         prog="cotn",
@@ -606,9 +605,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=4001, help="grid nodes")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("train", parents=[common],
+    p = sub.add_parser("train", parents=[common, run_cfg],
                        help="train a forecaster per the config file")
-    p.set_defaults(func=cmd_train, needs_config=True)
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", parents=[common],
                        help="score a checkpoint against a data file")
@@ -624,9 +623,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="must match the checkpoint's horizon")
     p.set_defaults(func=cmd_forecast)
 
-    p = sub.add_parser("sweep-types", parents=[common],
+    p = sub.add_parser("sweep-types", parents=[common, run_cfg],
                        help="train all oscillator types, rank by val MAE")
-    p.set_defaults(func=cmd_sweep_types, needs_config=True)
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.set_defaults(func=cmd_sweep_types)
 
     p = sub.add_parser("anomaly", parents=[common],
                        help="per-step reconstruction errors for a data file")
@@ -643,9 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "needs_config", False) and not args.config:
-        print("error: --config is required for this command", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -37,7 +37,6 @@ from .tensor import Tensor
 __all__ = [
     "ActivationMode",
     "ModelConfig",
-    "AnomalyScore",
     "sinusoidal_position_encoding",
     "causal_mask",
     "multi_head_attention",
@@ -45,7 +44,6 @@ __all__ = [
     "distill_loss",
     "Forecaster",
     "Autoencoder",
-    "anomaly_score",
     "save_forecaster",
     "load_forecaster",
     "save_autoencoder",
@@ -115,14 +113,6 @@ class ModelConfig:
                 f"enc_len ({self.enc_len}) too short for {self.n_enc_layers - 1} "
                 f"pooling stages; need >= {2 ** (self.n_enc_layers - 1)}"
             )
-
-
-@dataclass(frozen=True)
-class AnomalyScore:
-    """Per-step reconstruction errors of one window and its sample weight."""
-
-    step_errors: np.ndarray
-    weight: float
 
 
 def sinusoidal_position_encoding(length: int, d_model: int) -> np.ndarray:
@@ -255,7 +245,6 @@ class Forecaster:
         self.cfg = cfg
         self.params: dict[str, Tensor] = {}
         self.activation = cfg.activation.build()
-        self.decode_calls = 0
         rng = np.random.default_rng(seed)
         self._build(rng)
         self._enc_pe = sinusoidal_position_encoding(cfg.enc_len, cfg.d_model)
@@ -400,12 +389,7 @@ class Forecaster:
                 h = pooled
         return h, pairs
 
-    def parallel_decode(
-        self,
-        memory: Tensor,
-        dec_x: np.ndarray,
-        capture: Optional[dict] = None,
-    ) -> Tensor:
+    def parallel_decode(self, memory: Tensor, dec_x: np.ndarray) -> Tensor:
         """One causally masked decoder pass over context plus placeholders.
 
         dec_x must carry label_len known rows followed by horizon rows of
@@ -425,13 +409,10 @@ class Forecaster:
                 f"the last {cfg.horizon} decoder rows are forecast placeholders "
                 "and must be zero"
             )
-        self.decode_calls += 1
         h = self._embed(dec_x, "dec.embed", self._dec_pe)
         for l in range(cfg.n_dec_layers):
             self_attn = self._attend(h, h, f"dec.{l}.self", mask=self._dec_mask)
             h = self._norm(te.add(h, self_attn), f"dec.{l}.ln1")
-            if capture is not None and l == 0:
-                capture["self_attn_0"] = h.data.copy()
             cross = self._attend(h, memory, f"dec.{l}.cross")
             h = self._norm(te.add(h, cross), f"dec.{l}.ln2")
             h = self._norm(te.add(h, self._ffn(h, f"dec.{l}")), f"dec.{l}.ln3")
@@ -539,18 +520,6 @@ class Autoencoder:
         return 1.0 / (1.0 + errs.max(axis=1) / self.tau)
 
 
-def anomaly_score(window: np.ndarray, ae: Autoencoder) -> AnomalyScore:
-    """Score one (window_len, n_features) window with a fitted autoencoder."""
-    w = np.asarray(window, dtype=np.float64)
-    if w.ndim != 2:
-        raise ValueError(f"expected a single 2-d window, got shape {w.shape}")
-    if ae.tau is None:
-        raise RuntimeError("autoencoder threshold not fitted; call fit_threshold")
-    errs = ae.step_errors(w[None])[0]
-    weight = float(1.0 / (1.0 + errs.max() / ae.tau))
-    return AnomalyScore(step_errors=errs, weight=weight)
-
-
 # -- checkpoints -----------------------------------------------------------
 
 
@@ -562,11 +531,19 @@ def _mode_meta(mode: ActivationMode) -> dict[str, str]:
     }
 
 
-def _mode_from_meta(meta: dict[str, str]) -> ActivationMode:
+def _required(store: dict, key: str, path):
+    """store[key], or a ValueError naming the checkpoint and the key."""
+    try:
+        return store[key]
+    except KeyError:
+        raise ValueError(f"{path}: checkpoint has no {key!r}") from None
+
+
+def _mode_from_meta(meta: dict[str, str], path) -> ActivationMode:
     return ActivationMode(
-        kind=meta["activation.kind"],
-        type_id=int(meta["activation.type_id"]),
-        lam=float(meta["activation.lam"]),
+        kind=_required(meta, "activation.kind", path),
+        type_id=int(_required(meta, "activation.type_id", path)),
+        lam=float(_required(meta, "activation.lam", path)),
     )
 
 
@@ -609,24 +586,23 @@ def load_forecaster(path) -> tuple[Forecaster, dict[str, np.ndarray], dict[str, 
     tensors, meta = te.load_tensors(path)
     if meta.get("kind") != "forecaster":
         raise ValueError(f"{path}: not a forecaster checkpoint")
+    sizes = {
+        name: int(_required(meta, name, path))
+        for name in ("d_model", "n_heads", "n_enc_layers", "n_dec_layers", "d_ff",
+                     "enc_len", "label_len", "horizon", "n_features", "n_targets")
+    }
     cfg = ModelConfig(
-        d_model=int(meta["d_model"]),
-        n_heads=int(meta["n_heads"]),
-        n_enc_layers=int(meta["n_enc_layers"]),
-        n_dec_layers=int(meta["n_dec_layers"]),
-        d_ff=int(meta["d_ff"]),
-        enc_len=int(meta["enc_len"]),
-        label_len=int(meta["label_len"]),
-        horizon=int(meta["horizon"]),
-        n_features=int(meta["n_features"]),
-        n_targets=int(meta["n_targets"]),
-        distill=bool(int(meta["distill"])),
-        activation=_mode_from_meta(meta),
+        **sizes,
+        distill=bool(int(_required(meta, "distill", path))),
+        activation=_mode_from_meta(meta, path),
     )
     model = Forecaster(cfg, seed=0)
     params = {k: v for k, v in tensors.items() if not k.startswith("x.")}
     extra = {k[2:]: v for k, v in tensors.items() if k.startswith("x.")}
-    model.load_state_arrays(params)
+    try:
+        model.load_state_arrays(params)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return model, extra, meta
 
 
@@ -648,16 +624,14 @@ def load_autoencoder(path) -> Autoencoder:
     tensors, meta = te.load_tensors(path)
     if meta.get("kind") != "autoencoder":
         raise ValueError(f"{path}: not an autoencoder checkpoint")
-    ae = Autoencoder(
-        window_len=int(meta["window_len"]),
-        n_features=int(meta["n_features"]),
-        hidden=int(meta["hidden"]),
-        bottleneck=int(meta["bottleneck"]),
-    )
+    ae = Autoencoder(**{
+        name: int(_required(meta, name, path))
+        for name in ("window_len", "n_features", "hidden", "bottleneck")
+    })
     for name, p in ae.params.items():
-        arr = tensors[name]
+        arr = _required(tensors, name, path)
         if arr.shape != p.data.shape:
             raise ValueError(f"{path}: {name} has shape {arr.shape}")
         p.data = arr.copy()
-    ae.tau = float(meta["tau"])
+    ae.tau = float(_required(meta, "tau", path))
     return ae

@@ -13,9 +13,9 @@ bit-for-bit on everything except wall-clock time.
 
 Warm starting trains with GELU for a few epochs, then swaps the gated
 activation in place (parameters carried bit-exactly) and fine-tunes all
-parameters for the remaining budget. The degenerate pretrain_epochs=0
-plan consumes no randomness in stage one and is therefore bit-identical
-to direct training.
+parameters for the remaining budget. A stage of zero epochs consumes no
+randomness, so pretrain_epochs=0 is bit-identical to direct training,
+which runs as exactly that: a warm start with no GELU epochs.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ __all__ = [
     "mae",
     "mse",
     "fit_autoencoder",
-    "train_stage",
-    "two_stage_train",
     "run_training",
     "sweep_types",
     "multi_trial",
@@ -437,75 +435,37 @@ def _finish_report(
     )
 
 
-def train_stage(
-    model: Forecaster,
-    dataset: Dataset,
-    cfg: TrainConfig,
-    activation_mode: ActivationMode,
-    ae: Optional[Autoencoder] = None,
-) -> TrialReport:
-    """Train one stage under a single activation mode.
-
-    Minimizes anomaly-weighted forecast MSE plus w_distill times the
-    distillation consistency loss, with Adam and an optional cosine
-    schedule; early stopping keeps the best-validation parameters.
-    The anomaly weights come from ``ae`` when given (it must have been
-    fitted on the same training windows with cfg's seed and ae_* settings
-    to reproduce a run that fits its own); otherwise one is fitted here.
-    """
-    t0 = time.perf_counter()
-    model.set_activation(activation_mode)
-    weights = _anomaly_weights(dataset, cfg, ae)
-    rng = np.random.default_rng(cfg.seed)
-    history, epochs_run = _stage_loop(
-        model, dataset, cfg, rng, cfg.epochs, weights
-    )
-    return _finish_report(model, dataset, cfg, history, epochs_run, t0)
-
-
-def two_stage_train(model: Forecaster, dataset: Dataset, cfg: TrainConfig,
-                    ae: Optional[Autoencoder] = None) -> TrialReport:
-    """GELU pretrain, in-place swap to the target activation, fine-tune.
-
-    Stage one runs pretrain_epochs under GELU; the swap touches no
-    parameter; stage two fine-tunes all parameters for the remaining
-    budget. Validation histories concatenate for the convergence measure.
-    Both stages share one set of anomaly weights, from ``ae`` as in
-    train_stage.
-    """
-    t0 = time.perf_counter()
-    weights = _anomaly_weights(dataset, cfg, ae)
-    rng = np.random.default_rng(cfg.seed)
-    stage1 = min(cfg.pretrain_epochs, cfg.epochs)
-    stage2 = cfg.epochs - stage1
-    model.set_activation(ActivationMode(kind="gelu"))
-    h1, run1 = _stage_loop(model, dataset, cfg, rng, stage1, weights)
-    model.set_activation(cfg.activation)
-    h2, run2 = _stage_loop(model, dataset, cfg, rng, stage2, weights)
-    return _finish_report(model, dataset, cfg, h1 + h2, run1 + run2, t0)
-
-
 def run_training(
     dataset: Dataset, model_cfg: ModelConfig, cfg: TrainConfig,
     ae: Optional[Autoencoder] = None,
 ) -> tuple[Forecaster, TrialReport]:
-    """Build a model per the config's plan and train it.
+    """Build a model and train it per the config's plan.
+
+    Minimizes anomaly-weighted forecast MSE plus w_distill times the
+    distillation consistency loss, with Adam and an optional cosine
+    schedule; early stopping keeps the best-validation parameters. A warm
+    start first trains pretrain_epochs under GELU, then swaps cfg's
+    activation in (no parameter changes) and fine-tunes for the rest of
+    the budget; a direct run is a warm start with no GELU epochs. Both
+    stages share one rng and one set of anomaly weights, and the
+    validation histories concatenate for the convergence measure.
 
     ``ae`` is an already fitted anomaly autoencoder to weight with, so
     runs that share one fit it once; a run passed the autoencoder it
     would have fitted itself is bit-identical to one that fits it. The
     report's wall_time_s then leaves the fit out.
     """
-    model_cfg = replace(
-        model_cfg,
-        activation=cfg.activation if cfg.plan == "direct" else ActivationMode(kind="gelu"),
+    model = Forecaster(
+        replace(model_cfg, activation=ActivationMode(kind="gelu")), seed=cfg.seed
     )
-    model = Forecaster(model_cfg, seed=cfg.seed)
-    if cfg.plan == "warm_start":
-        report = two_stage_train(model, dataset, cfg, ae)
-    else:
-        report = train_stage(model, dataset, cfg, cfg.activation, ae)
-    return model, report
+    t0 = time.perf_counter()
+    weights = _anomaly_weights(dataset, cfg, ae)
+    rng = np.random.default_rng(cfg.seed)
+    pretrain = cfg.pretrain_epochs if cfg.plan == "warm_start" else 0
+    h1, run1 = _stage_loop(model, dataset, cfg, rng, pretrain, weights)
+    model.set_activation(cfg.activation)
+    h2, run2 = _stage_loop(model, dataset, cfg, rng, cfg.epochs - pretrain, weights)
+    return model, _finish_report(model, dataset, cfg, h1 + h2, run1 + run2, t0)
 
 
 # -- sweeps and trials --------------------------------------------------------

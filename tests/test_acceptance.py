@@ -43,6 +43,8 @@ from cotn.training import (
     run_training,
 )
 
+from helpers import capture_norm, count_decodes
+
 HOUR = 3600
 T0 = 1577836800  # 2020-01-01 00:00:00 UTC
 
@@ -323,8 +325,9 @@ def test_criterion_07_distillation_length_law():
           "L in {7,48,96}, k in {1,2}")
 
 
-def test_criterion_08_single_decoder_pass_and_causal_mask():
+def test_criterion_08_single_decoder_pass_and_causal_mask(monkeypatch):
     """All horizons decode in one pass; the mask hides later positions."""
+    decodes = count_decodes(monkeypatch)
     for horizon in (8, 24, 96):
         cfg = ModelConfig(d_model=8, n_heads=2, n_enc_layers=2,
                           n_dec_layers=1, d_ff=16, enc_len=48,
@@ -335,23 +338,23 @@ def test_criterion_08_single_decoder_pass_and_causal_mask():
         dec = np.concatenate(
             [rng.standard_normal((2, 24, 2)), np.zeros((2, horizon, 2))],
             axis=1)
-        before = model.decode_calls
+        before = len(decodes)
         pred = model.predict(enc, dec)
-        assert model.decode_calls == before + 1
+        assert decodes[before:] == [model]
         assert pred.shape == (2, horizon, 1)
 
         # Perturbing a later context row must leave earlier decoder
         # positions bit-identical after the masked self-attention block.
         memory, _ = model.encode(enc)
-        cap_a, cap_b = {}, {}
-        model.parallel_decode(memory, dec, capture=cap_a)
+        seen = capture_norm(model, "dec.0.ln1", monkeypatch)
+        model.parallel_decode(memory, dec)
         bumped = dec.copy()
         bumped[:, 12, :] += 3.0
-        model.parallel_decode(memory, bumped, capture=cap_b)
-        assert np.array_equal(cap_a["self_attn_0"][:, :12, :],
-                              cap_b["self_attn_0"][:, :12, :])
-        assert not np.array_equal(cap_a["self_attn_0"][:, 12:, :],
-                                  cap_b["self_attn_0"][:, 12:, :])
+        model.parallel_decode(memory, bumped)
+        assert len(seen) == 2
+        a, b = seen
+        assert np.array_equal(a[:, :12, :], b[:, :12, :])
+        assert not np.array_equal(a[:, 12:, :], b[:, 12:, :])
     print("criterion 8: one decoder pass for H in {8,24,96}; causal mask "
           "perturbation clean")
 

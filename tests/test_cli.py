@@ -6,11 +6,21 @@ import numpy as np
 import pytest
 
 import cotn.cli
+from cotn import tensor as te
 from cotn import training
 from cotn.activation import read_table
 from cotn.cli import main
-from cotn.data import CleanConfig, build_dataset, clean, featurize, load_csv
-from cotn.model import save_autoencoder
+from cotn.data import (
+    CleanConfig,
+    build_dataset,
+    clean,
+    epoch_to_text,
+    featurize,
+    load_csv,
+    normalize,
+    read_stats,
+)
+from cotn.model import load_autoencoder, load_forecaster, save_autoencoder, save_forecaster
 from cotn.training import read_trial_report, write_synthetic_ett_csv
 
 
@@ -84,6 +94,17 @@ class TestParsing:
     def test_train_requires_config(self):
         code, _ = run("train")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("table", "--jobs", "2"),
+        ("eval", "--config", "x", "--checkpoint", "c.bin", "--data", "d.csv"),
+        ("forecast", "--seed", "3", "--checkpoint", "c.bin", "--data", "d.csv"),
+        ("train", "--jobs", "2", "--config", "x"),
+    ])
+    def test_flags_only_where_used(self, argv, capsys):
+        code, _ = run(*argv)
+        assert code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestBifurcate:
@@ -243,6 +264,18 @@ class TestEval:
                       "--data", str(workspace["csv"]))
         assert code == 1
 
+    def test_checkpoint_without_data_metadata_is_named(self, workspace, tmp_path,
+                                                       capsys):
+        # save_forecaster alone stores no normalization or data settings.
+        model, _, _ = load_forecaster(workspace["out"] / "checkpoint.bin")
+        bare = tmp_path / "bare.bin"
+        save_forecaster(bare, model)
+        code, _ = run("eval", "--checkpoint", str(bare),
+                      "--data", str(workspace["csv"]))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert str(bare) in err and "'norm.names'" in err
+
 
 def _count_loads(monkeypatch):
     calls = []
@@ -346,6 +379,40 @@ class TestAnomaly:
             _, _, err, weight = r.split(",")
             assert float(err) >= 0.0
             assert 0.0 < float(weight) <= 1.0
+
+    def test_rows_are_the_autoencoders_errors_and_weights(self, workspace, tmp_path):
+        code, _ = run("anomaly",
+                      "--data", str(workspace["csv"]),
+                      "--ae", str(workspace["out"] / "autoencoder.bin"),
+                      "--out", str(tmp_path))
+        assert code == 0
+        ae = load_autoencoder(workspace["out"] / "autoencoder.bin")
+        stats = read_stats(workspace["out"] / "norm_stats.txt")
+        frame = normalize(featurize(clean(load_csv(workspace["csv"], "ett"))), stats)
+        n = frame.n_rows // 16
+        windows = frame.data[: n * 16].reshape(n, 16, frame.n_features)
+        errors, weights = ae.step_errors(windows), ae.weights(windows)
+        rows = (tmp_path / "anomaly.csv").read_text().splitlines()[1:]
+        assert len(rows) == n * 16
+        for i, row in enumerate(rows):
+            w, stamp, err, weight = row.split(",")
+            assert int(w) == i // 16
+            assert stamp == epoch_to_text(int(frame.epochs[i]))
+            assert err == "%.17g" % errors[i // 16, i % 16]
+            assert weight == "%.17g" % weights[i // 16]
+
+    def test_autoencoder_missing_a_tensor_is_named(self, workspace, tmp_path, capsys):
+        tensors, meta = te.load_tensors(workspace["out"] / "autoencoder.bin")
+        del tensors["enc1.w"]
+        broken = tmp_path / "ae.bin"
+        te.save_tensors(broken, tensors, meta)
+        code, _ = run("anomaly", "--data", str(workspace["csv"]),
+                      "--ae", str(broken),
+                      "--stats", str(workspace["out"] / "norm_stats.txt"),
+                      "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert str(broken) in err and "'enc1.w'" in err
 
     def test_missing_stats_file_is_runtime_error(self, workspace, tmp_path):
         code, _ = run("anomaly",

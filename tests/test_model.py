@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 import cotn.tensor as te
-from cotn.activation import IdentityActivation
 from cotn.model import (
     ActivationMode,
     Autoencoder,
     Forecaster,
     ModelConfig,
-    anomaly_score,
     causal_mask,
     distill_layer,
     distill_loss,
@@ -21,6 +19,8 @@ from cotn.model import (
     save_forecaster,
     sinusoidal_position_encoding,
 )
+
+from helpers import IdentityActivation, capture_norm, count_decodes
 
 RNG = np.random.default_rng(123)
 
@@ -240,16 +240,17 @@ class TestForecaster:
         assert memory.shape == (2, cfg.enc_len, cfg.d_model)
         assert pairs == []
 
-    def test_predict_shape_and_decode_counter(self):
+    def test_predict_shape_and_decode_counter(self, monkeypatch):
         cfg = tiny_cfg()
         model = Forecaster(cfg, seed=1)
         enc, dec = batch_for(cfg)
-        assert model.decode_calls == 0
+        decodes = count_decodes(monkeypatch)
+        assert len(decodes) == 0
         out = model.predict(enc, dec)
         assert out.shape == (2, cfg.horizon, 1)
-        assert model.decode_calls == 1
+        assert decodes == [model]
         model.predict(enc, dec)
-        assert model.decode_calls == 2
+        assert decodes == [model, model]
 
     @pytest.mark.parametrize("mode", [ActivationMode(kind="gelu"),
                                       ActivationMode(kind="gated", type_id=4)])
@@ -271,18 +272,19 @@ class TestForecaster:
         with pytest.raises(ValueError):
             model.predict(enc, dec)
 
-    def test_decoder_self_attention_is_causal(self):
+    def test_decoder_self_attention_is_causal(self, monkeypatch):
         cfg = tiny_cfg()
         model = Forecaster(cfg, seed=2)
         enc, dec = batch_for(cfg)
         memory, _ = model.encode(enc)
-        cap_a, cap_b = {}, {}
-        model.parallel_decode(memory, dec, capture=cap_a)
+        seen = capture_norm(model, "dec.0.ln1", monkeypatch)
+        model.parallel_decode(memory, dec)
         j = 4  # perturb a later label row; earlier rows must not move
         dec2 = dec.copy()
         dec2[:, j] += 3.0
-        model.parallel_decode(memory, dec2, capture=cap_b)
-        a, b = cap_a["self_attn_0"], cap_b["self_attn_0"]
+        model.parallel_decode(memory, dec2)
+        assert len(seen) == 2
+        a, b = seen
         assert a.shape == (2, cfg.label_len + cfg.horizon, cfg.d_model)
         assert np.array_equal(a[:, :j], b[:, :j])
         assert not np.allclose(a[:, j], b[:, j])
@@ -367,6 +369,17 @@ class TestForecaster:
         assert np.array_equal(extra["norm.mean"], np.arange(3.0))
         assert np.array_equal(back.predict(enc, dec), want)
 
+    @pytest.mark.parametrize("drop", ["n_heads", "activation.lam", "head.w"])
+    def test_missing_entry_names_file_and_key(self, tmp_path, drop):
+        path = tmp_path / "model.bin"
+        save_forecaster(path, Forecaster(tiny_cfg(), seed=0))
+        tensors, meta = te.load_tensors(path)
+        (tensors if drop in tensors else meta).pop(drop)
+        te.save_tensors(path, tensors, meta)
+        with pytest.raises(ValueError, match=drop) as err:
+            load_forecaster(path)
+        assert str(path) in str(err.value)
+
 
 class TestAutoencoder:
     def _fitted(self, n=40, length=8, feats=2, seed=0):
@@ -421,15 +434,15 @@ class TestAutoencoder:
             ae.step_errors(np.zeros((3, 7, 2)))
 
     def test_anomaly_score_single_window(self):
+        # One 2-D window scores as a batch of one.
         ae, windows = self._fitted()
-        score = anomaly_score(windows[0], ae)
-        assert score.step_errors.shape == (8,)
-        assert 0.0 < score.weight <= 1.0
+        errors, weight = ae.step_errors(windows[0])[0], ae.weights(windows[0])[0]
+        assert errors.shape == (8,)
+        assert 0.0 < weight <= 1.0
         spiked = windows[0].copy()
         spiked[2, 1] += 30.0
-        worse = anomaly_score(spiked, ae)
-        assert worse.weight < score.weight
-        assert worse.step_errors.argmax() == 2
+        assert ae.weights(spiked)[0] < weight
+        assert ae.step_errors(spiked)[0].argmax() == 2
 
     def test_checkpoint_round_trip(self, tmp_path):
         ae, windows = self._fitted()

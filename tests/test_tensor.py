@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cotn.tensor as te
-from cotn.activation import GeluActivation, TanhActivation
+from cotn.activation import GeluActivation
 from cotn.tensor import (
     NEG_INF,
     Tensor,
@@ -30,6 +30,8 @@ from cotn.tensor import (
     topo_order,
     transpose_last2,
 )
+
+from helpers import TanhActivation
 
 RNG = np.random.default_rng(42)
 

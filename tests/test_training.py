@@ -333,6 +333,13 @@ class TestWarmStart:
         assert np.array_equal(model_d.predict(enc, dec),
                               model_w.predict(enc, dec))
 
+    def test_direct_plan_ignores_pretrain_epochs(self, tiny_dataset):
+        model_0, rep_0 = run_training(tiny_dataset, TINY_MODEL, tiny_train_cfg())
+        model_2, rep_2 = run_training(tiny_dataset, TINY_MODEL,
+                                      tiny_train_cfg(pretrain_epochs=2))
+        assert rep_2.metric_dict() == rep_0.metric_dict()
+        assert _param_bytes(model_2) == _param_bytes(model_0)
+
     def test_pretrain_then_swap(self, tiny_dataset):
         warm = tiny_train_cfg(plan="warm_start", pretrain_epochs=2, epochs=4)
         model, rep = run_training(tiny_dataset, TINY_MODEL, warm)
