@@ -21,7 +21,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,11 @@ from .model import (
     ActivationMode,
     Forecaster,
     ModelConfig,
+    _meta_of,
+    _parse,
+    _read_meta,
     _required,
+    _scalar_fields,
     load_autoencoder,
     load_forecaster,
     save_autoencoder,
@@ -73,50 +77,42 @@ class ConfigError(ValueError):
 # -- config file --------------------------------------------------------------
 
 
-def _as_int(section: str, key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: expected an integer, got {text!r}") from None
+@dataclass
+class DataSpec:
+    path: str
+    schema: str = "ett"
+    enc_len: int = 24
+    label_len: int = 12
+    horizon: int = 8
+    stride: int = 1
+    train_ratio: float = 0.7
+    val_ratio: float = 0.1
+    test_ratio: float = 0.2
+    max_ffill_gap: int = CleanConfig.max_ffill_gap
+    z_max: float = CleanConfig.z_max
+    return_limit: float = CleanConfig.return_limit
 
 
-def _as_float(section: str, key: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: expected a number, got {text!r}") from None
+# The window shape is the data's; a checkpoint's model config carries it,
+# so its data settings leave it out, and the path, which each run names.
+_WINDOW = ("enc_len", "label_len", "horizon")
+_UNSTORED = ("path",) + _WINDOW
+_MODEL_FIELDS = _scalar_fields(ModelConfig, skip=_WINDOW + ("n_features", "n_targets"))
+_MODE_FIELDS = _scalar_fields(ActivationMode, skip=("kind",))
 
-
-def _as_bool(section: str, key: str, text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{section}.{key}: expected a boolean, got {text!r}")
-
-
+# Key -> kind of each section, from the dataclasses the section builds.
+# [model] also holds the activation mode, whose kind is spelled activation.
 _KNOWN_KEYS = {
-    "data": {
-        "path", "schema", "enc_len", "label_len", "horizon", "stride",
-        "train_ratio", "val_ratio", "test_ratio",
-        "max_ffill_gap", "z_max", "return_limit",
-    },
-    "model": {
-        "d_model", "n_heads", "n_enc_layers", "n_dec_layers", "d_ff",
-        "distill", "activation", "type_id", "lam",
-    },
-    "train": {
-        "epochs", "batch_size", "lr", "lr_schedule", "seed", "patience",
-        "w_distill", "plan", "pretrain_epochs", "anomaly_weighting",
-        "ae_hidden", "ae_bottleneck", "ae_epochs",
-    },
+    "data": _scalar_fields(DataSpec),
+    "model": {**_MODEL_FIELDS, "activation": "str", **_MODE_FIELDS},
+    "train": _scalar_fields(TrainConfig),
 }
 
 
-def load_run_config(path: str | None, overrides: list[str]) -> dict[str, dict[str, str]]:
-    """Read the INI config and apply --set overrides; unknown keys fail."""
-    raw: dict[str, dict[str, str]] = {s: {} for s in _KNOWN_KEYS}
+def load_run_config(path: str | None, overrides: list[str]) -> dict[str, dict]:
+    """Read the INI config, apply --set overrides and parse every value;
+    unknown keys and malformed values fail naming section.key."""
+    items: list[tuple[str, str, str]] = []
     if path is not None:
         if not os.path.exists(path):
             raise FileNotFoundError(f"config file not found: {path}")
@@ -129,123 +125,87 @@ def load_run_config(path: str | None, overrides: list[str]) -> dict[str, dict[st
         for section in parser.sections():
             if section not in _KNOWN_KEYS:
                 raise ConfigError(f"unknown config section [{section}]")
-            for key, value in parser.items(section):
-                if key not in _KNOWN_KEYS[section]:
-                    raise ConfigError(f"unknown config key {section}.{key}")
-                raw[section][key] = value
+            items += [(section, key, value) for key, value in parser.items(section)]
     for item in overrides:
         lhs, sep, value = item.partition("=")
-        if not sep:
-            raise ConfigError(f"--set expects section.key=value, got {item!r}")
         section, dot, key = lhs.strip().partition(".")
-        if not dot or section not in _KNOWN_KEYS:
+        if not sep or not dot or section not in _KNOWN_KEYS:
             raise ConfigError(f"--set expects section.key=value, got {item!r}")
+        items.append((section, key, value.strip()))
+    raw: dict[str, dict[str, str]] = {s: {} for s in _KNOWN_KEYS}
+    for section, key, value in items:
         if key not in _KNOWN_KEYS[section]:
             raise ConfigError(f"unknown config key {section}.{key}")
-        raw[section][key] = value.strip()
-    return raw
+        raw[section][key] = value
+    cfg: dict[str, dict] = {s: {} for s in _KNOWN_KEYS}
+    for section, values in raw.items():
+        for key, text in values.items():
+            try:
+                cfg[section][key] = _parse(_KNOWN_KEYS[section][key], text)
+            except ValueError as exc:
+                raise ConfigError(f"{section}.{key}: {exc}") from None
+    return cfg
 
 
-@dataclass
-class DataSpec:
-    path: str
-    schema: str = "ett"
-    enc_len: int = 24
-    label_len: int = 12
-    horizon: int = 8
-    stride: int = 1
-    train_ratio: float = 0.7
-    val_ratio: float = 0.1
-    test_ratio: float = 0.2
-    max_ffill_gap: int = 3
-    z_max: float = 5.0
-    return_limit: float = 0.20
-
-
-def _build_data_spec(raw: dict[str, dict[str, str]]) -> DataSpec:
-    sec = raw["data"]
-    if "path" not in sec:
+def _build_data_spec(cfg: dict[str, dict]) -> DataSpec:
+    if "path" not in cfg["data"]:
         raise ConfigError("data.path is required")
-    spec = DataSpec(path=sec["path"])
-    for f in fields(DataSpec):
-        if f.name in ("path",) or f.name not in sec:
-            continue
-        text = sec[f.name]
-        if f.type == "int":
-            setattr(spec, f.name, _as_int("data", f.name, text))
-        elif f.type == "float":
-            setattr(spec, f.name, _as_float("data", f.name, text))
-        else:
-            setattr(spec, f.name, text)
+    spec = DataSpec(**cfg["data"])
     if spec.schema not in ("ett", "ohlcv"):
         raise ConfigError(f"data.schema: expected ett or ohlcv, got {spec.schema!r}")
     return spec
 
 
-def _build_activation(raw: dict[str, dict[str, str]]) -> ActivationMode:
-    sec = raw["model"]
+def _build_activation(cfg: dict[str, dict]) -> ActivationMode:
+    sec = cfg["model"]
+    # The command line defaults to the gated activation; the library to GELU.
     kind = sec.get("activation", "gated")
     if kind not in ("gelu", "gated"):
         raise ConfigError(f"model.activation: expected gelu or gated, got {kind!r}")
-    type_id = _as_int("model", "type_id", sec.get("type_id", "1"))
-    if not 1 <= type_id <= 8:
-        raise ConfigError(f"model.type_id: expected 1..8, got {type_id}")
-    lam = _as_float("model", "lam", sec.get("lam", "0.5"))
     try:
-        return ActivationMode(kind=kind, type_id=type_id, lam=lam)
+        mode = ActivationMode(kind, **{k: v for k, v in sec.items() if k in _MODE_FIELDS})
     except ValueError as exc:
         raise ConfigError(f"model.lam: {exc}") from None
+    if not 1 <= mode.type_id <= 8:
+        raise ConfigError(f"model.type_id: expected 1..8, got {mode.type_id}")
+    return mode
 
 
-def _build_model_cfg(
-    raw: dict[str, dict[str, str]], spec: DataSpec, n_features: int
-) -> ModelConfig:
-    sec = raw["model"]
-    mode = _build_activation(raw)
+def _build_model_cfg(cfg: dict[str, dict], spec: DataSpec, n_features: int) -> ModelConfig:
+    sec = cfg["model"]
+    mode = _build_activation(cfg)
     try:
         return ModelConfig(
-            d_model=_as_int("model", "d_model", sec.get("d_model", "16")),
-            n_heads=_as_int("model", "n_heads", sec.get("n_heads", "2")),
-            n_enc_layers=_as_int("model", "n_enc_layers", sec.get("n_enc_layers", "2")),
-            n_dec_layers=_as_int("model", "n_dec_layers", sec.get("n_dec_layers", "1")),
-            d_ff=_as_int("model", "d_ff", sec.get("d_ff", "32")),
-            enc_len=spec.enc_len,
-            label_len=spec.label_len,
-            horizon=spec.horizon,
+            **{k: v for k, v in sec.items() if k in _MODEL_FIELDS},
+            **{k: getattr(spec, k) for k in _WINDOW},
             n_features=n_features,
-            n_targets=1,
-            distill=_as_bool("model", "distill", sec.get("distill", "true")),
             activation=mode,
         )
     except ValueError as exc:
         raise ConfigError(f"model configuration invalid: {exc}") from None
 
 
-def _build_train_cfg(raw: dict[str, dict[str, str]], mode: ActivationMode,
+def _build_train_cfg(cfg: dict[str, dict], mode: ActivationMode,
                      seed_override: int | None) -> TrainConfig:
-    sec = raw["train"]
-    kwargs = {}
-    for key in ("epochs", "batch_size", "seed", "patience", "pretrain_epochs",
-                "ae_hidden", "ae_bottleneck", "ae_epochs"):
-        if key in sec:
-            kwargs[key] = _as_int("train", key, sec[key])
-    for key in ("lr", "w_distill"):
-        if key in sec:
-            kwargs[key] = _as_float("train", key, sec[key])
-    if "lr_schedule" in sec:
-        kwargs["lr_schedule"] = sec["lr_schedule"]
-    if "plan" in sec:
-        kwargs["plan"] = sec["plan"]
-    if "anomaly_weighting" in sec:
-        kwargs["anomaly_weighting"] = _as_bool(
-            "train", "anomaly_weighting", sec["anomaly_weighting"]
-        )
+    kwargs = dict(cfg["train"])
     if seed_override is not None:
         kwargs["seed"] = seed_override
     try:
         return TrainConfig(activation=mode, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"train configuration invalid: {exc}") from None
+
+
+def _configure(args):
+    """The data and the model and training configs of a run configuration.
+
+    Every value is parsed before the data is read."""
+    cfg = load_run_config(args.config, args.set or [])
+    spec = _build_data_spec(cfg)
+    dataset, cleaned = _prepare_dataset(spec, args)
+    model_cfg = _build_model_cfg(cfg, spec, dataset.frame.n_features)
+    train_cfg = _build_train_cfg(cfg, model_cfg.activation, args.seed)
+    return spec, dataset, cleaned, model_cfg, train_cfg
 
 
 # -- shared plumbing -----------------------------------------------------------
@@ -307,14 +267,7 @@ def _prepare_dataset(spec: DataSpec, args):
 
 def _dataset_meta(spec: DataSpec, dataset: Dataset) -> dict[str, str]:
     return {
-        "data.schema": spec.schema,
-        "data.stride": str(spec.stride),
-        "data.train_ratio": repr(spec.train_ratio),
-        "data.val_ratio": repr(spec.val_ratio),
-        "data.test_ratio": repr(spec.test_ratio),
-        "data.max_ffill_gap": str(spec.max_ffill_gap),
-        "data.z_max": repr(spec.z_max),
-        "data.return_limit": repr(spec.return_limit),
+        **_meta_of(spec, "data.", skip=_UNSTORED),
         "data.target": dataset.frame.target,
         "norm.names": ",".join(dataset.stats.names),
         "norm.dropped": ",".join(dataset.stats.dropped),
@@ -323,23 +276,8 @@ def _dataset_meta(spec: DataSpec, dataset: Dataset) -> dict[str, str]:
 
 def _spec_from_meta(meta: dict[str, str], cfg: ModelConfig, path: str,
                     checkpoint: str) -> DataSpec:
-    def get(key, kind):
-        return kind(_required(meta, f"data.{key}", checkpoint))
-
-    return DataSpec(
-        path=path,
-        schema=get("schema", str),
-        enc_len=cfg.enc_len,
-        label_len=cfg.label_len,
-        horizon=cfg.horizon,
-        stride=get("stride", int),
-        train_ratio=get("train_ratio", float),
-        val_ratio=get("val_ratio", float),
-        test_ratio=get("test_ratio", float),
-        max_ffill_gap=get("max_ffill_gap", int),
-        z_max=get("z_max", float),
-        return_limit=get("return_limit", float),
-    )
+    stored = _read_meta(DataSpec, meta, checkpoint, "data.", skip=_UNSTORED)
+    return DataSpec(path=path, **{k: getattr(cfg, k) for k in _WINDOW}, **stored)
 
 
 def _stats_from_extra(extra: dict[str, np.ndarray], meta: dict[str, str],
@@ -386,14 +324,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_train(args) -> int:
-    raw = load_run_config(args.config, args.set or [])
-    spec = _build_data_spec(raw)
-    dataset, cleaned = _prepare_dataset(spec, args)
-    mode = _build_activation(raw)
-    model_cfg = _build_model_cfg(raw, spec, dataset.frame.n_features)
-    train_cfg = _build_train_cfg(raw, mode, args.seed)
-    _vlog(args, f"training plan={train_cfg.plan} activation={mode.kind} "
-                f"seed={train_cfg.seed}")
+    spec, dataset, cleaned, model_cfg, train_cfg = _configure(args)
+    _vlog(args, f"training plan={train_cfg.plan} "
+                f"activation={model_cfg.activation.kind} seed={train_cfg.seed}")
     ae = None
     if train_cfg.anomaly_weighting:
         # Fitted once: training weights with it and autoencoder.bin saves it.
@@ -509,12 +442,7 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_sweep_types(args) -> int:
-    raw = load_run_config(args.config, args.set or [])
-    spec = _build_data_spec(raw)
-    dataset, _ = _prepare_dataset(spec, args)
-    mode = _build_activation(raw)
-    model_cfg = _build_model_cfg(raw, spec, dataset.frame.n_features)
-    train_cfg = _build_train_cfg(raw, mode, args.seed)
+    _, dataset, _, model_cfg, train_cfg = _configure(args)
     result = sweep_types(dataset, model_cfg, train_cfg, jobs=args.jobs)
     path = os.path.join(_out_dir(args), "sweep.csv")
     with open(path, "w", encoding="utf-8") as fh:
@@ -551,7 +479,7 @@ def cmd_anomaly(args) -> int:
     # Non-overlapping windows of consecutive rows, scored in one batch.
     windows = frame.data[: n_windows * length].reshape(n_windows, length, -1)
     errors = ae.step_errors(windows)
-    weights = ae.weights(windows)
+    weights = ae.error_weights(errors)
     path = os.path.join(_out_dir(args), "anomaly.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("window,timestamp,step_error,window_weight\n")

@@ -20,7 +20,7 @@ objective instead of deleting them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -509,42 +509,88 @@ class Autoencoder:
         self.tau = float(np.percentile(errs, 95.0))
         if self.tau <= 0.0:
             # Degenerate (perfect reconstruction); keep weights defined.
-            self.tau = np.finfo(np.float64).tiny
+            self.tau = float(np.finfo(np.float64).tiny)
         return self.tau
 
     def weights(self, windows: np.ndarray) -> np.ndarray:
-        """Sample weights 1 / (1 + max_step_error / tau), in (0, 1]."""
+        """Sample weights of the windows, from their step errors."""
+        return self.error_weights(self.step_errors(windows))
+
+    def error_weights(self, errors: np.ndarray) -> np.ndarray:
+        """Sample weights 1 / (1 + max_step_error / tau), in (0, 1], of
+        windows whose step_errors are given."""
         if self.tau is None:
             raise RuntimeError("autoencoder threshold not fitted; call fit_threshold")
-        errs = self.step_errors(windows)
-        return 1.0 / (1.0 + errs.max(axis=1) / self.tau)
+        return 1.0 / (1.0 + errors.max(axis=1) / self.tau)
 
 
 # -- checkpoints -----------------------------------------------------------
 
+# The config dataclasses are the one schema of every stored setting: a
+# field's annotation ("int", "float", "bool" or "str"; the module imports
+# annotations as strings) says how its value is written and read back.
+# Fields of any other type, such as ModelConfig.activation, drop out.
+_KINDS = ("int", "float", "bool", "str")
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
-def _mode_meta(mode: ActivationMode) -> dict[str, str]:
-    return {
-        "activation.kind": mode.kind,
-        "activation.type_id": str(mode.type_id),
-        "activation.lam": repr(mode.lam),
-    }
+
+def _as_text(value) -> str:
+    """A setting as stored text: bools as 0/1, floats by repr."""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
 
 
-def _required(store: dict, key: str, path):
-    """store[key], or a ValueError naming the checkpoint and the key."""
+def _parse(kind: str, text: str):
+    """Read a setting of the given kind back; ValueError says what was expected."""
+    if kind == "str":
+        return text
+    if kind == "bool":
+        try:
+            return _BOOLS[text.strip().lower()]
+        except KeyError:
+            raise ValueError(f"expected a boolean, got {text!r}") from None
     try:
-        return store[key]
+        return int(text) if kind == "int" else float(text)
+    except ValueError:
+        what = "an integer" if kind == "int" else "a number"
+        raise ValueError(f"expected {what}, got {text!r}") from None
+
+
+def _scalar_fields(cls, skip=()) -> dict[str, str]:
+    """Name -> kind of the dataclass fields the codec stores."""
+    return {f.name: f.type for f in fields(cls)
+            if f.type in _KINDS and f.name not in skip}
+
+
+def _required(store: dict, key: str, path, kind: Optional[str] = None):
+    """store[key], parsed as kind if one is given; a ValueError names the
+    checkpoint and the key when the entry is missing or malformed."""
+    try:
+        value = store[key]
     except KeyError:
         raise ValueError(f"{path}: checkpoint has no {key!r}") from None
+    if kind is None:
+        return value
+    try:
+        return _parse(kind, value)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {key!r}: {exc}") from None
 
 
-def _mode_from_meta(meta: dict[str, str], path) -> ActivationMode:
-    return ActivationMode(
-        kind=_required(meta, "activation.kind", path),
-        type_id=int(_required(meta, "activation.type_id", path)),
-        lam=float(_required(meta, "activation.lam", path)),
-    )
+def _meta_of(obj, prefix: str = "", skip=()) -> dict[str, str]:
+    """The stored fields of a config dataclass as meta entries."""
+    return {prefix + name: _as_text(getattr(obj, name))
+            for name in _scalar_fields(type(obj), skip)}
+
+
+def _read_meta(cls, meta: dict[str, str], path, prefix: str = "", skip=()) -> dict:
+    """The keyword arguments _meta_of wrote for cls, parsed back."""
+    return {name: _required(meta, prefix + name, path, kind)
+            for name, kind in _scalar_fields(cls, skip).items()}
 
 
 def save_forecaster(
@@ -558,23 +604,8 @@ def save_forecaster(
     extra_tensors are stored under an ``x.`` prefix so they can never
     collide with model parameters.
     """
-    cfg = model.cfg
-    meta = {
-        "kind": "forecaster",
-        "d_model": str(cfg.d_model),
-        "n_heads": str(cfg.n_heads),
-        "n_enc_layers": str(cfg.n_enc_layers),
-        "n_dec_layers": str(cfg.n_dec_layers),
-        "d_ff": str(cfg.d_ff),
-        "enc_len": str(cfg.enc_len),
-        "label_len": str(cfg.label_len),
-        "horizon": str(cfg.horizon),
-        "n_features": str(cfg.n_features),
-        "n_targets": str(cfg.n_targets),
-        "distill": str(int(cfg.distill)),
-    }
-    meta.update(_mode_meta(cfg.activation))
-    meta.update(extra_meta or {})
+    meta = {"kind": "forecaster", **_meta_of(model.cfg),
+            **_meta_of(model.cfg.activation, "activation."), **(extra_meta or {})}
     tensors = {name: p.data for name, p in model.params.items()}
     for name, arr in (extra_tensors or {}).items():
         tensors[f"x.{name}"] = np.asarray(arr, dtype=np.float64)
@@ -586,37 +617,27 @@ def load_forecaster(path) -> tuple[Forecaster, dict[str, np.ndarray], dict[str, 
     tensors, meta = te.load_tensors(path)
     if meta.get("kind") != "forecaster":
         raise ValueError(f"{path}: not a forecaster checkpoint")
-    sizes = {
-        name: int(_required(meta, name, path))
-        for name in ("d_model", "n_heads", "n_enc_layers", "n_dec_layers", "d_ff",
-                     "enc_len", "label_len", "horizon", "n_features", "n_targets")
-    }
-    cfg = ModelConfig(
-        **sizes,
-        distill=bool(int(_required(meta, "distill", path))),
-        activation=_mode_from_meta(meta, path),
-    )
-    model = Forecaster(cfg, seed=0)
+    settings = _read_meta(ModelConfig, meta, path)
+    mode = _read_meta(ActivationMode, meta, path, "activation.")
     params = {k: v for k, v in tensors.items() if not k.startswith("x.")}
     extra = {k[2:]: v for k, v in tensors.items() if k.startswith("x.")}
     try:
+        model = Forecaster(ModelConfig(**settings, activation=ActivationMode(**mode)))
         model.load_state_arrays(params)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return model, extra, meta
 
 
+_AE_SETTINGS = {"window_len": "int", "n_features": "int", "hidden": "int",
+                "bottleneck": "int", "tau": "float"}
+
+
 def save_autoencoder(path, ae: Autoencoder) -> None:
     if ae.tau is None:
         raise RuntimeError("refusing to save an unfitted autoencoder")
-    meta = {
-        "kind": "autoencoder",
-        "window_len": str(ae.window_len),
-        "n_features": str(ae.n_features),
-        "hidden": str(ae.hidden),
-        "bottleneck": str(ae.bottleneck),
-        "tau": repr(ae.tau),
-    }
+    meta = {"kind": "autoencoder",
+            **{name: _as_text(getattr(ae, name)) for name in _AE_SETTINGS}}
     te.save_tensors(path, {name: p.data for name, p in ae.params.items()}, meta)
 
 
@@ -624,14 +645,17 @@ def load_autoencoder(path) -> Autoencoder:
     tensors, meta = te.load_tensors(path)
     if meta.get("kind") != "autoencoder":
         raise ValueError(f"{path}: not an autoencoder checkpoint")
-    ae = Autoencoder(**{
-        name: int(_required(meta, name, path))
-        for name in ("window_len", "n_features", "hidden", "bottleneck")
-    })
+    settings = {name: _required(meta, name, path, kind)
+                for name, kind in _AE_SETTINGS.items()}
+    tau = settings.pop("tau")
+    try:
+        ae = Autoencoder(**settings)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     for name, p in ae.params.items():
         arr = _required(tensors, name, path)
         if arr.shape != p.data.shape:
             raise ValueError(f"{path}: {name} has shape {arr.shape}")
         p.data = arr.copy()
-    ae.tau = float(_required(meta, "tau", path))
+    ae.tau = tau
     return ae

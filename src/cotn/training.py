@@ -489,6 +489,15 @@ class SweepResult:
         return self.entries[0].type_id
 
 
+def _fan_out(fn, work: list, jobs: int) -> list:
+    """[fn(item) for item in work], over jobs processes when jobs > 1 and
+    there is more than one item."""
+    if jobs > 1 and len(work) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, work))
+    return [fn(item) for item in work]
+
+
 def _run_sweep_one(args) -> "SweepEntry":
     dataset, model_cfg, cfg, type_id, ae = args
     mode = ActivationMode(kind="gated", type_id=type_id, lam=cfg.activation.lam)
@@ -513,11 +522,7 @@ def sweep_types(
     """
     ae = _fit_for(dataset, cfg) if cfg.anomaly_weighting else None
     work = [(dataset, model_cfg, cfg, t, ae) for t in type_ids]
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(_run_sweep_one, work))
-    else:
-        entries = [_run_sweep_one(item) for item in work]
+    entries = _fan_out(_run_sweep_one, work, jobs)
     ranked = tuple(sorted(entries, key=lambda e: (e.val_mae, e.type_id)))
     return SweepResult(ranked)
 
@@ -601,11 +606,7 @@ def multi_trial(
         (dataset, model_cfg, treatment_cfg, baseline_cfg, seed)
         for seed in range(1, n_trials + 1)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_pair, work))
-    else:
-        results = [_run_pair(item) for item in work]
+    results = _fan_out(_run_pair, work, jobs)
     t_reports = [t for t, _ in results]
     b_reports = [b for _, b in results]
     wins = sum(1 for t, b in results if t.test_mae < b.test_mae)

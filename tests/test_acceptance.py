@@ -392,6 +392,7 @@ def test_criterion_09_anomaly_scorer_flags_spikes():
           f"all spiked weights < clean median {median_clean:.3f}; {dt:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_10_warm_start_converges_no_later(bench_dataset):
     """Warm starting matches direct training on validation loss (within
     5% on the paired aggregate) and converges at least as fast in >= 6
@@ -419,6 +420,7 @@ def test_criterion_10_warm_start_converges_no_later(bench_dataset):
           f"val-loss ratio {ratio:.3f} <= 1.05; {dt:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_11_paired_trials_run_and_reproduce(bench_dataset):
     """20 paired gated-vs-GELU trials produce a well-formed, bit-
     reproducible summary. Reference full-scale figures (5.46% MAE

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in process via main(argv)."""
 
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,16 @@ from cotn.data import (
     normalize,
     read_stats,
 )
-from cotn.model import load_autoencoder, load_forecaster, save_autoencoder, save_forecaster
+from cotn.model import (
+    ActivationMode,
+    Autoencoder,
+    Forecaster,
+    ModelConfig,
+    load_autoencoder,
+    load_forecaster,
+    save_autoencoder,
+    save_forecaster,
+)
 from cotn.training import read_trial_report, write_synthetic_ett_csv
 
 
@@ -244,6 +254,130 @@ class TestConfigErrors:
                       "--set", f"data.path={tmp_path / 'absent.csv'}")
         assert code == 1
 
+    @pytest.mark.parametrize("setting,message", [
+        ("data.stride=1.5", "data.stride: expected an integer, got '1.5'"),
+        ("data.z_max=high", "data.z_max: expected a number, got 'high'"),
+        ("model.d_model=x", "model.d_model: expected an integer, got 'x'"),
+        ("model.distill=maybe", "model.distill: expected a boolean, got 'maybe'"),
+        ("model.lam=half", "model.lam: expected a number, got 'half'"),
+        ("train.anomaly_weighting=2",
+         "train.anomaly_weighting: expected a boolean, got '2'"),
+    ])
+    def test_malformed_value_names_section_and_key(self, workspace, setting,
+                                                    message, capsys):
+        code, _ = run("train", "--config", str(workspace["cfg"]), "--set", setting)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_values_are_checked_before_the_data_is_read(self, workspace, tmp_path):
+        code, _ = run("train", "--config", str(workspace["cfg"]),
+                      "--set", f"data.path={tmp_path / 'absent.csv'}",
+                      "--set", "model.d_model=x")
+        assert code == 2
+
+    def test_known_keys_are_pinned(self):
+        # The keys and kinds derived from the config dataclasses.
+        assert cotn.cli._KNOWN_KEYS == {
+            "data": {
+                "path": "str", "schema": "str", "enc_len": "int",
+                "label_len": "int", "horizon": "int", "stride": "int",
+                "train_ratio": "float", "val_ratio": "float",
+                "test_ratio": "float", "max_ffill_gap": "int",
+                "z_max": "float", "return_limit": "float",
+            },
+            "model": {
+                "d_model": "int", "n_heads": "int", "n_enc_layers": "int",
+                "n_dec_layers": "int", "d_ff": "int", "distill": "bool",
+                "activation": "str", "type_id": "int", "lam": "float",
+            },
+            "train": {
+                "epochs": "int", "batch_size": "int", "lr": "float",
+                "lr_schedule": "str", "seed": "int", "patience": "int",
+                "w_distill": "float", "plan": "str", "pretrain_epochs": "int",
+                "anomaly_weighting": "bool", "ae_hidden": "int",
+                "ae_bottleneck": "int", "ae_epochs": "int",
+            },
+        }
+
+
+def test_checkpoint_meta_format_is_pinned(tmp_path):
+    # The meta entries are derived from ModelConfig, ActivationMode and
+    # DataSpec; a new field must not change the stored format unnoticed.
+    cfg = ModelConfig(d_model=12, n_heads=3, n_enc_layers=3, n_dec_layers=2,
+                      d_ff=20, enc_len=16, label_len=8, horizon=4, n_features=3,
+                      distill=False, activation=ActivationMode("gated", 3, 0.1))
+    spec = cotn.cli.DataSpec(
+        path="x.csv", schema="ohlcv", enc_len=16, label_len=8, horizon=4,
+        stride=2, train_ratio=0.6, val_ratio=0.15, test_ratio=0.25,
+        max_ffill_gap=0, z_max=4.5, return_limit=1e-3)
+    dataset = SimpleNamespace(
+        frame=SimpleNamespace(target="close"),
+        stats=SimpleNamespace(names=("close", "log_return", "hl_range"),
+                              dropped=("volume",)))
+    path = tmp_path / "pin.bin"
+    save_forecaster(path, Forecaster(cfg),
+                    extra_meta=cotn.cli._dataset_meta(spec, dataset))
+    _, meta = te.load_tensors(path)
+    assert meta == {
+        "kind": "forecaster",
+        "d_model": "12", "n_heads": "3", "n_enc_layers": "3",
+        "n_dec_layers": "2", "d_ff": "20", "enc_len": "16", "label_len": "8",
+        "horizon": "4", "n_features": "3", "n_targets": "1", "distill": "0",
+        "activation.kind": "gated", "activation.type_id": "3",
+        "activation.lam": "0.1",
+        "data.schema": "ohlcv", "data.stride": "2", "data.train_ratio": "0.6",
+        "data.val_ratio": "0.15", "data.test_ratio": "0.25",
+        "data.max_ffill_gap": "0", "data.z_max": "4.5",
+        "data.return_limit": "0.001", "data.target": "close",
+        "norm.names": "close,log_return,hl_range", "norm.dropped": "volume",
+    }
+    back, _, _ = load_forecaster(path)
+    assert back.cfg == cfg
+    assert cotn.cli._spec_from_meta(meta, cfg, "x.csv", path) == spec
+
+
+class TestMalformedMetadata:
+    """A present but malformed stored value exits 1 naming file and key."""
+
+    @staticmethod
+    def _edited(source, target, key, value):
+        tensors, meta = te.load_tensors(source)
+        assert key in meta
+        meta[key] = value
+        te.save_tensors(target, tensors, meta)
+        return target
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("d_model", "x", "expected an integer, got 'x'"),
+        ("distill", "2", "expected a boolean, got '2'"),
+        ("activation.lam", "abc", "expected a number, got 'abc'"),
+        ("data.stride", "1.5", "expected an integer, got '1.5'"),
+        ("data.z_max", "high", "expected a number, got 'high'"),
+    ])
+    def test_checkpoint_value(self, workspace, tmp_path, capsys, key, value,
+                              message):
+        bad = self._edited(workspace["out"] / "checkpoint.bin",
+                           tmp_path / "bad.bin", key, value)
+        code, _ = run("eval", "--checkpoint", str(bad),
+                      "--data", str(workspace["csv"]))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad}: {key!r}: {message}\n"
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("hidden", "x", "expected an integer, got 'x'"),
+        ("tau", "abc", "expected a number, got 'abc'"),
+    ])
+    def test_autoencoder_value(self, workspace, tmp_path, capsys, key, value,
+                               message):
+        bad = self._edited(workspace["out"] / "autoencoder.bin",
+                           tmp_path / "bad.bin", key, value)
+        code, _ = run("anomaly", "--data", str(workspace["csv"]),
+                      "--ae", str(bad),
+                      "--stats", str(workspace["out"] / "norm_stats.txt"),
+                      "--out", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad}: {key!r}: {message}\n"
+
 
 class TestEval:
     def test_metrics_match_training_report(self, workspace, tmp_path):
@@ -413,6 +547,21 @@ class TestAnomaly:
         err = capsys.readouterr().err
         assert code == 1
         assert str(broken) in err and "'enc1.w'" in err
+
+    def test_one_autoencoder_pass(self, workspace, tmp_path, monkeypatch):
+        calls = []
+        real = Autoencoder.reconstruct
+
+        def counting(self, flat):
+            calls.append(flat.shape)
+            return real(self, flat)
+
+        monkeypatch.setattr(Autoencoder, "reconstruct", counting)
+        code, _ = run("anomaly", "--data", str(workspace["csv"]),
+                      "--ae", str(workspace["out"] / "autoencoder.bin"),
+                      "--out", str(tmp_path))
+        assert code == 0
+        assert len(calls) == 1
 
     def test_missing_stats_file_is_runtime_error(self, workspace, tmp_path):
         code, _ = run("anomaly",

@@ -1,7 +1,11 @@
 """Forecaster architecture, distillation, decoding, anomaly scorer."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import cotn.tensor as te
 from cotn.model import (
@@ -9,6 +13,8 @@ from cotn.model import (
     Autoencoder,
     Forecaster,
     ModelConfig,
+    _as_text,
+    _parse,
     causal_mask,
     distill_layer,
     distill_loss,
@@ -458,3 +464,54 @@ class TestAutoencoder:
         ae = Autoencoder(8, 2)
         with pytest.raises(RuntimeError):
             save_autoencoder(tmp_path / "ae.bin", ae)
+
+    def test_bad_dimension_names_the_file(self, tmp_path):
+        ae, _ = self._fitted()
+        path = tmp_path / "ae.bin"
+        save_autoencoder(path, ae)
+        tensors, meta = te.load_tensors(path)
+        te.save_tensors(path, tensors, {**meta, "hidden": "0"})
+        with pytest.raises(ValueError, match="dimensions must be >= 1") as err:
+            load_autoencoder(path)
+        assert str(path) in str(err.value)
+
+    def test_degenerate_threshold_round_trips(self, tmp_path, monkeypatch):
+        # A perfect reconstruction leaves tau at the smallest normal float,
+        # which must be stored as a plain float literal.
+        ae, windows = self._fitted()
+        monkeypatch.setattr(ae, "step_errors", lambda w: np.zeros((len(w), 8)))
+        tau = ae.fit_threshold(windows)
+        assert type(tau) is float and tau == np.finfo(np.float64).tiny
+        save_autoencoder(tmp_path / "ae.bin", ae)
+        assert load_autoencoder(tmp_path / "ae.bin").tau == tau
+
+
+class TestSettingCodec:
+    """_as_text writes a config setting and _parse reads it back."""
+
+    @given(st.integers())
+    def test_int_round_trip(self, value):
+        back = _parse("int", _as_text(value))
+        assert type(back) is int and back == value
+
+    @given(st.booleans())
+    def test_bool_round_trip(self, value):
+        assert _as_text(value) == str(int(value))
+        assert _parse("bool", _as_text(value)) is value
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(-2.2250738585072009e-308)
+    def test_finite_float_round_trip(self, value):
+        back = _parse("float", _as_text(value))
+        assert type(back) is float
+        assert back == value and math.copysign(1.0, back) == math.copysign(1.0, value)
+
+    @pytest.mark.parametrize("text,value", [
+        ("1", True), ("true", True), ("Yes", True), (" on ", True),
+        ("0", False), ("false", False), ("NO", False), ("off", False),
+    ])
+    def test_bool_words(self, text, value):
+        assert _parse("bool", text) is value

@@ -396,6 +396,16 @@ class TestMultiTrial:
                 assert stats["std"] >= 0.0
         assert s1.to_json() == s2.to_json()
 
+    def test_parallel_jobs_same_summary(self, tiny_dataset):
+        treatment = tiny_train_cfg(epochs=1)
+        baseline = tiny_train_cfg(epochs=1,
+                                  activation=ActivationMode(kind="gelu"))
+        seq = multi_trial(tiny_dataset, TINY_MODEL, treatment, baseline,
+                          n_trials=2)
+        par = multi_trial(tiny_dataset, TINY_MODEL, treatment, baseline,
+                          n_trials=2, jobs=2)
+        assert par.to_json() == seq.to_json()
+
     def test_write_summary_files(self, tiny_dataset, tmp_path):
         treatment = tiny_train_cfg(epochs=1)
         baseline = tiny_train_cfg(epochs=1,
