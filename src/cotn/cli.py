@@ -92,6 +92,29 @@ class DataSpec:
     z_max: float = CleanConfig.z_max
     return_limit: float = CleanConfig.return_limit
 
+    def __post_init__(self) -> None:
+        # Each message starts with the key; the config path prefixes it
+        # with "data.", the checkpoint path also with the file. A nan
+        # setting fails every check.
+        if self.schema not in ("ett", "ohlcv"):
+            raise ValueError(f"schema: expected ett or ohlcv, got {self.schema!r}")
+        if not self.stride >= 1:
+            raise ValueError(f"stride: expected >= 1, got {self.stride!r}")
+        ratios = (self.train_ratio, self.val_ratio, self.test_ratio)
+        for name, ratio in zip(("train_ratio", "val_ratio", "test_ratio"), ratios):
+            if not (math.isfinite(ratio) and ratio >= 0):
+                raise ValueError(f"{name}: expected a finite number >= 0, got {ratio!r}")
+        # The test window() makes.
+        if not math.isclose(sum(ratios), 1.0, rel_tol=0, abs_tol=1e-9):
+            raise ValueError("train_ratio + val_ratio + test_ratio: expected a sum "
+                             f"of 1, got {sum(ratios)!r}")
+        self.cleaning()
+
+    def cleaning(self) -> CleanConfig:
+        """The cleaning thresholds, checked by CleanConfig itself."""
+        return CleanConfig(max_ffill_gap=self.max_ffill_gap, z_max=self.z_max,
+                           return_limit=self.return_limit)
+
 
 # The window shape is the data's; a checkpoint's model config carries it,
 # so its data settings leave it out, and the path, which each run names.
@@ -150,10 +173,10 @@ def load_run_config(path: str | None, overrides: list[str]) -> dict[str, dict]:
 def _build_data_spec(cfg: dict[str, dict]) -> DataSpec:
     if "path" not in cfg["data"]:
         raise ConfigError("data.path is required")
-    spec = DataSpec(**cfg["data"])
-    if spec.schema not in ("ett", "ohlcv"):
-        raise ConfigError(f"data.schema: expected ett or ohlcv, got {spec.schema!r}")
-    return spec
+    try:
+        return DataSpec(**cfg["data"])
+    except ValueError as exc:
+        raise ConfigError(f"data.{exc}") from None
 
 
 def _build_activation(cfg: dict[str, dict]) -> ActivationMode:
@@ -238,14 +261,7 @@ def _parse_range(text: str) -> tuple[float, float]:
 def _load_frame(spec: DataSpec, args):
     _vlog(args, f"loading {spec.path} ({spec.schema})")
     raw = load_csv(spec.path, spec.schema)
-    cleaned = clean(
-        raw,
-        CleanConfig(
-            max_ffill_gap=spec.max_ffill_gap,
-            z_max=spec.z_max,
-            return_limit=spec.return_limit,
-        ),
-    )
+    cleaned = clean(raw, spec.cleaning())
     frame = featurize(cleaned)
     _vlog(args, f"{cleaned.n_rows} rows, {frame.n_features} features, "
                 f"{len(cleaned.report)} cleaning actions")
@@ -277,7 +293,10 @@ def _dataset_meta(spec: DataSpec, dataset: Dataset) -> dict[str, str]:
 def _spec_from_meta(meta: dict[str, str], cfg: ModelConfig, path: str,
                     checkpoint: str) -> DataSpec:
     stored = _read_meta(DataSpec, meta, checkpoint, "data.", skip=_UNSTORED)
-    return DataSpec(path=path, **{k: getattr(cfg, k) for k in _WINDOW}, **stored)
+    try:
+        return DataSpec(path=path, **{k: getattr(cfg, k) for k in _WINDOW}, **stored)
+    except ValueError as exc:
+        raise ValueError(f"{checkpoint}: data.{exc}") from None
 
 
 def _stats_from_extra(extra: dict[str, np.ndarray], meta: dict[str, str],

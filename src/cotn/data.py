@@ -212,10 +212,13 @@ class CleanConfig:
     return_limit: float = 0.20
 
     def __post_init__(self) -> None:
-        if self.max_ffill_gap < 0:
-            raise ValueError("max_ffill_gap must be >= 0")
-        if self.z_max <= 0 or self.return_limit <= 0:
-            raise ValueError("z_max and return_limit must be > 0")
+        # Each message starts with the setting's name. "not x > 0" also
+        # rejects nan.
+        if not self.max_ffill_gap >= 0:
+            raise ValueError(f"max_ffill_gap: expected >= 0, got {self.max_ffill_gap!r}")
+        for name in ("z_max", "return_limit"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name}: expected > 0, got {getattr(self, name)!r}")
 
 
 def _dedup(
@@ -680,6 +683,14 @@ def _windows_in_range(
     )
 
 
+def _check_ratios(ratios: tuple[float, float, float]) -> None:
+    # A nan ratio fails the sum test.
+    if len(ratios) != 3 or any(r < 0 for r in ratios) or not math.isclose(
+        sum(ratios), 1.0, rel_tol=0, abs_tol=1e-9
+    ):
+        raise ValueError(f"ratios must be 3 non-negative numbers summing to 1, got {ratios}")
+
+
 def window(
     frame: FeatureFrame,
     enc_len: int,
@@ -698,10 +709,7 @@ def window(
         raise ValueError(f"need 1 <= label_len <= enc_len, got {label_len}, {enc_len}")
     if horizon < 1 or stride < 1:
         raise ValueError("horizon and stride must be >= 1")
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or not math.isclose(
-        sum(ratios), 1.0, rel_tol=0, abs_tol=1e-9
-    ):
-        raise ValueError(f"ratios must be 3 non-negative numbers summing to 1, got {ratios}")
+    _check_ratios(ratios)
     n = frame.n_rows
     i_train = int(math.floor(ratios[0] * n))
     i_val = int(math.floor((ratios[0] + ratios[1]) * n))
@@ -725,6 +733,7 @@ def build_dataset(
     ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),
 ) -> Dataset:
     """Fit stats on the training rows, normalize, and cut windows."""
+    _check_ratios(ratios)
     n = frame.n_rows
     i_train = int(math.floor(ratios[0] * n))
     if i_train < 2:

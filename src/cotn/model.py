@@ -30,6 +30,7 @@ from .activation import (
     GateConfig,
     GatedLeeActivation,
     GeluActivation,
+    MetaActivationTable,
     table_for_type,
 )
 from .tensor import Tensor
@@ -70,10 +71,13 @@ class ActivationMode:
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
 
-    def build(self):
+    def build(self, tab: Optional[MetaActivationTable] = None):
+        """The activation object; a gated one uses tab, or the builtin
+        table of type_id when none is given."""
         if self.kind == "gelu":
             return GeluActivation()
-        tab = table_for_type(self.type_id)
+        if tab is None:
+            tab = table_for_type(self.type_id)
         return GatedLeeActivation(GateConfig(self.lam, self.type_id), tab)
 
 
@@ -238,13 +242,16 @@ class Forecaster:
     Parameters live in a flat name -> Tensor dict so checkpoints, the
     optimizer and gradient checks can all walk them uniformly. The
     feed-forward nonlinearity is a handle that can be swapped in place
-    (warm starting) without touching any parameter.
+    (warm starting) without touching any parameter. A gated model built
+    with a table (as a loaded checkpoint is) uses it in place of the
+    builtin one.
     """
 
-    def __init__(self, cfg: ModelConfig, seed: int = 0):
+    def __init__(self, cfg: ModelConfig, seed: int = 0,
+                 table: Optional[MetaActivationTable] = None):
         self.cfg = cfg
         self.params: dict[str, Tensor] = {}
-        self.activation = cfg.activation.build()
+        self.activation = cfg.activation.build(table)
         rng = np.random.default_rng(seed)
         self._build(rng)
         self._enc_pe = sinusoidal_position_encoding(cfg.enc_len, cfg.d_model)
@@ -593,6 +600,13 @@ def _read_meta(cls, meta: dict[str, str], path, prefix: str = "", skip=()) -> di
             for name, kind in _scalar_fields(cls, skip).items()}
 
 
+# A gated checkpoint stores its activation table under these names, so
+# that loading it neither rebuilds the table nor depends on the loading
+# machine's libm. Like "x.", the prefix never names a parameter.
+_TABLE_NODES = "table.nodes"
+_TABLE_VALUES = "table.values"
+
+
 def save_forecaster(
     path,
     model: Forecaster,
@@ -602,27 +616,55 @@ def save_forecaster(
     """Write parameters plus the full config as one checkpoint file.
 
     extra_tensors are stored under an ``x.`` prefix so they can never
-    collide with model parameters.
+    collide with model parameters. A gated model's activation table is
+    stored under ``table.``.
     """
     meta = {"kind": "forecaster", **_meta_of(model.cfg),
             **_meta_of(model.cfg.activation, "activation."), **(extra_meta or {})}
     tensors = {name: p.data for name, p in model.params.items()}
+    if isinstance(model.activation, GatedLeeActivation):
+        tensors[_TABLE_NODES] = model.activation.tab.nodes
+        tensors[_TABLE_VALUES] = model.activation.tab.values
     for name, arr in (extra_tensors or {}).items():
         tensors[f"x.{name}"] = np.asarray(arr, dtype=np.float64)
     te.save_tensors(path, tensors, meta)
 
 
+def _stored_table(tensors: dict[str, np.ndarray], type_id: int,
+                  path) -> Optional[MetaActivationTable]:
+    """The activation table a checkpoint stores, or None if it stores none
+    (as no checkpoint written before tables were stored does)."""
+    nodes, values = tensors.get(_TABLE_NODES), tensors.get(_TABLE_VALUES)
+    if nodes is None and values is None:
+        return None
+    if nodes is None or values is None:
+        raise ValueError(
+            f"{path}: checkpoint stores only one of {_TABLE_NODES!r} and {_TABLE_VALUES!r}")
+    # The table checks the shapes before it compares these endpoints.
+    ends = nodes.ravel()[[0, -1]] if nodes.size else (math.nan, math.nan)
+    try:
+        return MetaActivationTable(type_id, float(ends[0]), float(ends[1]), nodes, values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: stored activation table: {exc}") from None
+
+
 def load_forecaster(path) -> tuple[Forecaster, dict[str, np.ndarray], dict[str, str]]:
-    """Rebuild a forecaster from a checkpoint written by save_forecaster."""
+    """Rebuild a forecaster from a checkpoint written by save_forecaster.
+
+    A gated checkpoint's stored table is used as it is; one without a
+    stored table gets the builtin table of its type.
+    """
     tensors, meta = te.load_tensors(path)
     if meta.get("kind") != "forecaster":
         raise ValueError(f"{path}: not a forecaster checkpoint")
     settings = _read_meta(ModelConfig, meta, path)
     mode = _read_meta(ActivationMode, meta, path, "activation.")
-    params = {k: v for k, v in tensors.items() if not k.startswith("x.")}
+    table = _stored_table(tensors, mode["type_id"], path)
+    params = {k: v for k, v in tensors.items() if not k.startswith(("x.", "table."))}
     extra = {k[2:]: v for k, v in tensors.items() if k.startswith("x.")}
     try:
-        model = Forecaster(ModelConfig(**settings, activation=ActivationMode(**mode)))
+        cfg = ModelConfig(**settings, activation=ActivationMode(**mode))
+        model = Forecaster(cfg, table=table)
         model.load_state_arrays(params)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

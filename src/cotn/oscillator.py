@@ -39,6 +39,7 @@ __all__ = [
     "lors_step",
     "stimulus_signal",
     "simulate",
+    "simulate_many",
     "builtin_params",
     "builtin_type_ids",
     "bifurcation_sweep",
@@ -276,6 +277,80 @@ def simulate(
     return Trajectory(values, tuple(states) if states is not None else None)
 
 
+def _libm(fn, a: np.ndarray) -> np.ndarray:
+    # fn (math.tanh or math.exp) of every element, through the C library
+    # the scalar path calls. numpy's own tanh/exp may be vectorised
+    # differently and differ in the last bit.
+    return np.fromiter(map(fn, a.tolist()), dtype=np.float64, count=a.size)
+
+
+def simulate_many(
+    raw_inputs, p: LorsParams, n_steps: int = N_STEPS_DEFAULT
+) -> np.ndarray:
+    """Trajectories of many constant inputs at once, shape (n, n_steps).
+
+    Row j equals ``simulate(raw_inputs[j], p, n_steps).values`` bit for
+    bit: every input is stepped together with _lors_update's operations
+    in its order, and tanh and exp go through the same libm calls. A row
+    whose state (E, I, L) repeats exactly is at a fixed point; once half
+    the rows still stepping are, those stop and their remaining outputs
+    are filled with L.
+    """
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    raw = np.asarray(raw_inputs, dtype=np.float64)
+    if raw.ndim != 1:
+        raise ValueError(f"raw_inputs must be 1-d, got shape {raw.shape}")
+    s = np.array([stimulus_signal(x, p.e) for x in raw.tolist()], dtype=np.float64)
+    values = np.empty((s.size, n_steps), dtype=np.float64)
+    # Loop invariants of _lors_update: Omega and the Gaussian factor.
+    omega = _libm(math.tanh, p.mu * s)
+    with np.errstate(over="ignore"):  # -inf for huge inputs, as in floats
+        decay = _libm(math.exp, -p.k * s * s)
+    a4s, b4s = p.a4 * s, p.b4 * s
+    live = np.arange(s.size)
+    e = np.zeros(s.size)
+    i = np.zeros(s.size)
+    out = np.zeros(s.size)
+    for t in range(n_steps):
+        if live.size == 0:
+            break
+        x = p.a1 * out
+        x += p.a2 * e
+        x -= p.a3 * i
+        x += a4s
+        x -= p.xi_e
+        x *= p.mu
+        e_new = _libm(math.tanh, x)
+        x = p.b1 * out
+        x -= p.b2 * e
+        x -= p.b3 * i
+        x += b4s
+        x -= p.xi_i
+        x *= p.mu
+        i_new = _libm(math.tanh, x)
+        out_new = e_new - i_new
+        out_new *= decay
+        out_new += omega
+        values[live, t] = out_new
+        # Bit patterns, so that 0.0 and -0.0 count as different states.
+        moving = ((e_new.view(np.int64) != e.view(np.int64))
+                  | (i_new.view(np.int64) != i.view(np.int64))
+                  | (out_new.view(np.int64) != out.view(np.int64)))
+        e, i, out = e_new, i_new, out_new
+        # A settled row steps on to the same state, so it may stay until
+        # half the rows have settled. Dropping rows only then keeps the
+        # arrays to a few sizes: a new size at every step fragmented the
+        # heap enough to raise the peak memory of later work.
+        if 2 * np.count_nonzero(moving) <= live.size:
+            still = ~moving
+            values[live[still], t + 1:] = out[still, None]
+            live, e, i, out = live[moving], e[moving], i[moving], out[moving]
+            a4s, b4s = a4s[moving], b4s[moving]
+            omega, decay = omega[moving], decay[moving]
+    return values
+
+
 # Eight builtin parameter sets. Indexed by type id 1..8; b2/b3 are stored
 # with the signs the recurrence expects (see LorsParams docstring).
 _BUILTIN: dict[int, LorsParams] = {
@@ -337,10 +412,7 @@ def bifurcation_sweep(
             f"keep_last must be in 1..n_steps, got keep_last={keep_last} n_steps={n_steps}"
         )
     grid = np.linspace(x_lo, x_hi, n_x) if n_x > 1 else np.array([x_lo], dtype=np.float64)
-    outputs = np.empty((n_x, keep_last), dtype=np.float64)
-    for j, x in enumerate(grid):
-        outputs[j] = simulate(float(x), p, n_steps).values[-keep_last:]
-    return BifurcationData(grid, outputs)
+    return BifurcationData(grid, simulate_many(grid, p, n_steps)[:, -keep_last:])
 
 
 def write_bifurcation_csv(data: BifurcationData, path) -> None:

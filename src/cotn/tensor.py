@@ -22,6 +22,7 @@ Set ``check_finite = True`` (tests do) to assert every op output is finite.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import math
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -527,8 +528,9 @@ def save_tensors(path, tensors: dict[str, np.ndarray],
     """Write named float64 arrays as manifest text plus raw payload.
 
     Arrays are stored row-major little-endian; the round trip through
-    load_tensors is bit-exact. Names must be non-empty and free of
-    whitespace; meta values must not contain newlines.
+    load_tensors is bit-exact. The manifest ends with the payload's
+    sha256, which load_tensors checks. Names must be non-empty and free
+    of whitespace; meta values must not contain newlines.
     """
     meta = dict(meta or {})
     for key, val in meta.items():
@@ -553,15 +555,20 @@ def save_tensors(path, tensors: dict[str, np.ndarray],
         offset += len(raw)
     lines.append(f"tensors {len(entries)}")
     lines.extend(entries)
+    payload = b"".join(blobs)
+    lines.append(f"sha256 {hashlib.sha256(payload).hexdigest()}")
     lines.append("END")
     with open(path, "wb") as fh:
         fh.write("\n".join(lines).encode("ascii") + b"\n")
-        for blob in blobs:
-            fh.write(blob)
+        fh.write(payload)
 
 
 def load_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    """Read a container written by save_tensors."""
+    """Read a container written by save_tensors.
+
+    The payload digest is checked when the manifest has one; containers
+    written before the digest was added have none and load as before.
+    """
     with open(path, "rb") as fh:
         buf = fh.read()
     pos = 0
@@ -593,11 +600,18 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
             dims = tuple(int(d) for d in parts[2 : 2 + ndim])
             off, nbytes = int(parts[2 + ndim]), int(parts[3 + ndim])
             entries.append((name, dims, off, nbytes))
-        if next_line() != "END":
+        line = next_line()
+        digest = None
+        if line.startswith("sha256 "):
+            digest = line[len("sha256 "):]
+            line = next_line()
+        if line != "END":
             raise ValueError(f"{path}: missing END marker")
     except (IndexError, ValueError) as exc:
         raise ValueError(f"{path}: corrupt tensor container ({exc})") from None
     payload = buf[pos:]
+    if digest is not None and hashlib.sha256(payload).hexdigest() != digest:
+        raise ValueError(f"{path}: payload digest mismatch")
     tensors: dict[str, np.ndarray] = {}
     for name, dims, off, nbytes in entries:
         flat = np.frombuffer(payload[off : off + nbytes], dtype="<f8")

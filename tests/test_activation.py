@@ -91,6 +91,13 @@ class TestTableBuild:
             x = float(tab.nodes[idx])
             assert tab.values[idx] == mot_activation_exact(x, p)
 
+    @pytest.mark.parametrize("type_id", range(1, 9))
+    def test_every_node_equals_the_scalar_reference(self, type_id):
+        p = builtin_params(type_id)
+        tab = build_table(p, type_id=type_id)
+        want = np.array([mot_activation_exact(float(x), p) for x in tab.nodes])
+        assert np.array_equal(tab.values.view(np.int64), want.view(np.int64))
+
     def test_default_grid(self):
         tab = table_for_type(3)
         assert tab.x_min == -4.0 and tab.x_max == 4.0

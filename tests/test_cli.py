@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import cotn.cli
+import cotn.model
 from cotn import tensor as te
 from cotn import training
 from cotn.activation import read_table
@@ -262,6 +263,18 @@ class TestConfigErrors:
         ("model.lam=half", "model.lam: expected a number, got 'half'"),
         ("train.anomaly_weighting=2",
          "train.anomaly_weighting: expected a boolean, got '2'"),
+        ("data.train_ratio=nan",
+         "data.train_ratio: expected a finite number >= 0, got nan"),
+        ("data.val_ratio=-0.1",
+         "data.val_ratio: expected a finite number >= 0, got -0.1"),
+        ("data.test_ratio=1.2",
+         "data.train_ratio + val_ratio + test_ratio: expected a sum of 1, "
+         "got 2.0"),
+        ("data.stride=0", "data.stride: expected >= 1, got 0"),
+        ("data.max_ffill_gap=-1", "data.max_ffill_gap: expected >= 0, got -1"),
+        ("data.z_max=nan", "data.z_max: expected > 0, got nan"),
+        ("data.return_limit=0", "data.return_limit: expected > 0, got 0.0"),
+        ("data.schema=csv", "data.schema: expected ett or ohlcv, got 'csv'"),
     ])
     def test_malformed_value_names_section_and_key(self, workspace, setting,
                                                     message, capsys):
@@ -364,6 +377,24 @@ class TestMalformedMetadata:
         assert capsys.readouterr().err == f"error: {bad}: {key!r}: {message}\n"
 
     @pytest.mark.parametrize("key,value,message", [
+        ("data.stride", "0", "data.stride: expected >= 1, got 0"),
+        ("data.val_ratio", "nan",
+         "data.val_ratio: expected a finite number >= 0, got nan"),
+        ("data.train_ratio", "0.9",
+         "data.train_ratio + val_ratio + test_ratio: expected a sum of 1, got 1.2"),
+        ("data.z_max", "nan", "data.z_max: expected > 0, got nan"),
+        ("data.schema", "csv", "data.schema: expected ett or ohlcv, got 'csv'"),
+    ])
+    def test_checkpoint_data_setting_out_of_range(self, workspace, tmp_path,
+                                                  capsys, key, value, message):
+        bad = self._edited(workspace["out"] / "checkpoint.bin",
+                           tmp_path / "bad.bin", key, value)
+        code, _ = run("eval", "--checkpoint", str(bad),
+                      "--data", str(workspace["csv"]))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+    @pytest.mark.parametrize("key,value,message", [
         ("hidden", "x", "expected an integer, got 'x'"),
         ("tau", "abc", "expected a number, got 'abc'"),
     ])
@@ -409,6 +440,43 @@ class TestEval:
         err = capsys.readouterr().err
         assert code == 1
         assert str(bare) in err and "'norm.names'" in err
+
+
+class TestStoredTable:
+    """The gated checkpoint's table is checked as it is loaded."""
+
+    @pytest.mark.parametrize("edit,message", [
+        ("nan", "table values must be finite"),
+        ("not_linspace", "nodes must be the uniform grid"),
+        ("no_values", "stores only one of 'table.nodes' and 'table.values'"),
+    ])
+    def test_malformed_table_exits_1_naming_the_file(self, workspace, tmp_path,
+                                                    capsys, edit, message):
+        tensors, meta = te.load_tensors(workspace["out"] / "checkpoint.bin")
+        if edit == "nan":
+            tensors["table.values"][100] = np.nan
+        elif edit == "not_linspace":
+            tensors["table.nodes"][1] += 1e-3
+        else:
+            del tensors["table.values"]
+        bad = tmp_path / "bad.bin"
+        te.save_tensors(bad, tensors, meta)
+        code, _ = run("eval", "--checkpoint", str(bad),
+                      "--data", str(workspace["csv"]))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and message in err
+
+    def test_eval_does_not_rebuild_the_table(self, workspace, tmp_path,
+                                             monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the stored table was rebuilt")
+
+        monkeypatch.setattr(cotn.model, "table_for_type", refuse)
+        code, lines = run("eval",
+                          "--checkpoint", str(workspace["out"] / "checkpoint.bin"),
+                          "--data", str(workspace["csv"]))
+        assert code == 0 and len(lines) == 6
 
 
 def _count_loads(monkeypatch):

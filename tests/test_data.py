@@ -305,6 +305,10 @@ class TestClean:
             CleanConfig(z_max=0.0)
         with pytest.raises(ValueError):
             CleanConfig(return_limit=-0.1)
+        with pytest.raises(ValueError, match="z_max"):
+            CleanConfig(z_max=math.nan)
+        with pytest.raises(ValueError, match="return_limit"):
+            CleanConfig(return_limit=math.nan)
 
 
 class TestRollingFeatures:
@@ -513,6 +517,13 @@ class TestWindows:
 
 
 class TestBuildDataset:
+    @pytest.mark.parametrize("ratios", [(math.nan, 0.1, 0.2), (0.7, math.nan, 0.2),
+                                        (0.9, 0.1, 0.2)])
+    def test_bad_ratios_rejected_before_the_split(self, ratios):
+        frame = featurize(ett_series(np.arange(100.0)))
+        with pytest.raises(ValueError, match="ratios must be"):
+            build_dataset(frame, 8, 4, 2, ratios=ratios)
+
     def test_stats_fitted_on_train_rows_only(self):
         rng = np.random.default_rng(6)
         vals = np.concatenate([rng.normal(0, 1, 70), rng.normal(50, 1, 30)])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import cotn.model
 import cotn.tensor as te
 from cotn.model import (
     ActivationMode,
@@ -385,6 +386,104 @@ class TestForecaster:
         with pytest.raises(ValueError, match=drop) as err:
             load_forecaster(path)
         assert str(path) in str(err.value)
+
+
+class TestStoredTable:
+    """A gated checkpoint carries its activation table."""
+
+    @staticmethod
+    def _saved(tmp_path, kind="gated"):
+        cfg = tiny_cfg(activation=ActivationMode(kind=kind, type_id=2, lam=0.5))
+        model = Forecaster(cfg, seed=5)
+        path = tmp_path / "model.bin"
+        save_forecaster(path, model, extra_tensors={"norm.mean": np.arange(3.0)})
+        return model, path
+
+    @staticmethod
+    def _count_rebuilds(monkeypatch):
+        calls = []
+        real = cotn.model.table_for_type
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cotn.model, "table_for_type", counting)
+        return calls
+
+    def test_loading_uses_the_stored_table(self, tmp_path, monkeypatch):
+        model, path = self._saved(tmp_path)
+        tensors, meta = te.load_tensors(path)
+        assert np.array_equal(tensors["table.nodes"], model.activation.tab.nodes)
+        assert np.array_equal(tensors["table.values"], model.activation.tab.values)
+        assert not any(key.startswith("table.") for key in meta)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the stored table was rebuilt")
+
+        monkeypatch.setattr(cotn.model, "table_for_type", refuse)
+        back, extra, _ = load_forecaster(path)
+        assert set(back.params) == set(model.params)
+        assert set(extra) == {"norm.mean"}
+        enc, dec = batch_for(model.cfg)
+        assert np.array_equal(back.predict(enc, dec), model.predict(enc, dec))
+
+    def test_the_stored_values_define_the_model(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        tensors, meta = te.load_tensors(path)
+        tensors["table.values"] = tensors["table.values"] * 0.5
+        te.save_tensors(path, tensors, meta)
+        back, _, _ = load_forecaster(path)
+        assert np.array_equal(back.activation.tab.values, tensors["table.values"])
+        assert back.activation.tab.type_id == 2
+
+    def test_checkpoint_without_a_table_rebuilds_it(self, tmp_path, monkeypatch):
+        # As every checkpoint written before tables were stored.
+        model, path = self._saved(tmp_path)
+        tensors, meta = te.load_tensors(path)
+        del tensors["table.nodes"], tensors["table.values"]
+        te.save_tensors(path, tensors, meta)
+        calls = self._count_rebuilds(monkeypatch)
+        back, _, _ = load_forecaster(path)
+        assert calls == [(2,)]
+        enc, dec = batch_for(model.cfg)
+        assert np.array_equal(back.predict(enc, dec), model.predict(enc, dec))
+
+    def test_gelu_checkpoint_stores_no_table(self, tmp_path, monkeypatch):
+        _, path = self._saved(tmp_path, kind="gelu")
+        tensors, _ = te.load_tensors(path)
+        assert not any(name.startswith("table.") for name in tensors)
+        calls = self._count_rebuilds(monkeypatch)
+        load_forecaster(path)
+        assert calls == []
+
+    @pytest.mark.parametrize("edit,message", [
+        ("nan", "table values must be finite"),
+        ("not_linspace", "linspace"),
+        ("no_values", "only one of"),
+        ("no_nodes", "only one of"),
+        ("scalar_nodes", "1-d arrays"),
+        ("short", "equal-length"),
+    ])
+    def test_malformed_stored_table_names_the_file(self, tmp_path, edit, message):
+        _, path = self._saved(tmp_path)
+        tensors, meta = te.load_tensors(path)
+        if edit == "nan":
+            tensors["table.values"][7] = math.nan
+        elif edit == "not_linspace":
+            tensors["table.nodes"][5] = np.nextafter(tensors["table.nodes"][5], 9.0)
+        elif edit == "no_values":
+            del tensors["table.values"]
+        elif edit == "no_nodes":
+            del tensors["table.nodes"]
+        elif edit == "scalar_nodes":
+            tensors["table.nodes"] = np.array(0.5)
+        else:
+            tensors["table.values"] = tensors["table.values"][:-1]
+        te.save_tensors(path, tensors, meta)
+        with pytest.raises(ValueError, match=message) as err:
+            load_forecaster(path)
+        assert str(err.value).startswith(f"{path}: ")
 
 
 class TestAutoencoder:

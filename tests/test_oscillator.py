@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cotn import oscillator
 from cotn.oscillator import (
     BifurcationData,
     LeeParams,
@@ -19,6 +20,7 @@ from cotn.oscillator import (
     lee_step,
     lors_step,
     simulate,
+    simulate_many,
     stimulus_signal,
     write_bifurcation_csv,
 )
@@ -275,3 +277,78 @@ class TestBifurcation:
         parsed = np.array([[float(a) for a in ln.split(",")] for ln in lines[1:]])
         assert np.array_equal(parsed[:, 1].reshape(4, 6), data.outputs)
         assert np.array_equal(parsed[::6, 0], data.stimulus_grid)
+
+
+def _bits(a):
+    # Bit patterns, so that 0.0 and -0.0 count as different.
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def _reference_rows(inputs, p, n_steps=100):
+    return np.array([simulate(float(x), p, n_steps).values for x in inputs])
+
+
+DEFAULT_GRID = np.linspace(-4.0, 4.0, 4001)
+SPECIAL_INPUTS = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.05, -0.05]
+
+
+class TestSimulateMany:
+    @pytest.mark.parametrize("type_id", range(1, 9))
+    def test_rows_equal_simulate_on_the_default_grid(self, type_id):
+        p = builtin_params(type_id)
+        got = simulate_many(DEFAULT_GRID, p)
+        assert got.shape == (4001, 100)
+        assert np.array_equal(_bits(got), _bits(_reference_rows(DEFAULT_GRID, p)))
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 100, 300])
+    def test_special_inputs_and_run_lengths(self, n_steps):
+        for type_id in builtin_type_ids():
+            p = builtin_params(type_id)
+            got = simulate_many(SPECIAL_INPUTS, p, n_steps)
+            assert got.shape == (len(SPECIAL_INPUTS), n_steps)
+            assert np.array_equal(_bits(got),
+                                  _bits(_reference_rows(SPECIAL_INPUTS, p, n_steps)))
+
+    def test_settled_rows_next_to_moving_ones(self):
+        # Under type 3, 0.05 is still moving after 100 steps while 0.5 and
+        # 2.0 settle at different steps and 0.0 rests from the start.
+        p = builtin_params(3)
+        inputs = [0.05, 2.0, 0.5, 0.0, -0.05]
+        got = simulate_many(inputs, p)
+        assert np.array_equal(_bits(got), _bits(_reference_rows(inputs, p)))
+        # Type 1's chaotic band never settles; its zero input rests.
+        p = builtin_params(1)
+        inputs = [0.05, 0.0, 0.01]
+        assert np.array_equal(_bits(simulate_many(inputs, p)),
+                              _bits(_reference_rows(inputs, p)))
+
+    def test_early_stop_fires_for_settling_types_only(self, monkeypatch):
+        # Each oscillator step takes two libm calls per moving row; the
+        # loop invariants take two per row once. Fewer calls than that
+        # for a full run means some rows stopped early.
+        calls = []
+        real = oscillator._libm
+
+        def counting(fn, a):
+            calls.append(a.size)
+            return real(fn, a)
+
+        monkeypatch.setattr(oscillator, "_libm", counting)
+        full = DEFAULT_GRID.size * (2 + 2 * 100)
+        stepped = {}
+        for type_id in builtin_type_ids():
+            calls.clear()
+            simulate_many(DEFAULT_GRID, builtin_params(type_id))
+            stepped[type_id] = sum(calls)
+        assert stepped[1] == full
+        assert all(stepped[t] < full for t in range(2, 9)), stepped
+
+    def test_validation(self):
+        p = builtin_params(2)
+        with pytest.raises(ValueError, match="n_steps"):
+            simulate_many([0.1], p, 0)
+        with pytest.raises(ValueError, match="finite"):
+            simulate_many([0.1, math.nan], p)
+        with pytest.raises(ValueError, match="1-d"):
+            simulate_many(np.zeros((2, 2)), p)
+        assert simulate_many([], p).shape == (0, 100)

@@ -1,5 +1,7 @@
 """Reverse-mode tape: values, gradients, persistence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -423,6 +425,39 @@ class TestPersistence:
         for name, arr in tensors.items():
             assert np.array_equal(back[name], np.asarray(arr, dtype=np.float64))
             assert back[name].shape == np.asarray(arr).shape
+
+    def test_round_trip_keeps_every_bit_and_records_the_digest(self, tmp_path):
+        special = np.array([-0.0, 0.0, 5e-324, -np.inf, np.inf, np.nan, 1e300])
+        path = tmp_path / "ckpt.bin"
+        save_tensors(path, {"v": special, "w": np.arange(6.0).reshape(2, 3)}, {})
+        back, _ = load_tensors(path)
+        assert np.array_equal(back["v"].view(np.int64), special.view(np.int64))
+        raw = path.read_bytes()
+        head, _, payload = raw.partition(b"\nEND\n")
+        digest_line = head.splitlines()[-1]
+        assert digest_line == b"sha256 " + hashlib.sha256(payload).hexdigest().encode()
+
+    @pytest.mark.parametrize("where", [0, 17, -1])
+    def test_flipped_payload_byte_fails(self, tmp_path, where):
+        path = tmp_path / "ckpt.bin"
+        save_tensors(path, {"w": np.linspace(-1.0, 1.0, 8)}, {"kind": "test"})
+        raw = bytearray(path.read_bytes())
+        start = raw.index(b"\nEND\n") + len(b"\nEND\n")
+        raw[start + where if where >= 0 else where] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="payload digest mismatch") as err:
+            load_tensors(path)
+        assert str(err.value) == f"{path}: payload digest mismatch"
+
+    def test_file_without_digest_loads(self, tmp_path):
+        # The container as written before the digest line existed.
+        values = np.array([1.5, -2.25])
+        path = tmp_path / "old.bin"
+        path.write_bytes(b"TENSORBIN 1\nmeta 1\nkind=test\ntensors 1\n"
+                         b"x 1 2 0 16\nEND\n" + values.astype("<f8").tobytes())
+        back, meta = load_tensors(path)
+        assert meta == {"kind": "test"}
+        assert np.array_equal(back["x"], values)
 
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
