@@ -282,9 +282,16 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _gelu_value(xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # GELU of an array plus the 2 * Phi(x) term its derivative reuses.
-    cdf2 = 1.0 + _erf(xq / _SQRT2)
-    return xq * 0.5 * cdf2, cdf2
+    # GELU of an array plus the 2 * Phi(x) term its derivative reuses, in
+    # the order of 1 + erf(x / sqrt 2) and (x * 0.5) * cdf2, with the sum
+    # and the product taken in place. erf writes a fresh array: dividing
+    # into a preallocated one and taking erf in place raised the peak RSS
+    # of a 17k-row `cotn train` by 2.5 MB. 0-d input gives numpy scalars.
+    cdf2 = _erf(xq / _SQRT2)
+    cdf2 += 1.0
+    value = xq * 0.5
+    value *= cdf2
+    return value, cdf2
 
 
 def _gelu_slope(xq: np.ndarray, cdf2: np.ndarray) -> np.ndarray:

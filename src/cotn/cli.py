@@ -370,7 +370,9 @@ def cmd_train(args) -> int:
         for action in cleaned.report:
             fh.write(action.render() + "\n")
     if ae is not None:
-        save_autoencoder(os.path.join(out, "autoencoder.bin"), ae)
+        # cotn anomaly cleans the data it scores with the same thresholds.
+        save_autoencoder(os.path.join(out, "autoencoder.bin"), ae,
+                         extra_meta=_meta_of(spec.cleaning(), "data."))
     print(ckpt)
     print(f"test_mae = {_FLOAT_FMT % report.test_mae}")
     print(f"test_mse = {_FLOAT_FMT % report.test_mse}")
@@ -476,14 +478,27 @@ def cmd_sweep_types(args) -> int:
     return 0
 
 
+def _cleaning_from_meta(meta: dict[str, str], path: str) -> CleanConfig:
+    """The cleaning thresholds an autoencoder file stores; files written
+    before they were stored hold no data.* entry and get the defaults."""
+    if not any(key.startswith("data.") for key in meta):
+        return CleanConfig()
+    stored = _read_meta(CleanConfig, meta, path, "data.")
+    try:
+        return CleanConfig(**stored)
+    except ValueError as exc:
+        raise ValueError(f"{path}: data.{exc}") from None
+
+
 def cmd_anomaly(args) -> int:
-    ae = load_autoencoder(args.ae)
+    ae, meta = load_autoencoder(args.ae)
+    cleaning = _cleaning_from_meta(meta, args.ae)
     stats_path = args.stats or os.path.join(
         os.path.dirname(os.path.abspath(args.ae)), "norm_stats.txt"
     )
     stats = read_stats(stats_path)
     raw = load_csv(args.data, args.schema)
-    frame = normalize(featurize(clean(raw)), stats)
+    frame = normalize(featurize(clean(raw, cleaning)), stats)
     if frame.n_features != ae.n_features:
         raise RuntimeError(
             f"data has {frame.n_features} features but the autoencoder "

@@ -152,7 +152,9 @@ def multi_head_attention(
 
     q has shape (..., Lq, d), k and v (..., Lk, d); all four projection
     matrices are (d, d). The optional additive mask broadcasts against
-    the (..., Lq, Lk) score array.
+    the (..., Lq, Lk) score array. The heads run as one batch along an
+    extra axis (te.split_heads) and are merged before the output
+    projection.
     """
     d = q.shape[-1]
     if d % n_heads != 0:
@@ -170,20 +172,14 @@ def multi_head_attention(
             raise ValueError(f"{name} must be ({d}, {d}), got {w.shape}")
     dh = d // n_heads
     scale = 1.0 / math.sqrt(dh)
-    qp = te.matmul(q, wq)
-    kp = te.matmul(k, wk)
-    vp = te.matmul(v, wv)
-    heads = []
-    for h in range(n_heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qh = te.slice_last(qp, lo, hi)
-        kh = te.slice_last(kp, lo, hi)
-        vh = te.slice_last(vp, lo, hi)
-        scores = te.scale(te.matmul(qh, te.transpose_last2(kh)), scale)
-        attn = te.softmax_last_axis(scores, mask)
-        heads.append(te.matmul(attn, vh))
-    merged = heads[0] if n_heads == 1 else te.concat_last(heads)
-    return te.matmul(merged, wo)
+    qh = te.split_heads(te.matmul(q, wq), n_heads)
+    kh = te.split_heads(te.matmul(k, wk), n_heads)
+    vh = te.split_heads(te.matmul(v, wv), n_heads)
+    if np.ndim(mask) > 2:
+        mask = np.expand_dims(mask, -3)  # per-example masks apply to every head
+    scores = te.scale(te.matmul(qh, te.transpose_last2(kh)), scale)
+    attn = te.softmax_last_axis(scores, mask)
+    return te.matmul(te.merge_heads(te.matmul(attn, vh)), wo)
 
 
 def distill_layer(
@@ -675,15 +671,20 @@ _AE_SETTINGS = {"window_len": "int", "n_features": "int", "hidden": "int",
                 "bottleneck": "int", "tau": "float"}
 
 
-def save_autoencoder(path, ae: Autoencoder) -> None:
+def save_autoencoder(path, ae: Autoencoder,
+                     extra_meta: Optional[dict[str, str]] = None) -> None:
+    """Write a fitted autoencoder; extra_meta entries are stored with it."""
     if ae.tau is None:
         raise RuntimeError("refusing to save an unfitted autoencoder")
     meta = {"kind": "autoencoder",
-            **{name: _as_text(getattr(ae, name)) for name in _AE_SETTINGS}}
+            **{name: _as_text(getattr(ae, name)) for name in _AE_SETTINGS},
+            **(extra_meta or {})}
     te.save_tensors(path, {name: p.data for name, p in ae.params.items()}, meta)
 
 
-def load_autoencoder(path) -> Autoencoder:
+def load_autoencoder(path) -> tuple[Autoencoder, dict[str, str]]:
+    """Rebuild an autoencoder written by save_autoencoder; also returns
+    the file's meta entries."""
     tensors, meta = te.load_tensors(path)
     if meta.get("kind") != "autoencoder":
         raise ValueError(f"{path}: not an autoencoder checkpoint")
@@ -700,4 +701,4 @@ def load_autoencoder(path) -> Autoencoder:
             raise ValueError(f"{path}: {name} has shape {arr.shape}")
         p.data = arr.copy()
     ae.tau = tau
-    return ae
+    return ae, meta

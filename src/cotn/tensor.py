@@ -46,6 +46,8 @@ __all__ = [
     "slice_time",
     "slice_last",
     "concat_last",
+    "split_heads",
+    "merge_heads",
     "shift_time",
     "maxpool_time2",
     "repeat_time2",
@@ -254,9 +256,13 @@ def softmax_last_axis(x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
     entries to zero attention weights exactly.
     """
     z = x.data if mask is None else x.data + mask
-    z = z - z.max(axis=-1, keepdims=True)
-    ez = np.exp(z)
-    y = ez / ez.sum(axis=-1, keepdims=True)
+    # numpy reduces a short last axis slowly, so the row max reduces the
+    # leading axis of a transposed copy; a max is exact in any order. The
+    # sum keeps its axis: the order of a sum changes its bits.
+    zmax = np.moveaxis(z, -1, 0).copy().max(axis=0)[..., None]
+    y = np.subtract(z, zmax)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def dx(g: np.ndarray) -> np.ndarray:
         inner = (g * y).sum(axis=-1, keepdims=True)
@@ -277,7 +283,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    y = xhat * gamma.data + beta.data
+    y = xhat * gamma.data
+    y += beta.data
 
     def dx(g: np.ndarray) -> np.ndarray:
         dxhat = g * gamma.data
@@ -370,6 +377,41 @@ def concat_last(parts: Sequence[Tensor]) -> Tensor:
         return lambda g: g[..., lo:hi]
 
     return _make(data, parts, [make_vjp(i) for i in range(len(parts))], "concat_last")
+
+
+# slice_last and concat_last have no caller in the package (attention
+# batches its heads with split_heads/merge_heads). They stay in the op set
+# because perfbench/tracer.py wraps every tape op by name and refuses to
+# install when one is missing.
+
+
+def split_heads(x: Tensor, n_heads: int) -> Tensor:
+    """(..., L, d) -> (..., n_heads, L, d / n_heads): head h holds columns
+    h * d/n_heads up to (h + 1) * d/n_heads."""
+    length, d = _check_time_axis(x, "split_heads"), x.shape[-1]
+    if n_heads < 1 or d % n_heads:
+        raise ValueError(f"width {d} does not split into {n_heads} heads")
+    lead = x.shape[:-2]
+    data = np.swapaxes(x.data.reshape(lead + (length, n_heads, d // n_heads)), -2, -3)
+
+    def dx(g: np.ndarray) -> np.ndarray:
+        return np.swapaxes(g, -2, -3).reshape(x.shape)
+
+    return _make(data, (x,), (dx,), "split_heads")
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """The inverse of split_heads: (..., H, L, dh) -> (..., L, H * dh)."""
+    if x.ndim < 3:
+        raise ValueError(f"merge_heads needs >= 3-d input (heads, time, width), got {x.shape}")
+    n_heads, length, dh = x.shape[-3:]
+    lead = x.shape[:-3]
+    data = np.swapaxes(x.data, -2, -3).reshape(lead + (length, n_heads * dh))
+
+    def dx(g: np.ndarray) -> np.ndarray:
+        return np.swapaxes(g.reshape(lead + (length, n_heads, dh)), -2, -3)
+
+    return _make(data, (x,), (dx,), "merge_heads")
 
 
 def shift_time(x: Tensor, offset: int) -> Tensor:

@@ -90,7 +90,12 @@ def mse(pred: np.ndarray, target: np.ndarray) -> float:
 
 
 class Adam:
-    """Adaptive moment estimation over a named parameter dict."""
+    """Adaptive moment estimation over a named parameter dict.
+
+    The moments of all parameters live in one flat array each, in the
+    dict's order, so a step is one pass of elementwise arithmetic; each
+    element sees the same operations as a per-parameter update would.
+    """
 
     def __init__(self, params: dict[str, te.Tensor], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -100,19 +105,25 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        sizes = [p.data.size for p in params.values()]
+        self._bounds = np.cumsum([0] + sizes)
+        self.m = np.zeros(self._bounds[-1])
+        self.v = np.zeros(self._bounds[-1])
 
     def step(self, lr: Optional[float] = None) -> None:
         lr = self.lr if lr is None else lr
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for name, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
-            p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        g = np.concatenate([
+            p.grad.ravel() if p.grad is not None else np.zeros(p.data.size)
+            for p in self.params.values()
+        ])
+        m = self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
+        v = self.v = self.beta2 * self.v + (1.0 - self.beta2) * (g * g)
+        upd = lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        for p, lo, hi in zip(self.params.values(), self._bounds, self._bounds[1:]):
+            p.data = p.data - upd[lo:hi].reshape(p.data.shape)
 
 
 def _cosine_lr(base: float, epoch: int, total: int) -> float:
@@ -227,26 +238,34 @@ def read_trial_report(path) -> dict[str, str]:
 
 
 def _batched_predict(model: Forecaster, enc: np.ndarray, dec: np.ndarray,
-                     chunk: int = 512) -> np.ndarray:
+                     chunk: int = 64) -> np.ndarray:
+    # Predictions do not depend on the chunk. It is small so that each
+    # chunk's score arrays stay in cache and reuse freed pages: at 512
+    # windows they take 2.4 MB and more, and predicting the 12,163
+    # training windows of a 17k-row ETT file spent 0.4-0.5 s of system
+    # time faulting in fresh pages, against none at 64 or 128.
     parts = []
     for lo in range(0, enc.shape[0], chunk):
         parts.append(model.predict(enc[lo : lo + chunk], dec[lo : lo + chunk]))
     return np.concatenate(parts, axis=0)
 
 
-def _val_loss(model: Forecaster, dataset: Dataset) -> float:
+def _val_predict(model: Forecaster, dataset: Dataset) -> np.ndarray:
     batch = dataset.splits.val
     if batch.n_windows == 0:
         raise ValueError("validation split has no windows")
-    pred = _batched_predict(model, batch.enc, batch.dec)
-    return mse(pred, batch.tgt)
+    return _batched_predict(model, batch.enc, batch.dec)
 
 
-def _split_metrics(model: Forecaster, dataset: Dataset, which: str) -> tuple[float, float]:
+def _split_metrics(model: Forecaster, dataset: Dataset, which: str,
+                   pred: Optional[np.ndarray] = None) -> tuple[float, float]:
+    """Denormalized MAE and MSE of a split; pred, when given, is the
+    model's prediction of that split and is used instead of predicting."""
     batch = getattr(dataset.splits, which)
     if batch.n_windows == 0:
         return math.nan, math.nan
-    pred = _batched_predict(model, batch.enc, batch.dec)
+    if pred is None:
+        pred = _batched_predict(model, batch.enc, batch.dec)
     target_name = dataset.frame.target
     p = denormalize_feature(pred, dataset.stats, target_name)
     t = denormalize_feature(batch.tgt, dataset.stats, target_name)
@@ -311,14 +330,16 @@ def _stage_loop(
     rng: np.random.Generator,
     epochs: int,
     weights: Optional[np.ndarray],
-) -> tuple[list[float], int]:
+) -> tuple[list[float], int, Optional[np.ndarray]]:
     """Train in place for up to ``epochs`` epochs with early stopping.
 
-    Returns the per-epoch validation history and the number of epochs
-    actually run; on exit the model holds the stage-best parameters.
+    Returns the per-epoch validation history, the number of epochs
+    actually run and the validation prediction of the best epoch (None
+    when no epoch ran or none improved on inf); on exit the model holds
+    the stage-best parameters, whose prediction that is.
     """
     if epochs == 0:
-        return [], 0
+        return [], 0, None
     train = dataset.splits.train
     n = train.n_windows
     if n == 0:
@@ -328,6 +349,7 @@ def _stage_loop(
     history: list[float] = []
     best_val = math.inf
     best_state: Optional[dict[str, np.ndarray]] = None
+    best_pred: Optional[np.ndarray] = None
     since_best = 0
     for epoch in range(epochs):
         lr = (
@@ -363,11 +385,12 @@ def _stage_loop(
             model.zero_grad()
             te.backward(loss)
             opt.step(lr)
-        val = _val_loss(model, dataset)
+        pred = _val_predict(model, dataset)
+        val = mse(pred, dataset.splits.val.tgt)
         history.append(val)
         if val < best_val:
             best_val = val
-            best_state = model.state_arrays()
+            best_state, best_pred = model.state_arrays(), pred
             since_best = 0
         else:
             since_best += 1
@@ -375,7 +398,7 @@ def _stage_loop(
                 break
     if best_state is not None:
         model.load_state_arrays(best_state)
-    return history, len(history)
+    return history, len(history), best_pred
 
 
 def _fit_for(dataset: Dataset, cfg: TrainConfig) -> Autoencoder:
@@ -413,10 +436,15 @@ def _finish_report(
     history: list[float],
     epochs_run: int,
     t0: float,
+    val_pred: Optional[np.ndarray],
 ) -> TrialReport:
-    final_val = _val_loss(model, dataset)
+    # val_pred is the model's validation prediction when the caller has it
+    # (predict is deterministic, so it equals a fresh one bit for bit).
+    if val_pred is None:
+        val_pred = _val_predict(model, dataset)
+    final_val = mse(val_pred, dataset.splits.val.tgt)
     train_mae, train_mse = _split_metrics(model, dataset, "train")
-    val_mae, val_mse = _split_metrics(model, dataset, "val")
+    val_mae, val_mse = _split_metrics(model, dataset, "val", val_pred)
     test_mae, test_mse = _split_metrics(model, dataset, "test")
     return TrialReport(
         seed=cfg.seed,
@@ -462,10 +490,14 @@ def run_training(
     weights = _anomaly_weights(dataset, cfg, ae)
     rng = np.random.default_rng(cfg.seed)
     pretrain = cfg.pretrain_epochs if cfg.plan == "warm_start" else 0
-    h1, run1 = _stage_loop(model, dataset, cfg, rng, pretrain, weights)
+    h1, run1, _ = _stage_loop(model, dataset, cfg, rng, pretrain, weights)
     model.set_activation(cfg.activation)
-    h2, run2 = _stage_loop(model, dataset, cfg, rng, cfg.epochs - pretrain, weights)
-    return model, _finish_report(model, dataset, cfg, h1 + h2, run1 + run2, t0)
+    # Stage 2's best prediction is the final model's. Without one (no stage
+    # 2 epochs), stage 1's would be stale: the activation has changed since.
+    h2, run2, val_pred = _stage_loop(
+        model, dataset, cfg, rng, cfg.epochs - pretrain, weights)
+    report = _finish_report(model, dataset, cfg, h1 + h2, run1 + run2, t0, val_pred)
+    return model, report
 
 
 # -- sweeps and trials --------------------------------------------------------

@@ -1,13 +1,18 @@
-"""Test-only activation handles and probes of the forecaster's forward pass.
+"""Test-only activation handles, probes of the forecaster's forward pass
+and a reference attention.
 
 The handles implement the protocol cotn.tensor.apply_activation consumes:
 value(x) when no gradient is recorded, value_and_slope(x) when the tape
 records one. The probes observe a Forecaster from outside, through
-pytest's monkeypatch, so the model carries no hooks of its own.
+pytest's monkeypatch, so the model carries no hooks of its own. The
+per-head attention is the reference for the batched one.
 """
+
+import math
 
 import numpy as np
 
+import cotn.tensor as te
 from cotn.model import Forecaster
 
 
@@ -61,3 +66,21 @@ def capture_norm(model: Forecaster, prefix: str, monkeypatch) -> list:
 
     monkeypatch.setattr(model, "_norm", norm)
     return seen
+
+
+def per_head_attention(q, k, v, n_heads, wq, wk, wv, wo, mask=None):
+    """Multi-head attention one head at a time, as column slices of the
+    projections concatenated back together: the reference the batched
+    cotn.model.multi_head_attention must match bit for bit."""
+    dh = q.shape[-1] // n_heads
+    qp, kp, vp = te.matmul(q, wq), te.matmul(k, wk), te.matmul(v, wv)
+    heads = []
+    for h in range(n_heads):
+        lo, hi = h * dh, (h + 1) * dh
+        qh = te.slice_last(qp, lo, hi)
+        kh = te.slice_last(kp, lo, hi)
+        vh = te.slice_last(vp, lo, hi)
+        scores = te.scale(te.matmul(qh, te.transpose_last2(kh)), 1.0 / math.sqrt(dh))
+        heads.append(te.matmul(te.softmax_last_axis(scores, mask), vh))
+    merged = heads[0] if n_heads == 1 else te.concat_last(heads)
+    return te.matmul(merged, wo)

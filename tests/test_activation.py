@@ -509,6 +509,15 @@ class TestFusedValueAndSlope:
                       gated_value_and_slope(0.3, GateConfig(0.5, 4), tab)):
             assert all(isinstance(v, float) for v in fused)
 
+    @pytest.mark.parametrize("x", [0.3, -2.5, 0.0, -0.0, math.inf, -math.inf, math.nan])
+    def test_gelu_takes_scalars_and_0d_arrays(self, x):
+        want_value, want_slope = _reference_gelu(np.array([x]))
+        for arg in (x, np.float64(x), np.array(x)):
+            value, slope = gelu_value_and_slope(arg)
+            assert type(value) is float and type(slope) is float
+            assert _same(value, want_value[0]) and _same(slope, want_slope[0])
+            assert type(gelu(arg)) is float and _same(gelu(arg), want_value[0])
+
     @settings(max_examples=200, deadline=None)
     @given(x=_INPUTS)
     def test_gelu_and_gate_match_reference(self, x):

@@ -216,7 +216,8 @@ class TestTrainFitsOnce:
         dataset = build_dataset(frame, enc_len=16, label_len=8, horizon=4)
         ae = real(dataset.splits.train.enc, hidden=32, bottleneck=8, seed=1,
                   epochs=2)
-        save_autoencoder(tmp_path / "fresh.bin", ae)
+        save_autoencoder(tmp_path / "fresh.bin", ae,
+                         extra_meta=cotn.model._meta_of(CleanConfig(), "data."))
         assert (out / "autoencoder.bin").read_bytes() == (tmp_path / "fresh.bin").read_bytes()
         # And the run matches the workspace run made the same way.
         for name in ("checkpoint.bin", "autoencoder.bin", "norm_stats.txt"):
@@ -397,6 +398,8 @@ class TestMalformedMetadata:
     @pytest.mark.parametrize("key,value,message", [
         ("hidden", "x", "expected an integer, got 'x'"),
         ("tau", "abc", "expected a number, got 'abc'"),
+        ("data.z_max", "high", "expected a number, got 'high'"),
+        ("data.max_ffill_gap", "2.5", "expected an integer, got '2.5'"),
     ])
     def test_autoencoder_value(self, workspace, tmp_path, capsys, key, value,
                                message):
@@ -408,6 +411,16 @@ class TestMalformedMetadata:
                       "--out", str(tmp_path))
         assert code == 1
         assert capsys.readouterr().err == f"error: {bad}: {key!r}: {message}\n"
+
+
+    def test_autoencoder_cleaning_out_of_range(self, workspace, tmp_path, capsys):
+        bad = self._edited(workspace["out"] / "autoencoder.bin",
+                           tmp_path / "bad.bin", "data.z_max", "0")
+        code, _ = run("anomaly", "--data", str(workspace["csv"]), "--ae", str(bad),
+                      "--stats", str(workspace["out"] / "norm_stats.txt"),
+                      "--out", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad}: data.z_max: expected > 0, got 0.0\n"
 
 
 class TestEval:
@@ -588,7 +601,7 @@ class TestAnomaly:
                       "--ae", str(workspace["out"] / "autoencoder.bin"),
                       "--out", str(tmp_path))
         assert code == 0
-        ae = load_autoencoder(workspace["out"] / "autoencoder.bin")
+        ae, _ = load_autoencoder(workspace["out"] / "autoencoder.bin")
         stats = read_stats(workspace["out"] / "norm_stats.txt")
         frame = normalize(featurize(clean(load_csv(workspace["csv"], "ett"))), stats)
         n = frame.n_rows // 16
@@ -638,6 +651,75 @@ class TestAnomaly:
                       "--stats", str(tmp_path / "absent.txt"),
                       "--out", str(tmp_path))
         assert code == 1
+
+
+def _anomaly_text(ae, frame):
+    """The anomaly.csv that scoring this cleaned, normalized frame gives."""
+    length = ae.window_len
+    n = frame.n_rows // length
+    windows = frame.data[: n * length].reshape(n, length, frame.n_features)
+    errors, weights = ae.step_errors(windows), ae.weights(windows)
+    rows = ["window,timestamp,step_error,window_weight"]
+    for i in range(n * length):
+        w = i // length
+        rows.append(f"{w},{epoch_to_text(int(frame.epochs[i]))},"
+                    f"{'%.17g' % errors[w, i % length]},{'%.17g' % weights[w]}")
+    return "\n".join(rows) + "\n"
+
+
+class TestAnomalyCleaning:
+    """cotn anomaly cleans with the thresholds of the training run."""
+
+    @pytest.fixture(scope="class")
+    def spiked(self, workspace, tmp_path_factory):
+        # One OT value about 4 standard deviations out: z_max = 3 flags
+        # it, the default of 5 does not.
+        root = tmp_path_factory.mktemp("spiked")
+        lines = workspace["csv"].read_text().splitlines()
+        ot = np.array([float(line.rsplit(",", 1)[1]) for line in lines[1:]])
+        head, _ = lines[151].rsplit(",", 1)
+        lines[151] = f"{head},{float(ot.mean() + 4.0 * ot.std())!r}"
+        csv = root / "spiked.csv"
+        csv.write_text("\n".join(lines) + "\n")
+        out = root / "run"
+        code, _ = run("train", "--config", str(workspace["cfg"]), "--out", str(out),
+                      "--set", f"data.path={csv}", "--set", "data.z_max=3")
+        assert code == 0
+        return csv, out
+
+    def test_stored_thresholds(self, workspace, spiked):
+        for out, z_max in ((workspace["out"], "5.0"), (spiked[1], "3.0")):
+            _, meta = load_autoencoder(out / "autoencoder.bin")
+            assert {k: v for k, v in meta.items() if k.startswith("data.")} == {
+                "data.max_ffill_gap": "3", "data.z_max": z_max, "data.return_limit": "0.2"}
+
+    def test_scores_data_cleaned_as_training_saw_it(self, spiked, tmp_path):
+        csv, out = spiked
+        code, _ = run("anomaly", "--data", str(csv), "--ae", str(out / "autoencoder.bin"),
+                      "--out", str(tmp_path))
+        assert code == 0
+        ae, _ = load_autoencoder(out / "autoencoder.bin")
+        stats = read_stats(out / "norm_stats.txt")
+        raw = load_csv(csv, "ett")
+        strict, default = clean(raw, CleanConfig(z_max=3.0)), clean(raw)
+        assert len(strict.report) > len(default.report)
+        text = (tmp_path / "anomaly.csv").read_text()
+        assert text == _anomaly_text(ae, normalize(featurize(strict), stats))
+        assert text != _anomaly_text(ae, normalize(featurize(default), stats))
+
+    def test_file_without_thresholds_uses_the_defaults(self, workspace, tmp_path):
+        tensors, meta = te.load_tensors(workspace["out"] / "autoencoder.bin")
+        old = tmp_path / "old.bin"
+        te.save_tensors(old, tensors,
+                        {k: v for k, v in meta.items() if not k.startswith("data.")})
+        stats = workspace["out"] / "norm_stats.txt"
+        code, _ = run("anomaly", "--data", str(workspace["csv"]), "--ae", str(old),
+                      "--stats", str(stats), "--out", str(tmp_path))
+        assert code == 0
+        ae, _ = load_autoencoder(old)
+        frame = normalize(featurize(clean(load_csv(workspace["csv"], "ett"))),
+                          read_stats(stats))
+        assert (tmp_path / "anomaly.csv").read_text() == _anomaly_text(ae, frame)
 
 
 class TestSweep:

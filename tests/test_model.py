@@ -27,7 +27,7 @@ from cotn.model import (
     sinusoidal_position_encoding,
 )
 
-from helpers import IdentityActivation, capture_norm, count_decodes
+from helpers import IdentityActivation, capture_norm, count_decodes, per_head_attention
 
 RNG = np.random.default_rng(123)
 
@@ -136,6 +136,49 @@ class TestAttention:
             2, wq, wk, wv, wo, mask=mask).data
         assert np.array_equal(base[0, :5], pert[0, :5])
         assert not np.allclose(base[0, 5:], pert[0, 5:])
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("kind", ["self", "masked", "batch_masked", "cross"])
+    def test_batched_heads_equal_per_head_reference(self, n_heads, kind):
+        # Output and every gradient, bit for bit: batching the heads only
+        # regroups the same arithmetic.
+        d, lq = 8, 7
+        rng = np.random.default_rng(n_heads)
+        arrays = [rng.standard_normal((d, d)) * 0.4 for _ in range(4)]
+        x = rng.standard_normal((3, lq, d))
+        mem = rng.standard_normal((3, 5, d))
+        mask = None
+        if kind == "masked":
+            mask = causal_mask(lq)
+        elif kind == "batch_masked":
+            mask = np.where(rng.random((3, lq, lq)) < 0.3, te.NEG_INF, 0.0)
+            mask[:, :, 0] = 0.0
+        g_out = te.constant(rng.standard_normal((3, lq, d)))
+
+        def run(attention):
+            weights = [te.parameter(a) for a in arrays]
+            xq = te.parameter(x)
+            kv = xq if kind != "cross" else te.parameter(mem)
+            out = attention(xq, kv, kv, n_heads, *weights, mask=mask)
+            grads = te.backward(te.sum_all(te.mul(out, g_out)))
+            leaves = [xq] + ([kv] if kind == "cross" else []) + weights
+            return out.data, [grads[t] for t in leaves]
+
+        out, grads = run(multi_head_attention)
+        ref_out, ref_grads = run(per_head_attention)
+        assert np.array_equal(out, ref_out)
+        assert len(grads) == len(ref_grads)
+        for g, ref in zip(grads, ref_grads):
+            assert np.array_equal(g, ref)
+
+    def test_no_per_head_slices(self, monkeypatch):
+        calls = []
+        for name in ("slice_last", "concat_last"):
+            monkeypatch.setattr(te, name, lambda *a, **k: calls.append(a))
+        wq, wk, wv, wo = self._weights(8)
+        x = te.parameter(RNG.standard_normal((2, 5, 8)))
+        multi_head_attention(x, x, x, 4, wq, wk, wv, wo)
+        assert calls == []
 
     def test_validation(self):
         d = 8
@@ -553,7 +596,7 @@ class TestAutoencoder:
         ae, windows = self._fitted()
         path = tmp_path / "ae.bin"
         save_autoencoder(path, ae)
-        back = load_autoencoder(path)
+        back, _ = load_autoencoder(path)
         assert back.tau == ae.tau
         assert back.window_len == ae.window_len
         np.testing.assert_allclose(back.step_errors(windows),
@@ -582,7 +625,7 @@ class TestAutoencoder:
         tau = ae.fit_threshold(windows)
         assert type(tau) is float and tau == np.finfo(np.float64).tiny
         save_autoencoder(tmp_path / "ae.bin", ae)
-        assert load_autoencoder(tmp_path / "ae.bin").tau == tau
+        assert load_autoencoder(tmp_path / "ae.bin")[0].tau == tau
 
 
 class TestSettingCodec:

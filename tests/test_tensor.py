@@ -20,6 +20,8 @@ from cotn.tensor import (
     matmul,
     maxpool_time2,
     mean_all,
+    merge_heads,
+    mul,
     parameter,
     repeat_time2,
     save_tensors,
@@ -28,6 +30,7 @@ from cotn.tensor import (
     slice_last,
     slice_time,
     softmax_last_axis,
+    split_heads,
     sum_all,
     topo_order,
     transpose_last2,
@@ -214,6 +217,88 @@ class TestShapeOps:
         check_op(lambda a: shift_time(a, 1), [(2, 4, 3)])
         check_op(lambda a: shift_time(a, -1), [(2, 4, 3)])
         check_op(lambda a: shift_time(a, 0), [(2, 4, 3)])
+
+
+class TestHeads:
+    def test_split_heads_grad(self):
+        check_op(lambda a, w: mul(split_heads(a, 2), w), [(2, 5, 6), (2, 2, 5, 3)])
+
+    def test_merge_heads_grad(self):
+        check_op(lambda a, w: mul(merge_heads(a), w), [(2, 3, 4, 2), (2, 4, 6)])
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 3, 4, 6, 12])
+    def test_round_trip_bit_exact(self, n_heads):
+        x = RNG.standard_normal((3, 5, 12))
+        heads = split_heads(constant(x), n_heads)
+        assert heads.shape == (3, n_heads, 5, 12 // n_heads)
+        dh = 12 // n_heads
+        for h in range(n_heads):
+            assert np.array_equal(heads.data[:, h], x[..., h * dh : (h + 1) * dh])
+        assert np.array_equal(merge_heads(heads).data, x)
+        y = RNG.standard_normal((2, n_heads, 4, 3))
+        assert np.array_equal(split_heads(merge_heads(constant(y)), n_heads).data, y)
+
+    def test_unbatched_input(self):
+        x = RNG.standard_normal((5, 4))
+        assert split_heads(constant(x), 2).shape == (2, 5, 2)
+        assert np.array_equal(merge_heads(split_heads(constant(x), 2)).data, x)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            split_heads(constant(np.zeros((2, 5, 6))), 4)
+        with pytest.raises(ValueError):
+            split_heads(constant(np.zeros(6)), 2)
+        with pytest.raises(ValueError):
+            merge_heads(constant(np.zeros((5, 6))))
+
+
+def _softmax_reference(x, mask=None):
+    # The row-max-over-the-last-axis formula the op must match bit for bit.
+    z = x if mask is None else x + mask
+    z = z - z.max(axis=-1, keepdims=True)
+    ez = np.exp(z)
+    return ez / ez.sum(axis=-1, keepdims=True)
+
+
+def _special_rows():
+    inf, nan = np.inf, np.nan
+    return np.array([
+        [0.0, -0.0, 0.0, -0.0],
+        [-0.0, -0.0, -0.0, -0.0],
+        [inf, 1.0, -inf, 0.0],
+        [inf, inf, 2.0, 0.0],
+        [-inf, -inf, -inf, -inf],
+        [nan, 1.0, 2.0, 3.0],
+        [1.0, nan, -inf, inf],
+        [-1e300, 1e300, -0.0, 5e-324],
+        [NEG_INF, 0.0, NEG_INF, -0.0],
+    ])
+
+
+class TestSoftmaxBits:
+    @pytest.mark.parametrize("x,mask", [
+        (RNG.standard_normal((4, 3, 7, 9)) * 30.0, None),
+        (RNG.standard_normal((5, 2, 6, 6)), np.triu(np.full((6, 6), NEG_INF), 1)),
+        (RNG.standard_normal((3, 6)), np.where(RNG.random((3, 6)) < 0.5, NEG_INF, 0.0)),
+        (RNG.standard_normal(7), None),
+        (_special_rows(), None),
+        (np.zeros((9, 4)), _special_rows()),
+    ])
+    def test_equals_reference(self, x, mask):
+        before = x.copy()
+        with np.errstate(invalid="ignore"):
+            got = softmax_last_axis(constant(x), mask).data
+            want = _softmax_reference(x, mask)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(x, before, equal_nan=True)
+
+    def test_input_left_unwritten(self):
+        x = parameter(RNG.standard_normal((2, 3, 5)))
+        before = x.data.copy()
+        y = softmax_last_axis(x)
+        backward(sum_all(mul(y, constant(RNG.standard_normal((2, 3, 5))))))
+        assert np.array_equal(x.data, before)
 
 
 class TestPooling:

@@ -10,14 +10,16 @@ import pytest
 
 from cotn import training
 from cotn.data import build_dataset, load_csv
-from cotn.model import ActivationMode, ModelConfig
+from cotn.model import ActivationMode, Forecaster, ModelConfig
 from cotn.tensor import parameter
 from cotn.training import (
     Adam,
     TrainConfig,
     TrialReport,
+    _batched_predict,
     _cosine_lr,
     _epochs_to_convergence,
+    _split_metrics,
     fit_autoencoder,
     mae,
     make_synthetic_frame,
@@ -98,6 +100,31 @@ class TestAdam:
         p.grad = np.array([1.0])
         opt.step(lr=0.0)
         assert p.data[0] == 1.0
+
+
+    def test_flat_step_equals_per_parameter_update(self):
+        # Several shapes and a parameter without a gradient; the flat
+        # moments must give each element the per-parameter arithmetic.
+        rng = np.random.default_rng(5)
+        shapes = {"a": (3, 4), "b": (4,), "c": (2, 2, 2), "d": (1,)}
+        params = {n: parameter(rng.standard_normal(s), name=n) for n, s in shapes.items()}
+        ref = {n: p.data.copy() for n, p in params.items()}
+        m = {n: np.zeros(s) for n, s in shapes.items()}
+        v = {n: np.zeros(s) for n, s in shapes.items()}
+        opt = Adam(params, lr=0.01)
+        for t in range(1, 6):
+            grads = {n: rng.standard_normal(s) for n, s in shapes.items()}
+            grads["c" if t % 2 else "d"] = None
+            for n, p in params.items():
+                p.grad = grads[n]
+            opt.step(lr=0.01 / t)
+            bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            for n in shapes:
+                g = grads[n] if grads[n] is not None else np.zeros(shapes[n])
+                m[n] = 0.9 * m[n] + (1.0 - 0.9) * g
+                v[n] = 0.999 * v[n] + (1.0 - 0.999) * (g * g)
+                ref[n] = ref[n] - (0.01 / t) * (m[n] / bc1) / (np.sqrt(v[n] / bc2) + 1e-8)
+                assert np.array_equal(params[n].data, ref[n])
 
 
 class TestSchedule:
@@ -317,6 +344,77 @@ class TestSharedAutoencoder:
         assert summary.metrics["test_mae"]["max"] == max(t_mae)
         assert summary.baseline_metrics["test_mae"]["min"] == min(b_mae)
         assert summary.baseline_metrics["test_mae"]["max"] == max(b_mae)
+
+
+def _capture_stage_histories(monkeypatch) -> list:
+    histories = []
+    real = training._stage_loop
+
+    def capturing(*args, **kwargs):
+        result = real(*args, **kwargs)
+        histories.append(list(result[0]))
+        return result
+
+    monkeypatch.setattr(training, "_stage_loop", capturing)
+    return histories
+
+
+class TestPredictPath:
+    def test_chunk_size_does_not_change_predictions(self, tiny_dataset):
+        model = Forecaster(replace(TINY_MODEL, activation=ActivationMode("gated", 1, 0.5)),
+                           seed=3)
+        train = tiny_dataset.splits.train
+        enc, dec = train.enc[:150], train.dec[:150]
+        preds = [_batched_predict(model, enc, dec, chunk) for chunk in (1, 7, 64, 512)]
+        assert preds[0].shape == (150, 4, 1)
+        for p in preds[1:]:
+            assert np.array_equal(p, preds[0])
+
+    @pytest.mark.parametrize("plan,pretrain", [("direct", 0), ("warm_start", 1)])
+    def test_best_val_loss_is_the_best_history_entry(self, tiny_dataset, monkeypatch,
+                                                     plan, pretrain):
+        histories = _capture_stage_histories(monkeypatch)
+        cfg = tiny_train_cfg(epochs=3, plan=plan, pretrain_epochs=pretrain)
+        _, report = run_training(tiny_dataset, TINY_MODEL, cfg)
+        stage2 = histories[-1]
+        assert len(stage2) == 3 - pretrain
+        assert report.best_val_loss == min(stage2)
+
+    def test_report_predicts_no_validation_windows(self, tiny_dataset, monkeypatch):
+        # After a trained stage 2 the report reuses that stage's best val
+        # prediction: finishing predicts the train and test windows only.
+        in_finish = []
+        seen = []
+        real_finish, real_predict = training._finish_report, Forecaster.predict
+
+        def finish(*args, **kwargs):
+            in_finish.append(True)
+            try:
+                return real_finish(*args, **kwargs)
+            finally:
+                in_finish.pop()
+
+        def predict(self, enc, dec):
+            if in_finish:
+                seen.append(enc.shape[0])
+            return real_predict(self, enc, dec)
+
+        monkeypatch.setattr(training, "_finish_report", finish)
+        monkeypatch.setattr(Forecaster, "predict", predict)
+        run_training(tiny_dataset, TINY_MODEL, tiny_train_cfg(epochs=2))
+        splits = tiny_dataset.splits
+        assert splits.val.n_windows > 0
+        assert sum(seen) == splits.train.n_windows + splits.test.n_windows
+
+    def test_no_stage2_epochs_predicts_validation_afresh(self, tiny_dataset):
+        # The whole budget pretrains under GELU, so no stage-2 prediction
+        # exists; the report must be the gated model's fresh prediction.
+        cfg = tiny_train_cfg(epochs=2, plan="warm_start", pretrain_epochs=2)
+        model, report = run_training(tiny_dataset, TINY_MODEL, cfg)
+        assert report.activation == model.activation.name != "gelu"
+        val = tiny_dataset.splits.val
+        assert report.best_val_loss == mse(_batched_predict(model, val.enc, val.dec), val.tgt)
+        assert (report.val_mae, report.val_mse) == _split_metrics(model, tiny_dataset, "val")
 
 
 class TestWarmStart:
