@@ -510,7 +510,8 @@ def cmd_anomaly(args) -> int:
         raise RuntimeError(
             f"need at least {length} rows to score, have {frame.n_rows}"
         )
-    # Non-overlapping windows of consecutive rows, scored in one batch.
+    # Non-overlapping windows of consecutive rows, scored once, in chunks
+    # with the bits of one batch.
     windows = frame.data[: n_windows * length].reshape(n_windows, length, -1)
     errors = ae.step_errors(windows)
     weights = ae.error_weights(errors)

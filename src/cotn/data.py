@@ -579,7 +579,21 @@ def write_stats(path, stats: NormStats) -> None:
             fh.write(f"# dropped,{name}\n")
 
 
+def _stat_value(path, line_no: int, feature: str, what: str, text: str) -> float:
+    where = f"{path}: line {line_no}: {what} of {feature!r}"
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError(f"{where} is not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(f"{where} is not finite: {text!r}")
+    return value
+
+
 def read_stats(path) -> NormStats:
+    """Read stats written by write_stats; a ParseError names the file and
+    the line of a malformed row, a value that is not a finite number, or a
+    std that is not > 0."""
     names: list[str] = []
     mean: list[float] = []
     std: list[float] = []
@@ -598,9 +612,18 @@ def read_stats(path) -> NormStats:
             parts = line.split(",")
             if len(parts) != 3:
                 raise ParseError(f"{path}: line {line_no}: expected 3 fields")
+            m = _stat_value(path, line_no, parts[0], "mean", parts[1])
+            s = _stat_value(path, line_no, parts[0], "std", parts[2])
+            # A zero std would divide by zero: constant features are listed
+            # as dropped instead.
+            if not s > 0.0:
+                raise ParseError(
+                    f"{path}: line {line_no}: std of {parts[0]!r} must be > 0, "
+                    f"got {parts[2]!r}"
+                )
             names.append(parts[0])
-            mean.append(float(parts[1]))
-            std.append(float(parts[2]))
+            mean.append(m)
+            std.append(s)
     return NormStats(tuple(names), np.asarray(mean), np.asarray(std), tuple(dropped))
 
 
@@ -660,26 +683,26 @@ def _windows_in_range(
     enc_len: int, label_len: int, horizon: int, stride: int,
 ) -> WindowBatch:
     total = enc_len + horizon
-    enc_list, dec_list, tgt_list, starts = [], [], [], []
-    t_idx = frame.target_index
+    starts = np.arange(row_lo, max(row_lo, row_hi - total + 1), stride, dtype=np.int64)
+    # changes[t] counts the segment changes in rows 1..t, so a window
+    # [s, s + total) stays in one segment when the count does not move.
     seg = frame.segment_ids
-    s = row_lo
-    while s + total <= row_hi:
-        if np.all(seg[s : s + total] == seg[s]):
-            enc_list.append(frame.data[s : s + enc_len])
-            known = frame.data[s + enc_len - label_len : s + enc_len]
-            pad = np.zeros((horizon, frame.n_features))
-            dec_list.append(np.concatenate([known, pad], axis=0))
-            tgt_list.append(frame.data[s + enc_len : s + total, t_idx : t_idx + 1])
-            starts.append(s)
-        s += stride
-    if not enc_list:
+    changes = np.zeros(seg.size, dtype=np.int64)
+    np.cumsum(seg[1:] != seg[:-1], out=changes[1:])
+    starts = starts[changes[starts + total - 1] == changes[starts]]
+    if starts.size == 0:
         return _empty_batch(enc_len, label_len, horizon, frame.n_features)
+    # Fancy indexing makes C-contiguous windows whatever the frame's
+    # layout, so flattening a window is a view, not a copy.
+    data = frame.data
+    rows = starts[:, None] + np.arange(total)
+    dec = np.zeros((starts.size, label_len + horizon, frame.n_features))
+    dec[:, :label_len] = data[rows[:, enc_len - label_len : enc_len]]
     return WindowBatch(
-        enc=np.stack(enc_list),
-        dec=np.stack(dec_list),
-        tgt=np.stack(tgt_list),
-        starts=np.asarray(starts, dtype=np.int64),
+        enc=data[rows[:, :enc_len]],
+        dec=dec,
+        tgt=data[rows[:, enc_len:], frame.target_index][:, :, None],
+        starts=starts,
     )
 
 

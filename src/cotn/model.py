@@ -441,6 +441,11 @@ class Forecaster:
 
 # -- anomaly scoring ------------------------------------------------------
 
+# Windows per autoencoder scoring pass. Each pass makes a few
+# (SCORE_CHUNK, window_len * n_features) arrays, so at 512 windows of
+# 24 x 7 a pass holds about 0.7 MB each, however many windows are scored.
+SCORE_CHUNK = 512
+
 
 class Autoencoder:
     """Two-layer dense encoder/decoder over flattened windows.
@@ -473,7 +478,7 @@ class Autoencoder:
                 te.glorot_uniform(rng, fi, fo, (fi, fo)), name=f"{name}.w")
             self.params[f"{name}.b"] = te.parameter(np.zeros(fo), name=f"{name}.b")
 
-    def _flatten(self, windows: np.ndarray) -> np.ndarray:
+    def _windows(self, windows: np.ndarray) -> np.ndarray:
         w = np.asarray(windows, dtype=np.float64)
         if w.ndim == 2:
             w = w[None]
@@ -482,7 +487,7 @@ class Autoencoder:
                 f"expected (n, {self.window_len}, {self.n_features}) windows, "
                 f"got {np.asarray(windows).shape}"
             )
-        return w.reshape(w.shape[0], -1)
+        return w
 
     def reconstruct(self, flat: Tensor) -> Tensor:
         p = self.params
@@ -498,13 +503,25 @@ class Autoencoder:
 
         Each step's error is the mean over features of the squared
         difference between the window and its reconstruction. Runs under
-        te.no_grad().
+        te.no_grad(), SCORE_CHUNK windows at a time; a window's errors
+        do not depend on the chunk it is scored in.
         """
-        flat = self._flatten(windows)
+        w = self._windows(windows)
+        n = w.shape[0]
+        out = np.empty((n, self.window_len))
+        lo = 0
         with te.no_grad():
-            recon = self.reconstruct(te.constant(flat)).data
-        sq = (flat - recon) ** 2
-        return sq.reshape(-1, self.window_len, self.n_features).mean(axis=2)
+            while lo < n:
+                # A lone last window joins the chunk before it: numpy takes
+                # one row through a matrix-vector product, which rounds
+                # differently from the matrix product of many rows.
+                hi = n if n - lo == SCORE_CHUNK + 1 else min(lo + SCORE_CHUNK, n)
+                flat = w[lo:hi].reshape(hi - lo, -1)
+                sq = (flat - self.reconstruct(te.constant(flat)).data) ** 2
+                np.mean(sq.reshape(-1, self.window_len, self.n_features), axis=2,
+                        out=out[lo:hi])
+                lo = hi
+        return out
 
     def fit_threshold(self, train_windows: np.ndarray) -> float:
         """Set tau to the 95th percentile of training-split step errors."""

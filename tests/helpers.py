@@ -1,11 +1,12 @@
-"""Test-only activation handles, probes of the forecaster's forward pass
-and a reference attention.
+"""Test-only activation handles, probes of the forecaster's forward pass,
+a reference attention and a reference window cutter.
 
 The handles implement the protocol cotn.tensor.apply_activation consumes:
 value(x) when no gradient is recorded, value_and_slope(x) when the tape
 records one. The probes observe a Forecaster from outside, through
 pytest's monkeypatch, so the model carries no hooks of its own. The
-per-head attention is the reference for the batched one.
+per-head attention is the reference for the batched one, and the
+window-by-window loop the reference for the gather in cotn.data.window.
 """
 
 import math
@@ -13,6 +14,7 @@ import math
 import numpy as np
 
 import cotn.tensor as te
+from cotn.data import FeatureFrame, WindowBatch
 from cotn.model import Forecaster
 
 
@@ -84,3 +86,36 @@ def per_head_attention(q, k, v, n_heads, wq, wk, wv, wo, mask=None):
         heads.append(te.matmul(te.softmax_last_axis(scores, mask), vh))
     merged = heads[0] if n_heads == 1 else te.concat_last(heads)
     return te.matmul(merged, wo)
+
+
+def loop_windows(frame: FeatureFrame, row_lo: int, row_hi: int, enc_len: int,
+                 label_len: int, horizon: int, stride: int) -> WindowBatch:
+    """The windows of rows [row_lo, row_hi), one start at a time: a start
+    is kept when every row of its window lies in the start's segment."""
+    total = enc_len + horizon
+    enc_list, dec_list, tgt_list, starts = [], [], [], []
+    t_idx = frame.target_index
+    seg = frame.segment_ids
+    s = row_lo
+    while s + total <= row_hi:
+        if np.all(seg[s : s + total] == seg[s]):
+            enc_list.append(frame.data[s : s + enc_len])
+            known = frame.data[s + enc_len - label_len : s + enc_len]
+            pad = np.zeros((horizon, frame.n_features))
+            dec_list.append(np.concatenate([known, pad], axis=0))
+            tgt_list.append(frame.data[s + enc_len : s + total, t_idx : t_idx + 1])
+            starts.append(s)
+        s += stride
+    if not enc_list:
+        return WindowBatch(
+            enc=np.empty((0, enc_len, frame.n_features)),
+            dec=np.empty((0, label_len + horizon, frame.n_features)),
+            tgt=np.empty((0, horizon, 1)),
+            starts=np.empty(0, dtype=np.int64),
+        )
+    return WindowBatch(
+        enc=np.stack(enc_list),
+        dec=np.stack(dec_list),
+        tgt=np.stack(tgt_list),
+        starts=np.asarray(starts, dtype=np.int64),
+    )

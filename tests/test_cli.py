@@ -629,12 +629,19 @@ class TestAnomaly:
         assert code == 1
         assert str(broken) in err and "'enc1.w'" in err
 
-    def test_one_autoencoder_pass(self, workspace, tmp_path, monkeypatch):
+    @pytest.fixture(scope="class")
+    def long_csv(self, tmp_path_factory):
+        """An ETT file holding more 16-row windows than one scoring chunk."""
+        path = tmp_path_factory.mktemp("long") / "long.csv"
+        write_synthetic_ett_csv(path, seed=12, length=16 * (cotn.model.SCORE_CHUNK + 40))
+        return path
+
+    def test_one_autoencoder_pass(self, workspace, long_csv, tmp_path, monkeypatch):
         calls = []
         real = Autoencoder.reconstruct
 
         def counting(self, flat):
-            calls.append(flat.shape)
+            calls.append(flat.data.copy())
             return real(self, flat)
 
         monkeypatch.setattr(Autoencoder, "reconstruct", counting)
@@ -643,6 +650,39 @@ class TestAnomaly:
                       "--out", str(tmp_path))
         assert code == 0
         assert len(calls) == 1
+        # Past one chunk, the passes together score every window once, in order.
+        del calls[:]
+        code, _ = run("anomaly", "--data", str(long_csv),
+                      "--ae", str(workspace["out"] / "autoencoder.bin"),
+                      "--out", str(tmp_path / "long"))
+        assert code == 0
+        frame = normalize(featurize(clean(load_csv(long_csv, "ett"))),
+                          read_stats(workspace["out"] / "norm_stats.txt"))
+        n = frame.n_rows // 16
+        assert n > cotn.model.SCORE_CHUNK and len(calls) > 1
+        assert np.array_equal(np.concatenate(calls), frame.data[: n * 16].reshape(n, -1))
+
+    @pytest.mark.parametrize("mean,std,problem", [
+        ("abc", "1", "mean of 'OT' is not a number: 'abc'"),
+        ("nan", "1", "mean of 'OT' is not finite: 'nan'"),
+        ("0", "", "std of 'OT' is not a number: ''"),
+        ("0", "inf", "std of 'OT' is not finite: 'inf'"),
+        ("0", "0", "std of 'OT' must be > 0, got '0'"),
+        ("0", "-1e-3", "std of 'OT' must be > 0, got '-1e-3'"),
+    ])
+    def test_bad_stats_value_names_file_and_line(self, workspace, tmp_path, capsys,
+                                                 mean, std, problem):
+        lines = (workspace["out"] / "norm_stats.txt").read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("OT,"))
+        lines[i] = f"OT,{mean},{std}"
+        stats = tmp_path / "stats.txt"
+        stats.write_text("\n".join(lines) + "\n")
+        code, _ = run("anomaly", "--data", str(workspace["csv"]),
+                      "--ae", str(workspace["out"] / "autoencoder.bin"),
+                      "--stats", str(stats), "--out", str(tmp_path))
+        assert code == 1
+        assert f"error: {stats}: line {i + 1}: {problem}" in capsys.readouterr().err
+        assert not (tmp_path / "anomaly.csv").exists()
 
     def test_missing_stats_file_is_runtime_error(self, workspace, tmp_path):
         code, _ = run("anomaly",

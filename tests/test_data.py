@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotn.data import (
+    SCHEMAS,
     CleanConfig,
     FeatureFrame,
     ParseError,
@@ -27,6 +28,7 @@ from cotn.data import (
     window,
     write_stats,
 )
+from helpers import loop_windows
 
 HOUR = 3600
 T0 = 1577836800  # 2020-01-01 00:00:00 UTC
@@ -514,6 +516,69 @@ class TestWindows:
             window(frame, 6, 3, 0)
         with pytest.raises(ValueError):
             window(frame, 6, 3, 2, ratios=(0.5, 0.2, 0.2))
+
+
+def _segmented_frame(n, changes, schema="ett", seed=0):
+    """A random column-major frame, like a normalized one, whose segment id
+    goes up by one at each row in ``changes``."""
+    rng = np.random.default_rng(seed)
+    names = SCHEMAS[schema]["columns"]
+    seg = np.zeros(n, dtype=np.int64)
+    for c in changes:
+        seg[c:] += 1
+    return FeatureFrame(T0 + HOUR * np.arange(n, dtype=np.int64), seg,
+                        np.asfortranarray(rng.standard_normal((n, len(names)))),
+                        names, SCHEMAS[schema]["target"], HOUR)
+
+
+class TestWindowGather:
+    """window() gathers exactly the windows of the one-start-at-a-time loop."""
+
+    CASES = {
+        # Short segments (one of a single row) inside every split.
+        "gaps": (150, (17, 18, 50, 93, 100, 131), (0.6, 0.15, 0.25)),
+        # The validation split is shorter than one window.
+        "short-val": (120, (40,), (0.8, 0.05, 0.15)),
+        # Segments too short for any window in the test split.
+        "fragmented-test": (100, (75, 82, 89, 96), (0.7, 0.05, 0.25)),
+        "one-segment": (64, (), (0.7, 0.1, 0.2)),
+    }
+
+    @pytest.mark.parametrize("schema", ["ett", "ohlcv"])
+    @pytest.mark.parametrize("stride", [1, 3, 7])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_the_loop_bit_for_bit(self, case, stride, schema):
+        n, changes, ratios = self.CASES[case]
+        frame = _segmented_frame(n, changes, schema, seed=stride)
+        assert not frame.data.flags.c_contiguous
+        splits = window(frame, 8, 4, 3, stride=stride, ratios=ratios)
+        bounds = (0,) + splits.boundaries
+        for i, name in enumerate(("train", "val", "test")):
+            got = getattr(splits, name)
+            want = loop_windows(frame, bounds[i], bounds[i + 1], 8, 4, 3, stride)
+            for field in ("enc", "dec", "tgt", "starts"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and a.shape == b.shape, (name, field)
+                assert a.tobytes() == b.tobytes(), (name, field)
+                assert a.flags.c_contiguous, (name, field)
+
+    def test_cases_cover_empty_and_fragmented_splits(self):
+        n, changes, ratios = self.CASES["short-val"]
+        assert window(_segmented_frame(n, changes), 8, 4, 3,
+                      ratios=ratios).val.n_windows == 0
+        n, changes, ratios = self.CASES["fragmented-test"]
+        test = window(_segmented_frame(n, changes), 8, 4, 3, ratios=ratios).test
+        assert test.n_windows == 0 and n - 75 >= 11
+
+    def test_window_ending_on_a_split_boundary(self):
+        frame = _segmented_frame(100, (30,))
+        splits = window(frame, 8, 4, 3, ratios=(0.7, 0.1, 0.2))
+        # The last training window's targets end on row 69, the split's last.
+        assert splits.train.starts[-1] + 11 == splits.boundaries[0] == 70
+        assert np.array_equal(splits.train.tgt[-1, :, 0],
+                              frame.data[67:70, frame.target_index])
+        # Starts 20..29 would straddle the segment change at row 30.
+        assert not np.any((splits.train.starts > 19) & (splits.train.starts < 30))
 
 
 class TestBuildDataset:

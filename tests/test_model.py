@@ -1,6 +1,7 @@
 """Forecaster architecture, distillation, decoding, anomaly scorer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -626,6 +627,66 @@ class TestAutoencoder:
         assert type(tau) is float and tau == np.finfo(np.float64).tiny
         save_autoencoder(tmp_path / "ae.bin", ae)
         assert load_autoencoder(tmp_path / "ae.bin")[0].tau == tau
+
+
+class TestChunkedScoring:
+    """step_errors scores SCORE_CHUNK windows per pass, with the bits of one
+    pass over all of them and in memory that does not grow with them."""
+
+    C = cotn.model.SCORE_CHUNK
+
+    @staticmethod
+    def _setup(n, seed=0):
+        ae = Autoencoder(24, 7, seed=seed + 1)
+        ae.tau = 1.0
+        return ae, np.random.default_rng(seed).standard_normal((n, 24, 7))
+
+    @staticmethod
+    def _one_pass(ae, windows):
+        flat = windows.reshape(windows.shape[0], -1)
+        with te.no_grad():
+            recon = ae.reconstruct(te.constant(flat)).data
+        return ((flat - recon) ** 2).reshape(-1, 24, 7).mean(axis=2)
+
+    @pytest.mark.parametrize("n", [1, C - 1, C, C + 1, 3 * C + 5])
+    def test_equals_one_pass_bit_for_bit(self, n):
+        ae, windows = self._setup(n, seed=n)
+        got = ae.step_errors(windows)
+        assert got.shape == (n, 24) and got.flags.c_contiguous
+        assert got.tobytes() == self._one_pass(ae, windows).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, C + 1, 2 * C, 2 * C + 1, 3 * C + 5])
+    def test_every_window_scored_once(self, n, monkeypatch):
+        ae, windows = self._setup(n)
+        rows = []
+        real = Autoencoder.reconstruct
+
+        def recording(self, flat):
+            rows.append(flat.data.copy())
+            return real(self, flat)
+
+        monkeypatch.setattr(Autoencoder, "reconstruct", recording)
+        ae.step_errors(windows)
+        assert np.array_equal(np.concatenate(rows), windows.reshape(n, -1))
+        assert all(len(r) <= self.C + 1 for r in rows)
+        # No pass of a lone window after the first: one row takes numpy's
+        # matrix-vector product, which rounds differently.
+        assert n == 1 or min(len(r) for r in rows) > 1
+
+    def test_memory_does_not_grow_with_the_windows(self):
+        ae, windows = self._setup(8 * self.C)
+        ae.step_errors(windows[:2])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            errors = ae.step_errors(windows)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # The output plus a handful of one-chunk arrays; one pass over all
+        # 8 chunks held three arrays the size of the windows (12.4 MB).
+        chunk_bytes = self.C * 24 * 7 * 8
+        assert peak < errors.nbytes + 6 * chunk_bytes < windows.nbytes
 
 
 class TestSettingCodec:
