@@ -216,7 +216,7 @@ def _build_train_cfg(cfg: dict[str, dict], mode: ActivationMode,
     try:
         return TrainConfig(activation=mode, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"train configuration invalid: {exc}") from None
+        raise ConfigError(f"train.{exc}") from None
 
 
 def _configure(args):
@@ -258,10 +258,9 @@ def _parse_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _load_frame(spec: DataSpec, args):
-    _vlog(args, f"loading {spec.path} ({spec.schema})")
-    raw = load_csv(spec.path, spec.schema)
-    cleaned = clean(raw, spec.cleaning())
+def _load_frame(path: str, schema: str, cleaning: CleanConfig, args):
+    _vlog(args, f"loading {path} ({schema})")
+    cleaned = clean(load_csv(path, schema), cleaning)
     frame = featurize(cleaned)
     _vlog(args, f"{cleaned.n_rows} rows, {frame.n_features} features, "
                 f"{len(cleaned.report)} cleaning actions")
@@ -269,7 +268,7 @@ def _load_frame(spec: DataSpec, args):
 
 
 def _prepare_dataset(spec: DataSpec, args):
-    frame, cleaned = _load_frame(spec, args)
+    frame, cleaned = _load_frame(spec.path, spec.schema, spec.cleaning(), args)
     dataset = build_dataset(
         frame,
         enc_len=spec.enc_len,
@@ -390,7 +389,7 @@ def _restore(args) -> tuple[Forecaster, Dataset]:
     model, extra, meta = load_forecaster(args.checkpoint)
     stats = _stats_from_extra(extra, meta, args.checkpoint)
     spec = _spec_from_meta(meta, model.cfg, args.data, args.checkpoint)
-    frame, _ = _load_frame(spec, args)
+    frame, _ = _load_frame(spec.path, spec.schema, spec.cleaning(), args)
     n_train = int(math.floor(spec.train_ratio * frame.n_rows))
     if n_train < 2:
         raise ValueError(f"training split of {n_train} rows is too small")
@@ -497,8 +496,8 @@ def cmd_anomaly(args) -> int:
         os.path.dirname(os.path.abspath(args.ae)), "norm_stats.txt"
     )
     stats = read_stats(stats_path)
-    raw = load_csv(args.data, args.schema)
-    frame = normalize(featurize(clean(raw, cleaning)), stats)
+    frame, _ = _load_frame(args.data, args.schema, cleaning, args)
+    frame = normalize(frame, stats)
     if frame.n_features != ae.n_features:
         raise RuntimeError(
             f"data has {frame.n_features} features but the autoencoder "

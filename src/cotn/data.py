@@ -8,10 +8,13 @@ boundaries so no window ever straddles a discontinuity.
 
 Outlier passes (return filter for financial data, then a Z-score filter)
 are iterated to a joint fixed point, which makes cleaning idempotent:
-running clean() on its own output changes nothing.
+running clean() on its own output changes nothing. The Z-score filter's
+mean and std are taken over the whole cleaned file, all splits included,
+so validation and test rows decide which training rows it forward-fills.
 
 Normalization statistics are always fitted on the training split alone
-and applied everywhere, so later splits leak nothing backwards.
+and applied everywhere, so later splits leak nothing backwards through
+them.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from datetime import datetime, timezone
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "ParseError",
@@ -222,67 +226,51 @@ class CleanConfig:
 
 
 def _dedup(
-    ep: np.ndarray, cols: dict, seg: np.ndarray, report: list
-) -> tuple[np.ndarray, dict, np.ndarray]:
+    ep: np.ndarray, rows: np.ndarray, seg: np.ndarray, report: list
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     keep = np.ones(ep.size, dtype=bool)
     keep[1:] = ep[1:] != ep[:-1]
     for e in ep[~keep]:
         report.append(CleaningAction(int(e), "drop", "duplicate timestamp"))
     if keep.all():
-        return ep, cols, seg
-    return ep[keep], {k: v[keep] for k, v in cols.items()}, seg[keep]
+        return ep, rows, seg
+    return ep[keep], rows[keep], seg[keep]
 
 
 def _fill_gaps(
-    ep: np.ndarray, cols: dict, seg_in: np.ndarray, period: int,
+    ep: np.ndarray, rows: np.ndarray, seg_in: np.ndarray, period: int,
     max_gap: int, report: list
-) -> tuple[np.ndarray, dict, np.ndarray]:
-    names = list(cols)
-    out_ep: list[int] = [int(ep[0])]
-    out_rows: list[list[float]] = [[cols[n][0] for n in names]]
-    seg_ids: list[int] = [0]
-    seg = 0
-    for t in range(1, ep.size):
-        delta = int(ep[t] - ep[t - 1])
-        missing = int(round(delta / period)) - 1
-        if missing > max_gap:
-            seg += 1
-            # Re-cleaning already-segmented data rediscovers the same
-            # gaps; only report splits the input did not know about.
-            if seg_in[t] == seg_in[t - 1]:
-                report.append(
-                    CleaningAction(
-                        int(ep[t]), "split",
-                        f"gap of {missing} periods before this row",
-                    )
-                )
-        elif missing > 0:
-            prev = out_rows[-1]
-            for j in range(1, missing + 1):
-                e_fill = int(ep[t - 1]) + j * period
-                out_ep.append(e_fill)
-                out_rows.append(list(prev))
-                seg_ids.append(seg)
-                report.append(
-                    CleaningAction(e_fill, "fill", "gap forward-filled")
-                )
-        out_ep.append(int(ep[t]))
-        out_rows.append([cols[n][t] for n in names])
-        seg_ids.append(seg)
-    arr = np.asarray(out_rows, dtype=np.float64)
-    new_cols = {n: arr[:, j].copy() for j, n in enumerate(names)}
-    return (
-        np.asarray(out_ep, dtype=np.int64),
-        new_cols,
-        np.asarray(seg_ids, dtype=np.int64),
-    )
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    missing = np.rint(np.diff(ep) / period).astype(np.int64) - 1
+    split = missing > max_gap
+    # Row t-1 is repeated once per period missing before row t, unless
+    # the gap splits, which starts a new segment at row t.
+    fills = np.where(split, 0, np.maximum(missing, 0))
+    reps = np.ones(ep.size, dtype=np.int64)
+    reps[:-1] += fills
+    seg = np.zeros(ep.size, dtype=np.int64)
+    np.cumsum(split, out=seg[1:])
+    first = np.repeat(np.cumsum(reps) - reps, reps)
+    out_ep = np.repeat(ep, reps) + (np.arange(first.size) - first) * period
+    for i in np.flatnonzero(missing > 0):
+        if not split[i]:
+            for j in range(1, missing[i] + 1):
+                report.append(CleaningAction(
+                    int(ep[i]) + j * period, "fill", "gap forward-filled"))
+        # Re-cleaning already-segmented data rediscovers the same gaps;
+        # only report splits the input did not know about.
+        elif seg_in[i + 1] == seg_in[i]:
+            report.append(CleaningAction(
+                int(ep[i + 1]), "split", f"gap of {missing[i]} periods before this row"))
+    return out_ep, np.repeat(rows, reps, axis=0), np.repeat(seg, reps)
 
 
 def _return_pass(
     close: np.ndarray, rows: np.ndarray, seg: np.ndarray, limit: float,
     flagged: dict[int, str],
 ) -> bool:
-    """Forward-fill rows whose close-to-close return exceeds the limit."""
+    """Forward-fill rows whose close-to-close return exceeds the limit, in
+    a scan: each return is taken against the row filled just before it."""
     changed = False
     for t in range(1, rows.shape[0]):
         if seg[t] != seg[t - 1]:
@@ -303,26 +291,32 @@ def _zscore_pass(
     rows: np.ndarray, seg: np.ndarray, names: list[str], z_max: float,
     flagged: dict[int, str],
 ) -> bool:
-    """Forward-fill rows where any column sits beyond z_max deviations."""
+    """Forward-fill rows where any column sits beyond z_max deviations.
+
+    A candidate (worst z beyond z_max, previous row in its segment) is
+    filled when it differs from the last earlier non-candidate row, which
+    every unfilled candidate since equals. A filled row copies the last
+    earlier unfilled row, whose zeros may carry the other sign.
+    """
     mean = rows.mean(axis=0)
     std = rows.std(axis=0)
     live = std > 0.0
     if not live.any():
         return False
-    changed = False
-    for t in range(1, rows.shape[0]):
-        if seg[t] != seg[t - 1]:
-            continue
-        z = np.zeros(rows.shape[1])
-        z[live] = np.abs(rows[t, live] - mean[live]) / std[live]
-        worst = int(np.argmax(z))
-        if z[worst] > z_max and not np.array_equal(rows[t], rows[t - 1]):
-            flagged.setdefault(
-                t, f"column {names[worst]} z-score {z[worst]:.2f} beyond {z_max:g}"
-            )
-            rows[t] = rows[t - 1]
-            changed = True
-    return changed
+    z = np.zeros(rows.shape)
+    z[:, live] = np.abs(rows[:, live] - mean[live]) / std[live]
+    worst = np.argmax(z, axis=1)
+    at = np.arange(rows.shape[0])
+    z_worst = z[at, worst]
+    cand = np.append(False, (z_worst[1:] > z_max) & (seg[1:] == seg[:-1]))
+    anchor = np.maximum.accumulate(np.where(cand, 0, at))
+    fill = cand & (rows != rows[anchor]).any(axis=1)
+    for t in np.flatnonzero(fill):
+        flagged.setdefault(
+            int(t), f"column {names[worst[t]]} z-score {z_worst[t]:.2f} beyond {z_max:g}"
+        )
+    rows[:] = rows[np.maximum.accumulate(np.where(fill, 0, at))]
+    return bool(fill.any())
 
 
 def clean(raw: RawSeries, cfg: CleanConfig = CleanConfig()) -> RawSeries:
@@ -337,10 +331,10 @@ def clean(raw: RawSeries, cfg: CleanConfig = CleanConfig()) -> RawSeries:
     if raw.n_rows == 0:
         raise ValueError("cannot clean an empty series")
     report: list[CleaningAction] = []
-    ep, cols, seg_in = _dedup(raw.epochs, raw.columns, raw.segment_ids, report)
-    ep, cols, seg = _fill_gaps(ep, cols, seg_in, raw.period, cfg.max_ffill_gap, report)
-    names = list(cols)
-    rows = np.stack([cols[n] for n in names], axis=1)
+    names = list(raw.columns)
+    rows = np.stack([raw.columns[n] for n in names], axis=1, dtype=np.float64)
+    ep, rows, seg_in = _dedup(raw.epochs, rows, raw.segment_ids, report)
+    ep, rows, seg = _fill_gaps(ep, rows, seg_in, raw.period, cfg.max_ffill_gap, report)
     close_idx = names.index("close") if raw.schema == "ohlcv" else None
     flagged: dict[int, str] = {}
     for _ in range(rows.shape[0] + 1):
@@ -388,8 +382,7 @@ def rolling_std(values: np.ndarray, window: int) -> np.ndarray:
     if window < 1 or window > v.size:
         raise ValueError(f"window must be in 1..{v.size}, got {window}")
     out = np.full(v.size, np.nan)
-    for i in range(window - 1, v.size):
-        out[i] = np.std(v[i - window + 1 : i + 1])
+    out[window - 1 :] = sliding_window_view(v, window).std(axis=1)
     return out
 
 

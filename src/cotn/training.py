@@ -152,18 +152,20 @@ class TrainConfig:
     ae_epochs: int = 40
 
     def __post_init__(self) -> None:
-        if self.epochs < 1 or self.batch_size < 1 or self.patience < 0:
-            raise ValueError("epochs/batch_size must be >= 1 and patience >= 0")
-        if self.lr <= 0 or self.w_distill < 0:
-            raise ValueError("lr must be > 0 and w_distill >= 0")
-        if self.lr_schedule not in ("cosine", "constant"):
-            raise ValueError(f"unknown lr schedule {self.lr_schedule!r}")
-        if self.plan not in ("direct", "warm_start"):
-            raise ValueError(f"unknown plan {self.plan!r}")
-        if not 0 <= self.pretrain_epochs <= self.epochs:
-            raise ValueError(
-                f"pretrain_epochs must be in 0..epochs, got {self.pretrain_epochs}"
-            )
+        # Each message starts with the setting's name; nan fails every
+        # check, and inf fails the rate and the weight.
+        for name, ok, want in (
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("patience", self.patience >= 0, ">= 0"),
+            ("lr", 0 < self.lr < math.inf, "a finite number > 0"),
+            ("w_distill", 0 <= self.w_distill < math.inf, "a finite number >= 0"),
+            ("lr_schedule", self.lr_schedule in ("cosine", "constant"), "cosine or constant"),
+            ("plan", self.plan in ("direct", "warm_start"), "direct or warm_start"),
+            ("pretrain_epochs", 0 <= self.pretrain_epochs <= self.epochs, "0..epochs"),
+        ):
+            if not ok:
+                raise ValueError(f"{name}: expected {want}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -344,7 +346,6 @@ def _stage_loop(
     n = train.n_windows
     if n == 0:
         raise ValueError("training split has no windows")
-    w_sum = float(weights.sum()) if weights is not None else float(n)
     opt = Adam(model.params, lr=cfg.lr)
     history: list[float] = []
     best_val = math.inf

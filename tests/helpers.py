@@ -5,8 +5,9 @@ The handles implement the protocol cotn.tensor.apply_activation consumes:
 value(x) when no gradient is recorded, value_and_slope(x) when the tape
 records one. The probes observe a Forecaster from outside, through
 pytest's monkeypatch, so the model carries no hooks of its own. The
-per-head attention is the reference for the batched one, and the
-window-by-window loop the reference for the gather in cotn.data.window.
+per-head attention is the reference for the batched one, the
+window-by-window loop the reference for the gather in cotn.data.window,
+and the row-by-row cleaner the reference for cotn.data.clean.
 """
 
 import math
@@ -14,7 +15,14 @@ import math
 import numpy as np
 
 import cotn.tensor as te
-from cotn.data import FeatureFrame, WindowBatch
+from cotn.data import (
+    CleanConfig,
+    CleaningAction,
+    FeatureFrame,
+    RawSeries,
+    WindowBatch,
+    _return_pass,
+)
 from cotn.model import Forecaster
 
 
@@ -119,3 +127,95 @@ def loop_windows(frame: FeatureFrame, row_lo: int, row_hi: int, enc_len: int,
         tgt=np.stack(tgt_list),
         starts=np.asarray(starts, dtype=np.int64),
     )
+
+
+def _loop_dedup(ep, cols, seg, report):
+    keep = np.ones(ep.size, dtype=bool)
+    keep[1:] = ep[1:] != ep[:-1]
+    for e in ep[~keep]:
+        report.append(CleaningAction(int(e), "drop", "duplicate timestamp"))
+    if keep.all():
+        return ep, cols, seg
+    return ep[keep], {k: v[keep] for k, v in cols.items()}, seg[keep]
+
+
+def _loop_fill_gaps(ep, cols, seg_in, period, max_gap, report):
+    names = list(cols)
+    out_ep = [int(ep[0])]
+    out_rows = [[cols[n][0] for n in names]]
+    seg_ids = [0]
+    seg = 0
+    for t in range(1, ep.size):
+        delta = int(ep[t] - ep[t - 1])
+        missing = int(round(delta / period)) - 1
+        if missing > max_gap:
+            seg += 1
+            if seg_in[t] == seg_in[t - 1]:
+                report.append(CleaningAction(
+                    int(ep[t]), "split", f"gap of {missing} periods before this row"))
+        elif missing > 0:
+            prev = out_rows[-1]
+            for j in range(1, missing + 1):
+                e_fill = int(ep[t - 1]) + j * period
+                out_ep.append(e_fill)
+                out_rows.append(list(prev))
+                seg_ids.append(seg)
+                report.append(CleaningAction(e_fill, "fill", "gap forward-filled"))
+        out_ep.append(int(ep[t]))
+        out_rows.append([cols[n][t] for n in names])
+        seg_ids.append(seg)
+    arr = np.asarray(out_rows, dtype=np.float64)
+    return (
+        np.asarray(out_ep, dtype=np.int64),
+        {n: arr[:, j].copy() for j, n in enumerate(names)},
+        np.asarray(seg_ids, dtype=np.int64),
+    )
+
+
+def _loop_zscore_pass(rows, seg, names, z_max, flagged):
+    mean = rows.mean(axis=0)
+    std = rows.std(axis=0)
+    live = std > 0.0
+    if not live.any():
+        return False
+    changed = False
+    for t in range(1, rows.shape[0]):
+        if seg[t] != seg[t - 1]:
+            continue
+        z = np.zeros(rows.shape[1])
+        z[live] = np.abs(rows[t, live] - mean[live]) / std[live]
+        worst = int(np.argmax(z))
+        if z[worst] > z_max and not np.array_equal(rows[t], rows[t - 1]):
+            flagged.setdefault(
+                t, f"column {names[worst]} z-score {z[worst]:.2f} beyond {z_max:g}")
+            rows[t] = rows[t - 1]
+            changed = True
+    return changed
+
+
+def loop_clean(raw: RawSeries, cfg: CleanConfig = CleanConfig()) -> RawSeries:
+    """cotn.data.clean on a dict of columns, gaps filled and z-scores
+    swept one row at a time: the reference the whole-array clean must
+    match bit for bit. The return filter is the package's own scan."""
+    if raw.n_rows == 0:
+        raise ValueError("cannot clean an empty series")
+    report = []
+    ep, cols, seg_in = _loop_dedup(raw.epochs, raw.columns, raw.segment_ids, report)
+    ep, cols, seg = _loop_fill_gaps(ep, cols, seg_in, raw.period, cfg.max_ffill_gap,
+                                    report)
+    names = list(cols)
+    rows = np.stack([cols[n] for n in names], axis=1)
+    close_idx = names.index("close") if raw.schema == "ohlcv" else None
+    flagged = {}
+    for _ in range(rows.shape[0] + 1):
+        changed = False
+        if close_idx is not None:
+            changed |= _return_pass(rows[:, close_idx], rows, seg, cfg.return_limit,
+                                    flagged)
+        changed |= _loop_zscore_pass(rows, seg, names, cfg.z_max, flagged)
+        if not changed:
+            break
+    for t in sorted(flagged):
+        report.append(CleaningAction(int(ep[t]), "fill", flagged[t]))
+    return RawSeries(raw.schema, ep, {n: rows[:, j].copy() for j, n in enumerate(names)},
+                     raw.period, seg, report)

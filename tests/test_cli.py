@@ -276,6 +276,10 @@ class TestConfigErrors:
         ("data.z_max=nan", "data.z_max: expected > 0, got nan"),
         ("data.return_limit=0", "data.return_limit: expected > 0, got 0.0"),
         ("data.schema=csv", "data.schema: expected ett or ohlcv, got 'csv'"),
+        ("train.lr=nan", "train.lr: expected a finite number > 0, got nan"),
+        ("train.w_distill=inf",
+         "train.w_distill: expected a finite number >= 0, got inf"),
+        ("train.epochs=0", "train.epochs: expected >= 1, got 0"),
     ])
     def test_malformed_value_names_section_and_key(self, workspace, setting,
                                                     message, capsys):
@@ -691,6 +695,27 @@ class TestAnomaly:
                       "--stats", str(tmp_path / "absent.txt"),
                       "--out", str(tmp_path))
         assert code == 1
+
+    def test_stats_error_comes_before_the_data_error(self, workspace, tmp_path, capsys):
+        code, _ = run("anomaly",
+                      "--data", str(tmp_path / "absent.csv"),
+                      "--ae", str(workspace["out"] / "autoencoder.bin"),
+                      "--stats", str(tmp_path / "absent.txt"),
+                      "--out", str(tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "absent.txt" in err and "absent.csv" not in err
+
+    def test_verbose_reports_rows_and_cleaning_actions(self, workspace, tmp_path,
+                                                       capsys):
+        code, _ = run("anomaly", "--verbose",
+                      "--data", str(workspace["csv"]),
+                      "--ae", str(workspace["out"] / "autoencoder.bin"),
+                      "--out", str(tmp_path))
+        assert code == 0
+        cleaned = clean(load_csv(workspace["csv"], "ett"))
+        assert (f"{cleaned.n_rows} rows, 7 features, {len(cleaned.report)} "
+                "cleaning actions") in capsys.readouterr().err
 
 
 def _anomaly_text(ae, frame):

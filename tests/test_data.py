@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cotn.data import (
@@ -28,7 +28,7 @@ from cotn.data import (
     window,
     write_stats,
 )
-from helpers import loop_windows
+from helpers import loop_clean, loop_windows
 
 HOUR = 3600
 T0 = 1577836800  # 2020-01-01 00:00:00 UTC
@@ -93,6 +93,47 @@ def series_equal(a: RawSeries, b: RawSeries) -> bool:
         and np.array_equal(a.segment_ids, b.segment_ids)
         and all(np.array_equal(a.columns[k], b.columns[k]) for k in a.columns)
     )
+
+
+_PALETTE = np.array([0.0, -0.0, 1.0, -1.0, 2.5, 100.0, -50.0, 1e3])
+
+
+def messy_series(rng):
+    """A short ett or ohlcv series and thresholds to clean it with:
+    duplicate timestamps, short and long gaps (some off the period grid),
+    segments the input already has, spikes, repeated rows, constant
+    columns and zeros of both signs."""
+    schema = ("ett", "ohlcv")[rng.integers(2)]
+    names = SCHEMAS[schema]["columns"]
+    n, f = int(rng.integers(1, 61)), len(names)
+    period = int(rng.choice([1, 60, HOUR]))
+    rows = np.empty((n, f))
+    rows[0] = rng.choice(_PALETTE, f)
+    for t in range(1, n):
+        kind = rng.integers(3)
+        if kind == 0:
+            rows[t] = rows[t - 1]
+        elif kind == 1:
+            rows[t] = rows[t - 1] + rng.normal(0.0, 1.0, f) * (rng.random(f) < 0.5)
+        else:
+            rows[t] = rng.choice(_PALETTE, f)
+    flip = (rows == 0.0) & (rng.random((n, f)) < 0.5)
+    rows[flip] = -rows[flip]
+    for j in np.flatnonzero(rng.random(f) < 0.2):
+        rows[:, j] = rng.choice(_PALETTE)
+    steps = rng.choice([0, 1, 1, 1, 2, 3, 4, 6, 12], n) * period
+    steps += (rng.random(n) < 0.1) * (period // 2)
+    raw = RawSeries(
+        schema=schema,
+        epochs=T0 + np.cumsum(steps).astype(np.int64),
+        columns={c: rows[:, j].copy() for j, c in enumerate(names)},
+        period=period,
+        segment_ids=np.cumsum(rng.random(n) < 0.1 * rng.integers(2)).astype(np.int64),
+    )
+    cfg = CleanConfig(max_ffill_gap=int(rng.choice([0, 1, 3, 5])),
+                      z_max=float(rng.choice([0.5, 1.0, 1.5, 2.0, 5.0])),
+                      return_limit=float(rng.choice([0.05, 0.2, 1.0])))
+    return raw, cfg
 
 
 class TestLoadCsv:
@@ -291,6 +332,36 @@ class TestClean:
         assert series_equal(once, twice)
         assert twice.report == []
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @example(seed=0)  # ohlcv; a filled row keeps a -0.0 of the row before
+    @example(seed=14)  # the same in an ett series
+    @example(seed=34)  # one row
+    def test_matches_the_row_by_row_reference(self, seed):
+        raw, cfg = messy_series(np.random.default_rng(seed))
+        got, want = clean(raw, cfg), loop_clean(raw, cfg)
+        assert [a.render() for a in got.report] == [a.render() for a in want.report]
+        for name in ("epochs", "segment_ids"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert list(got.columns) == list(want.columns)
+        for name, col in want.columns.items():
+            assert got.columns[name].tobytes() == col.tobytes()
+
+    def test_zscore_statistics_span_every_split(self):
+        # Row 10 is a training row and row 90 a test row under the default
+        # ratios. Raising row 90, by too little to be filled itself,
+        # widens the whole file's std enough that row 10 is not filled.
+        vals = np.sin(np.arange(100) / 3.0)
+        vals[10] = 4.6
+        before = clean(ett_series(vals))
+        vals[90] = 4.0
+        after = clean(ett_series(vals))
+        assert [a.epoch for a in before.report] == [T0 + 10 * HOUR]
+        assert before.columns["OT"][10] == vals[9]
+        assert after.report == []
+        assert after.columns["OT"][10] == 4.6 and after.columns["OT"][90] == 4.0
+
     def test_empty_series_rejected(self):
         raw = ett_series([1.0])
         raw.epochs = raw.epochs[:0]
@@ -325,10 +396,11 @@ class TestRollingFeatures:
     def test_rolling_std_matches_naive(self):
         rng = np.random.default_rng(3)
         v = rng.standard_normal(40)
-        got = rolling_std(v, 5)
-        assert np.all(np.isnan(got[:4]))
-        for i in range(4, 40):
-            assert got[i] == pytest.approx(np.std(v[i - 4 : i + 1]), rel=1e-12)
+        for window in (1, 5, 20, 40):
+            got = rolling_std(v, window)
+            assert np.all(np.isnan(got[: window - 1]))
+            for i in range(window - 1, 40):
+                assert got[i] == np.std(v[i - window + 1 : i + 1])
 
     def test_log_returns(self):
         v = np.array([1.0, 2.0, 1.0])

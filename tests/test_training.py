@@ -152,6 +152,10 @@ class TestConfig:
             tiny_train_cfg(pretrain_epochs=5, epochs=3)
         with pytest.raises(ValueError):
             tiny_train_cfg(lr=-1.0)
+        for name in ("lr", "w_distill"):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"^{name}: expected a finite"):
+                    tiny_train_cfg(**{name: bad})
 
 
 class TestReportIO:
