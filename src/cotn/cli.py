@@ -21,7 +21,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,11 +36,9 @@ from .data import (
     denormalize_feature,
     epoch_to_text,
     featurize,
-    fit_stats,
     load_csv,
     normalize,
     read_stats,
-    window,
     write_stats,
 )
 from .model import (
@@ -98,13 +96,17 @@ class DataSpec:
         # setting fails every check.
         if self.schema not in ("ett", "ohlcv"):
             raise ValueError(f"schema: expected ett or ohlcv, got {self.schema!r}")
-        if not self.stride >= 1:
-            raise ValueError(f"stride: expected >= 1, got {self.stride!r}")
+        for name in ("enc_len", "horizon", "stride"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name}: expected >= 1, got {getattr(self, name)!r}")
+        if not 1 <= self.label_len <= self.enc_len:
+            raise ValueError(f"label_len: expected 1..enc_len ({self.enc_len}), "
+                             f"got {self.label_len!r}")
         ratios = (self.train_ratio, self.val_ratio, self.test_ratio)
         for name, ratio in zip(("train_ratio", "val_ratio", "test_ratio"), ratios):
             if not (math.isfinite(ratio) and ratio >= 0):
                 raise ValueError(f"{name}: expected a finite number >= 0, got {ratio!r}")
-        # The test window() makes.
+        # The sum test build_dataset makes.
         if not math.isclose(sum(ratios), 1.0, rel_tol=0, abs_tol=1e-9):
             raise ValueError("train_ratio + val_ratio + test_ratio: expected a sum "
                              f"of 1, got {sum(ratios)!r}")
@@ -188,24 +190,24 @@ def _build_activation(cfg: dict[str, dict]) -> ActivationMode:
     try:
         mode = ActivationMode(kind, **{k: v for k, v in sec.items() if k in _MODE_FIELDS})
     except ValueError as exc:
-        raise ConfigError(f"model.lam: {exc}") from None
+        raise ConfigError(f"model.{exc}") from None
     if not 1 <= mode.type_id <= 8:
         raise ConfigError(f"model.type_id: expected 1..8, got {mode.type_id}")
     return mode
 
 
-def _build_model_cfg(cfg: dict[str, dict], spec: DataSpec, n_features: int) -> ModelConfig:
+def _build_model_cfg(cfg: dict[str, dict], spec: DataSpec) -> ModelConfig:
+    """The model config with one feature; the data sets the real count."""
     sec = cfg["model"]
     mode = _build_activation(cfg)
     try:
         return ModelConfig(
             **{k: v for k, v in sec.items() if k in _MODEL_FIELDS},
             **{k: getattr(spec, k) for k in _WINDOW},
-            n_features=n_features,
             activation=mode,
         )
     except ValueError as exc:
-        raise ConfigError(f"model configuration invalid: {exc}") from None
+        raise ConfigError(f"model.{exc}") from None
 
 
 def _build_train_cfg(cfg: dict[str, dict], mode: ActivationMode,
@@ -222,12 +224,14 @@ def _build_train_cfg(cfg: dict[str, dict], mode: ActivationMode,
 def _configure(args):
     """The data and the model and training configs of a run configuration.
 
-    Every value is parsed before the data is read."""
+    Every value is parsed and range-checked before the data is read; the
+    data then sets the model's feature count."""
     cfg = load_run_config(args.config, args.set or [])
     spec = _build_data_spec(cfg)
-    dataset, cleaned = _prepare_dataset(spec, args)
-    model_cfg = _build_model_cfg(cfg, spec, dataset.frame.n_features)
+    model_cfg = _build_model_cfg(cfg, spec)
     train_cfg = _build_train_cfg(cfg, model_cfg.activation, args.seed)
+    dataset, cleaned = _prepare_dataset(spec, args)
+    model_cfg = replace(model_cfg, n_features=dataset.frame.n_features)
     return spec, dataset, cleaned, model_cfg, train_cfg
 
 
@@ -267,7 +271,9 @@ def _load_frame(path: str, schema: str, cleaning: CleanConfig, args):
     return frame, cleaned
 
 
-def _prepare_dataset(spec: DataSpec, args):
+def _prepare_dataset(spec: DataSpec, args, stats: NormStats | None = None):
+    """Load, clean and featurize spec's file and cut its windows; given
+    stats (a checkpoint's), normalize with them."""
     frame, cleaned = _load_frame(spec.path, spec.schema, spec.cleaning(), args)
     dataset = build_dataset(
         frame,
@@ -276,6 +282,7 @@ def _prepare_dataset(spec: DataSpec, args):
         horizon=spec.horizon,
         stride=spec.stride,
         ratios=(spec.train_ratio, spec.val_ratio, spec.test_ratio),
+        stats=stats,
     )
     return dataset, cleaned
 
@@ -381,35 +388,15 @@ def cmd_train(args) -> int:
 def _restore(args) -> tuple[Forecaster, Dataset]:
     """Load a checkpoint and cut the data's windows with its statistics.
 
-    The data is loaded, cleaned and featurized once. Statistics fitted
-    afresh on its training rows only check that its feature set matches
-    the checkpoint's; a mismatch, too few training rows or no training
-    windows fail exactly as training on the data would.
+    The windows come from build_dataset, as training's do, so too few
+    training rows, no training windows or a feature set other than the
+    checkpoint's fail exactly as training on the data would.
     """
     model, extra, meta = load_forecaster(args.checkpoint)
     stats = _stats_from_extra(extra, meta, args.checkpoint)
     spec = _spec_from_meta(meta, model.cfg, args.data, args.checkpoint)
-    frame, _ = _load_frame(spec.path, spec.schema, spec.cleaning(), args)
-    n_train = int(math.floor(spec.train_ratio * frame.n_rows))
-    if n_train < 2:
-        raise ValueError(f"training split of {n_train} rows is too small")
-    fresh = fit_stats(frame.slice_rows(0, n_train))
-    match = fresh.names == stats.names
-    # Which statistics normalize does not change the windows' positions,
-    # so the window checks run before the feature-set check either way.
-    frame = normalize(frame, stats if match else fresh)
-    splits = window(
-        frame, spec.enc_len, spec.label_len, spec.horizon, spec.stride,
-        (spec.train_ratio, spec.val_ratio, spec.test_ratio),
-    )
-    if splits.train.n_windows == 0:
-        raise ValueError("training split produced no windows")
-    if not match:
-        raise RuntimeError(
-            "feature set of the data does not match the checkpoint "
-            f"({fresh.names} vs {stats.names})"
-        )
-    return model, Dataset(splits, stats, frame)
+    dataset, _ = _prepare_dataset(spec, args, stats)
+    return model, dataset
 
 
 def cmd_eval(args) -> int:

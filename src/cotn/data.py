@@ -14,7 +14,10 @@ so validation and test rows decide which training rows it forward-fills.
 
 Normalization statistics are always fitted on the training split alone
 and applied everywhere, so later splits leak nothing backwards through
-them.
+them. build_dataset is the one home of this policy: _split_rows draws
+the split boundaries, and training, evaluation and forecasting all cut
+their windows through build_dataset, the latter two with a checkpoint's
+statistics.
 """
 
 from __future__ import annotations
@@ -699,12 +702,14 @@ def _windows_in_range(
     )
 
 
-def _check_ratios(ratios: tuple[float, float, float]) -> None:
+def _split_rows(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, int]:
+    """The row boundaries (i_train, i_val, n) of n rows split at ratios."""
     # A nan ratio fails the sum test.
     if len(ratios) != 3 or any(r < 0 for r in ratios) or not math.isclose(
         sum(ratios), 1.0, rel_tol=0, abs_tol=1e-9
     ):
         raise ValueError(f"ratios must be 3 non-negative numbers summing to 1, got {ratios}")
+    return int(math.floor(ratios[0] * n)), int(math.floor((ratios[0] + ratios[1]) * n)), n
 
 
 def window(
@@ -725,10 +730,7 @@ def window(
         raise ValueError(f"need 1 <= label_len <= enc_len, got {label_len}, {enc_len}")
     if horizon < 1 or stride < 1:
         raise ValueError("horizon and stride must be >= 1")
-    _check_ratios(ratios)
-    n = frame.n_rows
-    i_train = int(math.floor(ratios[0] * n))
-    i_val = int(math.floor((ratios[0] + ratios[1]) * n))
+    i_train, i_val, n = _split_rows(frame.n_rows, ratios)
     make = lambda lo, hi: _windows_in_range(
         frame, lo, hi, enc_len, label_len, horizon, stride
     )
@@ -747,16 +749,30 @@ def build_dataset(
     horizon: int,
     stride: int = 1,
     ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),
+    stats: Optional[NormStats] = None,
 ) -> Dataset:
-    """Fit stats on the training rows, normalize, and cut windows."""
-    _check_ratios(ratios)
-    n = frame.n_rows
-    i_train = int(math.floor(ratios[0] * n))
+    """Fit stats on the training rows, normalize, and cut windows.
+
+    Given stats (a checkpoint's), the frame is normalized with them
+    instead; the stats fitted on its training rows must name the same
+    features, else RuntimeError, raised after every window check.
+    """
+    i_train, _, _ = _split_rows(frame.n_rows, ratios)
     if i_train < 2:
         raise ValueError(f"training split of {i_train} rows is too small")
-    stats = fit_stats(frame.slice_rows(0, i_train))
-    norm = normalize(frame, stats)
+    fitted = fit_stats(frame.slice_rows(0, i_train))
+    if stats is None:
+        stats = fitted
+    # Which statistics normalize does not move the windows, so the window
+    # checks run before the feature-set check either way.
+    match = stats.names == fitted.names
+    norm = normalize(frame, stats if match else fitted)
     splits = window(norm, enc_len, label_len, horizon, stride, ratios)
     if splits.train.n_windows == 0:
         raise ValueError("training split produced no windows")
+    if not match:
+        raise RuntimeError(
+            "feature set of the data does not match the checkpoint "
+            f"({fitted.names} vs {stats.names})"
+        )
     return Dataset(splits=splits, stats=stats, frame=norm)

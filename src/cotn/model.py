@@ -67,9 +67,9 @@ class ActivationMode:
 
     def __post_init__(self) -> None:
         if self.kind not in ("gelu", "gated"):
-            raise ValueError(f"unknown activation kind {self.kind!r}")
+            raise ValueError(f"kind: expected gelu or gated, got {self.kind!r}")
         if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
+            raise ValueError(f"lam: expected a number in [0, 1], got {self.lam!r}")
 
     def build(self, tab: Optional[MetaActivationTable] = None):
         """The activation object; a gated one uses tab, or the builtin
@@ -99,23 +99,21 @@ class ModelConfig:
     activation: ActivationMode = field(default_factory=ActivationMode)
 
     def __post_init__(self) -> None:
-        if self.d_model < 1 or self.d_model % self.n_heads != 0:
-            raise ValueError(
-                f"d_model ({self.d_model}) must be a positive multiple of "
-                f"n_heads ({self.n_heads})"
-            )
-        for name in ("n_enc_layers", "n_dec_layers", "d_ff", "enc_len",
+        # Each message starts with the setting's name.
+        for name in ("n_heads", "n_enc_layers", "n_dec_layers", "d_ff", "enc_len",
                      "label_len", "horizon", "n_features", "n_targets"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ValueError(f"{name}: expected >= 1, got {getattr(self, name)!r}")
+        if self.d_model < 1 or self.d_model % self.n_heads != 0:
+            raise ValueError(f"d_model: expected a positive multiple of n_heads "
+                             f"({self.n_heads}), got {self.d_model!r}")
         if self.label_len > self.enc_len:
-            raise ValueError(
-                f"label_len ({self.label_len}) cannot exceed enc_len ({self.enc_len})"
-            )
+            raise ValueError(f"label_len: expected <= enc_len ({self.enc_len}), "
+                             f"got {self.label_len!r}")
         if self.distill and self.enc_len < 2 ** (self.n_enc_layers - 1):
             raise ValueError(
-                f"enc_len ({self.enc_len}) too short for {self.n_enc_layers - 1} "
-                f"pooling stages; need >= {2 ** (self.n_enc_layers - 1)}"
+                f"n_enc_layers: expected 2 ** (n_enc_layers - 1) <= enc_len "
+                f"({self.enc_len}) when distill is on, got {self.n_enc_layers!r}"
             )
 
 

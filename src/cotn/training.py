@@ -25,7 +25,7 @@ import math
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -67,26 +67,25 @@ _SUMMARY_METRICS = ("val_mae", "val_mse", "test_mae", "test_mse",
                     "epochs_to_convergence")
 
 
-def mae(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean absolute error over all elements."""
+def _errors(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """pred - target, once their shapes agree and are not empty."""
     p = np.asarray(pred, dtype=np.float64)
     t = np.asarray(target, dtype=np.float64)
     if p.shape != t.shape:
         raise ValueError(f"shape mismatch {p.shape} vs {t.shape}")
     if p.size == 0:
         raise ValueError("cannot score empty arrays")
-    return float(np.mean(np.abs(p - t)))
+    return p - t
+
+
+def mae(pred: np.ndarray, target: np.ndarray) -> float:
+    """Mean absolute error over all elements."""
+    return float(np.mean(np.abs(_errors(pred, target))))
 
 
 def mse(pred: np.ndarray, target: np.ndarray) -> float:
     """Mean squared error over all elements."""
-    p = np.asarray(pred, dtype=np.float64)
-    t = np.asarray(target, dtype=np.float64)
-    if p.shape != t.shape:
-        raise ValueError(f"shape mismatch {p.shape} vs {t.shape}")
-    if p.size == 0:
-        raise ValueError("cannot score empty arrays")
-    return float(np.mean((p - t) ** 2))
+    return float(np.mean(_errors(pred, target) ** 2))
 
 
 class Adam:
@@ -193,21 +192,8 @@ class TrialReport:
     wall_time_s: float
 
     def metric_dict(self) -> dict[str, float]:
-        d = {
-            "seed": self.seed,
-            "activation": self.activation,
-            "plan": self.plan,
-            "epochs_run": self.epochs_run,
-            "epochs_to_convergence": self.epochs_to_convergence,
-            "best_val_loss": self.best_val_loss,
-            "train_mae": self.train_mae,
-            "train_mse": self.train_mse,
-            "val_mae": self.val_mae,
-            "val_mse": self.val_mse,
-            "test_mae": self.test_mae,
-            "test_mse": self.test_mse,
-        }
-        return d
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "wall_time_s"}
 
 
 def _fmt_value(v) -> str:

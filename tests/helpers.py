@@ -8,6 +8,7 @@ pytest's monkeypatch, so the model carries no hooks of its own. The
 per-head attention is the reference for the batched one, the
 window-by-window loop the reference for the gather in cotn.data.window,
 and the row-by-row cleaner the reference for cotn.data.clean.
+assert_same_dataset compares two datasets bit for bit.
 """
 
 import math
@@ -18,6 +19,7 @@ import cotn.tensor as te
 from cotn.data import (
     CleanConfig,
     CleaningAction,
+    Dataset,
     FeatureFrame,
     RawSeries,
     WindowBatch,
@@ -94,6 +96,23 @@ def per_head_attention(q, k, v, n_heads, wq, wk, wv, wo, mask=None):
         heads.append(te.matmul(te.softmax_last_axis(scores, mask), vh))
     merged = heads[0] if n_heads == 1 else te.concat_last(heads)
     return te.matmul(merged, wo)
+
+
+def assert_same_dataset(got: Dataset, want: Dataset) -> None:
+    """Equal statistics, normalized rows and windows, bit for bit."""
+    assert got.stats.names == want.stats.names
+    assert got.stats.dropped == want.stats.dropped
+    pairs = [("stats.mean", got.stats.mean, want.stats.mean),
+             ("stats.std", got.stats.std, want.stats.std),
+             ("frame.data", got.frame.data, want.frame.data)]
+    assert got.splits.boundaries == want.splits.boundaries
+    for split in ("train", "val", "test"):
+        for name in ("enc", "dec", "tgt", "starts"):
+            pairs.append((f"{split}.{name}", getattr(getattr(got.splits, split), name),
+                          getattr(getattr(want.splits, split), name)))
+    for name, a, b in pairs:
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def loop_windows(frame: FeatureFrame, row_lo: int, row_hi: int, enc_len: int,

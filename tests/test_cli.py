@@ -33,6 +33,7 @@ from cotn.model import (
     save_forecaster,
 )
 from cotn.training import read_trial_report, write_synthetic_ett_csv
+from helpers import assert_same_dataset
 
 
 def run(*argv):
@@ -293,6 +294,30 @@ class TestConfigErrors:
                       "--set", "model.d_model=x")
         assert code == 2
 
+    @pytest.mark.parametrize("setting,message", [
+        ("train.lr=nan", "train.lr: expected a finite number > 0, got nan"),
+        ("model.lam=2", "model.lam: expected a number in [0, 1], got 2.0"),
+        ("model.activation=x", "model.activation: expected gelu or gated, got 'x'"),
+        ("model.n_heads=3",
+         "model.d_model: expected a positive multiple of n_heads (3), got 8"),
+        ("model.n_heads=0", "model.n_heads: expected >= 1, got 0"),
+        ("model.d_ff=0", "model.d_ff: expected >= 1, got 0"),
+        ("model.n_enc_layers=6",
+         "model.n_enc_layers: expected 2 ** (n_enc_layers - 1) <= enc_len (16) "
+         "when distill is on, got 6"),
+        ("data.label_len=30", "data.label_len: expected 1..enc_len (16), got 30"),
+        ("data.label_len=0", "data.label_len: expected 1..enc_len (16), got 0"),
+        ("data.enc_len=0", "data.enc_len: expected >= 1, got 0"),
+        ("data.horizon=0", "data.horizon: expected >= 1, got 0"),
+    ])
+    def test_range_errors_come_before_the_data_is_read(self, workspace, tmp_path,
+                                                        setting, message, capsys):
+        code, _ = run("train", "--config", str(workspace["cfg"]),
+                      "--set", f"data.path={tmp_path / 'absent.csv'}",
+                      "--set", setting)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_known_keys_are_pinned(self):
         # The keys and kinds derived from the config dataclasses.
         assert cotn.cli._KNOWN_KEYS == {
@@ -551,6 +576,16 @@ class TestRestore:
         short.write_text("\n".join(rows[:22]) + "\n")
         code, err = self._restore_error(workspace, short, capsys)
         assert code == 1 and "training split produced no windows" in err
+
+
+def test_restore_cuts_the_training_dataset(workspace):
+    # eval and forecast on the training file see training's windows.
+    _, trained, _, _, _ = cotn.cli._configure(SimpleNamespace(
+        config=str(workspace["cfg"]), set=[], seed=None, verbose=False))
+    _, restored = cotn.cli._restore(SimpleNamespace(
+        checkpoint=str(workspace["out"] / "checkpoint.bin"),
+        data=str(workspace["csv"]), verbose=False))
+    assert_same_dataset(restored, trained)
 
 
 class TestForecast:

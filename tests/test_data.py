@@ -11,6 +11,7 @@ from cotn.data import (
     SCHEMAS,
     CleanConfig,
     FeatureFrame,
+    NormStats,
     ParseError,
     RawSeries,
     build_dataset,
@@ -28,7 +29,7 @@ from cotn.data import (
     window,
     write_stats,
 )
-from helpers import loop_clean, loop_windows
+from helpers import assert_same_dataset, loop_clean, loop_windows
 
 HOUR = 3600
 T0 = 1577836800  # 2020-01-01 00:00:00 UTC
@@ -683,3 +684,34 @@ class TestBuildDataset:
         frame = featurize(ett_series(np.arange(10.0)))
         with pytest.raises(ValueError):
             build_dataset(frame, 24, 12, 8)
+
+    def test_given_stats_normalize_the_frame(self):
+        frame = _segmented_frame(120, (50,), seed=3)
+        fitted = fit_stats(frame.slice_rows(0, 84))  # floor(0.7 * 120) rows
+        assert_same_dataset(build_dataset(frame, 8, 4, 2, stats=fitted),
+                            build_dataset(frame, 8, 4, 2))
+        # Other statistics over the same features normalize instead.
+        other = NormStats(fitted.names, fitted.mean + 1.0, fitted.std * 2.0)
+        ds = build_dataset(frame, 8, 4, 2, stats=other)
+        assert ds.stats is other
+        assert ds.frame.data.tobytes() == normalize(frame, other).data.tobytes()
+
+    @staticmethod
+    def _other_features(frame):
+        fitted = fit_stats(frame)
+        return NormStats(fitted.names[1:], fitted.mean[1:], fitted.std[1:])
+
+    def test_stats_naming_other_features_rejected(self):
+        frame = _segmented_frame(120, (50,), seed=3)
+        with pytest.raises(RuntimeError, match="feature set of the data does not "
+                                               "match the checkpoint"):
+            build_dataset(frame, 8, 4, 2, stats=self._other_features(frame))
+
+    @pytest.mark.parametrize("rows,message", [
+        (2, "training split of 1 rows is too small"),
+        (20, "training split produced no windows"),
+    ])
+    def test_split_errors_come_before_the_feature_set(self, rows, message):
+        frame = _segmented_frame(rows, ())
+        with pytest.raises(ValueError, match=message):
+            build_dataset(frame, 24, 12, 8, stats=self._other_features(frame))

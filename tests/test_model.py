@@ -51,23 +51,29 @@ def batch_for(cfg, n=2, seed=0):
 
 class TestConfig:
     def test_head_divisibility(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^d_model: expected a positive "
+                                             r"multiple of n_heads \(4\), got 10$"):
             tiny_cfg(d_model=10, n_heads=4)
 
+    def test_zero_heads_is_a_value_error(self):
+        with pytest.raises(ValueError, match="^n_heads: expected >= 1, got 0$"):
+            tiny_cfg(n_heads=0)
+
     def test_label_len_bounded_by_enc_len(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^label_len: expected <= enc_len \(12\), "
+                                             "got 13$"):
             tiny_cfg(label_len=13)
 
     def test_distill_needs_enough_rows(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n_enc_layers: "):
             tiny_cfg(enc_len=3, label_len=2, n_enc_layers=3)
         # Without distillation the same geometry is fine.
         tiny_cfg(enc_len=3, label_len=2, n_enc_layers=3, distill=False)
 
     def test_activation_mode_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^kind: expected gelu or gated"):
             ActivationMode(kind="relu")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^lam: expected a number in \[0, 1\]"):
             ActivationMode(kind="gated", lam=1.5)
 
     def test_mode_build_kinds(self):

@@ -27,7 +27,7 @@ def _defaults():
     cfg = {"data": {"path": "data.csv"}, "model": {}, "train": {}}
     spec = _build_data_spec(cfg)
     mode = _build_activation(cfg)
-    model = _build_model_cfg(cfg, spec, n_features=1)
+    model = _build_model_cfg(cfg, spec)
     train = _build_train_cfg(cfg, mode, None)
     sources = {"data": vars(spec), "train": vars(train),
                "model": {**vars(model), **vars(mode), "activation": mode.kind}}

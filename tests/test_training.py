@@ -172,6 +172,15 @@ class TestReportIO:
         assert "wall_time_s" not in d
         assert d["seed"] == 3 and d["test_mse"] == 1.0 / 3.0
 
+    def test_keys_in_report_order(self, tmp_path):
+        path = tmp_path / "report.txt"
+        write_trial_report(path, self._report())
+        keys = [line.split(" = ")[0] for line in path.read_text().splitlines()]
+        assert keys == ["seed", "activation", "plan", "epochs_run",
+                        "epochs_to_convergence", "best_val_loss", "train_mae",
+                        "train_mse", "val_mae", "val_mse", "test_mae", "test_mse",
+                        "wall_time_s"]
+
     def test_round_trip_exact_floats(self, tmp_path):
         report = self._report()
         path = tmp_path / "report.txt"
