@@ -39,6 +39,7 @@ from .data import (
     load_csv,
     normalize,
     read_stats,
+    window_inputs,
     write_stats,
 )
 from .model import (
@@ -423,17 +424,15 @@ def cmd_forecast(args) -> int:
         raise RuntimeError(
             f"need at least {cfg.enc_len} feature rows to forecast, have {n}"
         )
-    tail = slice(n - cfg.enc_len, n)
-    if not np.all(frame.segment_ids[tail] == frame.segment_ids[n - 1]):
+    start = n - cfg.enc_len
+    if not np.all(frame.segment_ids[start:] == frame.segment_ids[n - 1]):
         raise RuntimeError(
             "the final window straddles a data gap; cannot forecast from it"
         )
-    enc = frame.data[tail][None]
-    known = frame.data[n - cfg.label_len : n]
-    dec = np.concatenate(
-        [known, np.zeros((cfg.horizon, frame.n_features))], axis=0
-    )[None]
-    pred = model.predict(enc, dec)[0, :, 0]
+    # The final window's inputs; its targets lie past the data.
+    enc, dec = window_inputs(frame.data, np.array([start]),
+                             cfg.enc_len, cfg.label_len, cfg.horizon)
+    pred = model.predict(enc[:], dec[:])[0, :, 0]
     values = denormalize_feature(pred, stats, frame.target)
     path = os.path.join(_out_dir(args), "forecast.csv")
     last_epoch = int(frame.epochs[n - 1])

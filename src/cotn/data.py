@@ -17,7 +17,8 @@ and applied everywhere, so later splits leak nothing backwards through
 them. build_dataset is the one home of this policy: _split_rows draws
 the split boundaries, and training, evaluation and forecasting all cut
 their windows through build_dataset, the latter two with a checkpoint's
-statistics.
+statistics. A split keeps its windows as start rows into the normalized
+frame; a WindowView cuts the ones a caller indexes, when it indexes them.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "CleanConfig",
     "FeatureFrame",
     "NormStats",
+    "WindowView",
     "WindowBatch",
     "SplitWindows",
     "Dataset",
@@ -54,6 +56,7 @@ __all__ = [
     "write_stats",
     "read_stats",
     "window",
+    "window_inputs",
     "build_dataset",
     "epoch_to_text",
 ]
@@ -626,24 +629,74 @@ def read_stats(path) -> NormStats:
 # -- windows ------------------------------------------------------------------
 
 
-@dataclass
-class WindowBatch:
-    """Stacked forecasting windows.
+class WindowView:
+    """Read-only windows of a frame's rows, cut when they are indexed.
 
-    enc is (n, enc_len, F); dec is (n, label_len + horizon, F) with the
-    final horizon rows zeroed as decoder placeholders; tgt is
-    (n, horizon, 1) read from the target feature; starts holds each
-    window's first row index in the source frame.
+    Window i is rows [starts[i] + lo, starts[i] + hi) of data followed by
+    pad zero rows, so the view has shape (len(starts), hi - lo + pad,
+    n_features). Indexing with an int, a slice or an index array returns
+    a fresh C-contiguous float64 array of those windows. The view holds
+    only data and starts, never a split's windows all at once; np.asarray
+    on it raises TypeError instead of building them.
     """
 
-    enc: np.ndarray
-    dec: np.ndarray
+    def __init__(self, data: np.ndarray, starts: np.ndarray, lo: int, hi: int,
+                 pad: int = 0):
+        self.data = data
+        self.starts = starts
+        self.pad = pad
+        self._offsets = np.arange(lo, hi)
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (len(self), self._offsets.size + self.pad, self.data.shape[1])
+
+    def __len__(self) -> int:
+        return int(self.starts.size)
+
+    def __getitem__(self, sel) -> np.ndarray:
+        if isinstance(sel, tuple):
+            raise TypeError("windows take one index: an int, a slice or an index array")
+        rows = np.asarray(self.starts[sel])[..., None] + self._offsets
+        if not self.pad:
+            return self.data[rows]
+        out = np.zeros(rows.shape[:-1] + self.shape[1:])
+        out[..., : self._offsets.size, :] = self.data[rows]
+        return out
+
+    def __array__(self, *args, **kwargs):
+        raise TypeError("a WindowView is cut by indexing it, not converted whole")
+
+
+def window_inputs(
+    data: np.ndarray, starts: np.ndarray, enc_len: int, label_len: int, horizon: int
+) -> tuple[WindowView, WindowView]:
+    """The encoder and decoder inputs of the windows starting at rows
+    starts of data: enc_len rows, and the last label_len of them followed
+    by horizon zero rows. Neither reads a window's target rows."""
+    return (WindowView(data, starts, 0, enc_len),
+            WindowView(data, starts, enc_len - label_len, enc_len, pad=horizon))
+
+
+@dataclass
+class WindowBatch:
+    """A split's forecasting windows, as start rows into a normalized frame.
+
+    starts holds each window's first row in the frame. enc is
+    (n, enc_len, F) and dec is (n, label_len + horizon, F), with the final
+    horizon rows zeroed as decoder placeholders; both are WindowViews of
+    the frame's data, cut per batch by whoever indexes them. tgt is
+    (n, horizon, 1), read from the target feature, and stored whole.
+    """
+
+    enc: WindowView
+    dec: WindowView
     tgt: np.ndarray
     starts: np.ndarray
 
     @property
     def n_windows(self) -> int:
-        return int(self.enc.shape[0])
+        return int(self.starts.size)
 
 
 @dataclass
@@ -662,16 +715,7 @@ class Dataset:
 
     splits: SplitWindows
     stats: NormStats
-    frame: FeatureFrame  # normalized
-
-
-def _empty_batch(enc_len: int, label_len: int, horizon: int, n_feat: int) -> WindowBatch:
-    return WindowBatch(
-        enc=np.empty((0, enc_len, n_feat)),
-        dec=np.empty((0, label_len + horizon, n_feat)),
-        tgt=np.empty((0, horizon, 1)),
-        starts=np.empty(0, dtype=np.int64),
-    )
+    frame: FeatureFrame  # normalized; every split's windows view its data
 
 
 def _windows_in_range(
@@ -686,20 +730,10 @@ def _windows_in_range(
     changes = np.zeros(seg.size, dtype=np.int64)
     np.cumsum(seg[1:] != seg[:-1], out=changes[1:])
     starts = starts[changes[starts + total - 1] == changes[starts]]
-    if starts.size == 0:
-        return _empty_batch(enc_len, label_len, horizon, frame.n_features)
-    # Fancy indexing makes C-contiguous windows whatever the frame's
-    # layout, so flattening a window is a view, not a copy.
-    data = frame.data
-    rows = starts[:, None] + np.arange(total)
-    dec = np.zeros((starts.size, label_len + horizon, frame.n_features))
-    dec[:, :label_len] = data[rows[:, enc_len - label_len : enc_len]]
-    return WindowBatch(
-        enc=data[rows[:, :enc_len]],
-        dec=dec,
-        tgt=data[rows[:, enc_len:], frame.target_index][:, :, None],
-        starts=starts,
-    )
+    enc, dec = window_inputs(frame.data, starts, enc_len, label_len, horizon)
+    tgt_rows = starts[:, None] + np.arange(enc_len, total)
+    return WindowBatch(enc, dec, frame.data[tgt_rows, frame.target_index][:, :, None],
+                       starts)
 
 
 def _split_rows(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, int]:

@@ -33,6 +33,7 @@ from .activation import (
     MetaActivationTable,
     table_for_type,
 )
+from .data import WindowView
 from .tensor import Tensor
 
 __all__ = [
@@ -476,16 +477,19 @@ class Autoencoder:
                 te.glorot_uniform(rng, fi, fo, (fi, fo)), name=f"{name}.w")
             self.params[f"{name}.b"] = te.parameter(np.zeros(fo), name=f"{name}.b")
 
-    def _windows(self, windows: np.ndarray) -> np.ndarray:
-        w = np.asarray(windows, dtype=np.float64)
-        if w.ndim == 2:
-            w = w[None]
-        if w.ndim != 3 or w.shape[1] != self.window_len or w.shape[2] != self.n_features:
+    def _windows(self, windows) -> np.ndarray | WindowView:
+        """Windows checked by shape; a WindowView stays a view, cut per
+        chunk when scored, and one 2-D window gains a leading axis."""
+        if not isinstance(windows, WindowView):
+            windows = np.asarray(windows, dtype=np.float64)
+        given = windows.shape
+        if len(given) == 2:
+            windows = windows[None]
+        if windows.shape[1:] != (self.window_len, self.n_features):
             raise ValueError(
-                f"expected (n, {self.window_len}, {self.n_features}) windows, "
-                f"got {np.asarray(windows).shape}"
+                f"expected (n, {self.window_len}, {self.n_features}) windows, got {given}"
             )
-        return w
+        return windows
 
     def reconstruct(self, flat: Tensor) -> Tensor:
         p = self.params
@@ -496,13 +500,14 @@ class Autoencoder:
             te.add(te.matmul(z, p["dec1.w"]), p["dec1.b"]), self._act)
         return te.add(te.matmul(h, p["dec2.w"]), p["dec2.b"])
 
-    def step_errors(self, windows: np.ndarray) -> np.ndarray:
+    def step_errors(self, windows) -> np.ndarray:
         """Per-step squared reconstruction error, shape (n, window_len).
 
         Each step's error is the mean over features of the squared
         difference between the window and its reconstruction. Runs under
-        te.no_grad(), SCORE_CHUNK windows at a time; a window's errors
-        do not depend on the chunk it is scored in.
+        te.no_grad(), SCORE_CHUNK windows at a time, each chunk cut from
+        windows (an array or a WindowView) as it is scored; a window's
+        errors do not depend on the chunk it is scored in.
         """
         w = self._windows(windows)
         n = w.shape[0]

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as te
-from .data import Dataset, FeatureFrame, denormalize_feature
+from .data import Dataset, FeatureFrame, WindowView, denormalize_feature
 from .model import (
     ActivationMode,
     Autoencoder,
@@ -162,6 +162,9 @@ class TrainConfig:
             ("lr_schedule", self.lr_schedule in ("cosine", "constant"), "cosine or constant"),
             ("plan", self.plan in ("direct", "warm_start"), "direct or warm_start"),
             ("pretrain_epochs", 0 <= self.pretrain_epochs <= self.epochs, "0..epochs"),
+            ("ae_hidden", self.ae_hidden >= 1, ">= 1"),
+            ("ae_bottleneck", self.ae_bottleneck >= 1, ">= 1"),
+            ("ae_epochs", self.ae_epochs >= 1, ">= 1"),
         ):
             if not ok:
                 raise ValueError(f"{name}: expected {want}, got {getattr(self, name)!r}")
@@ -225,8 +228,9 @@ def read_trial_report(path) -> dict[str, str]:
 # -- loss/metric helpers ------------------------------------------------------
 
 
-def _batched_predict(model: Forecaster, enc: np.ndarray, dec: np.ndarray,
-                     chunk: int = 64) -> np.ndarray:
+def _batched_predict(model: Forecaster, enc, dec, chunk: int = 64) -> np.ndarray:
+    """The model's prediction of windows enc/dec (arrays or the
+    WindowViews of a split), cut and predicted chunk windows at a time."""
     # Predictions do not depend on the chunk. It is small so that each
     # chunk's score arrays stay in cache and reuse freed pages: at 512
     # windows they take 2.4 MB and more, and predicting the 12,163
@@ -273,7 +277,7 @@ def _epochs_to_convergence(history: list[float]) -> int:
 
 
 def fit_autoencoder(
-    windows: np.ndarray,
+    windows,
     hidden: int = 32,
     bottleneck: int = 8,
     seed: int = 0,
@@ -282,20 +286,25 @@ def fit_autoencoder(
     lr: float = 1e-3,
 ) -> Autoencoder:
     """Train a window autoencoder on reconstruction MSE and fit its
-    anomaly threshold on the same windows."""
-    w = np.asarray(windows, dtype=np.float64)
-    if w.ndim != 3 or w.shape[0] < 1:
-        raise ValueError(f"expected (n, window_len, n_features) windows, got {w.shape}")
-    n, length, feats = w.shape
+    anomaly threshold on the same windows.
+
+    windows is an (n, window_len, n_features) array or a split's
+    WindowView; each batch is cut from it and flattened as it is used.
+    """
+    if not isinstance(windows, WindowView):
+        windows = np.asarray(windows, dtype=np.float64)
+    if len(windows.shape) != 3 or windows.shape[0] < 1:
+        raise ValueError(
+            f"expected (n, window_len, n_features) windows, got {windows.shape}")
+    n, length, feats = windows.shape
     ae = Autoencoder(length, feats, hidden=hidden, bottleneck=bottleneck, seed=seed)
-    flat = w.reshape(n, -1)
     rng = np.random.default_rng(seed)
     opt = Adam(ae.params, lr=lr)
     for epoch in range(epochs):
         order = rng.permutation(n)
         for lo in range(0, n, batch_size):
             idx = order[lo : lo + batch_size]
-            x = te.constant(flat[idx])
+            x = te.constant(windows[idx].reshape(idx.size, -1))
             diff = te.sub(ae.reconstruct(x), x)
             loss = te.mean_all(te.mul(diff, diff))
             if not math.isfinite(loss.item()):
@@ -304,7 +313,7 @@ def fit_autoencoder(
                 p.grad = None
             te.backward(loss)
             opt.step(_cosine_lr(lr, epoch, epochs))
-    ae.fit_threshold(w)
+    ae.fit_threshold(windows)
     return ae
 
 

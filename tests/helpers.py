@@ -6,7 +6,7 @@ value(x) when no gradient is recorded, value_and_slope(x) when the tape
 records one. The probes observe a Forecaster from outside, through
 pytest's monkeypatch, so the model carries no hooks of its own. The
 per-head attention is the reference for the batched one, the
-window-by-window loop the reference for the gather in cotn.data.window,
+window-by-window loop the reference for the windows cotn.data.window cuts,
 and the row-by-row cleaner the reference for cotn.data.clean.
 assert_same_dataset compares two datasets bit for bit.
 """
@@ -22,7 +22,6 @@ from cotn.data import (
     Dataset,
     FeatureFrame,
     RawSeries,
-    WindowBatch,
     _return_pass,
 )
 from cotn.model import Forecaster
@@ -99,7 +98,8 @@ def per_head_attention(q, k, v, n_heads, wq, wk, wv, wo, mask=None):
 
 
 def assert_same_dataset(got: Dataset, want: Dataset) -> None:
-    """Equal statistics, normalized rows and windows, bit for bit."""
+    """Equal statistics, normalized rows and windows, bit for bit; each
+    split's enc and dec are compared whole, cut with [:]."""
     assert got.stats.names == want.stats.names
     assert got.stats.dropped == want.stats.dropped
     pairs = [("stats.mean", got.stats.mean, want.stats.mean),
@@ -107,18 +107,20 @@ def assert_same_dataset(got: Dataset, want: Dataset) -> None:
              ("frame.data", got.frame.data, want.frame.data)]
     assert got.splits.boundaries == want.splits.boundaries
     for split in ("train", "val", "test"):
-        for name in ("enc", "dec", "tgt", "starts"):
-            pairs.append((f"{split}.{name}", getattr(getattr(got.splits, split), name),
-                          getattr(getattr(want.splits, split), name)))
+        a, b = getattr(got.splits, split), getattr(want.splits, split)
+        pairs += [(f"{split}.enc", a.enc[:], b.enc[:]), (f"{split}.dec", a.dec[:], b.dec[:]),
+                  (f"{split}.tgt", a.tgt, b.tgt), (f"{split}.starts", a.starts, b.starts)]
     for name, a, b in pairs:
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
 
 
 def loop_windows(frame: FeatureFrame, row_lo: int, row_hi: int, enc_len: int,
-                 label_len: int, horizon: int, stride: int) -> WindowBatch:
-    """The windows of rows [row_lo, row_hi), one start at a time: a start
-    is kept when every row of its window lies in the start's segment."""
+                 label_len: int, horizon: int, stride: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The enc, dec, tgt and starts arrays of the windows of rows
+    [row_lo, row_hi), one start at a time: a start is kept when every row
+    of its window lies in the start's segment."""
     total = enc_len + horizon
     enc_list, dec_list, tgt_list, starts = [], [], [], []
     t_idx = frame.target_index
@@ -134,18 +136,11 @@ def loop_windows(frame: FeatureFrame, row_lo: int, row_hi: int, enc_len: int,
             starts.append(s)
         s += stride
     if not enc_list:
-        return WindowBatch(
-            enc=np.empty((0, enc_len, frame.n_features)),
-            dec=np.empty((0, label_len + horizon, frame.n_features)),
-            tgt=np.empty((0, horizon, 1)),
-            starts=np.empty(0, dtype=np.int64),
-        )
-    return WindowBatch(
-        enc=np.stack(enc_list),
-        dec=np.stack(dec_list),
-        tgt=np.stack(tgt_list),
-        starts=np.asarray(starts, dtype=np.int64),
-    )
+        return (np.empty((0, enc_len, frame.n_features)),
+                np.empty((0, label_len + horizon, frame.n_features)),
+                np.empty((0, horizon, 1)), np.empty(0, dtype=np.int64))
+    return (np.stack(enc_list), np.stack(dec_list), np.stack(tgt_list),
+            np.asarray(starts, dtype=np.int64))
 
 
 def _loop_dedup(ep, cols, seg, report):

@@ -309,6 +309,9 @@ class TestConfigErrors:
         ("data.label_len=0", "data.label_len: expected 1..enc_len (16), got 0"),
         ("data.enc_len=0", "data.enc_len: expected >= 1, got 0"),
         ("data.horizon=0", "data.horizon: expected >= 1, got 0"),
+        ("train.ae_hidden=0", "train.ae_hidden: expected >= 1, got 0"),
+        ("train.ae_bottleneck=-1", "train.ae_bottleneck: expected >= 1, got -1"),
+        ("train.ae_epochs=0", "train.ae_epochs: expected >= 1, got 0"),
     ])
     def test_range_errors_come_before_the_data_is_read(self, workspace, tmp_path,
                                                         setting, message, capsys):

@@ -1,6 +1,8 @@
 """Data pipeline: parsing, cleaning, features, normalization, windows."""
 
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from cotn.data import (
     window,
     write_stats,
 )
+from cotn.training import write_synthetic_ett_csv
 from helpers import assert_same_dataset, loop_clean, loop_windows
 
 HOUR = 3600
@@ -567,8 +570,8 @@ class TestWindows:
         b = splits.train
         s = int(b.starts[5])
         assert np.array_equal(b.enc[5], frame.data[s : s + 6])
-        assert np.array_equal(b.dec[5, :3], frame.data[s + 3 : s + 6])
-        assert np.all(b.dec[5, 3:] == 0.0)
+        assert np.array_equal(b.dec[5][:3], frame.data[s + 3 : s + 6])
+        assert np.all(b.dec[5][3:] == 0.0)
         t_idx = frame.target_index
         assert np.array_equal(
             b.tgt[5], frame.data[s + 6 : s + 8, t_idx : t_idx + 1])
@@ -618,7 +621,7 @@ class TestWindowGather:
     }
 
     @pytest.mark.parametrize("schema", ["ett", "ohlcv"])
-    @pytest.mark.parametrize("stride", [1, 3, 7])
+    @pytest.mark.parametrize("stride", [1, 2, 3, 7])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_the_loop_bit_for_bit(self, case, stride, schema):
         n, changes, ratios = self.CASES[case]
@@ -628,12 +631,46 @@ class TestWindowGather:
         bounds = (0,) + splits.boundaries
         for i, name in enumerate(("train", "val", "test")):
             got = getattr(splits, name)
-            want = loop_windows(frame, bounds[i], bounds[i + 1], 8, 4, 3, stride)
-            for field in ("enc", "dec", "tgt", "starts"):
-                a, b = getattr(got, field), getattr(want, field)
+            enc, dec, tgt, starts = loop_windows(
+                frame, bounds[i], bounds[i + 1], 8, 4, 3, stride)
+            assert got.enc.shape == enc.shape and got.dec.shape == dec.shape, name
+            assert len(got.enc) == len(got.dec) == got.n_windows == starts.size, name
+            for field, a, b in (("enc", got.enc[:], enc), ("dec", got.dec[:], dec),
+                                ("tgt", got.tgt, tgt), ("starts", got.starts, starts)):
                 assert a.dtype == b.dtype and a.shape == b.shape, (name, field)
                 assert a.tobytes() == b.tobytes(), (name, field)
                 assert a.flags.c_contiguous, (name, field)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_index_form_cuts_the_loops_windows(self, case, stride):
+        n, changes, ratios = self.CASES[case]
+        frame = _segmented_frame(n, changes, seed=stride)
+        splits = window(frame, 8, 4, 3, stride=stride, ratios=ratios)
+        bounds = (0,) + splits.boundaries
+        rng = np.random.default_rng(stride)
+        for i, name in enumerate(("train", "val", "test")):
+            got = getattr(splits, name)
+            enc, dec, _, _ = loop_windows(frame, bounds[i], bounds[i + 1], 8, 4, 3, stride)
+            k = len(enc)
+            sels = [slice(None), slice(1, None, 2), slice(k, None), rng.permutation(k),
+                    rng.permutation(k)[: k // 2], np.empty(0, dtype=np.int64)]
+            sels += [0, k // 2, k - 1, -1] if k else []
+            for sel in sels:
+                for view, want in ((got.enc, enc), (got.dec, dec)):
+                    cut = view[sel]
+                    assert np.array_equal(cut, want[sel]), (name, sel)
+                    assert cut.shape == want[sel].shape and cut.dtype == np.float64
+                    assert cut.flags.c_contiguous, (name, sel)
+                    assert not np.shares_memory(cut, frame.data)
+
+    def test_views_are_never_converted_whole(self):
+        batch = window(_segmented_frame(64, ()), 8, 4, 3).train
+        for view in (batch.enc, batch.dec):
+            with pytest.raises(TypeError):
+                np.asarray(view)
+            with pytest.raises(TypeError):
+                view[0, :3]
 
     def test_cases_cover_empty_and_fragmented_splits(self):
         n, changes, ratios = self.CASES["short-val"]
@@ -679,6 +716,21 @@ class TestBuildDataset:
         assert ds.splits.train.enc.shape[1:] == (24, 7)
         assert ds.splits.train.dec.shape[1:] == (20, 7)
         assert ds.splits.train.tgt.shape[1:] == (8, 1)
+
+    def test_windows_are_start_rows_not_copies(self, tmp_path):
+        # Whole windows of this file's three splits would take 41.8 MB.
+        path = tmp_path / "ett17k.csv"
+        write_synthetic_ett_csv(path, 1, 17420)
+        frame = featurize(clean(load_csv(path, "ett")))
+        tracemalloc.start()
+        try:
+            ds = build_dataset(frame, 24, 12, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.splits.train.enc.shape == (12163, 24, 7)
+        assert peak < 8e6
+        assert len(pickle.dumps(ds)) < 4e6
 
     def test_too_small_rejected(self):
         frame = featurize(ett_series(np.arange(10.0)))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cotn import training
-from cotn.data import build_dataset, load_csv
+from cotn.data import FeatureFrame, build_dataset, load_csv
 from cotn.model import ActivationMode, Forecaster, ModelConfig
 from cotn.tensor import parameter
 from cotn.training import (
@@ -156,6 +156,10 @@ class TestConfig:
             for bad in (math.nan, math.inf):
                 with pytest.raises(ValueError, match=f"^{name}: expected a finite"):
                     tiny_train_cfg(**{name: bad})
+        for name in ("ae_hidden", "ae_bottleneck", "ae_epochs"):
+            for bad in (0, -1):
+                with pytest.raises(ValueError, match=f"^{name}: expected >= 1, got {bad}$"):
+                    tiny_train_cfg(**{name: bad})
 
 
 class TestReportIO:
@@ -207,6 +211,23 @@ class TestAutoencoderFit:
     def test_bad_windows_rejected(self):
         with pytest.raises(ValueError):
             fit_autoencoder(np.zeros((4, 8)))
+
+    @pytest.mark.parametrize("n_features", [1, 3])
+    def test_view_fit_equals_the_array_fit(self, n_features):
+        rng = np.random.default_rng(n_features)
+        names = tuple("abc"[:n_features])
+        frame = FeatureFrame(np.arange(400, dtype=np.int64) * 3600,
+                             np.zeros(400, dtype=np.int64),
+                             np.asfortranarray(rng.standard_normal((400, n_features))),
+                             names, names[-1], 3600)
+        view = build_dataset(frame, enc_len=16, label_len=8, horizon=4).splits.train.enc
+        whole = view[:]
+        a = fit_autoencoder(view, hidden=12, bottleneck=3, seed=5, epochs=3)
+        b = fit_autoencoder(whole, hidden=12, bottleneck=3, seed=5, epochs=3)
+        assert a.tau == b.tau
+        assert {k: p.data.tobytes() for k, p in a.params.items()} == {
+            k: p.data.tobytes() for k, p in b.params.items()}
+        assert a.step_errors(view).tobytes() == b.step_errors(whole).tobytes()
 
 
 class TestRunTraining:
@@ -295,7 +316,7 @@ class TestSharedAutoencoder:
 
     def test_mismatched_autoencoder_rejected(self, tiny_dataset):
         cfg = tiny_train_cfg(epochs=1, anomaly_weighting=True, ae_epochs=2)
-        short = fit_autoencoder(tiny_dataset.splits.train.enc[:, :8], hidden=4,
+        short = fit_autoencoder(tiny_dataset.splits.train.enc[:][:, :8], hidden=4,
                                 bottleneck=2, epochs=1)
         with pytest.raises(ValueError, match="autoencoder expects"):
             run_training(tiny_dataset, TINY_MODEL, cfg, ae=short)
