@@ -60,13 +60,11 @@ __all__ = [
     "table_value_and_slope",
     "table_eval",
     "table_grad",
-    "table_segment",
     "gelu_value_and_slope",
     "gelu",
     "gelu_grad",
     "gated_value_and_slope",
     "gated_activation",
-    "gated_grad",
     "write_table",
     "read_table",
     "GeluActivation",
@@ -150,10 +148,6 @@ class MetaActivationTable:
     @property
     def n_nodes(self) -> int:
         return int(self.nodes.size)
-
-    @property
-    def node_spacing(self) -> float:
-        return (self.x_max - self.x_min) / (self.n_nodes - 1)
 
 
 def build_table(
@@ -266,17 +260,6 @@ def table_grad(tab: MetaActivationTable, x):
     return table_value_and_slope(tab, x)[1]
 
 
-def table_segment(tab: MetaActivationTable, x) -> np.ndarray:
-    """Integer id of the linear piece each query falls on.
-
-    Pieces are numbered so that crossing any node (or either clamp
-    boundary) changes the id: 0 below x_min, n_nodes above x_max, and
-    1 + segment index in between with node hits counted to the right.
-    """
-    xq = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    return np.searchsorted(tab.nodes, xq, side="right").astype(np.int64)
-
-
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -369,11 +352,6 @@ def gated_value_and_slope(x, cfg: GateConfig, tab: MetaActivationTable):
 def gated_activation(x, cfg: GateConfig, tab: MetaActivationTable):
     """Blend ``lam * gelu(x) + (1 - lam) * table(x)``."""
     return _gated(x, cfg, tab, False)[0]
-
-
-def gated_grad(x, cfg: GateConfig, tab: MetaActivationTable):
-    """Derivative of the gated blend (right-segment convention off-node)."""
-    return gated_value_and_slope(x, cfg, tab)[1]
 
 
 def write_table(tab: MetaActivationTable, path) -> None:

@@ -31,6 +31,7 @@ from .data import (
     CleanConfig,
     Dataset,
     NormStats,
+    WindowView,
     build_dataset,
     clean,
     denormalize_feature,
@@ -39,7 +40,6 @@ from .data import (
     load_csv,
     normalize,
     read_stats,
-    window_inputs,
     write_stats,
 )
 from .model import (
@@ -142,7 +142,9 @@ def load_run_config(path: str | None, overrides: list[str]) -> dict[str, dict]:
     if path is not None:
         if not os.path.exists(path):
             raise FileNotFoundError(f"config file not found: {path}")
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        # Values are literal: a "%" is kept as it is, never interpolated.
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                           interpolation=None)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 parser.read_file(fh)
@@ -429,10 +431,9 @@ def cmd_forecast(args) -> int:
         raise RuntimeError(
             "the final window straddles a data gap; cannot forecast from it"
         )
-    # The final window's inputs; its targets lie past the data.
-    enc, dec = window_inputs(frame.data, np.array([start]),
-                             cfg.enc_len, cfg.label_len, cfg.horizon)
-    pred = model.predict(enc[:], dec[:])[0, :, 0]
+    # The final window, C-contiguous as training's; its targets lie past the data.
+    enc = WindowView(frame.data, np.array([start]), cfg.enc_len)[:]
+    pred = model.predict(enc)[0, :, 0]
     values = denormalize_feature(pred, stats, frame.target)
     path = os.path.join(_out_dir(args), "forecast.csv")
     last_epoch = int(frame.epochs[n - 1])
@@ -448,6 +449,8 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_sweep_types(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs: expected >= 1, got {args.jobs}")
     _, dataset, _, model_cfg, train_cfg = _configure(args)
     result = sweep_types(dataset, model_cfg, train_cfg, jobs=args.jobs)
     path = os.path.join(_out_dir(args), "sweep.csv")

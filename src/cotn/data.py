@@ -56,7 +56,6 @@ __all__ = [
     "write_stats",
     "read_stats",
     "window",
-    "window_inputs",
     "build_dataset",
     "epoch_to_text",
 ]
@@ -632,24 +631,22 @@ def read_stats(path) -> NormStats:
 class WindowView:
     """Read-only windows of a frame's rows, cut when they are indexed.
 
-    Window i is rows [starts[i] + lo, starts[i] + hi) of data followed by
-    pad zero rows, so the view has shape (len(starts), hi - lo + pad,
-    n_features). Indexing with an int, a slice or an index array returns
-    a fresh C-contiguous float64 array of those windows. The view holds
-    only data and starts, never a split's windows all at once; np.asarray
-    on it raises TypeError instead of building them.
+    Window i is rows [starts[i], starts[i] + length) of data, so the view
+    has shape (len(starts), length, n_features). Indexing with an int, a
+    slice or an index array returns a fresh C-contiguous float64 array of
+    those windows. The view holds only data and starts, never a split's
+    windows all at once; np.asarray on it raises TypeError instead of
+    building them.
     """
 
-    def __init__(self, data: np.ndarray, starts: np.ndarray, lo: int, hi: int,
-                 pad: int = 0):
+    def __init__(self, data: np.ndarray, starts: np.ndarray, length: int):
         self.data = data
         self.starts = starts
-        self.pad = pad
-        self._offsets = np.arange(lo, hi)
+        self._offsets = np.arange(length)
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        return (len(self), self._offsets.size + self.pad, self.data.shape[1])
+        return (len(self), self._offsets.size, self.data.shape[1])
 
     def __len__(self) -> int:
         return int(self.starts.size)
@@ -657,40 +654,24 @@ class WindowView:
     def __getitem__(self, sel) -> np.ndarray:
         if isinstance(sel, tuple):
             raise TypeError("windows take one index: an int, a slice or an index array")
-        rows = np.asarray(self.starts[sel])[..., None] + self._offsets
-        if not self.pad:
-            return self.data[rows]
-        out = np.zeros(rows.shape[:-1] + self.shape[1:])
-        out[..., : self._offsets.size, :] = self.data[rows]
-        return out
+        return self.data[np.asarray(self.starts[sel])[..., None] + self._offsets]
 
     def __array__(self, *args, **kwargs):
         raise TypeError("a WindowView is cut by indexing it, not converted whole")
-
-
-def window_inputs(
-    data: np.ndarray, starts: np.ndarray, enc_len: int, label_len: int, horizon: int
-) -> tuple[WindowView, WindowView]:
-    """The encoder and decoder inputs of the windows starting at rows
-    starts of data: enc_len rows, and the last label_len of them followed
-    by horizon zero rows. Neither reads a window's target rows."""
-    return (WindowView(data, starts, 0, enc_len),
-            WindowView(data, starts, enc_len - label_len, enc_len, pad=horizon))
 
 
 @dataclass
 class WindowBatch:
     """A split's forecasting windows, as start rows into a normalized frame.
 
-    starts holds each window's first row in the frame. enc is
-    (n, enc_len, F) and dec is (n, label_len + horizon, F), with the final
-    horizon rows zeroed as decoder placeholders; both are WindowViews of
-    the frame's data, cut per batch by whoever indexes them. tgt is
-    (n, horizon, 1), read from the target feature, and stored whole.
+    starts holds each window's first row in the frame. enc is the
+    (n, enc_len, F) WindowView of the frame's data that the forecaster
+    reads (it builds its decoder input from it), cut per batch by whoever
+    indexes it. tgt is (n, horizon, 1), read from the target feature, and
+    stored whole.
     """
 
     enc: WindowView
-    dec: WindowView
     tgt: np.ndarray
     starts: np.ndarray
 
@@ -720,7 +701,7 @@ class Dataset:
 
 def _windows_in_range(
     frame: FeatureFrame, row_lo: int, row_hi: int,
-    enc_len: int, label_len: int, horizon: int, stride: int,
+    enc_len: int, horizon: int, stride: int,
 ) -> WindowBatch:
     total = enc_len + horizon
     starts = np.arange(row_lo, max(row_lo, row_hi - total + 1), stride, dtype=np.int64)
@@ -730,10 +711,9 @@ def _windows_in_range(
     changes = np.zeros(seg.size, dtype=np.int64)
     np.cumsum(seg[1:] != seg[:-1], out=changes[1:])
     starts = starts[changes[starts + total - 1] == changes[starts]]
-    enc, dec = window_inputs(frame.data, starts, enc_len, label_len, horizon)
     tgt_rows = starts[:, None] + np.arange(enc_len, total)
-    return WindowBatch(enc, dec, frame.data[tgt_rows, frame.target_index][:, :, None],
-                       starts)
+    return WindowBatch(WindowView(frame.data, starts, enc_len),
+                       frame.data[tgt_rows, frame.target_index][:, :, None], starts)
 
 
 def _split_rows(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, int]:
@@ -759,15 +739,15 @@ def window(
     The frame is split by row count at the given ratios; a window must
     lie entirely inside one split and one segment (targets included), so
     splits stay disjoint in time and discontinuities are never crossed.
+    label_len shapes no window: it is range-checked against enc_len, and
+    the forecaster takes its decoder rows from the encoder window.
     """
     if not (1 <= label_len <= enc_len):
         raise ValueError(f"need 1 <= label_len <= enc_len, got {label_len}, {enc_len}")
     if horizon < 1 or stride < 1:
         raise ValueError("horizon and stride must be >= 1")
     i_train, i_val, n = _split_rows(frame.n_rows, ratios)
-    make = lambda lo, hi: _windows_in_range(
-        frame, lo, hi, enc_len, label_len, horizon, stride
-    )
+    make = lambda lo, hi: _windows_in_range(frame, lo, hi, enc_len, horizon, stride)
     return SplitWindows(
         train=make(0, i_train),
         val=make(i_train, i_val),
@@ -787,6 +767,7 @@ def build_dataset(
 ) -> Dataset:
     """Fit stats on the training rows, normalize, and cut windows.
 
+    label_len is range-checked as window() does, and shapes no window.
     Given stats (a checkpoint's), the frame is normalized with them
     instead; the stats fitted on its training rows must name the same
     features, else RuntimeError, raised after every window check.

@@ -7,10 +7,11 @@ blocks, so k pooling stages leave ceil(L / 2^k) encoder rows. Each
 pooling stage also contributes a consistency loss between its input and
 the pooled output re-expanded by nearest-neighbor repetition.
 
-Decoding is parallel: the decoder consumes the last label_len known rows
-plus horizon zero placeholder rows in one causally masked pass and the
-head reads the forecast off the placeholder positions, so exactly one
-decoder invocation produces the whole horizon.
+Decoding is parallel: the decoder consumes the last label_len rows of
+the encoder window plus horizon zero placeholder rows, an input it builds
+itself, in one causally masked pass and the head reads the forecast off
+the placeholder positions, so exactly one decoder invocation produces
+the whole horizon.
 
 A separate dense autoencoder scores windows by reconstruction error; its
 per-window weight softly strips anomalous samples from the training
@@ -391,26 +392,17 @@ class Forecaster:
                 h = pooled
         return h, pairs
 
-    def parallel_decode(self, memory: Tensor, dec_x: np.ndarray) -> Tensor:
+    def parallel_decode(self, memory: Tensor, enc_x: np.ndarray) -> Tensor:
         """One causally masked decoder pass over context plus placeholders.
 
-        dec_x must carry label_len known rows followed by horizon rows of
-        zeros; the returned tensor holds the head output at the horizon
-        positions, shape (batch, horizon, n_targets).
+        The decoder input is the last label_len rows of enc_x followed by
+        horizon rows of zeros; the returned tensor holds the head output
+        at the horizon positions, shape (batch, horizon, n_targets).
         """
         cfg = self.cfg
-        dec_x = np.asarray(dec_x, dtype=np.float64)
         want = cfg.label_len + cfg.horizon
-        if dec_x.ndim != 3 or dec_x.shape[1] != want:
-            raise ValueError(
-                f"decoder input must be (batch, {want}, {cfg.n_features}), "
-                f"got {dec_x.shape}"
-            )
-        if np.any(dec_x[:, cfg.label_len :, :] != 0.0):
-            raise ValueError(
-                f"the last {cfg.horizon} decoder rows are forecast placeholders "
-                "and must be zero"
-            )
+        dec_x = np.zeros((enc_x.shape[0], want, cfg.n_features))
+        dec_x[:, : cfg.label_len] = enc_x[:, cfg.enc_len - cfg.label_len :]
         h = self._embed(dec_x, "dec.embed", self._dec_pe)
         for l in range(cfg.n_dec_layers):
             self_attn = self._attend(h, h, f"dec.{l}.self", mask=self._dec_mask)
@@ -421,20 +413,18 @@ class Forecaster:
         out = te.add(te.matmul(h, self._p("head.w")), self._p("head.b"))
         return te.slice_time(out, cfg.label_len, want)
 
-    def forward(
-        self, enc_x: np.ndarray, dec_x: np.ndarray
-    ) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
+    def forward(self, enc_x: np.ndarray) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
         """Forecast plus the distillation pairs feeding the training loss."""
         memory, pairs = self.encode(enc_x)
-        return self.parallel_decode(memory, dec_x), pairs
+        return self.parallel_decode(memory, enc_x), pairs
 
-    def predict(self, enc_x: np.ndarray, dec_x: np.ndarray) -> np.ndarray:
+    def predict(self, enc_x: np.ndarray) -> np.ndarray:
         """Forecast as a plain array, shape (batch, horizon, n_targets).
 
         Runs under te.no_grad(): nothing is recorded for a backward pass.
         """
         with te.no_grad():
-            pred, _ = self.forward(enc_x, dec_x)
+            pred, _ = self.forward(enc_x)
         return pred.data.copy()
 
 

@@ -228,9 +228,9 @@ def read_trial_report(path) -> dict[str, str]:
 # -- loss/metric helpers ------------------------------------------------------
 
 
-def _batched_predict(model: Forecaster, enc, dec, chunk: int = 64) -> np.ndarray:
-    """The model's prediction of windows enc/dec (arrays or the
-    WindowViews of a split), cut and predicted chunk windows at a time."""
+def _batched_predict(model: Forecaster, enc, chunk: int = 64) -> np.ndarray:
+    """The model's prediction of windows enc (an array or a split's
+    WindowView), cut and predicted chunk windows at a time."""
     # Predictions do not depend on the chunk. It is small so that each
     # chunk's score arrays stay in cache and reuse freed pages: at 512
     # windows they take 2.4 MB and more, and predicting the 12,163
@@ -238,7 +238,7 @@ def _batched_predict(model: Forecaster, enc, dec, chunk: int = 64) -> np.ndarray
     # time faulting in fresh pages, against none at 64 or 128.
     parts = []
     for lo in range(0, enc.shape[0], chunk):
-        parts.append(model.predict(enc[lo : lo + chunk], dec[lo : lo + chunk]))
+        parts.append(model.predict(enc[lo : lo + chunk]))
     return np.concatenate(parts, axis=0)
 
 
@@ -246,7 +246,7 @@ def _val_predict(model: Forecaster, dataset: Dataset) -> np.ndarray:
     batch = dataset.splits.val
     if batch.n_windows == 0:
         raise ValueError("validation split has no windows")
-    return _batched_predict(model, batch.enc, batch.dec)
+    return _batched_predict(model, batch.enc)
 
 
 def _split_metrics(model: Forecaster, dataset: Dataset, which: str,
@@ -257,7 +257,7 @@ def _split_metrics(model: Forecaster, dataset: Dataset, which: str,
     if batch.n_windows == 0:
         return math.nan, math.nan
     if pred is None:
-        pred = _batched_predict(model, batch.enc, batch.dec)
+        pred = _batched_predict(model, batch.enc)
     target_name = dataset.frame.target
     p = denormalize_feature(pred, dataset.stats, target_name)
     t = denormalize_feature(batch.tgt, dataset.stats, target_name)
@@ -356,7 +356,7 @@ def _stage_loop(
         order = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            pred, pairs = model.forward(train.enc[idx], train.dec[idx])
+            pred, pairs = model.forward(train.enc[idx])
             diff = te.sub(pred, te.constant(train.tgt[idx]))
             sq = te.mul(diff, diff)
             if weights is not None:
@@ -518,10 +518,12 @@ class SweepResult:
 
 
 def _fan_out(fn, work: list, jobs: int) -> list:
-    """[fn(item) for item in work], over jobs processes when jobs > 1 and
-    there is more than one item."""
+    """[fn(item) for item in work], over min(jobs, len(work)) processes
+    when jobs > 1 and there is more than one item."""
     if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The pool forks all its workers up front; more than one per item
+        # would only sit idle.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             return list(pool.map(fn, work))
     return [fn(item) for item in work]
 

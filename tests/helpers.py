@@ -1,13 +1,17 @@
-"""Test-only activation handles, probes of the forecaster's forward pass,
-a reference attention and a reference window cutter.
+"""Test-only table helpers and activation handles, probes of the
+forecaster's forward pass, a reference attention and a reference window
+cutter.
 
+The table helpers (segment ids, node spacing, the gated slope alone)
+serve tests only, so cotn.activation does not carry them.
 The handles implement the protocol cotn.tensor.apply_activation consumes:
 value(x) when no gradient is recorded, value_and_slope(x) when the tape
 records one. The probes observe a Forecaster from outside, through
 pytest's monkeypatch, so the model carries no hooks of its own. The
 per-head attention is the reference for the batched one, the
-window-by-window loop the reference for the windows cotn.data.window cuts,
-and the row-by-row cleaner the reference for cotn.data.clean.
+window-by-window loop the reference for the windows cotn.data.window cuts
+and the decoder inputs the forecaster builds from them, and the
+row-by-row cleaner the reference for cotn.data.clean.
 assert_same_dataset compares two datasets bit for bit.
 """
 
@@ -16,6 +20,7 @@ import math
 import numpy as np
 
 import cotn.tensor as te
+from cotn.activation import GateConfig, MetaActivationTable, gated_value_and_slope
 from cotn.data import (
     CleanConfig,
     CleaningAction,
@@ -25,6 +30,27 @@ from cotn.data import (
     _return_pass,
 )
 from cotn.model import Forecaster
+
+
+def table_segment(tab: MetaActivationTable, x) -> np.ndarray:
+    """Integer id of the linear piece each query falls on.
+
+    Pieces are numbered so that crossing any node (or either clamp
+    boundary) changes the id: 0 below x_min, n_nodes above x_max, and
+    1 + segment index in between with node hits counted to the right.
+    """
+    xq = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    return np.searchsorted(tab.nodes, xq, side="right").astype(np.int64)
+
+
+def node_spacing(tab: MetaActivationTable) -> float:
+    """The distance between neighbouring nodes of the table's grid."""
+    return (tab.x_max - tab.x_min) / (tab.n_nodes - 1)
+
+
+def gated_grad(x, cfg: GateConfig, tab: MetaActivationTable):
+    """Derivative of the gated blend (right-segment convention off-node)."""
+    return gated_value_and_slope(x, cfg, tab)[1]
 
 
 class IdentityActivation:
@@ -56,12 +82,26 @@ def count_decodes(monkeypatch) -> list:
     calls = []
     real = Forecaster.parallel_decode
 
-    def counting(self, memory, dec_x):
+    def counting(self, memory, enc_x):
         calls.append(self)
-        return real(self, memory, dec_x)
+        return real(self, memory, enc_x)
 
     monkeypatch.setattr(Forecaster, "parallel_decode", counting)
     return calls
+
+
+def capture_decoder_input(model: Forecaster, monkeypatch) -> list:
+    """Copy the input the model's decoder embeds on every call."""
+    seen = []
+    real = model._embed
+
+    def embed(x, prefix, pe):
+        if prefix == "dec.embed":
+            seen.append(np.array(x, copy=True))
+        return real(x, prefix, pe)
+
+    monkeypatch.setattr(model, "_embed", embed)
+    return seen
 
 
 def capture_norm(model: Forecaster, prefix: str, monkeypatch) -> list:
@@ -99,7 +139,7 @@ def per_head_attention(q, k, v, n_heads, wq, wk, wv, wo, mask=None):
 
 def assert_same_dataset(got: Dataset, want: Dataset) -> None:
     """Equal statistics, normalized rows and windows, bit for bit; each
-    split's enc and dec are compared whole, cut with [:]."""
+    split's enc is compared whole, cut with [:]."""
     assert got.stats.names == want.stats.names
     assert got.stats.dropped == want.stats.dropped
     pairs = [("stats.mean", got.stats.mean, want.stats.mean),
@@ -108,8 +148,8 @@ def assert_same_dataset(got: Dataset, want: Dataset) -> None:
     assert got.splits.boundaries == want.splits.boundaries
     for split in ("train", "val", "test"):
         a, b = getattr(got.splits, split), getattr(want.splits, split)
-        pairs += [(f"{split}.enc", a.enc[:], b.enc[:]), (f"{split}.dec", a.dec[:], b.dec[:]),
-                  (f"{split}.tgt", a.tgt, b.tgt), (f"{split}.starts", a.starts, b.starts)]
+        pairs += [(f"{split}.enc", a.enc[:], b.enc[:]), (f"{split}.tgt", a.tgt, b.tgt),
+                  (f"{split}.starts", a.starts, b.starts)]
     for name, a, b in pairs:
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
@@ -120,7 +160,9 @@ def loop_windows(frame: FeatureFrame, row_lo: int, row_hi: int, enc_len: int,
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The enc, dec, tgt and starts arrays of the windows of rows
     [row_lo, row_hi), one start at a time: a start is kept when every row
-    of its window lies in the start's segment."""
+    of its window lies in the start's segment. dec is the decoder input
+    the forecaster must build from enc: its last label_len rows followed
+    by horizon zero rows."""
     total = enc_len + horizon
     enc_list, dec_list, tgt_list, starts = [], [], [], []
     t_idx = frame.target_index

@@ -18,7 +18,6 @@ from cotn.activation import (
     build_table,
     fixed_step_activation,
     gated_activation,
-    gated_grad,
     gated_value_and_slope,
     gelu,
     gelu_grad,
@@ -28,13 +27,18 @@ from cotn.activation import (
     table_eval,
     table_for_type,
     table_grad,
-    table_segment,
     table_value_and_slope,
     write_table,
 )
 from cotn.oscillator import builtin_params, builtin_type_ids, simulate
 
-from helpers import IdentityActivation, TanhActivation
+from helpers import (
+    IdentityActivation,
+    TanhActivation,
+    gated_grad,
+    node_spacing,
+    table_segment,
+)
 
 
 def small_table(type_id=4, lo=-2.0, hi=2.0, n=201):
@@ -102,7 +106,7 @@ class TestTableBuild:
         tab = table_for_type(3)
         assert tab.x_min == -4.0 and tab.x_max == 4.0
         assert tab.n_nodes == 4001
-        assert tab.node_spacing == pytest.approx(0.002, rel=1e-12)
+        assert node_spacing(tab) == pytest.approx(0.002, rel=1e-12)
 
     def test_cache_returns_same_object(self):
         assert table_for_type(4, -2.0, 2.0, 201) is small_table()
@@ -208,10 +212,10 @@ class TestTableGrad:
     def test_matches_finite_difference_off_nodes(self):
         tab = small_table()
         rng = np.random.default_rng(3)
-        h = tab.node_spacing / 16
+        h = node_spacing(tab) / 16
         for _ in range(30):
             j = int(rng.integers(0, tab.n_nodes - 1))
-            x = float(tab.nodes[j]) + tab.node_spacing * float(rng.uniform(0.2, 0.8))
+            x = float(tab.nodes[j]) + node_spacing(tab) * float(rng.uniform(0.2, 0.8))
             fd = (table_eval(tab, x + h) - table_eval(tab, x - h)) / (2 * h)
             assert table_grad(tab, x) == pytest.approx(fd, rel=1e-9, abs=1e-12)
 
@@ -226,7 +230,7 @@ class TestTableSegment:
 
     def test_crossing_a_node_changes_id(self):
         tab = small_table()
-        eps = tab.node_spacing / 50
+        eps = node_spacing(tab) / 50
         for j in (1, 50, 199):
             x = float(tab.nodes[j])
             lo = table_segment(tab, x - eps)[0]
@@ -235,8 +239,8 @@ class TestTableSegment:
 
     def test_same_segment_same_id(self):
         tab = small_table()
-        a = tab.nodes[10] + 0.2 * tab.node_spacing
-        b = tab.nodes[10] + 0.9 * tab.node_spacing
+        a = tab.nodes[10] + 0.2 * node_spacing(tab)
+        b = tab.nodes[10] + 0.9 * node_spacing(tab)
         assert table_segment(tab, a)[0] == table_segment(tab, b)[0]
 
 

@@ -288,6 +288,29 @@ class TestConfigErrors:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_percent_in_a_value_is_literal(self, workspace, tmp_path):
+        data = tmp_path / "s2k%.csv"
+        data.write_bytes(workspace["csv"].read_bytes())
+        cfg = tmp_path / "percent.ini"
+        cfg.write_text(workspace["cfg"].read_text().replace(str(workspace["csv"]),
+                                                            str(data)))
+        code, lines = run("train", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                          "--set", "train.epochs=1",
+                          "--set", "train.anomaly_weighting=false")
+        assert code == 0, lines
+        assert (tmp_path / "out" / "checkpoint.bin").exists()
+
+    def test_interpolation_syntax_is_not_interpolated(self, workspace, tmp_path,
+                                                      capsys):
+        cfg = tmp_path / "interp.ini"
+        cfg.write_text(workspace["cfg"].read_text().replace(str(workspace["csv"]),
+                                                            "%(missing)s"))
+        code, _ = run("train", "--config", str(cfg))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'%(missing)s'" in err
+        assert "Traceback" not in err
+
     def test_values_are_checked_before_the_data_is_read(self, workspace, tmp_path):
         code, _ = run("train", "--config", str(workspace["cfg"]),
                       "--set", f"data.path={tmp_path / 'absent.csv'}",
@@ -826,6 +849,15 @@ class TestAnomalyCleaning:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected_before_the_data_is_read(self, workspace, tmp_path,
+                                                            capsys, jobs):
+        code, _ = run("sweep-types", "--config", str(workspace["cfg"]),
+                      "--out", str(tmp_path), "--jobs", jobs,
+                      "--set", f"data.path={tmp_path / 'absent.csv'}")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --jobs: expected >= 1, got {jobs}\n"
+
     def test_ranked_csv_and_winner(self, workspace, tmp_path):
         code, lines = run("sweep-types", "--config", str(workspace["cfg"]),
                           "--out", str(tmp_path), "--jobs", "4",

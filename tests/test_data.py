@@ -31,8 +31,9 @@ from cotn.data import (
     window,
     write_stats,
 )
+from cotn.model import Forecaster, ModelConfig
 from cotn.training import write_synthetic_ett_csv
-from helpers import assert_same_dataset, loop_clean, loop_windows
+from helpers import assert_same_dataset, capture_decoder_input, loop_clean, loop_windows
 
 HOUR = 3600
 T0 = 1577836800  # 2020-01-01 00:00:00 UTC
@@ -570,8 +571,6 @@ class TestWindows:
         b = splits.train
         s = int(b.starts[5])
         assert np.array_equal(b.enc[5], frame.data[s : s + 6])
-        assert np.array_equal(b.dec[5][:3], frame.data[s + 3 : s + 6])
-        assert np.all(b.dec[5][3:] == 0.0)
         t_idx = frame.target_index
         assert np.array_equal(
             b.tgt[5], frame.data[s + 6 : s + 8, t_idx : t_idx + 1])
@@ -631,12 +630,12 @@ class TestWindowGather:
         bounds = (0,) + splits.boundaries
         for i, name in enumerate(("train", "val", "test")):
             got = getattr(splits, name)
-            enc, dec, tgt, starts = loop_windows(
+            enc, _, tgt, starts = loop_windows(
                 frame, bounds[i], bounds[i + 1], 8, 4, 3, stride)
-            assert got.enc.shape == enc.shape and got.dec.shape == dec.shape, name
-            assert len(got.enc) == len(got.dec) == got.n_windows == starts.size, name
-            for field, a, b in (("enc", got.enc[:], enc), ("dec", got.dec[:], dec),
-                                ("tgt", got.tgt, tgt), ("starts", got.starts, starts)):
+            assert got.enc.shape == enc.shape, name
+            assert len(got.enc) == got.n_windows == starts.size, name
+            for field, a, b in (("enc", got.enc[:], enc), ("tgt", got.tgt, tgt),
+                                ("starts", got.starts, starts)):
                 assert a.dtype == b.dtype and a.shape == b.shape, (name, field)
                 assert a.tobytes() == b.tobytes(), (name, field)
                 assert a.flags.c_contiguous, (name, field)
@@ -651,26 +650,49 @@ class TestWindowGather:
         rng = np.random.default_rng(stride)
         for i, name in enumerate(("train", "val", "test")):
             got = getattr(splits, name)
-            enc, dec, _, _ = loop_windows(frame, bounds[i], bounds[i + 1], 8, 4, 3, stride)
+            enc, _, _, _ = loop_windows(frame, bounds[i], bounds[i + 1], 8, 4, 3, stride)
             k = len(enc)
             sels = [slice(None), slice(1, None, 2), slice(k, None), rng.permutation(k),
                     rng.permutation(k)[: k // 2], np.empty(0, dtype=np.int64)]
             sels += [0, k // 2, k - 1, -1] if k else []
             for sel in sels:
-                for view, want in ((got.enc, enc), (got.dec, dec)):
-                    cut = view[sel]
-                    assert np.array_equal(cut, want[sel]), (name, sel)
-                    assert cut.shape == want[sel].shape and cut.dtype == np.float64
-                    assert cut.flags.c_contiguous, (name, sel)
-                    assert not np.shares_memory(cut, frame.data)
+                cut = got.enc[sel]
+                assert np.array_equal(cut, enc[sel]), (name, sel)
+                assert cut.shape == enc[sel].shape and cut.dtype == np.float64
+                assert cut.flags.c_contiguous, (name, sel)
+                assert not np.shares_memory(cut, frame.data)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_decoder_input_is_the_loops_dec(self, case, stride, monkeypatch):
+        # The forecaster builds its decoder input from the encoder windows
+        # it is given: the loop's dec, bit for bit, in predict and forward.
+        n, changes, ratios = self.CASES[case]
+        frame = _segmented_frame(n, changes, seed=stride)
+        splits = window(frame, 8, 4, 3, stride=stride, ratios=ratios)
+        bounds = (0,) + splits.boundaries
+        model = Forecaster(ModelConfig(d_model=4, n_heads=1, n_enc_layers=2, d_ff=4,
+                                       enc_len=8, label_len=4, horizon=3,
+                                       n_features=frame.n_features), seed=stride)
+        seen = capture_decoder_input(model, monkeypatch)
+        for i, name in enumerate(("train", "val", "test")):
+            _, dec, _, _ = loop_windows(frame, bounds[i], bounds[i + 1], 8, 4, 3, stride)
+            enc = getattr(splits, name).enc[:]
+            model.predict(enc)
+            model.forward(enc)
+            assert len(seen) == 2, name
+            for got in seen:
+                assert got.dtype == dec.dtype and got.shape == dec.shape, name
+                assert got.tobytes() == dec.tobytes(), name
+                assert got.flags.c_contiguous, name
+            seen.clear()
 
     def test_views_are_never_converted_whole(self):
-        batch = window(_segmented_frame(64, ()), 8, 4, 3).train
-        for view in (batch.enc, batch.dec):
-            with pytest.raises(TypeError):
-                np.asarray(view)
-            with pytest.raises(TypeError):
-                view[0, :3]
+        view = window(_segmented_frame(64, ()), 8, 4, 3).train.enc
+        with pytest.raises(TypeError):
+            np.asarray(view)
+        with pytest.raises(TypeError):
+            view[0, :3]
 
     def test_cases_cover_empty_and_fragmented_splits(self):
         n, changes, ratios = self.CASES["short-val"]
@@ -714,7 +736,6 @@ class TestBuildDataset:
         frame = featurize(ett_series(np.arange(200.0)))
         ds = build_dataset(frame, 24, 12, 8)
         assert ds.splits.train.enc.shape[1:] == (24, 7)
-        assert ds.splits.train.dec.shape[1:] == (20, 7)
         assert ds.splits.train.tgt.shape[1:] == (8, 1)
 
     def test_windows_are_start_rows_not_copies(self, tmp_path):

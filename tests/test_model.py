@@ -42,11 +42,7 @@ def tiny_cfg(**kw):
 
 def batch_for(cfg, n=2, seed=0):
     rng = np.random.default_rng(seed)
-    enc = rng.standard_normal((n, cfg.enc_len, cfg.n_features))
-    dec = np.zeros((n, cfg.label_len + cfg.horizon, cfg.n_features))
-    dec[:, : cfg.label_len] = rng.standard_normal(
-        (n, cfg.label_len, cfg.n_features))
-    return enc, dec
+    return rng.standard_normal((n, cfg.enc_len, cfg.n_features))
 
 
 class TestConfig:
@@ -282,7 +278,7 @@ class TestForecaster:
     def test_encode_shapes(self):
         cfg = tiny_cfg()
         model = Forecaster(cfg, seed=0)
-        enc, _ = batch_for(cfg)
+        enc = batch_for(cfg)
         memory, pairs = model.encode(enc)
         assert memory.shape == (2, 6, cfg.d_model)
         assert len(pairs) == 1
@@ -292,7 +288,7 @@ class TestForecaster:
     def test_encode_without_distill_keeps_length(self):
         cfg = tiny_cfg(distill=False)
         model = Forecaster(cfg, seed=0)
-        enc, _ = batch_for(cfg)
+        enc = batch_for(cfg)
         memory, pairs = model.encode(enc)
         assert memory.shape == (2, cfg.enc_len, cfg.d_model)
         assert pairs == []
@@ -300,13 +296,13 @@ class TestForecaster:
     def test_predict_shape_and_decode_counter(self, monkeypatch):
         cfg = tiny_cfg()
         model = Forecaster(cfg, seed=1)
-        enc, dec = batch_for(cfg)
+        enc = batch_for(cfg)
         decodes = count_decodes(monkeypatch)
         assert len(decodes) == 0
-        out = model.predict(enc, dec)
+        out = model.predict(enc)
         assert out.shape == (2, cfg.horizon, 1)
         assert decodes == [model]
-        model.predict(enc, dec)
+        model.predict(enc)
         assert decodes == [model, model]
 
     @pytest.mark.parametrize("mode", [ActivationMode(kind="gelu"),
@@ -314,32 +310,24 @@ class TestForecaster:
     def test_predict_records_nothing_and_matches_forward(self, mode):
         cfg = tiny_cfg(activation=mode)
         model = Forecaster(cfg, seed=1)
-        enc, dec = batch_for(cfg, n=3)
-        out = model.predict(enc, dec)
+        enc = batch_for(cfg, n=3)
+        out = model.predict(enc)
         assert all(p.grad is None for p in model.params.values())
-        pred, _ = model.forward(enc, dec)
+        pred, _ = model.forward(enc)
         assert pred.requires_grad
         assert np.array_equal(out, pred.data)
-
-    def test_placeholder_rows_must_be_zero(self):
-        cfg = tiny_cfg()
-        model = Forecaster(cfg, seed=1)
-        enc, dec = batch_for(cfg)
-        dec[0, cfg.label_len + 1, 0] = 0.5
-        with pytest.raises(ValueError):
-            model.predict(enc, dec)
 
     def test_decoder_self_attention_is_causal(self, monkeypatch):
         cfg = tiny_cfg()
         model = Forecaster(cfg, seed=2)
-        enc, dec = batch_for(cfg)
+        enc = batch_for(cfg)
         memory, _ = model.encode(enc)
         seen = capture_norm(model, "dec.0.ln1", monkeypatch)
-        model.parallel_decode(memory, dec)
+        model.parallel_decode(memory, enc)
         j = 4  # perturb a later label row; earlier rows must not move
-        dec2 = dec.copy()
-        dec2[:, j] += 3.0
-        model.parallel_decode(memory, dec2)
+        enc2 = enc.copy()
+        enc2[:, cfg.enc_len - cfg.label_len + j] += 3.0
+        model.parallel_decode(memory, enc2)
         assert len(seen) == 2
         a, b = seen
         assert a.shape == (2, cfg.label_len + cfg.horizon, cfg.d_model)
@@ -348,11 +336,11 @@ class TestForecaster:
 
     def test_gated_mode_runs_and_differs_from_gelu(self):
         cfg = tiny_cfg()
-        enc, dec = batch_for(cfg)
-        base = Forecaster(cfg, seed=3).predict(enc, dec)
+        enc = batch_for(cfg)
+        base = Forecaster(cfg, seed=3).predict(enc)
         gated_cfg = tiny_cfg(
             activation=ActivationMode(kind="gated", type_id=1, lam=0.5))
-        gated = Forecaster(gated_cfg, seed=3).predict(enc, dec)
+        gated = Forecaster(gated_cfg, seed=3).predict(enc)
         assert base.shape == gated.shape
         assert not np.allclose(base, gated)
 
@@ -366,7 +354,7 @@ class TestForecaster:
             assert np.array_equal(model.params[n].data, arr)
 
     def test_init_independent_of_activation_mode(self):
-        enc, dec = batch_for(tiny_cfg())
+        enc = batch_for(tiny_cfg())
         a = Forecaster(tiny_cfg(), seed=5)
         b = Forecaster(tiny_cfg(
             activation=ActivationMode(kind="gated", type_id=1, lam=0.5)), seed=5)
@@ -375,7 +363,7 @@ class TestForecaster:
         # Same weights, same inputs: swapping modes reproduces the other
         # model's forecast exactly.
         b.set_activation(ActivationMode(kind="gelu"))
-        assert np.array_equal(a.predict(enc, dec), b.predict(enc, dec))
+        assert np.array_equal(a.predict(enc), b.predict(enc))
 
     def test_state_round_trip(self):
         cfg = tiny_cfg()
@@ -383,8 +371,8 @@ class TestForecaster:
         state = model.state_arrays()
         other = Forecaster(cfg, seed=99)
         other.load_state_arrays(state)
-        enc, dec = batch_for(cfg)
-        assert np.array_equal(model.predict(enc, dec), other.predict(enc, dec))
+        enc = batch_for(cfg)
+        assert np.array_equal(model.predict(enc), other.predict(enc))
 
     def test_load_rejects_bad_state(self):
         cfg = tiny_cfg()
@@ -401,8 +389,8 @@ class TestForecaster:
     def test_zero_grad_clears(self):
         cfg = tiny_cfg()
         model = Forecaster(cfg, seed=0)
-        enc, dec = batch_for(cfg)
-        pred, _ = model.forward(enc, dec)
+        enc = batch_for(cfg)
+        pred, _ = model.forward(enc)
         grads = te.backward(te.mean_all(te.mul(pred, pred)))
         some_param = model.params["head.w"]
         assert some_param in grads
@@ -414,8 +402,8 @@ class TestForecaster:
         cfg = tiny_cfg(activation=ActivationMode(kind="gated", type_id=3,
                                                  lam=0.25))
         model = Forecaster(cfg, seed=11)
-        enc, dec = batch_for(cfg)
-        want = model.predict(enc, dec)
+        enc = batch_for(cfg)
+        want = model.predict(enc)
         path = tmp_path / "model.bin"
         save_forecaster(path, model,
                         extra_tensors={"norm.mean": np.arange(3.0)},
@@ -424,7 +412,7 @@ class TestForecaster:
         assert back.cfg == cfg
         assert meta["data.schema"] == "ett"
         assert np.array_equal(extra["norm.mean"], np.arange(3.0))
-        assert np.array_equal(back.predict(enc, dec), want)
+        assert np.array_equal(back.predict(enc), want)
 
     @pytest.mark.parametrize("drop", ["n_heads", "activation.lam", "head.w"])
     def test_missing_entry_names_file_and_key(self, tmp_path, drop):
@@ -475,8 +463,8 @@ class TestStoredTable:
         back, extra, _ = load_forecaster(path)
         assert set(back.params) == set(model.params)
         assert set(extra) == {"norm.mean"}
-        enc, dec = batch_for(model.cfg)
-        assert np.array_equal(back.predict(enc, dec), model.predict(enc, dec))
+        enc = batch_for(model.cfg)
+        assert np.array_equal(back.predict(enc), model.predict(enc))
 
     def test_the_stored_values_define_the_model(self, tmp_path):
         _, path = self._saved(tmp_path)
@@ -496,8 +484,8 @@ class TestStoredTable:
         calls = self._count_rebuilds(monkeypatch)
         back, _, _ = load_forecaster(path)
         assert calls == [(2,)]
-        enc, dec = batch_for(model.cfg)
-        assert np.array_equal(back.predict(enc, dec), model.predict(enc, dec))
+        enc = batch_for(model.cfg)
+        assert np.array_equal(back.predict(enc), model.predict(enc))
 
     def test_gelu_checkpoint_stores_no_table(self, tmp_path, monkeypatch):
         _, path = self._saved(tmp_path, kind="gelu")

@@ -237,8 +237,7 @@ class TestRunTraining:
         model_b, rep_b = run_training(tiny_dataset, TINY_MODEL, cfg)
         assert rep_a.metric_dict() == rep_b.metric_dict()
         enc = tiny_dataset.splits.test.enc[:4]
-        dec = tiny_dataset.splits.test.dec[:4]
-        assert np.array_equal(model_a.predict(enc, dec), model_b.predict(enc, dec))
+        assert np.array_equal(model_a.predict(enc), model_b.predict(enc))
 
     def test_seed_changes_outcome(self, tiny_dataset):
         _, rep_a = run_training(tiny_dataset, TINY_MODEL, tiny_train_cfg(seed=1))
@@ -398,8 +397,8 @@ class TestPredictPath:
         model = Forecaster(replace(TINY_MODEL, activation=ActivationMode("gated", 1, 0.5)),
                            seed=3)
         train = tiny_dataset.splits.train
-        enc, dec = train.enc[:150], train.dec[:150]
-        preds = [_batched_predict(model, enc, dec, chunk) for chunk in (1, 7, 64, 512)]
+        enc = train.enc[:150]
+        preds = [_batched_predict(model, enc, chunk) for chunk in (1, 7, 64, 512)]
         assert preds[0].shape == (150, 4, 1)
         for p in preds[1:]:
             assert np.array_equal(p, preds[0])
@@ -428,10 +427,10 @@ class TestPredictPath:
             finally:
                 in_finish.pop()
 
-        def predict(self, enc, dec):
+        def predict(self, enc):
             if in_finish:
                 seen.append(enc.shape[0])
-            return real_predict(self, enc, dec)
+            return real_predict(self, enc)
 
         monkeypatch.setattr(training, "_finish_report", finish)
         monkeypatch.setattr(Forecaster, "predict", predict)
@@ -447,7 +446,7 @@ class TestPredictPath:
         model, report = run_training(tiny_dataset, TINY_MODEL, cfg)
         assert report.activation == model.activation.name != "gelu"
         val = tiny_dataset.splits.val
-        assert report.best_val_loss == mse(_batched_predict(model, val.enc, val.dec), val.tgt)
+        assert report.best_val_loss == mse(_batched_predict(model, val.enc), val.tgt)
         assert (report.val_mae, report.val_mse) == _split_metrics(model, tiny_dataset, "val")
 
 
@@ -461,9 +460,7 @@ class TestWarmStart:
         assert d.pop("plan") == "direct" and w.pop("plan") == "warm_start"
         assert d == w
         enc = tiny_dataset.splits.test.enc[:4]
-        dec = tiny_dataset.splits.test.dec[:4]
-        assert np.array_equal(model_d.predict(enc, dec),
-                              model_w.predict(enc, dec))
+        assert np.array_equal(model_d.predict(enc), model_w.predict(enc))
 
     def test_direct_plan_ignores_pretrain_epochs(self, tiny_dataset):
         model_0, rep_0 = run_training(tiny_dataset, TINY_MODEL, tiny_train_cfg())
@@ -506,6 +503,35 @@ class TestSweep:
                           jobs=3)
         assert [e.type_id for e in seq.entries] == [e.type_id for e in par.entries]
         assert [e.val_mae for e in seq.entries] == [e.val_mae for e in par.entries]
+
+
+class TestFanOut:
+    @pytest.mark.parametrize("jobs,n_items,pools", [
+        (64, 8, [8]), (2, 8, [2]), (3, 3, [3]), (1, 8, []), (0, 8, []),
+        (-1, 8, []), (4, 1, []), (4, 0, []),
+    ])
+    def test_pool_never_outnumbers_the_work(self, monkeypatch, jobs, n_items, pools):
+        # A stand-in pool records the workers asked for and runs the map
+        # in this process, so no process is started.
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                return map(fn, work)
+
+        monkeypatch.setattr(training, "ProcessPoolExecutor", RecordingPool)
+        work = list(range(n_items))
+        assert training._fan_out(lambda i: i * i, work, jobs) == [i * i for i in work]
+        assert seen == pools
 
 
 class TestMultiTrial:
