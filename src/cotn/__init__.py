@@ -10,7 +10,6 @@ and autoencoder-weighted losses on volatile series.
 __version__ = "0.1.0"
 
 from .activation import (
-    GateConfig,
     MetaActivationTable,
     build_table,
     gated_activation,
@@ -42,7 +41,6 @@ __all__ = [
     "ActivationMode",
     "Autoencoder",
     "Forecaster",
-    "GateConfig",
     "LeeParams",
     "LorsParams",
     "MetaActivationTable",

@@ -52,7 +52,6 @@ from .oscillator import (
 
 __all__ = [
     "MetaActivationTable",
-    "GateConfig",
     "mot_activation_exact",
     "fixed_step_activation",
     "build_table",
@@ -82,7 +81,7 @@ def mot_activation_exact(
     x: float, p: LorsParams, n_steps: int = N_STEPS_DEFAULT
 ) -> float:
     """Max-over-time activation: peak oscillator output over a full run."""
-    return float(np.max(simulate(x, p, n_steps).values))
+    return float(np.max(simulate(x, p, n_steps)))
 
 
 def fixed_step_activation(x: float, p: LorsParams, t: int) -> float:
@@ -93,7 +92,7 @@ def fixed_step_activation(x: float, p: LorsParams, t: int) -> float:
     """
     if not 1 <= t <= N_STEPS_DEFAULT:
         raise ValueError(f"t must be in 1..{N_STEPS_DEFAULT}, got {t}")
-    return float(simulate(x, p, t).values[-1])
+    return float(simulate(x, p, t)[-1])
 
 
 @dataclass(frozen=True)
@@ -304,54 +303,33 @@ def gelu_grad(x):
     return gelu_value_and_slope(x)[1]
 
 
-@dataclass(frozen=True)
-class GateConfig:
-    """Fixed blend between GELU and one tabulated oscillator activation."""
-
-    lam: float
-    type_id: int
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lam) and 0.0 <= self.lam <= 1.0):
-            raise ValueError(f"lam must lie in [0, 1], got {self.lam!r}")
-
-
-def _check_gate(cfg: GateConfig, tab: MetaActivationTable) -> None:
-    if tab.type_id != cfg.type_id:
-        raise ValueError(
-            f"gate expects oscillator type {cfg.type_id} but table holds "
-            f"type {tab.type_id}"
-        )
-
-
-def _gated(x, cfg: GateConfig, tab: MetaActivationTable, with_slope: bool):
+def _gated(x, lam: float, tab: MetaActivationTable, with_slope: bool):
     # The blend and, if asked, its slope; scalar input gives floats. The
     # value-only path skips the GELU derivative and the table slope.
-    _check_gate(cfg, tab)
     xq = np.asarray(x, dtype=np.float64)
     x1 = np.atleast_1d(xq)
     g_value, cdf2 = _gelu_value(x1)
     t_value, t_slope = _table_lookup(tab, x1, with_slope)
-    rest = 1.0 - cfg.lam
-    value = cfg.lam * g_value + rest * t_value
-    slope = cfg.lam * _gelu_slope(x1, cdf2) + rest * t_slope if with_slope else None
+    rest = 1.0 - lam
+    value = lam * g_value + rest * t_value
+    slope = lam * _gelu_slope(x1, cdf2) + rest * t_slope if with_slope else None
     if xq.ndim == 0:
         return float(value[0]), None if slope is None else float(slope[0])
     return value, slope
 
 
-def gated_value_and_slope(x, cfg: GateConfig, tab: MetaActivationTable):
+def gated_value_and_slope(x, lam: float, tab: MetaActivationTable):
     """The blend ``lam * gelu(x) + (1 - lam) * table(x)`` and its slope.
 
     The slope blends the GELU derivative with the table's segment slope
     (right-segment convention at nodes).
     """
-    return _gated(x, cfg, tab, True)
+    return _gated(x, lam, tab, True)
 
 
-def gated_activation(x, cfg: GateConfig, tab: MetaActivationTable):
+def gated_activation(x, lam: float, tab: MetaActivationTable):
     """Blend ``lam * gelu(x) + (1 - lam) * table(x)``."""
-    return _gated(x, cfg, tab, False)[0]
+    return _gated(x, lam, tab, False)[0]
 
 
 def write_table(tab: MetaActivationTable, path) -> None:
@@ -429,16 +407,19 @@ class GeluActivation:
 
 
 class GatedLeeActivation:
-    """Array-valued gated blend of GELU and one tabulated oscillator type."""
+    """Array-valued gated blend of GELU and one tabulated oscillator type.
 
-    def __init__(self, cfg: GateConfig, tab: MetaActivationTable):
-        _check_gate(cfg, tab)
-        self.cfg = cfg
+    lam is used as given; cotn.model.ActivationMode range-checks it and
+    matches the table's type to the setting's.
+    """
+
+    def __init__(self, lam: float, tab: MetaActivationTable):
+        self.lam = lam
         self.tab = tab
-        self.name = f"gated(type={cfg.type_id}, lam={cfg.lam:g})"
+        self.name = f"gated(type={tab.type_id}, lam={lam:g})"
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        return gated_activation(np.asarray(x, dtype=np.float64), self.cfg, self.tab)
+        return gated_activation(np.asarray(x, dtype=np.float64), self.lam, self.tab)
 
     def value_and_slope(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return gated_value_and_slope(np.asarray(x, dtype=np.float64), self.cfg, self.tab)
+        return gated_value_and_slope(np.asarray(x, dtype=np.float64), self.lam, self.tab)

@@ -194,8 +194,6 @@ def _build_activation(cfg: dict[str, dict]) -> ActivationMode:
         mode = ActivationMode(kind, **{k: v for k, v in sec.items() if k in _MODE_FIELDS})
     except ValueError as exc:
         raise ConfigError(f"model.{exc}") from None
-    if not 1 <= mode.type_id <= 8:
-        raise ConfigError(f"model.type_id: expected 1..8, got {mode.type_id}")
     return mode
 
 
@@ -313,8 +311,18 @@ def _stats_from_extra(extra: dict[str, np.ndarray], meta: dict[str, str],
     def names(key):
         return tuple(n for n in _required(meta, key, checkpoint).split(",") if n)
 
-    return NormStats(names("norm.names"), _required(extra, "norm.mean", checkpoint),
-                     _required(extra, "norm.std", checkpoint), names("norm.dropped"))
+    # The rules read_stats applies to norm_stats.txt.
+    kept = names("norm.names")
+    mean, std = (_required(extra, key, checkpoint) for key in ("norm.mean", "norm.std"))
+    for key, arr in (("norm.mean", mean), ("norm.std", std)):
+        if arr.shape != (len(kept),):
+            raise ValueError(f"{checkpoint}: {key!r}: expected shape ({len(kept)},) "
+                             f"for the {len(kept)} kept features, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{checkpoint}: {key!r}: every value must be finite")
+    if not np.all(std > 0.0):
+        raise ValueError(f"{checkpoint}: 'norm.std': every value must be > 0")
+    return NormStats(kept, mean, std, names("norm.dropped"))
 
 
 # -- subcommands ----------------------------------------------------------------

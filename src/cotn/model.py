@@ -28,13 +28,13 @@ import numpy as np
 
 from . import tensor as te
 from .activation import (
-    GateConfig,
     GatedLeeActivation,
     GeluActivation,
     MetaActivationTable,
     table_for_type,
 )
 from .data import WindowView
+from .oscillator import builtin_type_ids
 from .tensor import Tensor
 
 __all__ = [
@@ -60,7 +60,9 @@ class ActivationMode:
 
     kind "gelu" ignores the other fields; kind "gated" blends GELU with
     the tabulated oscillator activation of the given type through the
-    fixed weight lam.
+    fixed weight lam. Both fields are range-checked for either kind, so a
+    config or checkpoint holds a valid gate setting whichever kind it
+    names.
     """
 
     kind: str = "gelu"
@@ -70,17 +72,23 @@ class ActivationMode:
     def __post_init__(self) -> None:
         if self.kind not in ("gelu", "gated"):
             raise ValueError(f"kind: expected gelu or gated, got {self.kind!r}")
+        if self.type_id not in builtin_type_ids():
+            raise ValueError(f"type_id: expected 1..8, got {self.type_id!r}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam: expected a number in [0, 1], got {self.lam!r}")
 
     def build(self, tab: Optional[MetaActivationTable] = None):
-        """The activation object; a gated one uses tab, or the builtin
-        table of type_id when none is given."""
+        """The activation object; a gated one uses tab, which must hold
+        type_id's table, or the builtin table of type_id when none is
+        given."""
         if self.kind == "gelu":
             return GeluActivation()
         if tab is None:
             tab = table_for_type(self.type_id)
-        return GatedLeeActivation(GateConfig(self.lam, self.type_id), tab)
+        elif tab.type_id != self.type_id:
+            raise ValueError(f"type_id: the gate expects oscillator type "
+                             f"{self.type_id} but the table holds type {tab.type_id}")
+        return GatedLeeActivation(self.lam, tab)
 
 
 @dataclass(frozen=True)

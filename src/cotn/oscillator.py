@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Optional
 
 import numpy as np
 
@@ -32,7 +31,6 @@ __all__ = [
     "LeeParams",
     "LorsParams",
     "OscState",
-    "Trajectory",
     "BifurcationData",
     "ZERO_STATE",
     "lee_step",
@@ -144,18 +142,6 @@ ZERO_STATE = OscState()
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Output sequence of a constant-stimulus run started from rest.
-
-    values[t] is the oscillator output after step t+1; len(values) equals
-    the requested number of steps. states is populated only on request.
-    """
-
-    values: np.ndarray
-    states: Optional[tuple[OscState, ...]] = None
-
-
-@dataclass(frozen=True)
 class BifurcationData:
     """Settled outputs across a stimulus grid.
 
@@ -252,29 +238,23 @@ def lors_step(state: OscState, raw_input: float, p: LorsParams) -> OscState:
     return OscState(e_new, i_new, omega_new, out)
 
 
-def simulate(
-    raw_input: float,
-    p: LorsParams,
-    n_steps: int = N_STEPS_DEFAULT,
-    record_states: bool = False,
-) -> Trajectory:
+def simulate(raw_input: float, p: LorsParams, n_steps: int = N_STEPS_DEFAULT) -> np.ndarray:
     """Run the retrograde oscillator from rest under constant input.
 
     Starts from the all-zero state, holds the input fixed for n_steps
-    steps and records the output after each one.
+    steps and returns the (n_steps,) outputs: entry t is the output after
+    step t + 1. lors_step gives the full state of each step through the
+    same update kernel.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     s = stimulus_signal(raw_input, p.e)
     e = i = omega = out = 0.0
     values = np.empty(n_steps, dtype=np.float64)
-    states: Optional[list[OscState]] = [] if record_states else None
     for t in range(n_steps):
         e, i, omega, out = _lors_update(e, i, omega, out, s, p)
         values[t] = out
-        if states is not None:
-            states.append(OscState(e, i, omega, out))
-    return Trajectory(values, tuple(states) if states is not None else None)
+    return values
 
 
 def _libm(fn, a: np.ndarray) -> np.ndarray:
@@ -289,7 +269,7 @@ def simulate_many(
 ) -> np.ndarray:
     """Trajectories of many constant inputs at once, shape (n, n_steps).
 
-    Row j equals ``simulate(raw_inputs[j], p, n_steps).values`` bit for
+    Row j equals ``simulate(raw_inputs[j], p, n_steps)`` bit for
     bit: every input is stepped together with _lors_update's operations
     in its order, and tanh and exp go through the same libm calls. A row
     whose state (E, I, L) repeats exactly is at a fixed point; once half

@@ -13,10 +13,11 @@ with broadcasting, time-axis surgery for convolution/pooling/expansion,
 pluggable scalar activations) and nothing else. Convention: the last axis
 is the feature/channel axis and the second-to-last is time.
 
+The functions below are the only way to build an op: a Tensor has no
+arithmetic operators, so every recorded node comes from a named call.
+
 Checkpoints are flat binary containers of named float64 arrays plus a
 text manifest; save/load round-trips are bit-exact.
-
-Set ``check_finite = True`` (tests do) to assert every op output is finite.
 """
 
 from __future__ import annotations
@@ -60,9 +61,7 @@ __all__ = [
     "load_tensors",
 ]
 
-check_finite = False
-
-_grad_enabled = True  # process-wide, like check_finite; see no_grad()
+_grad_enabled = True  # process-wide; see no_grad()
 
 NEG_INF = -1e30  # additive mask value; exp() underflows to exactly 0.0
 
@@ -101,34 +100,6 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}{tag}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, _coerce(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _coerce(other))
-
-
-def _coerce(x) -> "Tensor":
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 def parameter(data, name: Optional[str] = None) -> Tensor:
     """A trainable leaf tensor."""
@@ -166,9 +137,7 @@ def no_grad():
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor],
-          vjps: Sequence[Callable[[np.ndarray], np.ndarray]], op: str) -> Tensor:
-    if check_finite and not np.all(np.isfinite(data)):
-        raise FloatingPointError(f"non-finite values produced by op {op!r}")
+          vjps: Sequence[Callable[[np.ndarray], np.ndarray]]) -> Tensor:
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -192,7 +161,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(
         data, (a, b),
         (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape)),
-        "add",
     )
 
 
@@ -201,7 +169,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _make(
         data, (a, b),
         (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(-g, b.shape)),
-        "sub",
     )
 
 
@@ -211,17 +178,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         data, (a, b),
         (lambda g: _unbroadcast(g * b.data, a.shape),
          lambda g: _unbroadcast(g * a.data, b.shape)),
-        "mul",
     )
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _make(a.data * c, (a,), (lambda g: g * c,), "scale")
+    return _make(a.data * c, (a,), (lambda g: g * c,))
 
 
 def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), (lambda g: -g,), "neg")
+    return _make(-a.data, (a,), (lambda g: -g,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -237,7 +203,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def db(g: np.ndarray) -> np.ndarray:
         return _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
 
-    return _make(data, (a, b), (da, db), "matmul")
+    return _make(data, (a, b), (da, db))
 
 
 def transpose_last2(a: Tensor) -> Tensor:
@@ -245,7 +211,7 @@ def transpose_last2(a: Tensor) -> Tensor:
         raise ValueError(f"transpose_last2 needs >= 2-d input, got {a.shape}")
     return _make(
         np.swapaxes(a.data, -1, -2), (a,),
-        (lambda g: np.swapaxes(g, -1, -2),), "transpose_last2",
+        (lambda g: np.swapaxes(g, -1, -2),),
     )
 
 
@@ -268,7 +234,7 @@ def softmax_last_axis(x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
         inner = (g * y).sum(axis=-1, keepdims=True)
         return y * (g - inner)
 
-    return _make(y, (x,), (dx,), "softmax_last_axis")
+    return _make(y, (x,), (dx,))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -298,7 +264,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     def dbeta(g: np.ndarray) -> np.ndarray:
         return _unbroadcast(g, beta.shape)
 
-    return _make(y, (x, gamma, beta), (dx, dgamma, dbeta), "layer_norm")
+    return _make(y, (x, gamma, beta), (dx, dgamma, dbeta))
 
 
 def apply_activation(x: Tensor, act) -> Tensor:
@@ -318,7 +284,7 @@ def apply_activation(x: Tensor, act) -> Tensor:
             f"activation {getattr(act, 'name', act)!r} changed shape: "
             f"{x.data.shape} -> {y.shape}"
         )
-    return _make(y, (x,), vjps, f"apply_activation[{getattr(act, 'name', '?')}]")
+    return _make(y, (x,), vjps)
 
 
 def _check_time_axis(x: Tensor, op: str) -> int:
@@ -339,7 +305,7 @@ def slice_time(x: Tensor, start: int, stop: int) -> Tensor:
         full[..., start:stop, :] = g
         return full
 
-    return _make(data, (x,), (dx,), "slice_time")
+    return _make(data, (x,), (dx,))
 
 
 def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
@@ -354,7 +320,7 @@ def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
         full[..., start:stop] = g
         return full
 
-    return _make(data, (x,), (dx,), "slice_last")
+    return _make(data, (x,), (dx,))
 
 
 def concat_last(parts: Sequence[Tensor]) -> Tensor:
@@ -376,7 +342,7 @@ def concat_last(parts: Sequence[Tensor]) -> Tensor:
         lo, hi = offsets[i], offsets[i + 1]
         return lambda g: g[..., lo:hi]
 
-    return _make(data, parts, [make_vjp(i) for i in range(len(parts))], "concat_last")
+    return _make(data, parts, [make_vjp(i) for i in range(len(parts))])
 
 
 # slice_last and concat_last have no caller in the package (attention
@@ -397,7 +363,7 @@ def split_heads(x: Tensor, n_heads: int) -> Tensor:
     def dx(g: np.ndarray) -> np.ndarray:
         return np.swapaxes(g, -2, -3).reshape(x.shape)
 
-    return _make(data, (x,), (dx,), "split_heads")
+    return _make(data, (x,), (dx,))
 
 
 def merge_heads(x: Tensor) -> Tensor:
@@ -411,7 +377,7 @@ def merge_heads(x: Tensor) -> Tensor:
     def dx(g: np.ndarray) -> np.ndarray:
         return np.swapaxes(g.reshape(lead + (length, n_heads, dh)), -2, -3)
 
-    return _make(data, (x,), (dx,), "merge_heads")
+    return _make(data, (x,), (dx,))
 
 
 def shift_time(x: Tensor, offset: int) -> Tensor:
@@ -424,7 +390,7 @@ def shift_time(x: Tensor, offset: int) -> Tensor:
     if abs(offset) >= length:
         raise ValueError(f"|offset| must be < time length {length}, got {offset}")
     if offset == 0:
-        return _make(x.data.copy(), (x,), (lambda g: g,), "shift_time")
+        return _make(x.data.copy(), (x,), (lambda g: g,))
     data = np.zeros_like(x.data)
     if offset > 0:
         data[..., offset:, :] = x.data[..., :-offset, :]
@@ -439,7 +405,7 @@ def shift_time(x: Tensor, offset: int) -> Tensor:
             out[..., -offset:, :] = g[..., :offset, :]
         return out
 
-    return _make(data, (x,), (dx,), "shift_time")
+    return _make(data, (x,), (dx,))
 
 
 def maxpool_time2(x: Tensor) -> Tensor:
@@ -468,7 +434,7 @@ def maxpool_time2(x: Tensor) -> Tensor:
             full[..., -1:, :] += g[..., -1:, :]
         return full
 
-    return _make(data, (x,), (dx,), "maxpool_time2")
+    return _make(data, (x,), (dx,))
 
 
 def repeat_time2(x: Tensor, out_len: int) -> Tensor:
@@ -483,20 +449,18 @@ def repeat_time2(x: Tensor, out_len: int) -> Tensor:
         pad[..., :out_len, :] = g
         return pad[..., 0::2, :] + pad[..., 1::2, :]
 
-    return _make(data, (x,), (dx,), "repeat_time2")
+    return _make(data, (x,), (dx,))
 
 
 def sum_all(x: Tensor) -> Tensor:
     data = np.asarray(x.data.sum())
-    return _make(data, (x,), (lambda g: np.broadcast_to(g, x.shape).copy(),), "sum_all")
+    return _make(data, (x,), (lambda g: np.broadcast_to(g, x.shape).copy(),))
 
 
 def mean_all(x: Tensor) -> Tensor:
     n = x.size
     data = np.asarray(x.data.mean())
-    return _make(
-        data, (x,), (lambda g: np.broadcast_to(g / n, x.shape).copy(),), "mean_all"
-    )
+    return _make(data, (x,), (lambda g: np.broadcast_to(g / n, x.shape).copy(),))
 
 
 def topo_order(root: Tensor) -> list[Tensor]:
@@ -641,6 +605,8 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
             name, ndim = parts[0], int(parts[1])
             dims = tuple(int(d) for d in parts[2 : 2 + ndim])
             off, nbytes = int(parts[2 + ndim]), int(parts[3 + ndim])
+            if min(dims + (off, nbytes)) < 0:
+                raise ValueError(f"negative size in entry {name!r}")
             entries.append((name, dims, off, nbytes))
         line = next_line()
         digest = None

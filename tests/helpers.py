@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 import cotn.tensor as te
-from cotn.activation import GateConfig, MetaActivationTable, gated_value_and_slope
+from cotn.activation import MetaActivationTable, gated_value_and_slope
 from cotn.data import (
     CleanConfig,
     CleaningAction,
@@ -48,9 +48,9 @@ def node_spacing(tab: MetaActivationTable) -> float:
     return (tab.x_max - tab.x_min) / (tab.n_nodes - 1)
 
 
-def gated_grad(x, cfg: GateConfig, tab: MetaActivationTable):
+def gated_grad(x, lam: float, tab: MetaActivationTable):
     """Derivative of the gated blend (right-segment convention off-node)."""
-    return gated_value_and_slope(x, cfg, tab)[1]
+    return gated_value_and_slope(x, lam, tab)[1]
 
 
 class IdentityActivation:

@@ -11,7 +11,6 @@ from scipy.special import erf
 from cotn import activation
 from cotn.activation import (
     _bracket,
-    GateConfig,
     GatedLeeActivation,
     GeluActivation,
     MetaActivationTable,
@@ -30,6 +29,7 @@ from cotn.activation import (
     table_value_and_slope,
     write_table,
 )
+from cotn.model import ActivationMode
 from cotn.oscillator import builtin_params, builtin_type_ids, simulate
 
 from helpers import (
@@ -56,7 +56,7 @@ class TestMaxOverTime:
             t = int(rng.integers(1, 9))
             x = float(rng.uniform(-3, 3))
             p = builtin_params(t)
-            assert mot_activation_exact(x, p) == simulate(x, p, 100).values.max()
+            assert mot_activation_exact(x, p) == simulate(x, p, 100).max()
 
     def test_zero_input_gives_zero(self):
         for t in builtin_type_ids():
@@ -82,7 +82,7 @@ class TestMaxOverTime:
 
     def test_fixed_step_matches_trajectory_entry(self):
         p = builtin_params(2)
-        traj = simulate(0.7, p, 100).values
+        traj = simulate(0.7, p, 100)
         for t in (1, 15, 35, 100):
             assert fixed_step_activation(0.7, p, t) == traj[t - 1]
 
@@ -271,14 +271,14 @@ class TestGate:
         tab = small_table()
         rng = np.random.default_rng(17)
         x = rng.uniform(-3, 3, size=1000)
-        got = gated_activation(x, GateConfig(1.0, 4), tab)
+        got = gated_activation(x, 1.0, tab)
         np.testing.assert_allclose(got, gelu(x), rtol=0, atol=1e-15)
 
     def test_lambda_zero_is_table(self):
         tab = small_table()
         rng = np.random.default_rng(19)
         x = rng.uniform(-3, 3, size=1000)
-        got = gated_activation(x, GateConfig(0.0, 4), tab)
+        got = gated_activation(x, 0.0, tab)
         np.testing.assert_allclose(got, table_eval(tab, x), rtol=0, atol=1e-15)
 
     def test_affine_in_lambda(self):
@@ -286,27 +286,32 @@ class TestGate:
         x = np.linspace(-2, 2, 101)
         g, t = gelu(x), table_eval(tab, x)
         for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-            got = gated_activation(x, GateConfig(lam, 4), tab)
+            got = gated_activation(x, lam, tab)
             np.testing.assert_allclose(got, lam * g + (1 - lam) * t,
                                        rtol=0, atol=1e-15)
 
     def test_grad_blends_the_same_way(self):
         tab = small_table()
         x = np.linspace(-1.5, 1.5, 67)
-        got = gated_grad(x, GateConfig(0.3, 4), tab)
+        got = gated_grad(x, 0.3, tab)
         want = 0.3 * gelu_grad(x) + 0.7 * table_grad(tab, x)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
     def test_type_mismatch_rejected(self):
         tab = small_table(type_id=4)
-        with pytest.raises(ValueError):
-            gated_activation(0.1, GateConfig(0.5, 3), tab)
+        with pytest.raises(ValueError, match="type_id"):
+            ActivationMode("gated", 3).build(tab)
 
     def test_lambda_range_enforced(self):
-        with pytest.raises(ValueError):
-            GateConfig(-0.1, 1)
-        with pytest.raises(ValueError):
-            GateConfig(1.1, 1)
+        for lam in (-0.1, 1.1, math.nan):
+            with pytest.raises(ValueError, match="lam"):
+                ActivationMode("gated", 1, lam)
+
+    @pytest.mark.parametrize("type_id", [0, 9, -1])
+    def test_type_range_enforced(self, type_id):
+        for kind in ("gated", "gelu"):
+            with pytest.raises(ValueError, match=f"type_id: expected 1..8, got {type_id}"):
+                ActivationMode(kind=kind, type_id=type_id)
 
 
 class TestTableIO:
@@ -379,11 +384,11 @@ class TestHandles:
 
     def test_gated_handle_matches_functions(self):
         tab = small_table()
-        cfg = GateConfig(0.5, 4)
-        h = GatedLeeActivation(cfg, tab)
+        lam = 0.5
+        h = GatedLeeActivation(lam, tab)
         x = np.linspace(-3, 3, 31)
-        assert np.array_equal(h.value(x), gated_activation(x, cfg, tab))
-        assert np.array_equal(h.value_and_slope(x)[1], gated_grad(x, cfg, tab))
+        assert np.array_equal(h.value(x), gated_activation(x, lam, tab))
+        assert np.array_equal(h.value_and_slope(x)[1], gated_grad(x, lam, tab))
         assert "type=4" in h.name
 
 
@@ -474,7 +479,7 @@ class TestConstantTimeBracket:
 
     def test_forward_and_backward_do_not_binary_search(self, monkeypatch):
         tab = small_table()
-        handle = GatedLeeActivation(GateConfig(0.5, 4), tab)
+        handle = GatedLeeActivation(0.5, tab)
 
         def refuse(*args, **kwargs):
             raise AssertionError("np.searchsorted called")
@@ -510,7 +515,7 @@ class TestFusedValueAndSlope:
     def test_scalar_input_gives_floats(self):
         tab = small_table()
         for fused in (table_value_and_slope(tab, 0.3), gelu_value_and_slope(0.3),
-                      gated_value_and_slope(0.3, GateConfig(0.5, 4), tab)):
+                      gated_value_and_slope(0.3, 0.5, tab)):
             assert all(isinstance(v, float) for v in fused)
 
     @pytest.mark.parametrize("x", [0.3, -2.5, 0.0, -0.0, math.inf, -math.inf, math.nan])
@@ -526,12 +531,12 @@ class TestFusedValueAndSlope:
     @given(x=_INPUTS)
     def test_gelu_and_gate_match_reference(self, x):
         tab = small_table()
-        cfg = GateConfig(0.3, 4)
+        lam = 0.3
         g_value, g_slope = _reference_gelu(x)
         value, slope = gelu_value_and_slope(x)
         assert _same(value, g_value) and _same(slope, g_slope)
         t_value, t_slope = _reference_lookup(tab, x)
-        value, slope = gated_value_and_slope(x, cfg, tab)
+        value, slope = gated_value_and_slope(x, lam, tab)
         assert _same(value, 0.3 * g_value + 0.7 * t_value)
         assert _same(slope, 0.3 * g_slope + 0.7 * t_slope)
 
@@ -540,10 +545,10 @@ class TestFusedValueAndSlope:
     @given(x=_INPUTS)
     def test_handles_return_value_and_their_slope(self, kind, x):
         tab = small_table()
-        cfg = GateConfig(0.5, 4)
+        lam = 0.5
         handle, slope_of = {
             "gelu": (GeluActivation(), gelu_grad),
-            "gated": (GatedLeeActivation(cfg, tab), lambda v: gated_grad(v, cfg, tab)),
+            "gated": (GatedLeeActivation(lam, tab), lambda v: gated_grad(v, lam, tab)),
             "tanh": (TanhActivation(), lambda v: 1.0 - np.tanh(v) * np.tanh(v)),
             "identity": (IdentityActivation(), np.ones_like),
         }[kind]
@@ -556,22 +561,22 @@ class TestFusedValueAndSlope:
         # Nodes, 1 ulp either side, NaN, +-inf, +-0, subnormals and inputs
         # clamped on both sides of the grid.
         tab = _grid(grid)
-        cfg = GateConfig(0.3, tab.type_id)
+        lam = 0.3
         x = np.concatenate([_edge_inputs(tab), [tab.x_min - 1.0, tab.x_max + 1.0]])
         assert _same(table_eval(tab, x), table_value_and_slope(tab, x)[0])
-        assert _same(gated_activation(x, cfg, tab),
-                     gated_value_and_slope(x, cfg, tab)[0])
-        handle = GatedLeeActivation(cfg, tab)
+        assert _same(gated_activation(x, lam, tab),
+                     gated_value_and_slope(x, lam, tab)[0])
+        handle = GatedLeeActivation(lam, tab)
         assert _same(handle.value(x), handle.value_and_slope(x)[0])
         for v in x:
-            assert _same(gated_activation(v, cfg, tab),
-                         gated_value_and_slope(v, cfg, tab)[0])
-            assert isinstance(gated_activation(v, cfg, tab), float)
+            assert _same(gated_activation(v, lam, tab),
+                         gated_value_and_slope(v, lam, tab)[0])
+            assert isinstance(gated_activation(v, lam, tab), float)
             assert isinstance(table_eval(tab, v), float)
 
     def test_value_only_paths_skip_the_slope(self, monkeypatch):
         tab = small_table()
-        handle = GatedLeeActivation(GateConfig(0.5, 4), tab)
+        handle = GatedLeeActivation(0.5, tab)
         x = _edge_inputs(tab)
         want = handle.value(x)
 

@@ -450,6 +450,20 @@ class TestMalformedMetadata:
         assert code == 1
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
+    @pytest.mark.parametrize("stored_table", [True, False])
+    def test_checkpoint_gate_type_out_of_range(self, workspace, tmp_path, capsys,
+                                               stored_table):
+        tensors, meta = te.load_tensors(workspace["out"] / "checkpoint.bin")
+        meta["activation.type_id"] = "9"
+        if not stored_table:
+            del tensors["table.nodes"], tensors["table.values"]
+        bad = tmp_path / "bad.bin"
+        te.save_tensors(bad, tensors, meta)
+        code, _ = run("eval", "--checkpoint", str(bad),
+                      "--data", str(workspace["csv"]))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad}: type_id: expected 1..8, got 9\n"
+
     @pytest.mark.parametrize("key,value,message", [
         ("hidden", "x", "expected an integer, got 'x'"),
         ("tau", "abc", "expected a number, got 'abc'"),
@@ -508,6 +522,50 @@ class TestEval:
         err = capsys.readouterr().err
         assert code == 1
         assert str(bare) in err and "'norm.names'" in err
+
+
+class TestStoredStatistics:
+    """x.norm.mean and x.norm.std obey the rules of norm_stats.txt."""
+
+    @pytest.mark.parametrize("edit,message", [
+        ("extra_mean", "'norm.mean': expected shape (7,) for the 7 kept features, "
+                       "got (8,)"),
+        ("zero_std", "'norm.std': every value must be > 0"),
+        ("nan_std", "'norm.std': every value must be finite"),
+    ])
+    @pytest.mark.parametrize("command", ["eval", "forecast"])
+    def test_bad_statistics_exit_1_naming_the_file(self, workspace, tmp_path, capsys,
+                                                   edit, message, command):
+        tensors, meta = te.load_tensors(workspace["out"] / "checkpoint.bin")
+        if edit == "extra_mean":
+            tensors["x.norm.mean"] = np.append(tensors["x.norm.mean"], 0.0)
+        else:
+            tensors["x.norm.std"][0] = 0.0 if edit == "zero_std" else np.nan
+        bad = tmp_path / "bad.bin"
+        te.save_tensors(bad, tensors, meta)
+        code, lines = run(command, "--checkpoint", str(bad),
+                          "--data", str(workspace["csv"]), "--out", str(tmp_path))
+        assert code == 1 and lines == []
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not (tmp_path / "forecast.csv").exists()
+
+
+def test_negative_size_in_an_old_container_exits_1(workspace, tmp_path, capsys):
+    # A container without the sha256 line, as written before the digest
+    # existed, whose manifest gives head.b the shape (-1, -1).
+    raw = (workspace["out"] / "checkpoint.bin").read_bytes()
+    end = raw.index(b"\nEND\n") + len(b"\nEND\n")
+    lines = raw[:end].decode("ascii").splitlines()
+    lines = [ln for ln in lines if not ln.startswith("sha256 ")]
+    entry = next(i for i, ln in enumerate(lines) if ln.startswith("head.b "))
+    name, _, _, off, nbytes = lines[entry].split()
+    lines[entry] = f"{name} 2 -1 -1 {off} {nbytes}"
+    bad = tmp_path / "old.bin"
+    bad.write_bytes(("\n".join(lines) + "\n").encode("ascii") + raw[end:])
+    code, _ = run("eval", "--checkpoint", str(bad), "--data", str(workspace["csv"]))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: corrupt tensor container (negative size in entry 'head.b')\n")
 
 
 class TestStoredTable:

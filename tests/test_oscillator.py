@@ -145,7 +145,7 @@ class TestLorsStep:
             n = int(rng.integers(1, 12))
             p = builtin_params(type_id)
             ref = ref_lors_trajectory(x, p, n)
-            got = simulate(x, p, n).values
+            got = simulate(x, p, n)
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
     def test_step_and_simulate_bit_identical(self):
@@ -156,7 +156,7 @@ class TestLorsStep:
             state = lors_step(state, 0.37, p)
             stepped.append(state.out)
         traj = simulate(0.37, p, 40)
-        assert np.array_equal(np.array(stepped), traj.values)
+        assert np.array_equal(np.array(stepped), traj)
 
     def test_retrograde_feedback_enters_update(self):
         # a1/b1 couple the previous output back in: zeroing them must
@@ -164,7 +164,7 @@ class TestLorsStep:
         p = builtin_params(2)
         p0 = LorsParams(0.0, p.a2, p.a3, p.a4, 0.0, p.b2, p.b3, p.b4,
                         mu=p.mu, k=p.k, e=p.e)
-        assert simulate(0.05, p, 2).values[1] != simulate(0.05, p0, 2).values[1]
+        assert simulate(0.05, p, 2)[1] != simulate(0.05, p0, 2)[1]
 
 
 class TestLeeStep:
@@ -193,15 +193,15 @@ class TestLeeStep:
 class TestSimulate:
     def test_length_and_dtype(self):
         traj = simulate(0.3, builtin_params(2), 17)
-        assert traj.values.shape == (17,)
-        assert traj.values.dtype == np.float64
-        assert traj.states is None
+        assert traj.shape == (17,)
+        assert traj.dtype == np.float64
 
     def test_recorded_states_align_with_values(self):
-        traj = simulate(-0.4, builtin_params(4), 9, record_states=True)
-        assert len(traj.states) == 9
-        for st_, v in zip(traj.states, traj.values):
-            assert st_.out == v
+        p = builtin_params(4)
+        state = ZERO_STATE
+        for v in simulate(-0.4, p, 9):
+            state = lors_step(state, -0.4, p)
+            assert state.out == v
 
     def test_bad_step_count(self):
         with pytest.raises(ValueError):
@@ -214,9 +214,11 @@ class TestSimulate:
                     allow_nan=False, allow_infinity=False),
     )
     def test_states_stay_bounded(self, type_id, x):
-        traj = simulate(x, builtin_params(type_id), 30, record_states=True)
-        assert np.all(np.isfinite(traj.values))
-        for s in traj.states:
+        p = builtin_params(type_id)
+        assert np.all(np.isfinite(simulate(x, p, 30)))
+        s = ZERO_STATE
+        for _ in range(30):
+            s = lors_step(s, x, p)
             assert abs(s.e) <= 1.0 and abs(s.i) <= 1.0 and abs(s.omega) <= 1.0
             assert abs(s.out) <= 3.0
 
@@ -226,11 +228,11 @@ class TestSimulate:
         p = builtin_params(1)
         for x in (0.5, -0.5, 1.3, -2.0):
             s = x + math.copysign(p.e, x)
-            tail = simulate(x, p, 200).values[-50:]
+            tail = simulate(x, p, 200)[-50:]
             assert np.max(np.abs(tail - math.tanh(p.mu * s))) <= 1e-3
 
     def test_chaotic_band_near_origin_type1(self):
-        tail = simulate(0.05, builtin_params(1), 300).values[-100:]
+        tail = simulate(0.05, builtin_params(1), 300)[-100:]
         assert tail.max() - tail.min() > 0.01
 
 
@@ -253,7 +255,7 @@ class TestBifurcation:
         p = builtin_params(6)
         data = bifurcation_sweep(p, -0.2, 0.2, n_x=5, n_steps=80, keep_last=11)
         for x, row in zip(data.stimulus_grid, data.outputs):
-            assert np.array_equal(row, simulate(float(x), p, 80).values[-11:])
+            assert np.array_equal(row, simulate(float(x), p, 80)[-11:])
 
     def test_validation(self):
         p = builtin_params(1)
@@ -285,7 +287,7 @@ def _bits(a):
 
 
 def _reference_rows(inputs, p, n_steps=100):
-    return np.array([simulate(float(x), p, n_steps).values for x in inputs])
+    return np.array([simulate(float(x), p, n_steps) for x in inputs])
 
 
 DEFAULT_GRID = np.linspace(-4.0, 4.0, 4001)
