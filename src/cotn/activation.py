@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -65,7 +65,6 @@ __all__ = [
     "gated_value_and_slope",
     "gated_activation",
     "write_table",
-    "read_table",
     "GeluActivation",
     "GatedLeeActivation",
 ]
@@ -100,16 +99,17 @@ class MetaActivationTable:
     """Piecewise-linear tabulation of a max-over-time activation.
 
     nodes is the uniform grid, equal to np.linspace(x_min, x_max, n_nodes)
-    with n_nodes >= 2, and values the exact activation at each node.
-    type_id identifies the builtin oscillator type (0 marks a custom
-    parameter set).
+    with n_nodes >= 2, and values the exact activation at each node;
+    x_min and x_max are the grid's first and last node. type_id
+    identifies the builtin oscillator type (0 marks a custom parameter
+    set).
     """
 
     type_id: int
-    x_min: float
-    x_max: float
     nodes: np.ndarray
     values: np.ndarray
+    x_min: float = field(init=False)
+    x_max: float = field(init=False)
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=np.float64)
@@ -119,10 +119,10 @@ class MetaActivationTable:
                 f"nodes/values must be equal-length 1-d arrays of >= 2 entries, "
                 f"got {nodes.shape} and {values.shape}"
             )
+        object.__setattr__(self, "x_min", float(nodes[0]))
+        object.__setattr__(self, "x_max", float(nodes[-1]))
         if not np.all(np.diff(nodes) > 0):
             raise ValueError("nodes must be strictly ascending")
-        if not (self.x_min == nodes[0] and self.x_max == nodes[-1]):
-            raise ValueError("x_min/x_max must match the node grid endpoints")
         if not np.array_equal(nodes, np.linspace(self.x_min, self.x_max, nodes.size)):
             raise ValueError(
                 f"nodes must be the uniform grid np.linspace({self.x_min!r}, "
@@ -168,7 +168,7 @@ def build_table(
         raise ValueError(f"n_nodes must be >= 2, got {n_nodes}")
     nodes = np.linspace(x_min, x_max, n_nodes)
     values = simulate_many(nodes, p).max(axis=1)
-    return MetaActivationTable(type_id, float(nodes[0]), float(nodes[-1]), nodes, values)
+    return MetaActivationTable(type_id, nodes, values)
 
 
 @functools.lru_cache(maxsize=None)
@@ -346,52 +346,6 @@ def write_table(tab: MetaActivationTable, path) -> None:
         fh.write("x,f\n")
         for xv, fv in zip(tab.nodes, tab.values):
             fh.write(f"{_FLOAT_FMT % xv},{_FLOAT_FMT % fv}\n")
-
-
-def read_table(path) -> MetaActivationTable:
-    """Read a table written by write_table."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    header: dict[str, str] = {}
-    idx = 0
-    for idx, line in enumerate(lines):
-        if line == "x,f":
-            break
-        if "=" not in line:
-            raise ValueError(f"{path}: malformed header line {idx + 1}: {line!r}")
-        key, _, val = line.partition("=")
-        header[key.strip()] = val.strip()
-    else:
-        raise ValueError(f"{path}: missing 'x,f' column header")
-    required = ("type_id", "x_min", "x_max", "n_nodes")
-    missing = [k for k in required if k not in header]
-    if missing:
-        raise ValueError(f"{path}: header missing keys {missing}")
-    try:
-        n_nodes = int(header["n_nodes"])
-    except ValueError:
-        raise ValueError(
-            f"{path}: n_nodes must be an integer, got {header['n_nodes']!r}"
-        ) from None
-    rows = lines[idx + 1 :]
-    rows = [r for r in rows if r]
-    if len(rows) != n_nodes:
-        raise ValueError(f"{path}: expected {n_nodes} rows, found {len(rows)}")
-    nodes = np.empty(n_nodes)
-    values = np.empty(n_nodes)
-    for r, row in enumerate(rows):
-        try:
-            x_text, f_text = row.split(",")
-            nodes[r], values[r] = float(x_text), float(f_text)
-        except ValueError:
-            raise ValueError(f"{path}: malformed row {r + 1}: {row!r}") from None
-    try:
-        return MetaActivationTable(
-            int(header["type_id"]), float(header["x_min"]), float(header["x_max"]),
-            nodes, values,
-        )
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 class GeluActivation:

@@ -56,7 +56,12 @@ from .model import (
     save_autoencoder,
     save_forecaster,
 )
-from .oscillator import bifurcation_sweep, builtin_params, write_bifurcation_csv
+from .oscillator import (
+    bifurcation_sweep,
+    builtin_params,
+    builtin_type_ids,
+    write_bifurcation_csv,
+)
 from .training import (
     TrainConfig,
     _split_metrics,
@@ -311,26 +316,19 @@ def _stats_from_extra(extra: dict[str, np.ndarray], meta: dict[str, str],
     def names(key):
         return tuple(n for n in _required(meta, key, checkpoint).split(",") if n)
 
-    # The rules read_stats applies to norm_stats.txt.
     kept = names("norm.names")
     mean, std = (_required(extra, key, checkpoint) for key in ("norm.mean", "norm.std"))
-    for key, arr in (("norm.mean", mean), ("norm.std", std)):
-        if arr.shape != (len(kept),):
-            raise ValueError(f"{checkpoint}: {key!r}: expected shape ({len(kept)},) "
-                             f"for the {len(kept)} kept features, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{checkpoint}: {key!r}: every value must be finite")
-    if not np.all(std > 0.0):
-        raise ValueError(f"{checkpoint}: 'norm.std': every value must be > 0")
-    return NormStats(kept, mean, std, names("norm.dropped"))
+    dropped = names("norm.dropped")
+    try:
+        return NormStats(kept, mean, std, dropped)
+    except ValueError as exc:
+        raise ValueError(f"{checkpoint}: norm.{exc}") from None
 
 
 # -- subcommands ----------------------------------------------------------------
 
 
 def cmd_bifurcate(args) -> int:
-    if not 1 <= args.type <= 8:
-        raise ConfigError(f"--type: expected 1..8, got {args.type}")
     lo, hi = _parse_range(args.range)
     if args.keep > args.steps:
         raise ConfigError(f"--keep ({args.keep}) cannot exceed --steps ({args.steps})")
@@ -345,8 +343,6 @@ def cmd_bifurcate(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if not 1 <= args.type <= 8:
-        raise ConfigError(f"--type: expected 1..8, got {args.type}")
     if args.nodes < 2:
         raise ConfigError(f"--nodes must be >= 2, got {args.nodes}")
     lo, hi = _parse_range(args.range)
@@ -550,7 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bifurcate", parents=[common],
                        help="sweep a stimulus grid and dump settled outputs")
-    p.add_argument("--type", type=int, default=1, help="oscillator type 1..8")
+    p.add_argument("--type", type=int, default=1, choices=builtin_type_ids(),
+                   help="oscillator type")
     p.add_argument("--range", default="-1:1", help="stimulus range lo:hi")
     p.add_argument("--n", type=int, default=401, help="grid points")
     p.add_argument("--steps", type=int, default=300, help="steps per point")
@@ -559,7 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", parents=[common],
                        help="tabulate a max-over-time activation")
-    p.add_argument("--type", type=int, default=1, help="oscillator type 1..8")
+    p.add_argument("--type", type=int, default=1, choices=builtin_type_ids(),
+                   help="oscillator type")
     p.add_argument("--range", default="-4:4", help="tabulated range lo:hi")
     p.add_argument("--nodes", type=int, default=4001, help="grid nodes")
     p.set_defaults(func=cmd_table)

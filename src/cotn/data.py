@@ -142,14 +142,14 @@ def _infer_period(epochs: np.ndarray) -> int:
     return int(values[np.argmax(counts)])
 
 
-def load_csv(path, schema: str, period: Optional[int] = None) -> RawSeries:
+def load_csv(path, schema: str) -> RawSeries:
     """Parse a headered CSV into a RawSeries.
 
     The first column must hold ISO-8601 timestamps; the remaining columns
     must match the schema by name and order. Rows are sorted by time;
     duplicate timestamps are kept here and dropped by clean(). The
-    sampling period (seconds) is inferred as the modal positive delta
-    unless given.
+    sampling period (seconds) is the modal positive delta (1 for a
+    single row).
     """
     if schema not in SCHEMAS:
         raise ValueError(f"unknown schema {schema!r}; expected one of {sorted(SCHEMAS)}")
@@ -198,16 +198,11 @@ def load_csv(path, schema: str, period: Optional[int] = None) -> RawSeries:
     if not np.all(order == np.arange(ep.size)):
         ep = ep[order]
         data = {name: col[order] for name, col in data.items()}
-    inferred = period if period is not None else (
-        _infer_period(ep) if ep.size > 1 else 1
-    )
-    if inferred < 1:
-        raise ValueError(f"sampling period must be >= 1 second, got {inferred}")
     return RawSeries(
         schema=schema,
         epochs=ep,
         columns=data,
-        period=int(inferred),
+        period=_infer_period(ep) if ep.size > 1 else 1,
         segment_ids=np.zeros(ep.size, dtype=np.int64),
     )
 
@@ -514,13 +509,27 @@ class NormStats:
     """Per-feature mean/std fitted on a training slice.
 
     Constant features (std exactly 0) are listed in dropped and excluded
-    from names/mean/std.
+    from names/mean/std. mean and std hold one finite float64 per name,
+    and every std is > 0.
     """
 
     names: tuple[str, ...]
     mean: np.ndarray
     std: np.ndarray
     dropped: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        n = len(self.names)
+        for key in ("mean", "std"):
+            arr = np.asarray(getattr(self, key), dtype=np.float64)
+            if arr.shape != (n,):
+                raise ValueError(f"{key}: expected shape ({n},) for the {n} kept "
+                                 f"features, got {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{key}: every value must be finite")
+            object.__setattr__(self, key, arr)
+        if not np.all(self.std > 0.0):
+            raise ValueError("std: every value must be > 0")
 
     def index_of(self, feature: str) -> int:
         try:

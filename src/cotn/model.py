@@ -72,8 +72,9 @@ class ActivationMode:
     def __post_init__(self) -> None:
         if self.kind not in ("gelu", "gated"):
             raise ValueError(f"kind: expected gelu or gated, got {self.kind!r}")
-        if self.type_id not in builtin_type_ids():
-            raise ValueError(f"type_id: expected 1..8, got {self.type_id!r}")
+        ids = builtin_type_ids()
+        if self.type_id not in ids:
+            raise ValueError(f"type_id: expected {ids[0]}..{ids[-1]}, got {self.type_id!r}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam: expected a number in [0, 1], got {self.lam!r}")
 
@@ -654,10 +655,8 @@ def _stored_table(tensors: dict[str, np.ndarray], type_id: int,
     if nodes is None or values is None:
         raise ValueError(
             f"{path}: checkpoint stores only one of {_TABLE_NODES!r} and {_TABLE_VALUES!r}")
-    # The table checks the shapes before it compares these endpoints.
-    ends = nodes.ravel()[[0, -1]] if nodes.size else (math.nan, math.nan)
     try:
-        return MetaActivationTable(type_id, float(ends[0]), float(ends[1]), nodes, values)
+        return MetaActivationTable(type_id, nodes, values)
     except ValueError as exc:
         raise ValueError(f"{path}: stored activation table: {exc}") from None
 

@@ -359,12 +359,13 @@ def builtin_type_ids() -> tuple[int, ...]:
 
 
 def builtin_params(type_id: int) -> LorsParams:
-    """Builtin parameter set for oscillator type 1..8."""
+    """Builtin parameter set for one of builtin_type_ids()."""
     try:
         return _BUILTIN[type_id]
     except KeyError:
+        ids = builtin_type_ids()
         raise ValueError(
-            f"unknown oscillator type {type_id!r}; valid ids are 1..8"
+            f"unknown oscillator type {type_id!r}; valid ids are {ids[0]}..{ids[-1]}"
         ) from None
 
 

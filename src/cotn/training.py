@@ -20,7 +20,6 @@ which runs as exactly that: a warm start with no GELU epochs.
 
 from __future__ import annotations
 
-import json
 import math
 import statistics
 import time
@@ -57,8 +56,6 @@ __all__ = [
     "make_synthetic_frame",
     "write_synthetic_ett_csv",
     "write_trial_report",
-    "read_trial_report",
-    "write_summary",
 ]
 
 _FLOAT_FMT = "%.17g"
@@ -211,18 +208,6 @@ def write_trial_report(path, report: TrialReport) -> None:
         for key, val in report.metric_dict().items():
             fh.write(f"{key} = {_fmt_value(val)}\n")
         fh.write(f"wall_time_s = {_FLOAT_FMT % report.wall_time_s}\n")
-
-
-def read_trial_report(path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, val = line.partition(" = ")
-            out[key] = val
-    return out
 
 
 # -- loss/metric helpers ------------------------------------------------------
@@ -572,19 +557,6 @@ class StatsSummary:
     baseline_metrics: dict[str, dict[str, float]]
     win_rate: float
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_trials": self.n_trials,
-                "baseline_name": self.baseline_name,
-                "metrics": self.metrics,
-                "baseline_metrics": self.baseline_metrics,
-                "win_rate": self.win_rate,
-            },
-            sort_keys=True,
-            indent=2,
-        )
-
 
 def _aggregate(values: list[float]) -> dict[str, float]:
     return {
@@ -655,26 +627,6 @@ def multi_trial(
         baseline_metrics=baseline_metrics,
         win_rate=wins / n_trials,
     )
-
-
-def write_summary(path_text, path_json, summary: StatsSummary) -> None:
-    """Write a summary as key=value lines plus a JSON twin."""
-    with open(path_text, "w", encoding="utf-8") as fh:
-        fh.write(f"n_trials = {summary.n_trials}\n")
-        fh.write(f"baseline_name = {summary.baseline_name}\n")
-        fh.write(f"win_rate = {_FLOAT_FMT % summary.win_rate}\n")
-        for side, metrics in (
-            ("treatment", summary.metrics),
-            ("baseline", summary.baseline_metrics),
-        ):
-            for key in sorted(metrics):
-                for stat in ("mean", "median", "std", "min", "max"):
-                    fh.write(
-                        f"{side}.{key}.{stat} = "
-                        f"{_FLOAT_FMT % metrics[key][stat]}\n"
-                    )
-    with open(path_json, "w", encoding="utf-8") as fh:
-        fh.write(summary.to_json() + "\n")
 
 
 # -- synthetic benchmark ------------------------------------------------------

@@ -12,7 +12,8 @@ per-head attention is the reference for the batched one, the
 window-by-window loop the reference for the windows cotn.data.window cuts
 and the decoder inputs the forecaster builds from them, and the
 row-by-row cleaner the reference for cotn.data.clean.
-assert_same_dataset compares two datasets bit for bit.
+assert_same_dataset compares two datasets bit for bit, and the two file
+readers parse what `cotn table` and `cotn train` write.
 """
 
 import math
@@ -51,6 +52,28 @@ def node_spacing(tab: MetaActivationTable) -> float:
 def gated_grad(x, lam: float, tab: MetaActivationTable):
     """Derivative of the gated blend (right-segment convention off-node)."""
     return gated_value_and_slope(x, lam, tab)[1]
+
+
+def read_table_file(path) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
+    """The header, nodes and values of a file written by write_table."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("x,f")
+    header = dict(line.split("=", 1) for line in lines[:start])
+    rows = np.loadtxt(lines[start + 1:], delimiter=",", ndmin=2)
+    return header, rows[:, 0], rows[:, 1]
+
+
+def read_trial_report(path) -> dict[str, str]:
+    """The ``key = value`` lines of a report written by write_trial_report."""
+    out: dict[str, str] = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                key, _, val = line.partition(" = ")
+                out[key] = val
+    return out
 
 
 class IdentityActivation:

@@ -435,7 +435,7 @@ def test_criterion_11_paired_trials_run_and_reproduce(bench_dataset):
         for metric, stats in side.items():
             assert stats["min"] <= stats["median"] <= stats["max"], metric
             assert stats["std"] >= 0.0, metric
-    assert first.to_json() == again.to_json(), (
+    assert repr(first) == repr(again), (
         "summary re-run with jobs=2 not bit-identical")
     dt = time.perf_counter() - t0
     assert dt < 3600.0, f"paired trials took {dt:.0f}s, budget 1 h"

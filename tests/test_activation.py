@@ -22,7 +22,6 @@ from cotn.activation import (
     gelu_grad,
     gelu_value_and_slope,
     mot_activation_exact,
-    read_table,
     table_eval,
     table_for_type,
     table_grad,
@@ -37,6 +36,7 @@ from helpers import (
     TanhActivation,
     gated_grad,
     node_spacing,
+    read_table_file,
     table_segment,
 )
 
@@ -118,20 +118,23 @@ class TestTableBuild:
         with pytest.raises(ValueError):
             build_table(p, -1.0, 1.0, 1)
         with pytest.raises(ValueError):
-            MetaActivationTable(0, 0.0, 1.0, np.array([0.0, 0.5, 0.4]),
-                                np.zeros(3))
+            MetaActivationTable(0, np.array([0.0, 0.5, 0.4]), np.zeros(3))
         with pytest.raises(ValueError):
-            MetaActivationTable(0, 0.0, 1.0, np.array([0.0, 1.0]),
-                                np.array([0.0, math.nan]))
+            MetaActivationTable(0, np.array([0.0, 1.0]), np.array([0.0, math.nan]))
+
+    def test_endpoints_are_the_first_and_last_node(self):
+        tab = MetaActivationTable(0, np.linspace(-1.5, 2.5, 9), np.zeros(9))
+        assert (tab.x_min, tab.x_max) == (-1.5, 2.5)
+        assert type(tab.x_min) is float and type(tab.x_max) is float
 
     def test_nodes_must_be_the_linspace_grid(self):
         with pytest.raises(ValueError, match="linspace"):
-            MetaActivationTable(0, 0.0, 1.0, np.array([0.0, 0.3, 1.0]), np.zeros(3))
+            MetaActivationTable(0, np.array([0.0, 0.3, 1.0]), np.zeros(3))
         tab = small_table()
         nodes = tab.nodes.copy()
         nodes[5] = np.nextafter(nodes[5], np.inf)
         with pytest.raises(ValueError, match="linspace"):
-            MetaActivationTable(4, tab.x_min, tab.x_max, nodes, tab.values)
+            MetaActivationTable(4, nodes, tab.values)
 
     def test_grid_too_fine_for_the_bracket_rejected(self):
         # A strictly ascending linspace grid whose spacing is subnormal:
@@ -140,7 +143,7 @@ class TestTableBuild:
         nodes = np.linspace(x_min, x_max, 38)
         assert np.all(np.diff(nodes) > 0) and nodes[-1] == x_max
         with pytest.raises(ValueError, match="too fine"):
-            MetaActivationTable(0, x_min, x_max, nodes, np.zeros(38))
+            MetaActivationTable(0, nodes, np.zeros(38))
 
 
 class TestTableEval:
@@ -319,52 +322,10 @@ class TestTableIO:
         tab = small_table(type_id=4)
         path = tmp_path / "tab.txt"
         write_table(tab, path)
-        back = read_table(path)
-        assert back.type_id == tab.type_id
-        assert back.x_min == tab.x_min and back.x_max == tab.x_max
-        assert np.array_equal(back.nodes, tab.nodes)
-        assert np.array_equal(back.values, tab.values)
-
-    def test_malformed_files_rejected(self, tmp_path):
-        p = tmp_path / "bad.txt"
-        p.write_text("type_id=1\nx_min=0\n")
-        with pytest.raises(ValueError):
-            read_table(p)
-        p.write_text("type_id=1\nx_min=0\nx_max=1\nn_nodes=3\nx,f\n0,0\n1,1\n")
-        with pytest.raises(ValueError):
-            read_table(p)
-
-    def test_non_numeric_row_value_names_file_and_row(self, tmp_path):
-        p = tmp_path / "bad_row.txt"
-        p.write_text("type_id=1\nx_min=0\nx_max=1\nn_nodes=2\nx,f\n0,abc\n1,1\n")
-        with pytest.raises(ValueError, match="malformed row 1: '0,abc'") as err:
-            read_table(p)
-        assert str(p) in str(err.value)
-        p.write_text("type_id=1\nx_min=0\nx_max=1\nn_nodes=2\nx,f\n0,0\n1,1,2\n")
-        with pytest.raises(ValueError, match="malformed row 2") as err:
-            read_table(p)
-        assert str(p) in str(err.value)
-
-    def test_non_integer_n_nodes_names_the_file(self, tmp_path):
-        for text in ("2.5", "two", ""):
-            p = tmp_path / "bad_n.txt"
-            p.write_text(f"type_id=1\nx_min=0\nx_max=1\nn_nodes={text}\nx,f\n0,0\n1,1\n")
-            with pytest.raises(ValueError, match="n_nodes must be an integer") as err:
-                read_table(p)
-            assert str(p) in str(err.value)
-
-    def test_hand_edited_non_uniform_grid_names_the_file(self, tmp_path):
-        path = tmp_path / "edited.txt"
-        write_table(small_table(type_id=4), path)
-        lines = path.read_text().splitlines()
-        row = lines.index("x,f") + 4  # node 3 of 201 on [-2, 2]: -1.94
-        x, f = lines[row].split(",")
-        assert float(x) == pytest.approx(-1.94)
-        lines[row] = f"-1.935,{f}"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="linspace") as err:
-            read_table(path)
-        assert str(path) in str(err.value)
+        header, nodes, values = read_table_file(path)
+        assert header == {"type_id": "4", "x_min": "-2", "x_max": "2", "n_nodes": "201"}
+        assert nodes.tobytes() == tab.nodes.tobytes()
+        assert values.tobytes() == tab.values.tobytes()
 
 
 class TestHandles:

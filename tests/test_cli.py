@@ -10,7 +10,7 @@ import cotn.cli
 import cotn.model
 from cotn import tensor as te
 from cotn import training
-from cotn.activation import read_table
+from cotn.activation import build_table
 from cotn.cli import main
 from cotn.data import (
     CleanConfig,
@@ -32,8 +32,9 @@ from cotn.model import (
     save_autoencoder,
     save_forecaster,
 )
-from cotn.training import read_trial_report, write_synthetic_ett_csv
-from helpers import assert_same_dataset
+from cotn.oscillator import builtin_params
+from cotn.training import write_synthetic_ett_csv
+from helpers import assert_same_dataset, read_table_file, read_trial_report
 
 
 def run(*argv):
@@ -150,10 +151,17 @@ class TestTable:
         code, lines = run("table", "--type", "3", "--range=-2:2",
                           "--nodes", "11", "--out", str(tmp_path))
         assert code == 0
-        tab = read_table(lines[-1])
-        assert tab.n_nodes == 11
-        assert tab.type_id == 3
-        assert (tab.x_min, tab.x_max) == (-2.0, 2.0)
+        header, nodes, values = read_table_file(lines[-1])
+        assert header == {"type_id": "3", "x_min": "-2", "x_max": "2", "n_nodes": "11"}
+        tab = build_table(builtin_params(3), -2.0, 2.0, 11, type_id=3)
+        assert nodes.tobytes() == tab.nodes.tobytes()
+        assert values.tobytes() == tab.values.tobytes()
+
+    def test_bad_type_is_config_error(self, tmp_path, capsys):
+        code, lines = run("table", "--type", "9", "--out", str(tmp_path))
+        assert code == 2 and lines == []
+        assert "--type: invalid choice: 9" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTrain:
@@ -528,10 +536,10 @@ class TestStoredStatistics:
     """x.norm.mean and x.norm.std obey the rules of norm_stats.txt."""
 
     @pytest.mark.parametrize("edit,message", [
-        ("extra_mean", "'norm.mean': expected shape (7,) for the 7 kept features, "
+        ("extra_mean", "norm.mean: expected shape (7,) for the 7 kept features, "
                        "got (8,)"),
-        ("zero_std", "'norm.std': every value must be > 0"),
-        ("nan_std", "'norm.std': every value must be finite"),
+        ("zero_std", "norm.std: every value must be > 0"),
+        ("nan_std", "norm.std: every value must be finite"),
     ])
     @pytest.mark.parametrize("command", ["eval", "forecast"])
     def test_bad_statistics_exit_1_naming_the_file(self, workspace, tmp_path, capsys,

@@ -32,7 +32,7 @@ from cotn.data import (
     write_stats,
 )
 from cotn.model import Forecaster, ModelConfig
-from cotn.training import write_synthetic_ett_csv
+from cotn.training import make_synthetic_frame, write_synthetic_ett_csv
 from helpers import assert_same_dataset, capture_decoder_input, loop_clean, loop_windows
 
 HOUR = 3600
@@ -226,10 +226,6 @@ class TestLoadCsv:
         ]
         raw = load_csv(ett_csv(tmp_path / "d.csv", rows), "ett")
         assert raw.period == HOUR
-
-    def test_explicit_period_wins(self, tmp_path):
-        raw = load_csv(simple_ett(tmp_path / "d.csv", 4), "ett", period=60)
-        assert raw.period == 60
 
 
 class TestClean:
@@ -507,6 +503,28 @@ class TestNormalization:
         j = norm.feature_names.index("OT")
         back = denormalize_feature(norm.data[:, j], stats, "OT")
         np.testing.assert_allclose(back, frame.data[:, 6], rtol=1e-12)
+
+    @pytest.mark.parametrize("mean,std,message", [
+        ([0.0], [-1.0], "std: every value must be > 0"),
+        ([math.nan], [1.0], "mean: every value must be finite"),
+        ([0.0], [math.inf], "std: every value must be finite"),
+        ([0.0, 1.0], [1.0], r"mean: expected shape \(1,\) for the 1 kept features, "
+                            r"got \(2,\)"),
+        ([0.0], [[1.0]], r"std: expected shape \(1,\)"),
+    ])
+    def test_stats_check_themselves(self, mean, std, message):
+        with pytest.raises(ValueError, match=message):
+            NormStats(("y",), np.array(mean), np.array(std))
+
+    def test_zero_std_cannot_reach_normalize(self):
+        frame = make_synthetic_frame(seed=0, length=50)
+        with pytest.raises(ValueError, match="std: every value must be > 0"):
+            normalize(frame, NormStats(("y",), np.zeros(1), np.zeros(1)))
+
+    def test_stats_are_float64_arrays(self):
+        stats = NormStats(("a", "b"), [1, 2], (3, 4))
+        assert stats.mean.dtype == stats.std.dtype == np.float64
+        assert np.array_equal(stats.std, [3.0, 4.0])
 
     def test_stats_io_round_trip(self, tmp_path):
         raw = ett_series(np.arange(30.0) ** 1.5)
