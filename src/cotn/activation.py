@@ -100,9 +100,10 @@ class MetaActivationTable:
 
     nodes is the uniform grid, equal to np.linspace(x_min, x_max, n_nodes)
     with n_nodes >= 2, and values the exact activation at each node;
-    x_min and x_max are the grid's first and last node. type_id
-    identifies the builtin oscillator type (0 marks a custom parameter
-    set).
+    x_min and x_max are the grid's first and last node, and steps and
+    rises the segments' np.diff of nodes and of values, which the lookup
+    gathers. type_id identifies the builtin oscillator type (0 marks a
+    custom parameter set).
     """
 
     type_id: int
@@ -110,6 +111,8 @@ class MetaActivationTable:
     values: np.ndarray
     x_min: float = field(init=False)
     x_max: float = field(init=False)
+    steps: np.ndarray = field(init=False, repr=False, compare=False)
+    rises: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=np.float64)
@@ -132,6 +135,8 @@ class MetaActivationTable:
             raise ValueError("table values must be finite")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "steps", np.diff(nodes))
+        object.__setattr__(self, "rises", np.diff(values))
         # _bracket trusts its scaled guess to within one segment. The guess
         # is monotone in x, so if that holds at every node and at the float
         # just below it, it holds for every input. It fails on grids too
@@ -209,13 +214,10 @@ def _table_lookup(tab: MetaActivationTable, x, with_slope: bool):
     scalar = xq.ndim == 0
     xq = np.atleast_1d(xq)
     j = _bracket(tab, xq)
-    j_next = j + 1
     left = tab.nodes[j]
-    step = tab.nodes[j_next]
-    step -= left
+    step = tab.steps[j]
     base = tab.values[j]
-    slope = tab.values[j_next]
-    slope -= base  # the rise for now
+    slope = tab.rises[j]  # the rise for now
     # base + (x - left) / step * rise, evaluated in place.
     value = xq - left
     value /= step

@@ -15,7 +15,9 @@ the whole horizon.
 
 A separate dense autoencoder scores windows by reconstruction error; its
 per-window weight softly strips anomalous samples from the training
-objective instead of deleting them.
+objective instead of deleting them. It is small and fixed, so it runs in
+plain numpy off the tape, its gradients written out by hand with the
+tape's arithmetic: a fit gives the same bits as one on the tape.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from .activation import (
     GatedLeeActivation,
     GeluActivation,
     MetaActivationTable,
+    gelu,
+    gelu_value_and_slope,
     table_for_type,
 )
 from .data import WindowView
@@ -445,36 +449,54 @@ class Forecaster:
 SCORE_CHUNK = 512
 
 
+# The autoencoder's dense layers in forward order; GELU follows the two
+# named in _AE_GELU_AFTER.
+_AE_LAYERS = ("enc1", "enc2", "dec1", "dec2")
+_AE_GELU_AFTER = ("enc1", "dec1")
+
+
+def _ae_shapes(window_len: int, n_features: int, hidden: int,
+               bottleneck: int) -> dict[str, tuple[int, ...]]:
+    """Parameter name -> shape, layer by layer in forward order."""
+    if min(window_len, n_features, hidden, bottleneck) < 1:
+        raise ValueError("all autoencoder dimensions must be >= 1")
+    flat = window_len * n_features
+    widths = (flat, hidden, bottleneck, hidden, flat)
+    shapes: dict[str, tuple[int, ...]] = {}
+    for name, fan_in, fan_out in zip(_AE_LAYERS, widths, widths[1:]):
+        shapes[f"{name}.w"] = (fan_in, fan_out)
+        shapes[f"{name}.b"] = (fan_out,)
+    return shapes
+
+
 class Autoencoder:
     """Two-layer dense encoder/decoder over flattened windows.
 
     Scores a window by its per-step squared reconstruction error; after
     fitting, tau holds the 95th-percentile step error of the training
     split and weights fall as errors rise above it.
+
+    The network runs in plain numpy, not on the tape: loss_and_grads
+    differentiates the reconstruction MSE by hand, making the numpy calls
+    the tape would make for the same loss, so a fit gives the tape's bits
+    (tests/helpers.py keeps the tape version as the reference). params
+    is still a name -> parameter Tensor dict, for Adam and checkpoints.
     """
 
     def __init__(self, window_len: int, n_features: int,
                  hidden: int = 32, bottleneck: int = 8, seed: int = 0):
-        if min(window_len, n_features, hidden, bottleneck) < 1:
-            raise ValueError("all autoencoder dimensions must be >= 1")
+        shapes = _ae_shapes(window_len, n_features, hidden, bottleneck)
         self.window_len = window_len
         self.n_features = n_features
         self.hidden = hidden
         self.bottleneck = bottleneck
         self.tau: Optional[float] = None
-        self._act = GeluActivation()
-        flat = window_len * n_features
         rng = np.random.default_rng(seed)
         self.params: dict[str, Tensor] = {}
-        for name, fi, fo in (
-            ("enc1", flat, hidden),
-            ("enc2", hidden, bottleneck),
-            ("dec1", bottleneck, hidden),
-            ("dec2", hidden, flat),
-        ):
-            self.params[f"{name}.w"] = te.parameter(
-                te.glorot_uniform(rng, fi, fo, (fi, fo)), name=f"{name}.w")
-            self.params[f"{name}.b"] = te.parameter(np.zeros(fo), name=f"{name}.b")
+        for name, shape in shapes.items():
+            data = (np.zeros(shape) if name.endswith(".b")
+                    else te.glorot_uniform(rng, shape[0], shape[1], shape))
+            self.params[name] = te.parameter(data, name=name)
 
     def _windows(self, windows) -> np.ndarray | WindowView:
         """Windows checked by shape; a WindowView stays a view, cut per
@@ -490,39 +512,76 @@ class Autoencoder:
             )
         return windows
 
-    def reconstruct(self, flat: Tensor) -> Tensor:
-        p = self.params
-        h = te.apply_activation(
-            te.add(te.matmul(flat, p["enc1.w"]), p["enc1.b"]), self._act)
-        z = te.add(te.matmul(h, p["enc2.w"]), p["enc2.b"])
-        h = te.apply_activation(
-            te.add(te.matmul(z, p["dec1.w"]), p["dec1.b"]), self._act)
-        return te.add(te.matmul(h, p["dec2.w"]), p["dec2.b"])
+    def reconstruct(self, flat: np.ndarray, keep: Optional[list] = None) -> np.ndarray:
+        """The reconstruction of flattened windows, shape (n, window_len *
+        n_features) in and out: x @ w + b per layer, GELU after enc1 and
+        dec1. Given a list as keep, GELU also gives its slope and keep
+        gets (layer, its input, slope or None) per layer, for
+        loss_and_grads."""
+        h = flat
+        for name in _AE_LAYERS:
+            x = h
+            h = x @ self.params[f"{name}.w"].data
+            h += self.params[f"{name}.b"].data
+            slope = None
+            if name in _AE_GELU_AFTER:
+                if keep is None:
+                    h = gelu(h)
+                else:
+                    h, slope = gelu_value_and_slope(h)
+            if keep is not None:
+                keep.append((name, x, slope))
+        return h
+
+    def loss_and_grads(self, flat: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
+        """Reconstruction MSE of flattened windows and its gradient for
+        each parameter.
+
+        The backward pass makes the numpy calls that te.backward makes for
+        te.mean_all(te.mul(diff, diff)) with diff = te.sub(reconstruction,
+        flat): the mean's gradient 1/size, the square's two equal terms
+        summed, g.sum(axis=0) for a bias, x.T @ g for a weight,
+        g @ w.T for a layer's input and g * slope through GELU.
+        """
+        layers: list = []
+        diff = self.reconstruct(flat, layers)
+        diff -= flat
+        loss = float((diff * diff).mean())
+        g = diff * (1.0 / diff.size)
+        g += g
+        grads: dict[str, np.ndarray] = {}
+        for name, x, slope in reversed(layers):
+            if slope is not None:
+                g *= slope
+            grads[f"{name}.b"] = g.sum(axis=0)
+            grads[f"{name}.w"] = x.T @ g
+            if name != _AE_LAYERS[0]:
+                g = g @ self.params[f"{name}.w"].data.T
+        return loss, grads
 
     def step_errors(self, windows) -> np.ndarray:
         """Per-step squared reconstruction error, shape (n, window_len).
 
         Each step's error is the mean over features of the squared
-        difference between the window and its reconstruction. Runs under
-        te.no_grad(), SCORE_CHUNK windows at a time, each chunk cut from
-        windows (an array or a WindowView) as it is scored; a window's
-        errors do not depend on the chunk it is scored in.
+        difference between the window and its reconstruction. Scores
+        SCORE_CHUNK windows at a time, each chunk cut from windows (an
+        array or a WindowView) as it is scored; a window's errors do not
+        depend on the chunk it is scored in.
         """
         w = self._windows(windows)
         n = w.shape[0]
         out = np.empty((n, self.window_len))
         lo = 0
-        with te.no_grad():
-            while lo < n:
-                # A lone last window joins the chunk before it: numpy takes
-                # one row through a matrix-vector product, which rounds
-                # differently from the matrix product of many rows.
-                hi = n if n - lo == SCORE_CHUNK + 1 else min(lo + SCORE_CHUNK, n)
-                flat = w[lo:hi].reshape(hi - lo, -1)
-                sq = (flat - self.reconstruct(te.constant(flat)).data) ** 2
-                np.mean(sq.reshape(-1, self.window_len, self.n_features), axis=2,
-                        out=out[lo:hi])
-                lo = hi
+        while lo < n:
+            # A lone last window joins the chunk before it: numpy takes
+            # one row through a matrix-vector product, which rounds
+            # differently from the matrix product of many rows.
+            hi = n if n - lo == SCORE_CHUNK + 1 else min(lo + SCORE_CHUNK, n)
+            flat = w[lo:hi].reshape(hi - lo, -1)
+            sq = (flat - self.reconstruct(flat)) ** 2
+            np.mean(sq.reshape(-1, self.window_len, self.n_features), axis=2,
+                    out=out[lo:hi])
+            lo = hi
         return out
 
     def fit_threshold(self, train_windows: np.ndarray) -> float:
@@ -688,11 +747,17 @@ _AE_SETTINGS = {"window_len": "int", "n_features": "int", "hidden": "int",
                 "bottleneck": "int", "tau": "float"}
 
 
+def _check_tau(tau: float, path) -> None:
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"{path}: 'tau': expected a finite number > 0, got {tau!r}")
+
+
 def save_autoencoder(path, ae: Autoencoder,
                      extra_meta: Optional[dict[str, str]] = None) -> None:
     """Write a fitted autoencoder; extra_meta entries are stored with it."""
     if ae.tau is None:
         raise RuntimeError("refusing to save an unfitted autoencoder")
+    _check_tau(ae.tau, path)
     meta = {"kind": "autoencoder",
             **{name: _as_text(getattr(ae, name)) for name in _AE_SETTINGS},
             **(extra_meta or {})}
@@ -701,21 +766,24 @@ def save_autoencoder(path, ae: Autoencoder,
 
 def load_autoencoder(path) -> tuple[Autoencoder, dict[str, str]]:
     """Rebuild an autoencoder written by save_autoencoder; also returns
-    the file's meta entries."""
+    the file's meta entries. Every stored shape is checked against the
+    stored dimensions before the autoencoder is built."""
     tensors, meta = te.load_tensors(path)
     if meta.get("kind") != "autoencoder":
         raise ValueError(f"{path}: not an autoencoder checkpoint")
     settings = {name: _required(meta, name, path, kind)
                 for name, kind in _AE_SETTINGS.items()}
     tau = settings.pop("tau")
+    _check_tau(tau, path)
     try:
-        ae = Autoencoder(**settings)
+        shapes = _ae_shapes(**settings)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    for name, shape in shapes.items():
+        if _required(tensors, name, path).shape != shape:
+            raise ValueError(f"{path}: {name} has shape {tensors[name].shape}")
+    ae = Autoencoder(**settings)
     for name, p in ae.params.items():
-        arr = _required(tensors, name, path)
-        if arr.shape != p.data.shape:
-            raise ValueError(f"{path}: {name} has shape {arr.shape}")
-        p.data = arr.copy()
+        p.data = tensors[name]
     ae.tau = tau
     return ae, meta

@@ -25,7 +25,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import math
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 

@@ -271,7 +271,9 @@ def fit_autoencoder(
     lr: float = 1e-3,
 ) -> Autoencoder:
     """Train a window autoencoder on reconstruction MSE and fit its
-    anomaly threshold on the same windows.
+    anomaly threshold on the same windows. Each step takes the loss and
+    gradients from Autoencoder.loss_and_grads, off the tape, and hands the
+    gradients to Adam as .grad.
 
     windows is an (n, window_len, n_features) array or a split's
     WindowView; each batch is cut from it and flattened as it is used.
@@ -289,14 +291,11 @@ def fit_autoencoder(
         order = rng.permutation(n)
         for lo in range(0, n, batch_size):
             idx = order[lo : lo + batch_size]
-            x = te.constant(windows[idx].reshape(idx.size, -1))
-            diff = te.sub(ae.reconstruct(x), x)
-            loss = te.mean_all(te.mul(diff, diff))
-            if not math.isfinite(loss.item()):
+            loss, grads = ae.loss_and_grads(windows[idx].reshape(idx.size, -1))
+            if not math.isfinite(loss):
                 raise RuntimeError(f"autoencoder diverged at epoch {epoch + 1}")
-            for p in ae.params.values():
-                p.grad = None
-            te.backward(loss)
+            for name, p in ae.params.items():
+                p.grad = grads[name]
             opt.step(_cosine_lr(lr, epoch, epochs))
     ae.fit_threshold(windows)
     return ae

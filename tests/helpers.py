@@ -1,17 +1,20 @@
 """Test-only table helpers and activation handles, probes of the
-forecaster's forward pass, a reference attention and a reference window
-cutter.
+forecaster's forward pass, reference implementations and file readers.
 
 The table helpers (segment ids, node spacing, the gated slope alone)
-serve tests only, so cotn.activation does not carry them.
+serve tests only, so cotn.activation does not carry them; the table
+lookup by gathered differences is the reference for the one that
+gathers stored diffs.
 The handles implement the protocol cotn.tensor.apply_activation consumes:
 value(x) when no gradient is recorded, value_and_slope(x) when the tape
 records one. The probes observe a Forecaster from outside, through
 pytest's monkeypatch, so the model carries no hooks of its own. The
 per-head attention is the reference for the batched one, the
 window-by-window loop the reference for the windows cotn.data.window cuts
-and the decoder inputs the forecaster builds from them, and the
-row-by-row cleaner the reference for cotn.data.clean.
+and the decoder inputs the forecaster builds from them, the
+row-by-row cleaner the reference for cotn.data.clean, and the tape
+versions of the autoencoder's forward pass, fit and scoring the
+reference for its plain-numpy ones.
 assert_same_dataset compares two datasets bit for bit, and the two file
 readers parse what `cotn table` and `cotn train` write.
 """
@@ -21,7 +24,12 @@ import math
 import numpy as np
 
 import cotn.tensor as te
-from cotn.activation import MetaActivationTable, gated_value_and_slope
+from cotn.activation import (
+    GeluActivation,
+    MetaActivationTable,
+    _bracket,
+    gated_value_and_slope,
+)
 from cotn.data import (
     CleanConfig,
     CleaningAction,
@@ -30,7 +38,8 @@ from cotn.data import (
     RawSeries,
     _return_pass,
 )
-from cotn.model import Forecaster
+from cotn.model import SCORE_CHUNK, Autoencoder, Forecaster
+from cotn.training import Adam, _cosine_lr
 
 
 def table_segment(tab: MetaActivationTable, x) -> np.ndarray:
@@ -52,6 +61,40 @@ def node_spacing(tab: MetaActivationTable) -> float:
 def gated_grad(x, lam: float, tab: MetaActivationTable):
     """Derivative of the gated blend (right-segment convention off-node)."""
     return gated_value_and_slope(x, lam, tab)[1]
+
+
+def reference_table_lookup(tab: MetaActivationTable, x, with_slope: bool):
+    """The table lookup with each segment's step and rise taken as the
+    difference of two gathered nodes and two gathered values: the
+    reference for cotn.activation._table_lookup, which gathers them from
+    the table's stored diffs."""
+    xq = np.asarray(x, dtype=np.float64)
+    scalar = xq.ndim == 0
+    xq = np.atleast_1d(xq)
+    j = _bracket(tab, xq)
+    j_next = j + 1
+    left = tab.nodes[j]
+    step = tab.nodes[j_next]
+    step -= left
+    base = tab.values[j]
+    slope = tab.values[j_next]
+    slope -= base
+    value = xq - left
+    value /= step
+    value *= slope
+    value += base
+    np.copyto(value, base, where=xq <= left)
+    clamped = xq >= tab.x_max
+    np.copyto(value, tab.values[-1], where=clamped)
+    if with_slope:
+        slope /= step
+        clamped |= xq < tab.x_min
+        np.copyto(slope, 0.0, where=clamped)
+    else:
+        slope = None
+    if scalar:
+        return float(value[0]), None if slope is None else float(slope[0])
+    return value, slope
 
 
 def read_table_file(path) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
@@ -298,3 +341,61 @@ def loop_clean(raw: RawSeries, cfg: CleanConfig = CleanConfig()) -> RawSeries:
         report.append(CleaningAction(int(ep[t]), "fill", flagged[t]))
     return RawSeries(raw.schema, ep, {n: rows[:, j].copy() for j, n in enumerate(names)},
                      raw.period, seg, report)
+
+
+def tape_reconstruct(ae: Autoencoder, flat: te.Tensor) -> te.Tensor:
+    """The autoencoder's forward pass as tape ops: the reference for its
+    plain-numpy forward."""
+    act = GeluActivation()
+    p = ae.params
+    h = te.apply_activation(te.add(te.matmul(flat, p["enc1.w"]), p["enc1.b"]), act)
+    z = te.add(te.matmul(h, p["enc2.w"]), p["enc2.b"])
+    h = te.apply_activation(te.add(te.matmul(z, p["dec1.w"]), p["dec1.b"]), act)
+    return te.add(te.matmul(h, p["dec2.w"]), p["dec2.b"])
+
+
+def tape_step_errors(ae: Autoencoder, windows) -> np.ndarray:
+    """Autoencoder.step_errors with the reconstruction taken on the tape,
+    under te.no_grad(), in the same chunks."""
+    w = ae._windows(windows)
+    n = w.shape[0]
+    out = np.empty((n, ae.window_len))
+    lo = 0
+    with te.no_grad():
+        while lo < n:
+            hi = n if n - lo == SCORE_CHUNK + 1 else min(lo + SCORE_CHUNK, n)
+            flat = w[lo:hi].reshape(hi - lo, -1)
+            sq = (flat - tape_reconstruct(ae, te.constant(flat)).data) ** 2
+            np.mean(sq.reshape(-1, ae.window_len, ae.n_features), axis=2,
+                    out=out[lo:hi])
+            lo = hi
+    return out
+
+
+def tape_fit_autoencoder(windows, hidden: int = 32, bottleneck: int = 8, seed: int = 0,
+                         epochs: int = 40, batch_size: int = 64,
+                         lr: float = 1e-3) -> Autoencoder:
+    """cotn.training.fit_autoencoder with every step's loss and gradients
+    taken by te.backward through tape_reconstruct: the reference the
+    plain-numpy fit must match bit for bit."""
+    n, length, feats = windows.shape
+    ae = Autoencoder(length, feats, hidden=hidden, bottleneck=bottleneck, seed=seed)
+    rng = np.random.default_rng(seed)
+    opt = Adam(ae.params, lr=lr)
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, batch_size):
+            idx = order[lo : lo + batch_size]
+            x = te.constant(windows[idx].reshape(idx.size, -1))
+            diff = te.sub(tape_reconstruct(ae, x), x)
+            loss = te.mean_all(te.mul(diff, diff))
+            if not math.isfinite(loss.item()):
+                raise RuntimeError(f"autoencoder diverged at epoch {epoch + 1}")
+            for p in ae.params.values():
+                p.grad = None
+            te.backward(loss)
+            opt.step(_cosine_lr(lr, epoch, epochs))
+    ae.tau = float(np.percentile(tape_step_errors(ae, windows), 95.0))
+    if ae.tau <= 0.0:
+        ae.tau = float(np.finfo(np.float64).tiny)
+    return ae

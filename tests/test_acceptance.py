@@ -23,7 +23,6 @@ from cotn.activation import (
     table_for_type,
 )
 from cotn.data import (
-    CleanConfig,
     RawSeries,
     build_dataset,
     clean,

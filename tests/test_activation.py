@@ -37,6 +37,7 @@ from helpers import (
     gated_grad,
     node_spacing,
     read_table_file,
+    reference_table_lookup,
     table_segment,
 )
 
@@ -548,3 +549,44 @@ class TestFusedValueAndSlope:
         assert _same(handle.value(x), want)
         table_eval(tab, x)
         gelu(x)
+
+
+# inf and +-1e300 inputs overflow intermediate terms by design.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestStoredDiffs:
+    """The lookup gathers each segment's step and rise from the table's
+    stored diffs, with the bits of subtracting two gathered nodes and two
+    gathered values."""
+
+    @pytest.mark.parametrize("grid", _GRIDS)
+    def test_diffs_are_derived_from_the_grid(self, grid):
+        tab = _grid(grid)
+        assert np.array_equal(tab.steps, np.diff(tab.nodes))
+        assert np.array_equal(tab.rises, np.diff(tab.values))
+        assert "steps" not in repr(tab) and "rises" not in repr(tab)
+        assert tab == MetaActivationTable(tab.type_id, tab.nodes, tab.values)
+
+    @pytest.mark.parametrize("grid", _GRIDS)
+    @pytest.mark.parametrize("with_slope", [True, False])
+    def test_matches_gathered_differences_on_edges(self, grid, with_slope):
+        # Nodes, the floats just below and above them, the specials (NaN,
+        # +-inf, +-0, subnormals) and inputs clamped on both sides.
+        tab = _grid(grid)
+        x = np.concatenate([_edge_inputs(tab), [tab.x_min - 1.0, tab.x_max + 1.0]])
+        value, slope = activation._table_lookup(tab, x, with_slope)
+        want_value, want_slope = reference_table_lookup(tab, x, with_slope)
+        assert _same(value, want_value)
+        assert slope is None if not with_slope else _same(slope, want_slope)
+        for v in x[::7]:
+            got = activation._table_lookup(tab, v, with_slope)
+            want = reference_table_lookup(tab, v, with_slope)
+            assert type(got[0]) is float and _same(got[0], want[0])
+            assert got[1] is None if not with_slope else _same(got[1], want[1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid=st.sampled_from(_GRIDS), x=_INPUTS)
+    def test_matches_gathered_differences_on_random_floats(self, grid, x):
+        tab = _grid(grid)
+        value, slope = table_value_and_slope(tab, x)
+        want_value, want_slope = reference_table_lookup(tab, x, True)
+        assert _same(value, want_value) and _same(slope, want_slope)

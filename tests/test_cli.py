@@ -1,6 +1,5 @@
 """End-to-end command-line checks, run in process via main(argv)."""
 
-import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -760,6 +759,20 @@ class TestAnomaly:
         assert code == 1
         assert str(broken) in err and "'enc1.w'" in err
 
+    @pytest.mark.parametrize("tau", ["nan", "0.0", "-1.0", "inf"])
+    def test_bad_threshold_is_named(self, workspace, tmp_path, capsys, tau):
+        tensors, meta = te.load_tensors(workspace["out"] / "autoencoder.bin")
+        broken = tmp_path / "ae.bin"
+        te.save_tensors(broken, tensors, {**meta, "tau": tau})
+        code, _ = run("anomaly", "--data", str(workspace["csv"]),
+                      "--ae", str(broken),
+                      "--stats", str(workspace["out"] / "norm_stats.txt"),
+                      "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{broken}: 'tau': expected a finite number > 0" in err
+        assert not (tmp_path / "anomaly.csv").exists()
+
     @pytest.fixture(scope="class")
     def long_csv(self, tmp_path_factory):
         """An ETT file holding more 16-row windows than one scoring chunk."""
@@ -772,7 +785,7 @@ class TestAnomaly:
         real = Autoencoder.reconstruct
 
         def counting(self, flat):
-            calls.append(flat.data.copy())
+            calls.append(flat.copy())
             return real(self, flat)
 
         monkeypatch.setattr(Autoencoder, "reconstruct", counting)

@@ -1,11 +1,13 @@
 """Forecaster architecture, distillation, decoding, anomaly scorer."""
 
 import math
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cotn.model
@@ -28,7 +30,13 @@ from cotn.model import (
     sinusoidal_position_encoding,
 )
 
-from helpers import IdentityActivation, capture_norm, count_decodes, per_head_attention
+from helpers import (
+    IdentityActivation,
+    capture_norm,
+    count_decodes,
+    per_head_attention,
+    tape_reconstruct,
+)
 
 RNG = np.random.default_rng(123)
 
@@ -537,15 +545,18 @@ class TestAutoencoder:
         errs = ae.step_errors(windows)
         assert errs.shape == (40, 8)
         flat = windows.reshape(40, -1)
-        recon = ae.reconstruct(te.constant(flat)).data
+        recon = ae.reconstruct(flat)
         manual = ((flat - recon) ** 2).reshape(40, 8, 2).mean(axis=2)
         np.testing.assert_allclose(errs, manual, rtol=0, atol=0)
 
     def test_weights_match_recorded_reconstruction(self):
+        # The reference is the forward pass recorded on the tape; the
+        # plain-numpy reconstruction has its bits.
         ae, windows = self._fitted()
         flat = windows.reshape(40, -1)
-        recon = ae.reconstruct(te.constant(flat))
+        recon = tape_reconstruct(ae, te.constant(flat))
         assert recon.requires_grad
+        assert ae.reconstruct(flat).tobytes() == recon.data.tobytes()
         errs = ((flat - recon.data) ** 2).reshape(40, 8, 2).mean(axis=2)
         assert np.array_equal(ae.weights(windows), 1.0 / (1.0 + errs.max(axis=1) / ae.tau))
         assert all(p.grad is None for p in ae.params.values())
@@ -622,6 +633,105 @@ class TestAutoencoder:
         save_autoencoder(tmp_path / "ae.bin", ae)
         assert load_autoencoder(tmp_path / "ae.bin")[0].tau == tau
 
+    @pytest.mark.parametrize("tau", [math.nan, 0.0, -1.0, math.inf, -math.inf])
+    def test_bad_threshold_refused(self, tmp_path, tau):
+        ae, _ = self._fitted()
+        path = tmp_path / "ae.bin"
+        save_autoencoder(path, ae)
+        tensors, meta = te.load_tensors(path)
+        te.save_tensors(path, tensors, {**meta, "tau": repr(tau)})
+        message = f"{path}: 'tau': expected a finite number > 0, got {tau!r}"
+        with pytest.raises(ValueError) as err:
+            load_autoencoder(path)
+        assert str(err.value) == message
+        ae.tau = tau
+        with pytest.raises(ValueError) as err:
+            save_autoencoder(tmp_path / "out.bin", ae)
+        assert "'tau': expected a finite number > 0" in str(err.value)
+        assert not (tmp_path / "out.bin").exists()
+
+    def test_shapes_checked_before_the_autoencoder_is_built(self, tmp_path, monkeypatch):
+        # A stored dimension the tensors do not have is refused before any
+        # parameter of that size is drawn.
+        ae, _ = self._fitted()
+        path = tmp_path / "ae.bin"
+        save_autoencoder(path, ae)
+        tensors, meta = te.load_tensors(path)
+        te.save_tensors(path, tensors, {**meta, "hidden": str(10 ** 12)})
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("autoencoder built before its shapes were checked")
+
+        monkeypatch.setattr(cotn.model.Autoencoder, "__init__", refuse)
+        with pytest.raises(ValueError, match="enc1.w has shape") as err:
+            load_autoencoder(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+
+def _saved_autoencoder() -> bytes:
+    ae = Autoencoder(8, 2, hidden=4, bottleneck=2, seed=3)
+    ae.tau = 0.25
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "ae.bin")
+        save_autoencoder(path, ae, extra_meta={"data.z_max": "5.0"})
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+_AE_FILE = _saved_autoencoder()
+_AE_HEADER = _AE_FILE.index(b"END\n") + 4
+_AE_KEYS = ("kind", "window_len", "n_features", "hidden", "bottleneck", "tau")
+_META_TEXT = st.one_of(
+    st.integers(-10 ** 15, 10 ** 15).map(str),
+    st.floats().map(repr),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12),
+)
+
+
+def _flipped(data: bytes, flips) -> bytes:
+    out = bytearray(data)
+    for pos, bits in flips:
+        out[pos] ^= bits
+    return bytes(out)
+
+
+class TestAutoencoderFileFuzz:
+    """Whatever is done to a saved autoencoder.bin, load_autoencoder
+    either loads it or raises ValueError or OSError."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "autoencoder.bin"
+
+    @staticmethod
+    def _load_or_refuse(path, data: bytes) -> None:
+        path.write_bytes(data)
+        try:
+            ae, _ = load_autoencoder(path)
+        except (ValueError, OSError):
+            return
+        assert math.isfinite(ae.tau) and ae.tau > 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(cut=st.integers(0, len(_AE_FILE) - 1))
+    def test_truncated(self, path, cut):
+        self._load_or_refuse(path, _AE_FILE[:cut])
+
+    @settings(max_examples=200, deadline=None)
+    @given(flips=st.lists(st.tuples(st.one_of(st.integers(0, _AE_HEADER - 1),
+                                              st.integers(0, len(_AE_FILE) - 1)),
+                                    st.integers(1, 255)), min_size=1, max_size=4))
+    def test_bytes_flipped(self, path, flips):
+        self._load_or_refuse(path, _flipped(_AE_FILE, flips))
+
+    @settings(max_examples=200, deadline=None)
+    @given(edits=st.dictionaries(st.sampled_from(_AE_KEYS), _META_TEXT, min_size=1))
+    def test_meta_edited(self, path, edits):
+        path.write_bytes(_AE_FILE)
+        tensors, meta = te.load_tensors(path)
+        te.save_tensors(path, tensors, {**meta, **edits})
+        self._load_or_refuse(path, path.read_bytes())
+
 
 class TestChunkedScoring:
     """step_errors scores SCORE_CHUNK windows per pass, with the bits of one
@@ -638,8 +748,7 @@ class TestChunkedScoring:
     @staticmethod
     def _one_pass(ae, windows):
         flat = windows.reshape(windows.shape[0], -1)
-        with te.no_grad():
-            recon = ae.reconstruct(te.constant(flat)).data
+        recon = ae.reconstruct(flat)
         return ((flat - recon) ** 2).reshape(-1, 24, 7).mean(axis=2)
 
     @pytest.mark.parametrize("n", [1, C - 1, C, C + 1, 3 * C + 5])
@@ -656,7 +765,7 @@ class TestChunkedScoring:
         real = Autoencoder.reconstruct
 
         def recording(self, flat):
-            rows.append(flat.data.copy())
+            rows.append(flat.copy())
             return real(self, flat)
 
         monkeypatch.setattr(Autoencoder, "reconstruct", recording)

@@ -9,7 +9,6 @@ import cotn.tensor as te
 from cotn.activation import GeluActivation
 from cotn.tensor import (
     NEG_INF,
-    Tensor,
     apply_activation,
     backward,
     concat_last,

@@ -7,9 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import cotn.tensor as te
 from cotn import training
 from cotn.data import FeatureFrame, build_dataset, load_csv
-from cotn.model import ActivationMode, Forecaster, ModelConfig
+from cotn.model import SCORE_CHUNK, ActivationMode, Autoencoder, Forecaster, ModelConfig
 from cotn.tensor import parameter
 from cotn.training import (
     Adam,
@@ -30,7 +31,12 @@ from cotn.training import (
     write_synthetic_ett_csv,
     write_trial_report,
 )
-from helpers import read_trial_report
+from helpers import (
+    read_trial_report,
+    tape_fit_autoencoder,
+    tape_reconstruct,
+    tape_step_errors,
+)
 
 TINY_MODEL = ModelConfig(
     d_model=8, n_heads=2, n_enc_layers=2, n_dec_layers=1, d_ff=16,
@@ -195,6 +201,21 @@ class TestReportIO:
         assert "wall_time_s" in back
 
 
+def _train_view(n_features, rows, seed):
+    """The training windows (16 rows each) of a random frame, as a view."""
+    rng = np.random.default_rng(seed)
+    names = tuple("abcdefg"[:n_features])
+    frame = FeatureFrame(np.arange(rows, dtype=np.int64) * 3600,
+                         np.zeros(rows, dtype=np.int64),
+                         np.asfortranarray(rng.standard_normal((rows, n_features))),
+                         names, names[-1], 3600)
+    return build_dataset(frame, enc_len=16, label_len=8, horizon=4).splits.train.enc
+
+
+def _param_bytes(model):
+    return {name: p.data.tobytes() for name, p in model.params.items()}
+
+
 class TestAutoencoderFit:
     def test_fit_sets_threshold_and_is_deterministic(self):
         rng = np.random.default_rng(8)
@@ -212,20 +233,52 @@ class TestAutoencoderFit:
 
     @pytest.mark.parametrize("n_features", [1, 3])
     def test_view_fit_equals_the_array_fit(self, n_features):
-        rng = np.random.default_rng(n_features)
-        names = tuple("abc"[:n_features])
-        frame = FeatureFrame(np.arange(400, dtype=np.int64) * 3600,
-                             np.zeros(400, dtype=np.int64),
-                             np.asfortranarray(rng.standard_normal((400, n_features))),
-                             names, names[-1], 3600)
-        view = build_dataset(frame, enc_len=16, label_len=8, horizon=4).splits.train.enc
+        view = _train_view(n_features, 400, seed=n_features)
         whole = view[:]
         a = fit_autoencoder(view, hidden=12, bottleneck=3, seed=5, epochs=3)
         b = fit_autoencoder(whole, hidden=12, bottleneck=3, seed=5, epochs=3)
         assert a.tau == b.tau
-        assert {k: p.data.tobytes() for k, p in a.params.items()} == {
-            k: p.data.tobytes() for k, p in b.params.items()}
+        assert _param_bytes(a) == _param_bytes(b)
         assert a.step_errors(view).tobytes() == b.step_errors(whole).tobytes()
+
+
+class TestTapeReference:
+    """The plain-numpy autoencoder makes the tape's numpy calls: its loss,
+    gradients, fit and scores have the bits of the tape version in
+    helpers."""
+
+    @pytest.mark.parametrize("n_features", [1, 7])
+    def test_one_step_equals_backward(self, n_features):
+        ae = Autoencoder(16, n_features, hidden=12, bottleneck=3, seed=2)
+        flat = np.random.default_rng(n_features).standard_normal((37, 16 * n_features))
+        loss, grads = ae.loss_and_grads(flat)
+        x = te.constant(flat)
+        diff = te.sub(tape_reconstruct(ae, x), x)
+        want = te.mean_all(te.mul(diff, diff))
+        te.backward(want)
+        assert loss == want.item()
+        assert set(grads) == set(ae.params)
+        for name, p in ae.params.items():
+            assert grads[name].shape == p.data.shape
+            assert grads[name].tobytes() == p.grad.tobytes(), name
+
+    @pytest.mark.parametrize("n_features", [1, 7])
+    @pytest.mark.parametrize("as_view", [False, True])
+    def test_fit_equals_the_tape_fit(self, n_features, as_view):
+        view = _train_view(n_features, 260, seed=n_features)
+        windows = view if as_view else view[:]
+        assert windows.shape[0] % 64 != 0  # a short last batch
+        a = fit_autoencoder(windows, hidden=12, bottleneck=3, seed=5, epochs=3)
+        b = tape_fit_autoencoder(windows, hidden=12, bottleneck=3, seed=5, epochs=3)
+        assert a.tau == b.tau and _param_bytes(a) == _param_bytes(b)
+        assert a.step_errors(windows).tobytes() == tape_step_errors(b, windows).tobytes()
+
+    def test_scoring_a_chunk_and_one_more_window(self):
+        # SCORE_CHUNK + 1 windows score as one pass, the lone last window
+        # joining the chunk before it.
+        ae = Autoencoder(24, 7, seed=4)
+        windows = np.random.default_rng(4).standard_normal((SCORE_CHUNK + 1, 24, 7))
+        assert ae.step_errors(windows).tobytes() == tape_step_errors(ae, windows).tobytes()
 
 
 class TestRunTraining:
@@ -263,10 +316,6 @@ class TestRunTraining:
         _, rep_off = run_training(tiny_dataset, TINY_MODEL, off)
         _, rep_on = run_training(tiny_dataset, TINY_MODEL, on)
         assert rep_off.metric_dict() != rep_on.metric_dict()
-
-
-def _param_bytes(model):
-    return {name: p.data.tobytes() for name, p in model.params.items()}
 
 
 @pytest.fixture
