@@ -20,11 +20,9 @@ from .activation import (
 )
 from .model import ActivationMode, Autoencoder, Forecaster, ModelConfig
 from .oscillator import (
-    LeeParams,
     LorsParams,
     builtin_params,
     builtin_type_ids,
-    lee_step,
     lors_step,
     simulate,
 )
@@ -41,7 +39,6 @@ __all__ = [
     "ActivationMode",
     "Autoencoder",
     "Forecaster",
-    "LeeParams",
     "LorsParams",
     "MetaActivationTable",
     "ModelConfig",
@@ -52,7 +49,6 @@ __all__ = [
     "builtin_type_ids",
     "gated_activation",
     "gelu",
-    "lee_step",
     "lors_step",
     "mot_activation_exact",
     "multi_trial",

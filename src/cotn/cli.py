@@ -32,6 +32,7 @@ from .data import (
     Dataset,
     NormStats,
     WindowView,
+    _utf8_lines,
     build_dataset,
     clean,
     denormalize_feature,
@@ -152,7 +153,7 @@ def load_run_config(path: str | None, overrides: list[str]) -> dict[str, dict]:
                                            interpolation=None)
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                parser.read_file(fh)
+                parser.read_file(_utf8_lines(fh, path), source=path)
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from None
         for section in parser.sections():
@@ -420,11 +421,6 @@ def cmd_forecast(args) -> int:
     model, dataset = _restore(args)
     stats, frame = dataset.stats, dataset.frame
     cfg = model.cfg
-    if args.horizon is not None and args.horizon != cfg.horizon:
-        raise ConfigError(
-            f"--horizon {args.horizon} does not match the checkpoint's "
-            f"fixed horizon {cfg.horizon}"
-        )
     n = frame.n_rows
     if n < cfg.enc_len:
         raise RuntimeError(
@@ -471,10 +467,8 @@ def cmd_sweep_types(args) -> int:
 
 
 def _cleaning_from_meta(meta: dict[str, str], path: str) -> CleanConfig:
-    """The cleaning thresholds an autoencoder file stores; files written
-    before they were stored hold no data.* entry and get the defaults."""
-    if not any(key.startswith("data.") for key in meta):
-        return CleanConfig()
+    """The cleaning thresholds an autoencoder file stores; a ValueError
+    names the file and the first data.* entry it lacks."""
     stored = _read_meta(CleanConfig, meta, path, "data.")
     try:
         return CleanConfig(**stored)
@@ -576,8 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="forecast past the end of a data file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--horizon", type=int,
-                   help="must match the checkpoint's horizon")
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("sweep-types", parents=[common, run_cfg],

@@ -123,21 +123,30 @@ class RawSeries:
         return tuple(SCHEMAS[self.schema]["columns"])
 
 
-def _parse_timestamp(text: str, line_no: int) -> int:
+def _utf8_lines(fh, path):
+    """The lines of the text file fh; a ParseError names the file when
+    its bytes are not UTF-8."""
+    try:
+        yield from fh
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+
+
+def _parse_timestamp(text: str, path, line_no: int) -> int:
     try:
         dt = datetime.fromisoformat(text.strip())
     except ValueError:
-        raise ParseError(f"line {line_no}: bad timestamp {text!r}") from None
+        raise ParseError(f"{path}: line {line_no}: bad timestamp {text!r}") from None
     if dt.tzinfo is not None:
         return int(round(dt.timestamp()))
     return int(round((dt - _EPOCH0).total_seconds()))
 
 
-def _infer_period(epochs: np.ndarray) -> int:
+def _infer_period(epochs: np.ndarray, path) -> int:
     diffs = np.diff(epochs)
     diffs = diffs[diffs > 0]
     if diffs.size == 0:
-        raise ParseError("cannot infer sampling period: no increasing timestamps")
+        raise ParseError(f"{path}: cannot infer sampling period: no increasing timestamps")
     values, counts = np.unique(diffs, return_counts=True)
     return int(values[np.argmax(counts)])
 
@@ -157,7 +166,7 @@ def load_csv(path, schema: str) -> RawSeries:
     epochs: list[int] = []
     cols: list[list[float]] = [[] for _ in want]
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:
@@ -175,7 +184,7 @@ def load_csv(path, schema: str) -> RawSeries:
                     f"{path}: line {line_no}: expected {1 + len(want)} fields, "
                     f"got {len(row)}"
                 )
-            epochs.append(_parse_timestamp(row[0], line_no))
+            epochs.append(_parse_timestamp(row[0], path, line_no))
             for j, text in enumerate(row[1:]):
                 try:
                     value = float(text)
@@ -202,7 +211,7 @@ def load_csv(path, schema: str) -> RawSeries:
         schema=schema,
         epochs=ep,
         columns=data,
-        period=_infer_period(ep) if ep.size > 1 else 1,
+        period=_infer_period(ep, path) if ep.size > 1 else 1,
         segment_ids=np.zeros(ep.size, dtype=np.int64),
     )
 
@@ -606,10 +615,11 @@ def read_stats(path) -> NormStats:
     std: list[float] = []
     dropped: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
+        lines = _utf8_lines(fh, path)
+        header = next(lines, "").rstrip("\n")
         if header != "feature,mean,std":
             raise ParseError(f"{path}: bad stats header {header!r}")
-        for line_no, line in enumerate(fh, start=2):
+        for line_no, line in enumerate(lines, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue

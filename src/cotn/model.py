@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -116,22 +117,28 @@ class ModelConfig:
     def __post_init__(self) -> None:
         # Each message starts with the setting's name.
         for name in ("n_heads", "n_enc_layers", "n_dec_layers", "d_ff", "enc_len",
-                     "label_len", "horizon", "n_features", "n_targets"):
+                     "label_len", "horizon", "n_features"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: expected >= 1, got {getattr(self, name)!r}")
+        if self.n_targets != 1:
+            raise ValueError(f"n_targets: expected 1, got {self.n_targets!r}")
         if self.d_model < 1 or self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model: expected a positive multiple of n_heads "
                              f"({self.n_heads}), got {self.d_model!r}")
         if self.label_len > self.enc_len:
             raise ValueError(f"label_len: expected <= enc_len ({self.enc_len}), "
                              f"got {self.label_len!r}")
-        if self.distill and self.enc_len < 2 ** (self.n_enc_layers - 1):
+        # enc_len < 2 ** (n_enc_layers - 1), without building that power.
+        if self.distill and int(self.enc_len).bit_length() < self.n_enc_layers:
             raise ValueError(
                 f"n_enc_layers: expected 2 ** (n_enc_layers - 1) <= enc_len "
                 f"({self.enc_len}) when distill is on, got {self.n_enc_layers!r}"
             )
 
 
+# Position tables and masks are made on first use, then shared read-only:
+# enc_len and horizon size them, and a loaded checkpoint bounds neither.
+@lru_cache(maxsize=32)
 def sinusoidal_position_encoding(length: int, d_model: int) -> np.ndarray:
     """Classic sin/cos position table, shape (length, d_model)."""
     pos = np.arange(length, dtype=np.float64)[:, None]
@@ -140,13 +147,16 @@ def sinusoidal_position_encoding(length: int, d_model: int) -> np.ndarray:
     pe = np.empty((length, d_model), dtype=np.float64)
     pe[:, 0::2] = np.sin(angles[:, 0::2])
     pe[:, 1::2] = np.cos(angles[:, 1::2])
+    pe.flags.writeable = False
     return pe
 
 
+@lru_cache(maxsize=32)
 def causal_mask(length: int) -> np.ndarray:
     """Additive mask: position i may attend to j <= i only."""
     mask = np.zeros((length, length), dtype=np.float64)
     mask[np.triu_indices(length, k=1)] = te.NEG_INF
+    mask.flags.writeable = False
     return mask
 
 
@@ -263,10 +273,6 @@ class Forecaster:
         self.activation = cfg.activation.build(table)
         rng = np.random.default_rng(seed)
         self._build(rng)
-        self._enc_pe = sinusoidal_position_encoding(cfg.enc_len, cfg.d_model)
-        dec_len = cfg.label_len + cfg.horizon
-        self._dec_pe = sinusoidal_position_encoding(dec_len, cfg.d_model)
-        self._dec_mask = causal_mask(dec_len)
 
     # -- construction ---------------------------------------------------
 
@@ -364,7 +370,7 @@ class Forecaster:
             *(self._p(n) for n in names), mask=mask,
         )
 
-    def _embed(self, x: np.ndarray, prefix: str, pe: np.ndarray) -> Tensor:
+    def _embed(self, x: np.ndarray, prefix: str) -> Tensor:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[-1] != self.cfg.n_features:
             raise ValueError(
@@ -374,7 +380,8 @@ class Forecaster:
             te.matmul(te.constant(x), self._p(f"{prefix}.w")),
             self._p(f"{prefix}.b"),
         )
-        return te.add(emb, te.constant(pe[: x.shape[1]]))
+        pe = sinusoidal_position_encoding(x.shape[1], self.cfg.d_model)
+        return te.add(emb, te.constant(pe))
 
     def encode(self, enc_x: np.ndarray) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
         """Run the encoder stack over (batch, enc_len, n_features) input.
@@ -387,7 +394,7 @@ class Forecaster:
             raise ValueError(
                 f"encoder input length {enc_x.shape[1]} != enc_len {cfg.enc_len}"
             )
-        h = self._embed(enc_x, "enc.embed", self._enc_pe)
+        h = self._embed(enc_x, "enc.embed")
         pairs: list[tuple[Tensor, Tensor]] = []
         for l in range(cfg.n_enc_layers):
             attn = self._attend(h, h, f"enc.{l}.attn")
@@ -416,9 +423,9 @@ class Forecaster:
         want = cfg.label_len + cfg.horizon
         dec_x = np.zeros((enc_x.shape[0], want, cfg.n_features))
         dec_x[:, : cfg.label_len] = enc_x[:, cfg.enc_len - cfg.label_len :]
-        h = self._embed(dec_x, "dec.embed", self._dec_pe)
+        h = self._embed(dec_x, "dec.embed")
         for l in range(cfg.n_dec_layers):
-            self_attn = self._attend(h, h, f"dec.{l}.self", mask=self._dec_mask)
+            self_attn = self._attend(h, h, f"dec.{l}.self", mask=causal_mask(want))
             h = self._norm(te.add(h, self_attn), f"dec.{l}.ln1")
             cross = self._attend(h, memory, f"dec.{l}.cross")
             h = self._norm(te.add(h, cross), f"dec.{l}.ln2")
@@ -704,18 +711,16 @@ def save_forecaster(
     te.save_tensors(path, tensors, meta)
 
 
-def _stored_table(tensors: dict[str, np.ndarray], type_id: int,
+def _stored_table(tensors: dict[str, np.ndarray], mode: ActivationMode,
                   path) -> Optional[MetaActivationTable]:
-    """The activation table a checkpoint stores, or None if it stores none
-    (as no checkpoint written before tables were stored does)."""
-    nodes, values = tensors.get(_TABLE_NODES), tensors.get(_TABLE_VALUES)
-    if nodes is None and values is None:
+    """The activation table a gated checkpoint must store; None for a
+    GELU checkpoint, which stores none."""
+    if mode.kind == "gelu":
         return None
-    if nodes is None or values is None:
-        raise ValueError(
-            f"{path}: checkpoint stores only one of {_TABLE_NODES!r} and {_TABLE_VALUES!r}")
+    nodes = _required(tensors, _TABLE_NODES, path)
+    values = _required(tensors, _TABLE_VALUES, path)
     try:
-        return MetaActivationTable(type_id, nodes, values)
+        return MetaActivationTable(mode.type_id, nodes, values)
     except ValueError as exc:
         raise ValueError(f"{path}: stored activation table: {exc}") from None
 
@@ -723,24 +728,33 @@ def _stored_table(tensors: dict[str, np.ndarray], type_id: int,
 def load_forecaster(path) -> tuple[Forecaster, dict[str, np.ndarray], dict[str, str]]:
     """Rebuild a forecaster from a checkpoint written by save_forecaster.
 
-    A gated checkpoint's stored table is used as it is; one without a
-    stored table gets the builtin table of its type.
+    A gated checkpoint's stored table is used as it is; one without it
+    is refused, naming the missing entry.
     """
     tensors, meta = te.load_tensors(path)
     if meta.get("kind") != "forecaster":
         raise ValueError(f"{path}: not a forecaster checkpoint")
     settings = _read_meta(ModelConfig, meta, path)
     mode = _read_meta(ActivationMode, meta, path, "activation.")
-    table = _stored_table(tensors, mode["type_id"], path)
-    params = {k: v for k, v in tensors.items() if not k.startswith(("x.", "table."))}
-    extra = {k[2:]: v for k, v in tensors.items() if k.startswith("x.")}
     try:
         cfg = ModelConfig(**settings, activation=ActivationMode(**mode))
-        model = Forecaster(cfg, table=table)
-        model.load_state_arrays(params)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return model, extra, meta
+    # The stored arrays bound every size the config gives the parameters;
+    # check them before the model allocates parameters of those sizes.
+    d = cfg.d_model
+    for name, shape in (("enc.embed.w", (cfg.n_features, d)),
+                        (f"enc.{cfg.n_enc_layers - 1}.ff1.w", (d, cfg.d_ff)),
+                        (f"dec.{cfg.n_dec_layers - 1}.ff1.w", (d, cfg.d_ff))):
+        if _required(tensors, name, path).shape != shape:
+            raise ValueError(f"{path}: {name} has shape {tensors[name].shape}, not {shape}")
+    model = Forecaster(cfg, table=_stored_table(tensors, cfg.activation, path))
+    try:
+        model.load_state_arrays(
+            {k: v for k, v in tensors.items() if not k.startswith(("x.", "table."))})
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return model, {k[2:]: v for k, v in tensors.items() if k.startswith("x.")}, meta
 
 
 _AE_SETTINGS = {"window_len": "int", "n_features": "int", "hidden": "int",

@@ -1,13 +1,8 @@
-"""Discrete-time chaotic neural oscillators and bifurcation sweeps.
+"""A discrete-time chaotic neural oscillator and its bifurcation sweeps.
 
-Two related four-neuron maps. The original oscillator couples an
-excitatory/inhibitory pair through a logistic sigmoid and is kept here as
-the reference dynamical system. The retrograde-signalling variant feeds
-the previous output back into both neurons and saturates through
-``tanh(mu * x)``; it is the map that gets compiled into activation
-functions elsewhere in this package.
-
-Both maps share the output rule
+The retrograde-signalling Lee oscillator has four neurons. The previous
+output feeds back into the excitatory (E) and inhibitory (I) neurons,
+every neuron saturates through ``tanh(mu * x)``, and the output is
 
     L = (E - I) * exp(-k * S^2) + Omega
 
@@ -15,8 +10,8 @@ where ``S`` is the stimulus entering the step. The Gaussian factor means
 the E-I dynamics only matter near zero stimulus: for large ``|S|`` the
 output collapses onto the input neuron's direct response, while inside
 the narrow band around the origin the recurrence can oscillate or wander
-chaotically, which is exactly the regime the downstream activation
-functions harvest.
+chaotically, which is exactly the regime the activation functions
+elsewhere in this package harvest.
 """
 
 from __future__ import annotations
@@ -28,12 +23,10 @@ import numpy as np
 
 __all__ = [
     "N_STEPS_DEFAULT",
-    "LeeParams",
     "LorsParams",
     "OscState",
     "BifurcationData",
     "ZERO_STATE",
-    "lee_step",
     "lors_step",
     "stimulus_signal",
     "simulate",
@@ -55,29 +48,6 @@ def _check_finite(obj, names) -> None:
         v = getattr(obj, name)
         if not math.isfinite(v):
             raise ValueError(f"{type(obj).__name__}.{name} must be finite, got {v!r}")
-
-
-@dataclass(frozen=True)
-class LeeParams:
-    """Weights of the original sigmoid-coupled oscillator.
-
-    e1, e2 scale the excitatory neuron's self- and cross-coupling, i1, i2
-    the inhibitory neuron's. xi_e and xi_i are firing thresholds and k is
-    the output decay constant.
-    """
-
-    e1: float
-    e2: float
-    i1: float
-    i2: float
-    xi_e: float = 0.0
-    xi_i: float = 0.0
-    k: float = 500.0
-
-    def __post_init__(self) -> None:
-        _check_finite(self, [f.name for f in fields(self)])
-        if self.k < 0:
-            raise ValueError(f"decay constant k must be >= 0, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -121,7 +91,7 @@ class LorsParams:
 
 @dataclass(frozen=True)
 class OscState:
-    """State of either oscillator after one step.
+    """The oscillator's state after one step.
 
     e and i are the excitatory/inhibitory activations, omega the input
     neuron's direct response and out the oscillator output L. Reachable
@@ -166,14 +136,6 @@ class BifurcationData:
         object.__setattr__(self, "outputs", outs)
 
 
-def _sigmoid(x: float) -> float:
-    # Branch keeps exp() away from overflow for large |x|.
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    z = math.exp(x)
-    return z / (1.0 + z)
-
-
 def _sgn(x: float) -> float:
     if x > 0.0:
         return 1.0
@@ -187,28 +149,6 @@ def stimulus_signal(raw_input: float, e: float) -> float:
     if not math.isfinite(raw_input):
         raise ValueError(f"input must be finite, got {raw_input!r}")
     return raw_input + e * _sgn(raw_input)
-
-
-def lee_step(state: OscState, stimulus: float, p: LeeParams) -> OscState:
-    """Advance the original sigmoid-coupled oscillator by one step.
-
-    The stimulus is used directly (no external-ratio shaping). E, I and
-    Omega are updated from the previous state, then the output is formed
-    from the new activations and the same stimulus:
-
-        E' = Sig(e1*E - e2*I + S - xi_e)
-        I' = Sig(i1*E - i2*I - xi_i)
-        O' = Sig(S)
-        L' = (E' - I') * exp(-k * S^2) + O'
-    """
-    if not math.isfinite(stimulus):
-        raise ValueError(f"stimulus must be finite, got {stimulus!r}")
-    s = stimulus
-    e_new = _sigmoid(p.e1 * state.e - p.e2 * state.i + s - p.xi_e)
-    i_new = _sigmoid(p.i1 * state.e - p.i2 * state.i - p.xi_i)
-    omega_new = _sigmoid(s)
-    out = (e_new - i_new) * math.exp(-p.k * s * s) + omega_new
-    return OscState(e_new, i_new, omega_new, out)
 
 
 def _lors_update(

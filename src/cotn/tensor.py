@@ -572,8 +572,8 @@ def save_tensors(path, tensors: dict[str, np.ndarray],
 def load_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """Read a container written by save_tensors.
 
-    The payload digest is checked when the manifest has one; containers
-    written before the digest was added have none and load as before.
+    The manifest must end with the payload's sha256, and the payload must
+    match it.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -588,17 +588,17 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
 
     try:
         if next_line() != _MAGIC:
-            raise ValueError(f"{path}: not a tensor container")
+            raise ValueError("not a tensor container")
         tag, n_meta = next_line().split()
         if tag != "meta":
-            raise ValueError(f"{path}: malformed meta header")
+            raise ValueError("malformed meta header")
         meta: dict[str, str] = {}
         for _ in range(int(n_meta)):
             key, _, val = next_line().partition("=")
             meta[key] = val
         tag, n_tensors = next_line().split()
         if tag != "tensors":
-            raise ValueError(f"{path}: malformed tensor header")
+            raise ValueError("malformed tensor header")
         entries = []
         for _ in range(int(n_tensors)):
             parts = next_line().split()
@@ -608,17 +608,15 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
             if min(dims + (off, nbytes)) < 0:
                 raise ValueError(f"negative size in entry {name!r}")
             entries.append((name, dims, off, nbytes))
-        line = next_line()
-        digest = None
-        if line.startswith("sha256 "):
-            digest = line[len("sha256 "):]
-            line = next_line()
-        if line != "END":
-            raise ValueError(f"{path}: missing END marker")
+        tag, _, digest = next_line().partition(" ")
+        if tag != "sha256":
+            raise ValueError("missing sha256 line")
+        if next_line() != "END":
+            raise ValueError("missing END marker")
     except (IndexError, ValueError) as exc:
         raise ValueError(f"{path}: corrupt tensor container ({exc})") from None
     payload = buf[pos:]
-    if digest is not None and hashlib.sha256(payload).hexdigest() != digest:
+    if hashlib.sha256(payload).hexdigest() != digest:
         raise ValueError(f"{path}: payload digest mismatch")
     tensors: dict[str, np.ndarray] = {}
     for name, dims, off, nbytes in entries:

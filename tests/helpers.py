@@ -161,10 +161,10 @@ def capture_decoder_input(model: Forecaster, monkeypatch) -> list:
     seen = []
     real = model._embed
 
-    def embed(x, prefix, pe):
+    def embed(x, prefix):
         if prefix == "dec.embed":
             seen.append(np.array(x, copy=True))
-        return real(x, prefix, pe)
+        return real(x, prefix)
 
     monkeypatch.setattr(model, "_embed", embed)
     return seen

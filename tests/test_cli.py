@@ -243,6 +243,13 @@ class TestConfigErrors:
         code, _ = run("train", "--config", str(bad))
         assert code == 2
 
+    def test_config_not_utf8_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(b"[train]\nepochs = \xff\n")
+        code, _ = run("train", "--config", str(bad))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text\n"
+
     def test_unknown_section_rejected(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[optimizer]\nlr = 1\n")
@@ -558,12 +565,11 @@ class TestStoredStatistics:
 
 
 def test_negative_size_in_an_old_container_exits_1(workspace, tmp_path, capsys):
-    # A container without the sha256 line, as written before the digest
-    # existed, whose manifest gives head.b the shape (-1, -1).
+    # A container whose manifest gives head.b the shape (-1, -1); the
+    # manifest is read, and refused, before the payload digest is checked.
     raw = (workspace["out"] / "checkpoint.bin").read_bytes()
     end = raw.index(b"\nEND\n") + len(b"\nEND\n")
     lines = raw[:end].decode("ascii").splitlines()
-    lines = [ln for ln in lines if not ln.startswith("sha256 ")]
     entry = next(i for i, ln in enumerate(lines) if ln.startswith("head.b "))
     name, _, _, off, nbytes = lines[entry].split()
     lines[entry] = f"{name} 2 -1 -1 {off} {nbytes}"
@@ -575,13 +581,26 @@ def test_negative_size_in_an_old_container_exits_1(workspace, tmp_path, capsys):
         f"error: {bad}: corrupt tensor container (negative size in entry 'head.b')\n")
 
 
+def test_container_without_a_digest_exits_1(workspace, tmp_path, capsys):
+    raw = (workspace["out"] / "checkpoint.bin").read_bytes()
+    end = raw.index(b"\nEND\n") + len(b"\nEND\n")
+    lines = raw[:end].decode("ascii").splitlines()
+    lines = [ln for ln in lines if not ln.startswith("sha256 ")]
+    bad = tmp_path / "old.bin"
+    bad.write_bytes(("\n".join(lines) + "\n").encode("ascii") + raw[end:])
+    code, _ = run("eval", "--checkpoint", str(bad), "--data", str(workspace["csv"]))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: corrupt tensor container (missing sha256 line)\n")
+
+
 class TestStoredTable:
     """The gated checkpoint's table is checked as it is loaded."""
 
     @pytest.mark.parametrize("edit,message", [
         ("nan", "table values must be finite"),
         ("not_linspace", "nodes must be the uniform grid"),
-        ("no_values", "stores only one of 'table.nodes' and 'table.values'"),
+        ("no_values", "checkpoint has no 'table.values'"),
     ])
     def test_malformed_table_exits_1_naming_the_file(self, workspace, tmp_path,
                                                     capsys, edit, message):
@@ -599,6 +618,19 @@ class TestStoredTable:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and message in err
+
+    @pytest.mark.parametrize("command", ["eval", "forecast"])
+    def test_checkpoint_without_a_table_exits_1(self, workspace, tmp_path, capsys,
+                                                command):
+        tensors, meta = te.load_tensors(workspace["out"] / "checkpoint.bin")
+        del tensors["table.nodes"], tensors["table.values"]
+        bad = tmp_path / "bad.bin"
+        te.save_tensors(bad, tensors, meta)
+        code, lines = run(command, "--checkpoint", str(bad),
+                          "--data", str(workspace["csv"]), "--out", str(tmp_path))
+        assert code == 1 and lines == []
+        assert capsys.readouterr().err == f"error: {bad}: checkpoint has no 'table.nodes'\n"
+        assert not (tmp_path / "forecast.csv").exists()
 
     def test_eval_does_not_rebuild_the_table(self, workspace, tmp_path,
                                              monkeypatch):
@@ -694,19 +726,15 @@ class TestForecast:
         for r in rows[1:]:
             assert np.isfinite(float(r.split(",")[1]))
 
-    def test_matching_horizon_accepted(self, workspace, tmp_path):
-        code, _ = run("forecast",
-                      "--checkpoint", str(workspace["out"] / "checkpoint.bin"),
-                      "--data", str(workspace["csv"]),
-                      "--horizon", "4", "--out", str(tmp_path))
-        assert code == 0
-
-    def test_horizon_mismatch_is_config_error(self, workspace, tmp_path):
-        code, _ = run("forecast",
-                      "--checkpoint", str(workspace["out"] / "checkpoint.bin"),
-                      "--data", str(workspace["csv"]),
-                      "--horizon", "9", "--out", str(tmp_path))
-        assert code == 2
+    def test_horizon_flag_is_a_usage_error(self, workspace, tmp_path, capsys):
+        # The checkpoint fixes the horizon; forecast has no --horizon.
+        code, lines = run("forecast",
+                          "--checkpoint", str(workspace["out"] / "checkpoint.bin"),
+                          "--data", str(workspace["csv"]),
+                          "--horizon", "4", "--out", str(tmp_path))
+        assert code == 2 and lines == []
+        assert "unrecognized arguments: --horizon 4" in capsys.readouterr().err
+        assert not (tmp_path / "forecast.csv").exists()
 
 
 class TestAnomaly:
@@ -912,19 +940,27 @@ class TestAnomalyCleaning:
         assert text == _anomaly_text(ae, normalize(featurize(strict), stats))
         assert text != _anomaly_text(ae, normalize(featurize(default), stats))
 
-    def test_file_without_thresholds_uses_the_defaults(self, workspace, tmp_path):
+    @pytest.mark.parametrize("deleted,missing", [
+        pytest.param(("data.max_ffill_gap", "data.z_max", "data.return_limit"),
+                     "data.max_ffill_gap", id="all"),
+        pytest.param(("data.z_max",), "data.z_max", id="z_max"),
+        pytest.param(("data.return_limit",), "data.return_limit", id="return_limit"),
+    ])
+    def test_file_without_thresholds_exits_1(self, workspace, tmp_path, capsys,
+                                             deleted, missing):
+        # Default cleaning could differ from the training run's, so a file
+        # without its thresholds is not scored.
         tensors, meta = te.load_tensors(workspace["out"] / "autoencoder.bin")
+        for key in deleted:
+            del meta[key]
         old = tmp_path / "old.bin"
-        te.save_tensors(old, tensors,
-                        {k: v for k, v in meta.items() if not k.startswith("data.")})
-        stats = workspace["out"] / "norm_stats.txt"
-        code, _ = run("anomaly", "--data", str(workspace["csv"]), "--ae", str(old),
-                      "--stats", str(stats), "--out", str(tmp_path))
-        assert code == 0
-        ae, _ = load_autoencoder(old)
-        frame = normalize(featurize(clean(load_csv(workspace["csv"], "ett"))),
-                          read_stats(stats))
-        assert (tmp_path / "anomaly.csv").read_text() == _anomaly_text(ae, frame)
+        te.save_tensors(old, tensors, meta)
+        code, lines = run("anomaly", "--data", str(workspace["csv"]), "--ae", str(old),
+                          "--stats", str(workspace["out"] / "norm_stats.txt"),
+                          "--out", str(tmp_path))
+        assert code == 1 and lines == []
+        assert capsys.readouterr().err == f"error: {old}: checkpoint has no {missing!r}\n"
+        assert not (tmp_path / "anomaly.csv").exists()
 
 
 class TestSweep:

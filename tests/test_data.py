@@ -177,6 +177,24 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="line 3"):
             load_csv(p, "ett")
 
+    @pytest.mark.parametrize("edit,message", [
+        ("timestamp", "line 3: bad timestamp 'not-a-time'"),
+        ("one_time", "cannot infer sampling period: no increasing timestamps"),
+        ("not_utf8", "not UTF-8 text"),
+    ])
+    def test_refusal_names_the_file(self, tmp_path, edit, message):
+        p = simple_ett(tmp_path / "d.csv", 3)
+        text = p.read_text()
+        if edit == "timestamp":
+            p.write_text(text.replace("2020-01-01 01:00:00", "not-a-time"))
+        elif edit == "one_time":
+            p.write_text(text.replace("01:00:00", "00:00:00").replace("02:00:00", "00:00:00"))
+        else:
+            p.write_bytes(text.encode("ascii") + b"2020-01-01 03:00:00,\xff\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(p, "ett")
+        assert str(err.value) == f"{p}: {message}"
+
     def test_bad_number_names_column(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text(
@@ -537,6 +555,13 @@ class TestNormalization:
         assert back.dropped == stats.dropped
         assert np.array_equal(back.mean, stats.mean)
         assert np.array_equal(back.std, stats.std)
+
+    def test_stats_file_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "stats.txt"
+        path.write_bytes(b"feature,mean,std\nOT,1.0,\xff\n")
+        with pytest.raises(ParseError) as err:
+            read_stats(path)
+        assert str(err.value) == f"{path}: not UTF-8 text"
 
     def test_too_few_rows(self):
         frame = self._frame(n=10).slice_rows(0, 1)

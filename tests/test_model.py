@@ -63,6 +63,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="^n_heads: expected >= 1, got 0$"):
             tiny_cfg(n_heads=0)
 
+    @pytest.mark.parametrize("n_targets", [0, 2])
+    def test_one_target_only(self, n_targets):
+        # The loss compares the head's output with one target column, so
+        # more targets would only fail in the loss after a whole epoch.
+        with pytest.raises(ValueError, match=f"^n_targets: expected 1, got {n_targets}$"):
+            tiny_cfg(n_targets=n_targets)
+
     def test_label_len_bounded_by_enc_len(self):
         with pytest.raises(ValueError, match=r"^label_len: expected <= enc_len \(12\), "
                                              "got 13$"):
@@ -73,6 +80,16 @@ class TestConfig:
             tiny_cfg(enc_len=3, label_len=2, n_enc_layers=3)
         # Without distillation the same geometry is fine.
         tiny_cfg(enc_len=3, label_len=2, n_enc_layers=3, distill=False)
+
+    @pytest.mark.parametrize("enc_len", [1, 2, 3, 4, 7, 8, 9, 2 ** 40])
+    @pytest.mark.parametrize("n_enc_layers", [1, 2, 3, 4, 41, 42, 10 ** 12])
+    def test_distill_bound_is_exact_and_cheap(self, enc_len, n_enc_layers):
+        # 2 ** (10 ** 12 - 1) would need 125 GB; the check never builds it.
+        if enc_len >= 2 ** min(n_enc_layers - 1, 64):
+            tiny_cfg(enc_len=enc_len, label_len=1, n_enc_layers=n_enc_layers)
+        else:
+            with pytest.raises(ValueError, match="^n_enc_layers: "):
+                tiny_cfg(enc_len=enc_len, label_len=1, n_enc_layers=n_enc_layers)
 
     def test_activation_mode_validation(self):
         with pytest.raises(ValueError, match="^kind: expected gelu or gated"):
@@ -483,17 +500,51 @@ class TestStoredTable:
         assert np.array_equal(back.activation.tab.values, tensors["table.values"])
         assert back.activation.tab.type_id == 2
 
-    def test_checkpoint_without_a_table_rebuilds_it(self, tmp_path, monkeypatch):
-        # As every checkpoint written before tables were stored.
-        model, path = self._saved(tmp_path)
+    @pytest.mark.parametrize("deleted,missing", [
+        pytest.param(("table.nodes", "table.values"), "table.nodes", id="both"),
+        pytest.param(("table.nodes",), "table.nodes", id="no_nodes"),
+        pytest.param(("table.values",), "table.values", id="no_values"),
+    ])
+    def test_checkpoint_without_a_table_is_refused(self, tmp_path, monkeypatch,
+                                                   deleted, missing):
+        # Rebuilding the table would tie the model to the loading
+        # machine's libm, so a gated checkpoint must carry it.
+        _, path = self._saved(tmp_path)
         tensors, meta = te.load_tensors(path)
-        del tensors["table.nodes"], tensors["table.values"]
+        for name in deleted:
+            del tensors[name]
         te.save_tensors(path, tensors, meta)
         calls = self._count_rebuilds(monkeypatch)
-        back, _, _ = load_forecaster(path)
-        assert calls == [(2,)]
-        enc = batch_for(model.cfg)
-        assert np.array_equal(back.predict(enc), model.predict(enc))
+        with pytest.raises(ValueError) as err:
+            load_forecaster(path)
+        assert str(err.value) == f"{path}: checkpoint has no {missing!r}"
+        assert calls == []
+
+    @pytest.mark.parametrize("key,message", [
+        ("d_model", "enc.embed.w has shape (3, 8), not (3, 1000000000000)"),
+        ("n_features", "enc.embed.w has shape (3, 8), not (1000000000000, 8)"),
+        ("d_ff", "enc.1.ff1.w has shape (8, 16), not (8, 1000000000000)"),
+        ("n_dec_layers", "checkpoint has no 'dec.999999999999.ff1.w'"),
+    ])
+    def test_sizes_beyond_the_stored_arrays_are_refused(self, tmp_path, key, message):
+        # Checked against the stored arrays before anything of the stated
+        # size is allocated, so no MemoryError escapes the CLI's handler.
+        _, path = self._saved(tmp_path)
+        tensors, meta = te.load_tensors(path)
+        te.save_tensors(path, tensors, {**meta, key: str(10 ** 12)})
+        with pytest.raises(ValueError) as err:
+            load_forecaster(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("key", ["enc_len", "horizon"])
+    def test_unbounded_lengths_allocate_nothing_on_load(self, tmp_path, key):
+        # No stored array bounds enc_len or horizon, so loading makes no
+        # table or mask they size; they are made on first use.
+        _, path = self._saved(tmp_path)
+        tensors, meta = te.load_tensors(path)
+        te.save_tensors(path, tensors, {**meta, key: str(10 ** 12)})
+        model, _, _ = load_forecaster(path)
+        assert getattr(model.cfg, key) == 10 ** 12
 
     def test_gelu_checkpoint_stores_no_table(self, tmp_path, monkeypatch):
         _, path = self._saved(tmp_path, kind="gelu")
@@ -506,8 +557,6 @@ class TestStoredTable:
     @pytest.mark.parametrize("edit,message", [
         ("nan", "table values must be finite"),
         ("not_linspace", "linspace"),
-        ("no_values", "only one of"),
-        ("no_nodes", "only one of"),
         ("scalar_nodes", "1-d arrays"),
         ("short", "equal-length"),
     ])
@@ -518,10 +567,6 @@ class TestStoredTable:
             tensors["table.values"][7] = math.nan
         elif edit == "not_linspace":
             tensors["table.nodes"][5] = np.nextafter(tensors["table.nodes"][5], 9.0)
-        elif edit == "no_values":
-            del tensors["table.values"]
-        elif edit == "no_nodes":
-            del tensors["table.nodes"]
         elif edit == "scalar_nodes":
             tensors["table.nodes"] = np.array(0.5)
         else:

@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 from cotn import oscillator
 from cotn.oscillator import (
     BifurcationData,
-    LeeParams,
     LorsParams,
     OscState,
     ZERO_STATE,
     bifurcation_sweep,
     builtin_params,
     builtin_type_ids,
-    lee_step,
     lors_step,
     simulate,
     simulate_many,
@@ -91,8 +89,6 @@ class TestParamValidation:
     def test_k_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             LorsParams(0, 1, 1, 1, 0, 1, 1, 0, mu=1.0, k=-1.0)
-        with pytest.raises(ValueError):
-            LeeParams(1, 1, 1, 1, k=-0.5)
 
     def test_e_must_be_nonnegative(self):
         with pytest.raises(ValueError):
@@ -101,8 +97,6 @@ class TestParamValidation:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             LorsParams(math.nan, 1, 1, 1, 0, 1, 1, 0, mu=1.0, k=50.0)
-        with pytest.raises(ValueError):
-            LeeParams(math.inf, 1, 1, 1)
         with pytest.raises(ValueError):
             OscState(e=math.nan)
 
@@ -165,29 +159,6 @@ class TestLorsStep:
         p0 = LorsParams(0.0, p.a2, p.a3, p.a4, 0.0, p.b2, p.b3, p.b4,
                         mu=p.mu, k=p.k, e=p.e)
         assert simulate(0.05, p, 2)[1] != simulate(0.05, p0, 2)[1]
-
-
-class TestLeeStep:
-    def test_oracle_step(self):
-        p = LeeParams(e1=5.0, e2=5.0, i1=5.0, i2=1.0, k=500.0)
-        st1 = lee_step(OscState(0.5, 0.5, 0.5, 0.5), 0.2, p)
-        assert st1.e == pytest.approx(0.549833997312478, abs=0)
-        assert st1.i == pytest.approx(0.8807970779778823, abs=0)
-        assert st1.omega == pytest.approx(0.549833997312478, abs=0)
-        assert st1.out == pytest.approx(0.5498339966303122, abs=0)
-
-    def test_outputs_in_sigmoid_range(self):
-        p = LeeParams(5, 5, 5, 1)
-        state = ZERO_STATE
-        for _ in range(50):
-            state = lee_step(state, 0.11, p)
-            assert 0.0 < state.e < 1.0 and 0.0 < state.i < 1.0
-            assert 0.0 < state.omega < 1.0
-            assert -1.0 < state.out < 2.0
-
-    def test_non_finite_stimulus_rejected(self):
-        with pytest.raises(ValueError):
-            lee_step(ZERO_STATE, math.inf, LeeParams(1, 1, 1, 1))
 
 
 class TestSimulate:

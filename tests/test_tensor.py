@@ -524,15 +524,16 @@ class TestPersistence:
             load_tensors(path)
         assert str(err.value) == f"{path}: payload digest mismatch"
 
-    def test_file_without_digest_loads(self, tmp_path):
-        # The container as written before the digest line existed.
+    def test_file_without_digest_is_refused(self, tmp_path):
+        # The layout before the digest line existed; nothing writes it now.
         values = np.array([1.5, -2.25])
         path = tmp_path / "old.bin"
         path.write_bytes(b"TENSORBIN 1\nmeta 1\nkind=test\ntensors 1\n"
                          b"x 1 2 0 16\nEND\n" + values.astype("<f8").tobytes())
-        back, meta = load_tensors(path)
-        assert meta == {"kind": "test"}
-        assert np.array_equal(back["x"], values)
+        with pytest.raises(ValueError) as err:
+            load_tensors(path)
+        assert str(err.value) == (
+            f"{path}: corrupt tensor container (missing sha256 line)")
 
     @pytest.mark.parametrize("entry", ["x 2 -1 -1 0 8", "x 1 1 -8 8", "x 1 0 0 -8"])
     def test_negative_size_rejected(self, tmp_path, entry):
@@ -543,6 +544,19 @@ class TestPersistence:
             load_tensors(path)
         assert str(err.value) == (
             f"{path}: corrupt tensor container (negative size in entry 'x')")
+
+    @pytest.mark.parametrize("manifest,message", [
+        (b"NOTRIGHT 1\n", "not a tensor container"),
+        (b"TENSORBIN 1\nmeat 0\n", "malformed meta header"),
+        (b"TENSORBIN 1\nmeta 0\ntensor 0\n", "malformed tensor header"),
+        (b"TENSORBIN 1\nmeta 0\ntensors 0\nsha256 00\nEDN\n", "missing END marker"),
+    ])
+    def test_corrupt_manifest_names_the_file_once(self, tmp_path, manifest, message):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(manifest)
+        with pytest.raises(ValueError) as err:
+            load_tensors(path)
+        assert str(err.value) == f"{path}: corrupt tensor container ({message})"
 
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
