@@ -726,14 +726,18 @@ class TestForecast:
         for r in rows[1:]:
             assert np.isfinite(float(r.split(",")[1]))
 
-    def test_horizon_flag_is_a_usage_error(self, workspace, tmp_path, capsys):
-        # The checkpoint fixes the horizon; forecast has no --horizon.
+    @pytest.mark.parametrize("horizon", ["4", "9"])
+    def test_horizon_flag_is_a_usage_error(self, workspace, tmp_path, capsys,
+                                           horizon):
+        # The checkpoint fixes the horizon (4 here); forecast has no
+        # --horizon, so neither its own value nor another is accepted.
         code, lines = run("forecast",
                           "--checkpoint", str(workspace["out"] / "checkpoint.bin"),
                           "--data", str(workspace["csv"]),
-                          "--horizon", "4", "--out", str(tmp_path))
+                          "--horizon", horizon, "--out", str(tmp_path))
         assert code == 2 and lines == []
-        assert "unrecognized arguments: --horizon 4" in capsys.readouterr().err
+        assert (f"unrecognized arguments: --horizon {horizon}"
+                in capsys.readouterr().err)
         assert not (tmp_path / "forecast.csv").exists()
 
 
