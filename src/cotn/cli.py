@@ -282,15 +282,18 @@ def _prepare_dataset(spec: DataSpec, args, stats: NormStats | None = None):
     """Load, clean and featurize spec's file and cut its windows; given
     stats (a checkpoint's), normalize with them."""
     frame, cleaned = _load_frame(spec.path, spec.schema, spec.cleaning(), args)
-    dataset = build_dataset(
-        frame,
-        enc_len=spec.enc_len,
-        label_len=spec.label_len,
-        horizon=spec.horizon,
-        stride=spec.stride,
-        ratios=(spec.train_ratio, spec.val_ratio, spec.test_ratio),
-        stats=stats,
-    )
+    try:
+        dataset = build_dataset(
+            frame,
+            enc_len=spec.enc_len,
+            label_len=spec.label_len,
+            horizon=spec.horizon,
+            stride=spec.stride,
+            ratios=(spec.train_ratio, spec.val_ratio, spec.test_ratio),
+            stats=stats,
+        )
+    except ValueError as exc:  # too few rows for the windows
+        raise ValueError(f"{spec.path}: {exc}") from None
     return dataset, cleaned
 
 
@@ -484,7 +487,11 @@ def cmd_anomaly(args) -> int:
     )
     stats = read_stats(stats_path)
     frame, _ = _load_frame(args.data, args.schema, cleaning, args)
-    frame = normalize(frame, stats)
+    try:
+        frame = normalize(frame, stats)
+    except ValueError as exc:  # the statistics lack a feature of the data
+        raise ValueError(f"{stats_path} does not fit the features of {args.data}: "
+                         f"{exc}") from None
     if frame.n_features != ae.n_features:
         raise RuntimeError(
             f"data has {frame.n_features} features but the autoencoder "

@@ -175,34 +175,11 @@ def multi_head_attention(
 
     q has shape (..., Lq, d), k and v (..., Lk, d); all four projection
     matrices are (d, d). The optional additive mask broadcasts against
-    the (..., Lq, Lk) score array. The heads run as one batch along an
-    extra axis (te.split_heads) and are merged before the output
-    projection.
+    the (..., Lq, Lk) score array; a per-example mask applies to every
+    head. The whole block is one te.attention node, which checks the
+    shapes.
     """
-    d = q.shape[-1]
-    if d % n_heads != 0:
-        raise ValueError(f"model width {d} not divisible by n_heads {n_heads}")
-    if k.shape[-1] != d or v.shape[-1] != d:
-        raise ValueError(
-            f"q/k/v widths disagree: {q.shape}, {k.shape}, {v.shape}"
-        )
-    if k.shape[-2] != v.shape[-2]:
-        raise ValueError(
-            f"k and v must share their time length: {k.shape} vs {v.shape}"
-        )
-    for name, w in (("wq", wq), ("wk", wk), ("wv", wv), ("wo", wo)):
-        if w.shape != (d, d):
-            raise ValueError(f"{name} must be ({d}, {d}), got {w.shape}")
-    dh = d // n_heads
-    scale = 1.0 / math.sqrt(dh)
-    qh = te.split_heads(te.matmul(q, wq), n_heads)
-    kh = te.split_heads(te.matmul(k, wk), n_heads)
-    vh = te.split_heads(te.matmul(v, wv), n_heads)
-    if np.ndim(mask) > 2:
-        mask = np.expand_dims(mask, -3)  # per-example masks apply to every head
-    scores = te.scale(te.matmul(qh, te.transpose_last2(kh)), scale)
-    attn = te.softmax_last_axis(scores, mask)
-    return te.matmul(te.merge_heads(te.matmul(attn, vh)), wo)
+    return te.attention(q, k, v, wq, wk, wv, wo, n_heads, mask)
 
 
 def distill_layer(
@@ -222,10 +199,7 @@ def distill_layer(
     if length < 2:
         raise ValueError(f"distill needs time length >= 2, got {length}")
     gelu = gelu or GeluActivation()
-    mixed = te.add(
-        te.add(te.mul(te.shift_time(h, 1), w_prev), te.mul(h, w_cur)),
-        te.add(te.mul(te.shift_time(h, -1), w_next), bias),
-    )
+    mixed = te.conv_time3(h, w_prev, w_cur, w_next, bias)
     return te.maxpool_time2(te.apply_activation(mixed, gelu))
 
 
@@ -354,13 +328,17 @@ class Forecaster:
     def _p(self, name: str) -> Tensor:
         return self.params[name]
 
-    def _ffn(self, x: Tensor, prefix: str) -> Tensor:
-        h = te.add(te.matmul(x, self._p(f"{prefix}.ff1.w")), self._p(f"{prefix}.ff1.b"))
-        h = te.apply_activation(h, self.activation)
-        return te.add(te.matmul(h, self._p(f"{prefix}.ff2.w")), self._p(f"{prefix}.ff2.b"))
+    def _affine(self, x: Tensor, prefix: str, offset: Optional[np.ndarray] = None) -> Tensor:
+        return te.affine(x, self._p(f"{prefix}.w"), self._p(f"{prefix}.b"), offset)
 
-    def _norm(self, x: Tensor, prefix: str) -> Tensor:
-        return te.layer_norm(x, self._p(f"{prefix}.gamma"), self._p(f"{prefix}.beta"))
+    def _ffn(self, x: Tensor, prefix: str) -> Tensor:
+        h = te.apply_activation(self._affine(x, f"{prefix}.ff1"), self.activation)
+        return self._affine(h, f"{prefix}.ff2")
+
+    def _norm(self, x: Tensor, residual: Tensor, prefix: str) -> Tensor:
+        """The layer norm prefix of x + residual."""
+        return te.layer_norm(x, self._p(f"{prefix}.gamma"), self._p(f"{prefix}.beta"),
+                             residual)
 
     def _attend(self, q: Tensor, kv: Tensor, prefix: str,
                 mask: Optional[np.ndarray] = None) -> Tensor:
@@ -376,12 +354,8 @@ class Forecaster:
             raise ValueError(
                 f"expected (batch, time, {self.cfg.n_features}) input, got {x.shape}"
             )
-        emb = te.add(
-            te.matmul(te.constant(x), self._p(f"{prefix}.w")),
-            self._p(f"{prefix}.b"),
-        )
         pe = sinusoidal_position_encoding(x.shape[1], self.cfg.d_model)
-        return te.add(emb, te.constant(pe))
+        return self._affine(te.constant(x), prefix, offset=pe)
 
     def encode(self, enc_x: np.ndarray) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
         """Run the encoder stack over (batch, enc_len, n_features) input.
@@ -397,9 +371,8 @@ class Forecaster:
         h = self._embed(enc_x, "enc.embed")
         pairs: list[tuple[Tensor, Tensor]] = []
         for l in range(cfg.n_enc_layers):
-            attn = self._attend(h, h, f"enc.{l}.attn")
-            h = self._norm(te.add(h, attn), f"enc.{l}.ln1")
-            h = self._norm(te.add(h, self._ffn(h, f"enc.{l}")), f"enc.{l}.ln2")
+            h = self._norm(h, self._attend(h, h, f"enc.{l}.attn"), f"enc.{l}.ln1")
+            h = self._norm(h, self._ffn(h, f"enc.{l}"), f"enc.{l}.ln2")
             if cfg.distill and l < cfg.n_enc_layers - 1:
                 pooled = distill_layer(
                     h,
@@ -426,12 +399,11 @@ class Forecaster:
         h = self._embed(dec_x, "dec.embed")
         for l in range(cfg.n_dec_layers):
             self_attn = self._attend(h, h, f"dec.{l}.self", mask=causal_mask(want))
-            h = self._norm(te.add(h, self_attn), f"dec.{l}.ln1")
-            cross = self._attend(h, memory, f"dec.{l}.cross")
-            h = self._norm(te.add(h, cross), f"dec.{l}.ln2")
-            h = self._norm(te.add(h, self._ffn(h, f"dec.{l}")), f"dec.{l}.ln3")
-        out = te.add(te.matmul(h, self._p("head.w")), self._p("head.b"))
-        return te.slice_time(out, cfg.label_len, want)
+            h = self._norm(h, self_attn, f"dec.{l}.ln1")
+            h = self._norm(h, self._attend(h, memory, f"dec.{l}.cross"), f"dec.{l}.ln2")
+            h = self._norm(h, self._ffn(h, f"dec.{l}"), f"dec.{l}.ln3")
+        # The head reads the horizon rows only.
+        return self._affine(te.slice_time(h, cfg.label_len, want), "head")
 
     def forward(self, enc_x: np.ndarray) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
         """Forecast plus the distillation pairs feeding the training loss."""
@@ -498,6 +470,9 @@ class Autoencoder:
         self.hidden = hidden
         self.bottleneck = bottleneck
         self.tau: Optional[float] = None
+        # The WindowView fit_threshold scored and each window's largest
+        # step error, so that weights() does not score those windows again.
+        self._fitted: Optional[tuple[WindowView, np.ndarray]] = None
         rng = np.random.default_rng(seed)
         self.params: dict[str, Tensor] = {}
         for name, shape in shapes.items():
@@ -592,24 +567,37 @@ class Autoencoder:
         return out
 
     def fit_threshold(self, train_windows: np.ndarray) -> float:
-        """Set tau to the 95th percentile of training-split step errors."""
+        """Set tau to the 95th percentile of training-split step errors.
+
+        A split's WindowView is read-only, so its window errors are kept
+        for weights(); they hold for the parameters the threshold was
+        fitted with.
+        """
         errs = self.step_errors(train_windows)
         self.tau = float(np.percentile(errs, 95.0))
         if self.tau <= 0.0:
             # Degenerate (perfect reconstruction); keep weights defined.
             self.tau = float(np.finfo(np.float64).tiny)
+        self._fitted = ((train_windows, errs.max(axis=1))
+                        if isinstance(train_windows, WindowView) else None)
         return self.tau
 
     def weights(self, windows: np.ndarray) -> np.ndarray:
-        """Sample weights of the windows, from their step errors."""
+        """Sample weights of the windows, from their step errors; the
+        WindowView the threshold was fitted on is not scored again."""
+        if self._fitted is not None and self._fitted[0] is windows:
+            return self._weights_of(self._fitted[1])
         return self.error_weights(self.step_errors(windows))
 
     def error_weights(self, errors: np.ndarray) -> np.ndarray:
         """Sample weights 1 / (1 + max_step_error / tau), in (0, 1], of
         windows whose step_errors are given."""
+        return self._weights_of(errors.max(axis=1))
+
+    def _weights_of(self, worst: np.ndarray) -> np.ndarray:
         if self.tau is None:
             raise RuntimeError("autoencoder threshold not fitted; call fit_threshold")
-        return 1.0 / (1.0 + errors.max(axis=1) / self.tau)
+        return 1.0 / (1.0 + worst / self.tau)
 
 
 # -- checkpoints -----------------------------------------------------------

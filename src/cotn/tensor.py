@@ -2,16 +2,21 @@
 
 Every operation builds the result eagerly with numpy and, when some input
 needs gradients, records the inputs plus one vector-Jacobian closure per
-input on the result. backward() walks that implicit graph once in reverse
-topological order, so each node's closure runs exactly once per call.
+input on the result, or one joint closure that returns every input's
+gradient at once. backward() walks that implicit graph once in reverse
+topological order, so each node's closures run exactly once per call.
 Inside ``with no_grad():`` nothing is recorded: every result is a
 constant, so inference keeps no tape alive.
 
 The op set is deliberately small: what a toy encoder-decoder forecaster
-needs (batched matmul, layer norm, masked softmax, elementwise arithmetic
-with broadcasting, time-axis surgery for convolution/pooling/expansion,
-pluggable scalar activations) and nothing else. Convention: the last axis
-is the feature/channel axis and the second-to-last is time.
+needs and nothing else. The forecaster's blocks are fused nodes
+(attention, affine, layer norm with a residual, the distillation
+convolution), each with a joint closure, because a step's cost is the
+number of numpy calls and nodes, not arithmetic. The small ops
+(elementwise arithmetic with broadcasting, matmul, masked softmax,
+time-axis surgery, pluggable scalar activations) serve the loss, the
+pooling and the tests' unfused references. Convention: the last axis is
+the feature/channel axis and the second-to-last is time.
 
 The functions below are the only way to build an op: a Tensor has no
 arithmetic operators, so every recorded node comes from a named call.
@@ -23,6 +28,7 @@ text manifest; save/load round-trips are bit-exact.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import math
 from typing import Callable, Optional, Sequence
@@ -43,13 +49,14 @@ __all__ = [
     "transpose_last2",
     "softmax_last_axis",
     "layer_norm",
+    "affine",
+    "attention",
     "apply_activation",
     "slice_time",
     "slice_last",
     "concat_last",
-    "split_heads",
-    "merge_heads",
     "shift_time",
+    "conv_time3",
     "maxpool_time2",
     "repeat_time2",
     "sum_all",
@@ -77,7 +84,8 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.name = name
         self._parents: tuple[Tensor, ...] = ()
-        self._vjps: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
+        # One VJP per parent, or one joint VJP for all of them (see _make).
+        self._vjps: tuple[Callable[[np.ndarray], np.ndarray], ...] | Callable = ()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -136,14 +144,61 @@ def no_grad():
         _grad_enabled = previous
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor],
-          vjps: Sequence[Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+def _make(data: np.ndarray, parents: Sequence[Tensor], vjps) -> Tensor:
+    """The result node: vjps is one closure per parent, or one joint
+    closure that returns every parent's gradient at once (None for a
+    parent that needs none), so work shared between them is done once."""
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
-        out._vjps = tuple(vjps)
+        out._vjps = vjps if callable(vjps) else tuple(vjps)
     return out
+
+
+def _rows(x: np.ndarray) -> np.ndarray:
+    """x as a matrix of its last-axis rows (a view when x is contiguous)."""
+    return x.reshape(-1, x.shape[-1])
+
+
+def _transposed(w: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of a matrix's transpose. numpy multiplies by it
+    faster than by the transposed view (about 10 against 17 us for 768
+    rows of 16 on one core), with the same bits for many shapes but not
+    all."""
+    return np.ascontiguousarray(w.T)
+
+
+@functools.lru_cache(maxsize=16)
+def _centering(n: int) -> np.ndarray:
+    """The read-only (n, n) matrix I - 1/n: a row times it is the row
+    minus its mean."""
+    c = np.eye(n) - 1.0 / n
+    c.flags.writeable = False
+    return c
+
+
+@functools.lru_cache(maxsize=64)
+def _column(n: int, value: float) -> np.ndarray:
+    """A read-only (n, 1) column of one value. A matrix times it sums (or,
+    with 1/n, averages) each row in one GEMM, which numpy does much
+    faster than a reduction over a short last axis."""
+    col = np.full((n, 1), value)
+    col.flags.writeable = False
+    return col
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """The sums over x's last axis, keeping it, by one GEMM."""
+    n = x.shape[-1]
+    return (_rows(x) @ _column(n, 1.0)).reshape(x.shape[:-1] + (1,))
+
+
+def _col_sums(x: np.ndarray) -> np.ndarray:
+    """The sums over every axis of x but the last, by one GEMM with a ones
+    row (numpy reduces a tall matrix's first axis much more slowly)."""
+    rows = _rows(x)
+    return (np.ones((1, rows.shape[0])) @ rows).reshape(x.shape[-1])
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -237,34 +292,198 @@ def softmax_last_axis(x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
     return _make(y, (x,), (dx,))
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, residual: Tensor,
+               eps: float = 1e-5) -> Tensor:
+    """Normalize x + residual over the last axis to zero mean / unit
+    variance, then affine, in one node (the sublayer add of a Transformer
+    block).
+
+    Centering, the variance's mean and the gain are GEMMs: z @ (I - 1/d),
+    (xc * xc) @ (1/d column) and xhat @ diag(gamma). For the narrow rows
+    of this model (d_model 8 to 16) numpy does them faster than
+    broadcasting a column or a row over many short rows; the (d, d)
+    matrices make them O(d^2) per row, and from d about 64 on the
+    broadcast forms would be faster.
+    """
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ValueError(
             f"gamma/beta must have shape ({d},), got {gamma.shape} and {beta.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    if residual.shape != x.shape:
+        raise ValueError(f"residual shape {residual.shape} is not x's {x.shape}")
+    z = _rows(x.data + residual.data)
+    avg = _column(d, 1.0 / d)
+    center = _centering(d)
+    xc = z @ center
+    inv = 1.0 / np.sqrt((xc * xc) @ avg + eps)
     xhat = xc * inv
-    y = xhat * gamma.data
+    y = xhat @ np.diag(gamma.data)
     y += beta.data
 
-    def dx(g: np.ndarray) -> np.ndarray:
-        dxhat = g * gamma.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        return inv * (dxhat - m1 - xhat * m2)
+    def vjp(g: np.ndarray) -> list:
+        g = _rows(g)
+        dz = None
+        if x.requires_grad or residual.requires_grad:
+            dxhat = g @ np.diag(gamma.data)
+            dz = dxhat @ center
+            dxhat *= xhat
+            dz -= xhat * (dxhat @ avg)
+            dz *= inv
+            dz = dz.reshape(x.shape)
+        dgamma = _col_sums(g * xhat) if gamma.requires_grad else None
+        dbeta = _col_sums(g) if beta.requires_grad else None
+        return [dz, dgamma, dbeta, dz]
 
-    def dgamma(g: np.ndarray) -> np.ndarray:
-        return _unbroadcast(g * xhat, gamma.shape)
+    return _make(y.reshape(x.shape), (x, gamma, beta, residual), vjp)
 
-    def dbeta(g: np.ndarray) -> np.ndarray:
-        return _unbroadcast(g, beta.shape)
 
-    return _make(y, (x, gamma, beta), (dx, dgamma, dbeta))
+def affine(x: Tensor, w: Tensor, b: Tensor, offset: Optional[np.ndarray] = None) -> Tensor:
+    """x @ w + b over x's last axis, as one node with one GEMM over all
+    rows of x.
+
+    offset, a constant that broadcasts against the result (an
+    embedding's position table), is added after the bias and not
+    differentiated.
+    """
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
+        raise ValueError(f"affine needs x (..., n) and w (n, m), got {x.shape} and {w.shape}")
+    if b.shape != w.shape[1:]:
+        raise ValueError(f"bias must have shape ({w.shape[1]},), got {b.shape}")
+    rows = _rows(x.data)
+    y = rows @ w.data
+    y += b.data
+    y = y.reshape(x.shape[:-1] + b.shape)
+    if offset is not None:
+        y += offset
+
+    def vjp(g: np.ndarray) -> list:
+        g = _rows(g)
+        return [
+            (g @ _transposed(w.data)).reshape(x.shape) if x.requires_grad else None,
+            rows.T @ g if w.requires_grad else None,
+            _col_sums(g) if b.requires_grad else None,
+        ]
+
+    return _make(y, (x, w, b), vjp)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
+              wo: Tensor, n_heads: int, mask: Optional[np.ndarray] = None) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
+
+    q has shape (..., Lq, d), k and v (..., Lk, d); all four projection
+    matrices are (d, d). Head h is column block h of the projections:
+    softmax(Q_h K_h^T / sqrt(d / n_heads) + mask) V_h. The heads are
+    merged back into d columns before the output projection. The optional
+    additive mask broadcasts against the (..., Lq, Lk) scores and applies
+    to every head; it is not differentiated.
+
+    Each input is projected by one GEMM over its rows, against its
+    weights side by side when one tensor feeds several of q, k and v.
+    Softmax row sums are GEMMs with a ones column. The VJP computes every
+    gradient in one pass.
+    """
+    d = q.shape[-1]
+    if n_heads < 1 or d % n_heads != 0:
+        raise ValueError(f"model width {d} not divisible by n_heads {n_heads}")
+    if k.shape[-1] != d or v.shape[-1] != d:
+        raise ValueError(f"q/k/v widths disagree: {q.shape}, {k.shape}, {v.shape}")
+    if k.shape[-2] != v.shape[-2]:
+        raise ValueError(f"k and v must share their time length: {k.shape} vs {v.shape}")
+    if not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]:
+        raise ValueError(f"q/k/v batch shapes disagree: {q.shape}, {k.shape}, {v.shape}")
+    for name, w in (("wq", wq), ("wk", wk), ("wv", wv), ("wo", wo)):
+        if w.shape != (d, d):
+            raise ValueError(f"{name} must be ({d}, {d}), got {w.shape}")
+    dh = d // n_heads
+    scale = 1.0 / math.sqrt(dh)
+    lead = q.shape[:-2]
+    # The distinct inputs in first-use order, each with the projections
+    # (0: q, 1: k, 2: v) it feeds.
+    inputs: list[Tensor] = []
+    roles: list[list[int]] = []
+    for role, t in enumerate((q, k, v)):
+        for i, seen in enumerate(inputs):
+            if seen is t:
+                roles[i].append(role)
+                break
+        else:
+            inputs.append(t)
+            roles.append([role])
+
+    def heads_of(arr: np.ndarray, length: int, n: int) -> np.ndarray:
+        # (..., length, n * d) -> (n, ..., H, length, dh), a view.
+        arr = arr.reshape(lead + (length, n, n_heads, dh))
+        return np.swapaxes(np.moveaxis(arr, -3, 0), -2, -3)
+
+    # The score scale is folded into wq, so the projections give q / sqrt(dh).
+    weights = (wq.data * scale, wk.data, wv.data)
+    packed = []
+    heads: list[np.ndarray] = [None, None, None]
+    for t, rs in zip(inputs, roles):
+        w = weights[rs[0]] if len(rs) == 1 else np.concatenate([weights[r] for r in rs], axis=1)
+        rows = _rows(t.data)
+        view = heads_of(rows @ w, t.shape[-2], len(rs))
+        for j, r in enumerate(rs):
+            heads[r] = view[j]
+        packed.append((rows, w))
+    qh, kh, vh = heads
+    lq = q.shape[-2]
+    e = qh @ np.swapaxes(kh, -1, -2)
+    if mask is not None:
+        e += mask if np.ndim(mask) <= 2 else np.expand_dims(mask, -3)
+    # A max is exact in any order, so it reduces the leading axis of a
+    # transposed copy, which numpy does faster than a short last axis.
+    e -= np.moveaxis(e, -1, 0).copy().max(axis=0)[..., None]
+    np.exp(e, out=e)
+    # Each head's output is written straight into its columns of the
+    # merged rows and divided by its softmax row sums there, the smaller
+    # array.
+    rinv = 1.0 / _row_sums(e)  # (..., H, Lq, 1)
+    merged = np.empty(lead + (lq, n_heads, dh))
+    np.matmul(e, vh, out=np.swapaxes(merged, -2, -3))
+    merged *= np.swapaxes(rinv, -2, -3)
+    merged = merged.reshape(-1, d)
+    out = (merged @ wo.data).reshape(q.shape)
+
+    def vjp(g: np.ndarray) -> list:
+        g = _rows(g)
+        # u is the output gradient of each head over its row sums, so that
+        # a = e * rinv never has to be formed.
+        u = (g @ _transposed(wo.data)).reshape(lead + (lq, n_heads, dh))
+        u *= np.swapaxes(rinv, -2, -3)
+        u = np.swapaxes(u, -2, -3)
+        # Softmax: with a = e * rinv and du = u @ vh^T (the gradient of a
+        # times rinv), ds = a * (da - rowsum(da * a)) = e * (du - rowsum(du
+        # * e) * rinv).
+        du = u @ np.swapaxes(vh, -1, -2)
+        ds = du * e
+        c = _row_sums(ds)
+        c *= rinv
+        du -= c
+        np.multiply(du, e, out=ds)
+        dinputs, dweights = [], [None, None, None]
+        for t, rs, (rows, w) in zip(inputs, roles, packed):
+            dp = np.empty(t.shape[:-1] + (len(rs) * d,))
+            view = heads_of(dp, t.shape[-2], len(rs))
+            for j, r in enumerate(rs):
+                if r == 0:
+                    np.matmul(ds, kh, out=view[j])
+                elif r == 1:
+                    np.matmul(np.swapaxes(ds, -1, -2), qh, out=view[j])
+                else:
+                    np.matmul(np.swapaxes(e, -1, -2), u, out=view[j])
+            dp = _rows(dp)
+            dinputs.append((dp @ _transposed(w)).reshape(t.shape) if t.requires_grad
+                           else None)
+            dw = rows.T @ dp
+            for j, r in enumerate(rs):
+                dweights[r] = dw[:, j * d : (j + 1) * d]
+        dweights[0] = dweights[0] * scale
+        return dinputs + dweights + [merged.T @ g]
+
+    return _make(out, (*inputs, wq, wk, wv, wo), vjp)
 
 
 def apply_activation(x: Tensor, act) -> Tensor:
@@ -345,39 +564,12 @@ def concat_last(parts: Sequence[Tensor]) -> Tensor:
     return _make(data, parts, [make_vjp(i) for i in range(len(parts))])
 
 
-# slice_last and concat_last have no caller in the package (attention
-# batches its heads with split_heads/merge_heads). They stay in the op set
-# because perfbench/tracer.py wraps every tape op by name and refuses to
-# install when one is missing.
-
-
-def split_heads(x: Tensor, n_heads: int) -> Tensor:
-    """(..., L, d) -> (..., n_heads, L, d / n_heads): head h holds columns
-    h * d/n_heads up to (h + 1) * d/n_heads."""
-    length, d = _check_time_axis(x, "split_heads"), x.shape[-1]
-    if n_heads < 1 or d % n_heads:
-        raise ValueError(f"width {d} does not split into {n_heads} heads")
-    lead = x.shape[:-2]
-    data = np.swapaxes(x.data.reshape(lead + (length, n_heads, d // n_heads)), -2, -3)
-
-    def dx(g: np.ndarray) -> np.ndarray:
-        return np.swapaxes(g, -2, -3).reshape(x.shape)
-
-    return _make(data, (x,), (dx,))
-
-
-def merge_heads(x: Tensor) -> Tensor:
-    """The inverse of split_heads: (..., H, L, dh) -> (..., L, H * dh)."""
-    if x.ndim < 3:
-        raise ValueError(f"merge_heads needs >= 3-d input (heads, time, width), got {x.shape}")
-    n_heads, length, dh = x.shape[-3:]
-    lead = x.shape[:-3]
-    data = np.swapaxes(x.data, -2, -3).reshape(lead + (length, n_heads * dh))
-
-    def dx(g: np.ndarray) -> np.ndarray:
-        return np.swapaxes(g.reshape(lead + (length, n_heads, dh)), -2, -3)
-
-    return _make(data, (x,), (dx,))
+# matmul, transpose_last2, softmax_last_axis, neg, slice_last,
+# concat_last and shift_time have no caller in the package (the fused
+# nodes do that work). They stay in the op set because
+# perfbench/tracer.py wraps every tape op by name and refuses to install
+# when one is missing, and the tests build the unfused references from
+# them.
 
 
 def shift_time(x: Tensor, offset: int) -> Tensor:
@@ -406,6 +598,40 @@ def shift_time(x: Tensor, offset: int) -> Tensor:
         return out
 
     return _make(data, (x,), (dx,))
+
+
+def conv_time3(x: Tensor, w_prev: Tensor, w_cur: Tensor, w_next: Tensor,
+               bias: Tensor) -> Tensor:
+    """Depthwise convolution along time, kernel 3, zero same-padding, as
+    one node: row t of channel c is w_prev[c] x[t-1] + w_cur[c] x[t] +
+    w_next[c] x[t+1] + bias[c], with the rows outside x taken as zero."""
+    length, d = _check_time_axis(x, "conv_time3"), x.shape[-1]
+    for t in (w_prev, w_cur, w_next, bias):
+        if t.shape != (d,):
+            raise ValueError(f"conv_time3 taps and bias must have shape ({d},), got {t.shape}")
+    h = x.data
+    y = h * w_cur.data
+    y[..., 1:, :] += h[..., :-1, :] * w_prev.data
+    ahead = np.zeros_like(h)
+    np.multiply(h[..., 1:, :], w_next.data, out=ahead[..., :-1, :])
+    ahead += bias.data
+    y += ahead
+
+    def vjp(g: np.ndarray) -> list:
+        dx = None
+        if x.requires_grad:
+            dx = g * w_cur.data
+            dx[..., :-1, :] += g[..., 1:, :] * w_prev.data
+            dx[..., 1:, :] += g[..., :-1, :] * w_next.data
+        return [
+            dx,
+            _col_sums(g[..., 1:, :] * h[..., :-1, :]) if w_prev.requires_grad else None,
+            _col_sums(g * h) if w_cur.requires_grad else None,
+            _col_sums(g[..., :-1, :] * h[..., 1:, :]) if w_next.requires_grad else None,
+            _col_sums(g) if bias.requires_grad else None,
+        ]
+
+    return _make(y, (x, w_prev, w_cur, w_next, bias), vjp)
 
 
 def maxpool_time2(x: Tensor) -> Tensor:
@@ -503,10 +729,16 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
         if g is None:
             continue
         if node._parents:
-            for parent, vjp in zip(node._parents, node._vjps):
-                if not parent.requires_grad:
+            vjps = node._vjps
+            if callable(vjps):
+                pgs = vjps(g)
+            else:
+                pgs = [vjp(g) if p.requires_grad else None
+                       for p, vjp in zip(node._parents, vjps)]
+            for parent, pg in zip(node._parents, pgs):
+                if pg is None or not parent.requires_grad:
                     continue
-                pg = np.asarray(vjp(g), dtype=np.float64)
+                pg = np.asarray(pg, dtype=np.float64)
                 if pg.shape != parent.shape:
                     raise ValueError(
                         f"vjp produced shape {pg.shape} for parent of shape "

@@ -9,14 +9,16 @@ The handles implement the protocol cotn.tensor.apply_activation consumes:
 value(x) when no gradient is recorded, value_and_slope(x) when the tape
 records one. The probes observe a Forecaster from outside, through
 pytest's monkeypatch, so the model carries no hooks of its own. The
-per-head attention is the reference for the batched one, the
-window-by-window loop the reference for the windows cotn.data.window cuts
-and the decoder inputs the forecaster builds from them, the
+per-head attention and the unfused layer norm and affine chains are the
+references for the fused tape nodes, the window-by-window loop the
+reference for the windows cotn.data.window cuts and the decoder inputs
+the forecaster builds from them, the
 row-by-row cleaner the reference for cotn.data.clean, and the tape
 versions of the autoencoder's forward pass, fit and scoring the
 reference for its plain-numpy ones.
-assert_same_dataset compares two datasets bit for bit, and the two file
-readers parse what `cotn table` and `cotn train` write.
+assert_same_dataset compares two datasets bit for bit,
+assert_close_to_reference a fused node's arrays with its reference's,
+and the two file readers parse what `cotn table` and `cotn train` write.
 """
 
 import math
@@ -175,8 +177,8 @@ def capture_norm(model: Forecaster, prefix: str, monkeypatch) -> list:
     seen = []
     real = model._norm
 
-    def norm(x, name):
-        out = real(x, name)
+    def norm(x, residual, name):
+        out = real(x, residual, name)
         if name == prefix:
             seen.append(out.data.copy())
         return out
@@ -187,8 +189,8 @@ def capture_norm(model: Forecaster, prefix: str, monkeypatch) -> list:
 
 def per_head_attention(q, k, v, n_heads, wq, wk, wv, wo, mask=None):
     """Multi-head attention one head at a time, as column slices of the
-    projections concatenated back together: the reference the batched
-    cotn.model.multi_head_attention must match bit for bit."""
+    projections concatenated back together: the unfused chain the one
+    te.attention node must match to assert_close_to_reference."""
     dh = q.shape[-1] // n_heads
     qp, kp, vp = te.matmul(q, wq), te.matmul(k, wk), te.matmul(v, wv)
     heads = []
@@ -201,6 +203,50 @@ def per_head_attention(q, k, v, n_heads, wq, wk, wv, wo, mask=None):
         heads.append(te.matmul(te.softmax_last_axis(scores, mask), vh))
     merged = heads[0] if n_heads == 1 else te.concat_last(heads)
     return te.matmul(merged, wo)
+
+
+def assert_close_to_reference(got, ref, rel: float = 1e-12) -> None:
+    """Every element of got within rel * max(1, max|ref|) of ref: how
+    close a fused tape node must stay to the unfused chain it replaces."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape, (got.shape, ref.shape)
+    scale = max(1.0, float(np.max(np.abs(ref)))) if ref.size else 1.0
+    worst = float(np.max(np.abs(got - ref))) if ref.size else 0.0
+    assert worst <= rel * scale, f"off by {worst:.3e}, bound {rel * scale:.3e}"
+
+
+def unfused_layer_norm(x, gamma, beta, residual=None, eps: float = 1e-5):
+    """The layer norm as it was before the residual and the GEMM means
+    moved into te.layer_norm: te.add for the residual, then one node
+    whose means are np.mean over the last axis."""
+    if residual is not None:
+        x = te.add(x, residual)
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xc = x.data - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    y = xhat * gamma.data
+    y += beta.data
+
+    def dx(g):
+        dxhat = g * gamma.data
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        return inv * (dxhat - m1 - xhat * m2)
+
+    return te._make(y, (x, gamma, beta), (
+        dx,
+        lambda g: te._unbroadcast(g * xhat, gamma.shape),
+        lambda g: te._unbroadcast(g, beta.shape),
+    ))
+
+
+def unfused_affine(x, w, b, offset=None):
+    """te.affine as the chain it replaces: matmul, add the bias, add the
+    offset as a constant."""
+    y = te.add(te.matmul(x, w), b)
+    return y if offset is None else te.add(y, te.constant(offset))
 
 
 def assert_same_dataset(got: Dataset, want: Dataset) -> None:

@@ -701,6 +701,24 @@ class TestRestore:
         assert code == 1 and "training split produced no windows" in err
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "forecast"])
+def test_data_too_short_for_one_window_names_the_file(workspace, tmp_path, capsys,
+                                                      command):
+    # 21 rows: 14 training rows, too few for one 16 + 4 window.
+    short = tmp_path / "short.csv"
+    short.write_text("\n".join(workspace["csv"].read_text().splitlines()[:22]) + "\n")
+    if command == "train":
+        argv = ["train", "--config", str(workspace["cfg"]),
+                "--set", f"data.path={short}"]
+    else:
+        argv = [command, "--checkpoint", str(workspace["out"] / "checkpoint.bin"),
+                "--data", str(short)]
+    code, _ = run(*argv, "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"error: {short}: training split produced no windows" in err
+
+
 def test_restore_cuts_the_training_dataset(workspace):
     # eval and forecast on the training file see training's windows.
     _, trained, _, _, _ = cotn.cli._configure(SimpleNamespace(
@@ -877,6 +895,23 @@ class TestAnomaly:
         assert code == 1
         err = capsys.readouterr().err
         assert "absent.txt" in err and "absent.csv" not in err
+
+    @pytest.mark.parametrize("keep", [3, 7])
+    def test_stats_without_a_data_feature_name_both_files(self, workspace, tmp_path,
+                                                           capsys, keep):
+        # The header and the first keep - 1 features: OT (the target, last)
+        # is missing either way, and with 3 lines a load column too.
+        lines = (workspace["out"] / "norm_stats.txt").read_text().splitlines()
+        stats = tmp_path / "partial_stats.txt"
+        stats.write_text("\n".join(lines[:keep]) + "\n")
+        code, _ = run("anomaly", "--data", str(workspace["csv"]),
+                      "--ae", str(workspace["out"] / "autoencoder.bin"),
+                      "--stats", str(stats), "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {stats} does not fit the features of {workspace['csv']}: " in err
+        assert "'OT'" in err
+        assert not (tmp_path / "anomaly.csv").exists()
 
     def test_verbose_reports_rows_and_cleaning_actions(self, workspace, tmp_path,
                                                        capsys):

@@ -32,6 +32,7 @@ from cotn.model import (
 
 from helpers import (
     IdentityActivation,
+    assert_close_to_reference,
     capture_norm,
     count_decodes,
     per_head_attention,
@@ -168,8 +169,8 @@ class TestAttention:
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
     @pytest.mark.parametrize("kind", ["self", "masked", "batch_masked", "cross"])
     def test_batched_heads_equal_per_head_reference(self, n_heads, kind):
-        # Output and every gradient, bit for bit: batching the heads only
-        # regroups the same arithmetic.
+        # Output and every gradient, to 1e-12 of the reference's scale:
+        # the fused node sums in its own order, so the bits differ.
         d, lq = 8, 7
         rng = np.random.default_rng(n_heads)
         arrays = [rng.standard_normal((d, d)) * 0.4 for _ in range(4)]
@@ -194,10 +195,10 @@ class TestAttention:
 
         out, grads = run(multi_head_attention)
         ref_out, ref_grads = run(per_head_attention)
-        assert np.array_equal(out, ref_out)
+        assert_close_to_reference(out, ref_out)
         assert len(grads) == len(ref_grads)
         for g, ref in zip(grads, ref_grads):
-            assert np.array_equal(g, ref)
+            assert_close_to_reference(g, ref)
 
     def test_no_per_head_slices(self, monkeypatch):
         calls = []

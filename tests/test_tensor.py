@@ -19,7 +19,6 @@ from cotn.tensor import (
     matmul,
     maxpool_time2,
     mean_all,
-    merge_heads,
     mul,
     parameter,
     repeat_time2,
@@ -29,13 +28,18 @@ from cotn.tensor import (
     slice_last,
     slice_time,
     softmax_last_axis,
-    split_heads,
     sum_all,
     topo_order,
     transpose_last2,
 )
 
-from helpers import TanhActivation
+from helpers import (
+    TanhActivation,
+    assert_close_to_reference,
+    per_head_attention,
+    unfused_affine,
+    unfused_layer_norm,
+)
 
 RNG = np.random.default_rng(42)
 
@@ -164,15 +168,17 @@ class TestNonlinearGrads:
 
     def test_layer_norm(self):
         d = 6
+        zero = constant(np.zeros((2, 3, d)))
         check_op(
-            lambda x, g, b: layer_norm(x, g, b),
+            lambda x, g, b: layer_norm(x, g, b, zero),
             [(2, 3, d), (d,), (d,)],
             rtol=1e-5, atol=1e-7,
         )
 
     def test_layer_norm_standardizes(self):
         x = constant(RNG.standard_normal((5, 8)) * 3 + 2)
-        y = layer_norm(x, constant(np.ones(8)), constant(np.zeros(8))).data
+        y = layer_norm(x, constant(np.ones(8)), constant(np.zeros(8)),
+                       constant(np.zeros((5, 8)))).data
         np.testing.assert_allclose(y.mean(-1), np.zeros(5), atol=1e-12)
         np.testing.assert_allclose(y.std(-1), np.ones(5), atol=1e-3)
 
@@ -218,37 +224,157 @@ class TestShapeOps:
         check_op(lambda a: shift_time(a, 0), [(2, 4, 3)])
 
 
-class TestHeads:
-    def test_split_heads_grad(self):
-        check_op(lambda a, w: mul(split_heads(a, 2), w), [(2, 5, 6), (2, 2, 5, 3)])
+def _value_and_grads(build, arrays, g_out):
+    """build's output and the gradient of sum(output * g_out) for every
+    input, each input a fresh parameter (or the same one, where arrays
+    repeats an array object)."""
+    made = {}
+    ts = [made.setdefault(id(a), parameter(a)) for a in arrays]
+    out = build(*ts)
+    grads = backward(sum_all(mul(out, constant(g_out))))
+    return out.data, [grads[t] for t in ts]
 
-    def test_merge_heads_grad(self):
-        check_op(lambda a, w: mul(merge_heads(a), w), [(2, 3, 4, 2), (2, 4, 6)])
 
-    @pytest.mark.parametrize("n_heads", [1, 2, 3, 4, 6, 12])
-    def test_round_trip_bit_exact(self, n_heads):
-        x = RNG.standard_normal((3, 5, 12))
-        heads = split_heads(constant(x), n_heads)
-        assert heads.shape == (3, n_heads, 5, 12 // n_heads)
-        dh = 12 // n_heads
-        for h in range(n_heads):
-            assert np.array_equal(heads.data[:, h], x[..., h * dh : (h + 1) * dh])
-        assert np.array_equal(merge_heads(heads).data, x)
-        y = RNG.standard_normal((2, n_heads, 4, 3))
-        assert np.array_equal(split_heads(merge_heads(constant(y)), n_heads).data, y)
+def _assert_matches_unfused(build, reference, arrays, seed=0):
+    with te.no_grad():
+        shape = build(*[constant(a) for a in arrays]).shape
+    g_out = np.random.default_rng(seed).standard_normal(shape)
+    got_out, got = _value_and_grads(build, arrays, g_out)
+    want_out, want = _value_and_grads(reference, arrays, g_out)
+    assert_close_to_reference(got_out, want_out)
+    for g, w in zip(got, want):
+        assert_close_to_reference(g, w)
 
-    def test_unbatched_input(self):
-        x = RNG.standard_normal((5, 4))
-        assert split_heads(constant(x), 2).shape == (2, 5, 2)
-        assert np.array_equal(merge_heads(split_heads(constant(x), 2)).data, x)
 
-    def test_validation(self):
+class TestFusedNodes:
+    """Each fused node against the unfused chain it replaced: its value
+    and every gradient, to 1e-12 of the reference's largest magnitude."""
+
+    # Self, causal, per-example-masked and cross attention through
+    # multi_head_attention are in test_model; these are the cases it lacks.
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("kind", ["distinct", "cross_masked"])
+    def test_attention(self, n_heads, kind):
+        rng = np.random.default_rng(n_heads)
+        d, lq, lk = 8, 7, 5
+        x = rng.standard_normal((3, lq, d))
+        mem = rng.standard_normal((3, lk, d))
+        ws = [rng.standard_normal((d, d)) * 0.4 for _ in range(4)]
+        if kind == "distinct":  # q, k and v three tensors
+            qkv, mask = [x, mem, rng.standard_normal((3, lk, d))], None
+        else:  # k and v one tensor, a per-example (Lq, Lk) mask
+            qkv = [x, mem, mem]
+            mask = np.where(rng.random((3, lq, lk)) < 0.3, NEG_INF, 0.0)
+            mask[:, :, 0] = 0.0
+
+        def fused(q, k, v, wq, wk, wv, wo):
+            return te.attention(q, k, v, wq, wk, wv, wo, n_heads, mask)
+
+        def unfused(q, k, v, wq, wk, wv, wo):
+            return per_head_attention(q, k, v, n_heads, wq, wk, wv, wo, mask)
+
+        _assert_matches_unfused(fused, unfused, qkv + ws)
+
+    def test_attention_finite_differences(self):
+        mask = np.triu(np.full((4, 4), NEG_INF), 1)
+        check_op(lambda x, m, wq, wk, wv, wo: te.attention(x, m, m, wq, wk, wv, wo, 2),
+                 [(2, 4, 4), (2, 3, 4)] + [(4, 4)] * 4, rtol=1e-5, atol=1e-7)
+        check_op(lambda x, wq, wk, wv, wo: te.attention(x, x, x, wq, wk, wv, wo, 2, mask),
+                 [(2, 4, 4)] + [(4, 4)] * 4, rtol=1e-5, atol=1e-7)
+
+    def test_attention_validation(self):
+        x = parameter(np.zeros((2, 4, 8)))
+        w = parameter(np.zeros((8, 8)))
+        with pytest.raises(ValueError, match="batch shapes"):
+            te.attention(x, parameter(np.zeros((3, 4, 8))), x, w, w, w, w, 2)
+        with pytest.raises(ValueError, match="not divisible"):
+            te.attention(x, x, x, w, w, w, w, 3)
+
+    @pytest.mark.parametrize("shape", [(3, 7, 8), (5, 16), (2, 4, 3, 6)])
+    @pytest.mark.parametrize("residual", [False, True])
+    def test_layer_norm(self, shape, residual):
+        rng = np.random.default_rng(len(shape))
+        d = shape[-1]
+        arrays = [rng.standard_normal(shape) * 2 + 1, rng.standard_normal(d),
+                  rng.standard_normal(d)]
+        if residual:
+            arrays.append(rng.standard_normal(shape))
+            fused = lambda x, g, b, r: layer_norm(x, g, b, residual=r)
+            unfused = lambda x, g, b, r: unfused_layer_norm(x, g, b, residual=r)
+        else:
+            # A constant zero residual gives the plain norm.
+            zero = constant(np.zeros(shape))
+            fused = lambda x, g, b: layer_norm(x, g, b, zero)
+            unfused = unfused_layer_norm
+        _assert_matches_unfused(fused, unfused, arrays)
+
+    def test_layer_norm_of_x_plus_x(self):
+        # The same tensor as x and residual gets both gradients.
+        x = RNG.standard_normal((2, 3, 4))
+        g, b = np.ones(4), np.zeros(4)
+        _assert_matches_unfused(lambda a, gg, bb: layer_norm(a, gg, bb, residual=a),
+                                lambda a, gg, bb: unfused_layer_norm(a, gg, bb, residual=a),
+                                [x, g, b])
+
+    def test_layer_norm_residual_finite_differences(self):
+        check_op(lambda x, g, b, r: layer_norm(x, g, b, residual=r),
+                 [(2, 3, 6), (6,), (6,), (2, 3, 6)], rtol=1e-5, atol=1e-7)
+
+    @pytest.mark.parametrize("x_shape,n_out", [((4, 6, 3), 5), ((7, 8), 1), ((2, 3, 5, 8), 16)])
+    @pytest.mark.parametrize("with_offset", [False, True])
+    def test_affine(self, x_shape, n_out, with_offset):
+        rng = np.random.default_rng(n_out)
+        n_in = x_shape[-1]
+        offset = rng.standard_normal(x_shape[-2:-1] + (n_out,)) if with_offset else None
+        arrays = [rng.standard_normal(x_shape), rng.standard_normal((n_in, n_out)),
+                  rng.standard_normal(n_out)]
+        _assert_matches_unfused(lambda x, w, b: te.affine(x, w, b, offset),
+                                lambda x, w, b: unfused_affine(x, w, b, offset), arrays)
+
+    def test_affine_validation(self):
+        x = parameter(np.zeros((2, 3, 4)))
         with pytest.raises(ValueError):
-            split_heads(constant(np.zeros((2, 5, 6))), 4)
+            te.affine(x, parameter(np.zeros((5, 2))), parameter(np.zeros(2)))
         with pytest.raises(ValueError):
-            split_heads(constant(np.zeros(6)), 2)
-        with pytest.raises(ValueError):
-            merge_heads(constant(np.zeros((5, 6))))
+            te.affine(x, parameter(np.zeros((4, 2))), parameter(np.zeros(3)))
+
+    @pytest.mark.parametrize("length", [2, 5, 24])
+    def test_conv_time3(self, length):
+        rng = np.random.default_rng(length)
+        arrays = [rng.standard_normal((3, length, 4))] + [rng.standard_normal(4)
+                                                          for _ in range(4)]
+
+        def unfused(h, w_prev, w_cur, w_next, bias):
+            return te.add(te.add(mul(shift_time(h, 1), w_prev), mul(h, w_cur)),
+                          te.add(mul(shift_time(h, -1), w_next), bias))
+
+        _assert_matches_unfused(te.conv_time3, unfused, arrays)
+        # The forward pass adds in the chain's order, so its values keep
+        # their bits.
+        ts = [constant(a) for a in arrays]
+        assert te.conv_time3(*ts).data.tobytes() == unfused(*ts).data.tobytes()
+
+    def test_conv_time3_finite_differences(self):
+        check_op(te.conv_time3, [(2, 5, 3)] + [(3,)] * 4)
+
+    # The benchmark model's weights (d_model 8, d_ff 16, 1 or 7 features,
+    # one target). A (16, 32) weight is one where the two differ.
+    @pytest.mark.parametrize("n_in,n_out", [(1, 8), (7, 8), (8, 8), (8, 16), (16, 8), (8, 1)])
+    def test_contiguous_transpose_keeps_the_input_gradient_bits(self, n_in, n_out):
+        """te.affine takes its input gradient against a contiguous copy of
+        w.T, which numpy multiplies faster than the transposed view the
+        unfused matmul uses; on these shapes the bits are the same."""
+        rng = np.random.default_rng(n_in * n_out)
+        for batch, length in ((1, 24), (7, 12), (32, 24), (64, 20)):
+            x = parameter(rng.standard_normal((batch, length, n_in)))
+            w = parameter(rng.standard_normal((n_in, n_out)))
+            b = parameter(np.zeros(n_out))
+            g_out = rng.standard_normal((batch, length, n_out))
+            fused = backward(sum_all(mul(te.affine(x, w, b), constant(g_out))))[x]
+            x.grad = None
+            chain = backward(sum_all(mul(te.matmul(x, w), constant(g_out))))[x]
+            assert fused.tobytes() == chain.tobytes()
+            assert fused.tobytes() == (g_out @ np.swapaxes(w.data, -1, -2)).tobytes()
 
 
 def _softmax_reference(x, mask=None):
@@ -444,9 +570,9 @@ class TestNoGrad:
     def test_values_match_recorded_run(self):
         a = parameter(RNG.standard_normal((2, 5, 3)))
         gamma, beta = parameter(np.ones(3)), parameter(np.zeros(3))
-        recorded = layer_norm(apply_activation(a, GeluActivation()), gamma, beta)
+        recorded = layer_norm(apply_activation(a, GeluActivation()), gamma, beta, a)
         with te.no_grad():
-            plain = layer_norm(apply_activation(a, GeluActivation()), gamma, beta)
+            plain = layer_norm(apply_activation(a, GeluActivation()), gamma, beta, a)
         assert recorded.requires_grad
         assert np.array_equal(plain.data, recorded.data)
 

@@ -44,6 +44,14 @@ TINY_MODEL = ModelConfig(
 )
 
 
+# The model of the train-synth-gated benchmark workload.
+BENCH_MODEL = ModelConfig(
+    d_model=8, n_heads=2, n_enc_layers=2, n_dec_layers=1, d_ff=16,
+    enc_len=24, label_len=12, horizon=8, n_features=1,
+    activation=ActivationMode(kind="gated", type_id=1, lam=0.5),
+)
+
+
 def tiny_train_cfg(**kw):
     base = dict(epochs=3, batch_size=32, lr=1e-3, seed=1, patience=10,
                 anomaly_weighting=False,
@@ -360,6 +368,50 @@ class TestSharedAutoencoder:
         run_training(tiny_dataset, TINY_MODEL, cfg)
         assert count_fits == [1]
 
+    def test_training_windows_are_scored_once(self, tiny_dataset, monkeypatch):
+        # fit_threshold scores the training windows; the weights reuse those
+        # errors, whether the run fits its autoencoder or is handed it.
+        scored = []
+        real = Autoencoder.step_errors
+
+        def counting(self, windows):
+            scored.append(windows)
+            return real(self, windows)
+
+        monkeypatch.setattr(Autoencoder, "step_errors", counting)
+        train = tiny_dataset.splits.train.enc
+        cfg = tiny_train_cfg(epochs=1, anomaly_weighting=True, ae_epochs=2)
+        _, own = run_training(tiny_dataset, TINY_MODEL, cfg)
+        assert scored == [train]
+        del scored[:]
+        ae = _fit_for_run(tiny_dataset, cfg)
+        _, handed = run_training(tiny_dataset, TINY_MODEL, cfg, ae=ae)
+        assert scored == [train]
+        assert handed.metric_dict() == own.metric_dict()
+        # The kept errors are those of a fresh scoring, bit for bit.
+        fresh = ae.error_weights(real(ae, train))
+        assert ae.weights(train).tobytes() == fresh.tobytes()
+
+    def test_autoencoder_fitted_elsewhere_scores_the_training_windows(
+            self, tiny_dataset, monkeypatch):
+        cfg = tiny_train_cfg(epochs=1, anomaly_weighting=True, ae_epochs=2)
+        train = tiny_dataset.splits.train.enc
+        # The same windows as a plain array, and a WindowView of other rows.
+        as_array = train[:]
+        other = type(train)(train.data, train.starts[::-1].copy(), 16)
+        for windows in (as_array, other):
+            ae = fit_autoencoder(windows, hidden=cfg.ae_hidden,
+                                 bottleneck=cfg.ae_bottleneck, seed=cfg.seed,
+                                 epochs=cfg.ae_epochs)
+            scored = []
+            real = Autoencoder.step_errors
+            monkeypatch.setattr(Autoencoder, "step_errors",
+                                lambda self, w: scored.append(w) or real(self, w))
+            weights = training._anomaly_weights(tiny_dataset, cfg, ae)
+            monkeypatch.undo()
+            assert scored == [train]
+            assert weights.tobytes() == ae.error_weights(ae.step_errors(train)).tobytes()
+
     def test_mismatched_autoencoder_rejected(self, tiny_dataset):
         cfg = tiny_train_cfg(epochs=1, anomaly_weighting=True, ae_epochs=2)
         short = fit_autoencoder(tiny_dataset.splits.train.enc[:][:, :8], hidden=4,
@@ -449,6 +501,36 @@ class TestPredictPath:
         assert preds[0].shape == (150, 4, 1)
         for p in preds[1:]:
             assert np.array_equal(p, preds[0])
+
+    @pytest.mark.parametrize("n_features", [1, 7])
+    def test_a_lone_last_window_predicts_as_in_any_chunk(self, n_features):
+        # The benchmark model's geometry; 129 = 2 * 64 + 1 and 1369 = 1368 + 1
+        # leave one window in the last chunk.
+        model = Forecaster(replace(BENCH_MODEL, n_features=n_features), seed=5)
+        rng = np.random.default_rng(n_features)
+        for n, chunks in ((129, (1, 7, 64, 128)), (1369, (64, 684, 1368))):
+            enc = rng.standard_normal((n, 24, n_features))
+            whole = model.predict(enc)
+            for chunk in chunks:
+                assert _batched_predict(model, enc, chunk).tobytes() == whole.tobytes()
+
+    def test_one_benchmark_step_records_at_most_100_nodes(self, monkeypatch):
+        # Every node of the tape one weighted training step walks, leaves
+        # included (169 before attention, affine, residual norm and the
+        # distillation convolution each became one node).
+        counts = []
+        real = te.backward
+
+        def counting(loss):
+            counts.append(len(te.topo_order(loss)))
+            return real(loss)
+
+        monkeypatch.setattr(te, "backward", counting)
+        dataset = build_dataset(make_synthetic_frame(seed=1, length=500), 24, 12, 8)
+        run_training(dataset, BENCH_MODEL, TrainConfig(
+            epochs=1, batch_size=32, seed=1, anomaly_weighting=True, ae_epochs=1,
+            activation=BENCH_MODEL.activation))
+        assert counts and max(counts) <= 100, max(counts)
 
     @pytest.mark.parametrize("plan,pretrain", [("direct", 0), ("warm_start", 1)])
     def test_best_val_loss_is_the_best_history_entry(self, tiny_dataset, monkeypatch,
