@@ -9,9 +9,9 @@ the pooled output re-expanded by nearest-neighbor repetition.
 
 Decoding is parallel: the decoder consumes the last label_len rows of
 the encoder window plus horizon zero placeholder rows, an input it builds
-itself, in one causally masked pass and the head reads the forecast off
-the placeholder positions, so exactly one decoder invocation produces
-the whole horizon.
+itself, in one causally masked pass whose last block computes the
+placeholder rows alone, and the head reads the forecast off them, so
+exactly one decoder invocation produces the whole horizon.
 
 A separate dense autoencoder scores windows by reconstruction error; its
 per-window weight softly strips anomalous samples from the training
@@ -174,7 +174,7 @@ def multi_head_attention(
     """Scaled dot-product attention over n_heads column blocks.
 
     q has shape (..., Lq, d), k and v (..., Lk, d); all four projection
-    matrices are (d, d). The optional additive mask broadcasts against
+    matrices are (d, d). The optional additive mask must broadcast to
     the (..., Lq, Lk) score array; a per-example mask applies to every
     head. The whole block is one te.attention node, which checks the
     shapes.
@@ -398,12 +398,13 @@ class Forecaster:
         dec_x[:, : cfg.label_len] = enc_x[:, cfg.enc_len - cfg.label_len :]
         h = self._embed(dec_x, "dec.embed")
         for l in range(cfg.n_dec_layers):
-            self_attn = self._attend(h, h, f"dec.{l}.self", mask=causal_mask(want))
-            h = self._norm(h, self_attn, f"dec.{l}.ln1")
+            # The head reads the horizon rows only; the last block computes no other.
+            q = te.slice_time(h, cfg.label_len, want) if l == cfg.n_dec_layers - 1 else h
+            mask = causal_mask(want)[want - q.shape[-2] :]
+            h = self._norm(q, self._attend(q, h, f"dec.{l}.self", mask), f"dec.{l}.ln1")
             h = self._norm(h, self._attend(h, memory, f"dec.{l}.cross"), f"dec.{l}.ln2")
             h = self._norm(h, self._ffn(h, f"dec.{l}"), f"dec.{l}.ln3")
-        # The head reads the horizon rows only.
-        return self._affine(te.slice_time(h, cfg.label_len, want), "head")
+        return self._affine(h, "head")
 
     def forward(self, enc_x: np.ndarray) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
         """Forecast plus the distillation pairs feeding the training loss."""

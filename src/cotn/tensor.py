@@ -376,8 +376,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, wq: Tensor, wk: Tensor, wv: Tenso
     matrices are (d, d). Head h is column block h of the projections:
     softmax(Q_h K_h^T / sqrt(d / n_heads) + mask) V_h. The heads are
     merged back into d columns before the output projection. The optional
-    additive mask broadcasts against the (..., Lq, Lk) scores and applies
-    to every head; it is not differentiated.
+    additive mask must broadcast to the (..., Lq, Lk) scores; it applies
+    to every head and is not differentiated.
 
     Each input is projected by one GEMM over its rows, against its
     weights side by side when one tensor feeds several of q, k and v.
@@ -398,7 +398,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, wq: Tensor, wk: Tensor, wv: Tenso
             raise ValueError(f"{name} must be ({d}, {d}), got {w.shape}")
     dh = d // n_heads
     scale = 1.0 / math.sqrt(dh)
-    lead = q.shape[:-2]
+    lead, lq = q.shape[:-2], q.shape[-2]
+    if mask is not None:
+        scores = lead + (lq, k.shape[-2])
+        try:
+            mask = np.broadcast_to(mask, scores)
+        except ValueError:
+            raise ValueError(f"mask of shape {np.shape(mask)} does not broadcast to the "
+                             f"(..., Lq, Lk) scores {scores}") from None
     # The distinct inputs in first-use order, each with the projections
     # (0: q, 1: k, 2: v) it feeds.
     inputs: list[Tensor] = []
@@ -429,10 +436,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, wq: Tensor, wk: Tensor, wv: Tenso
             heads[r] = view[j]
         packed.append((rows, w))
     qh, kh, vh = heads
-    lq = q.shape[-2]
     e = qh @ np.swapaxes(kh, -1, -2)
     if mask is not None:
-        e += mask if np.ndim(mask) <= 2 else np.expand_dims(mask, -3)
+        e += np.expand_dims(mask, -3)
     # A max is exact in any order, so it reduces the leading axis of a
     # transposed copy, which numpy does faster than a short last axis.
     e -= np.moveaxis(e, -1, 0).copy().max(axis=0)[..., None]
@@ -852,9 +858,9 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
         raise ValueError(f"{path}: payload digest mismatch")
     tensors: dict[str, np.ndarray] = {}
     for name, dims, off, nbytes in entries:
-        flat = np.frombuffer(payload[off : off + nbytes], dtype="<f8")
-        expect = int(np.prod(dims)) if dims else 1
-        if flat.size != expect:
+        raw = payload[off : off + nbytes]
+        if len(raw) != 8 * math.prod(dims):
             raise ValueError(f"{path}: payload size mismatch for {name!r}")
+        flat = np.frombuffer(raw, dtype="<f8")
         tensors[name] = flat.reshape(dims).astype(np.float64, copy=True)
     return tensors, meta

@@ -10,9 +10,10 @@ value(x) when no gradient is recorded, value_and_slope(x) when the tape
 records one. The probes observe a Forecaster from outside, through
 pytest's monkeypatch, so the model carries no hooks of its own. The
 per-head attention and the unfused layer norm and affine chains are the
-references for the fused tape nodes, the window-by-window loop the
-reference for the windows cotn.data.window cuts and the decoder inputs
-the forecaster builds from them, the
+references for the fused tape nodes, the full-row decoder the reference
+for the one whose last block computes the horizon rows alone, the
+window-by-window loop the reference for the windows cotn.data.window
+cuts and the decoder inputs the forecaster builds from them, the
 row-by-row cleaner the reference for cotn.data.clean, and the tape
 versions of the autoencoder's forward pass, fit and scoring the
 reference for its plain-numpy ones.
@@ -40,7 +41,7 @@ from cotn.data import (
     RawSeries,
     _return_pass,
 )
-from cotn.model import SCORE_CHUNK, Autoencoder, Forecaster
+from cotn.model import SCORE_CHUNK, Autoencoder, Forecaster, causal_mask
 from cotn.training import Adam, _cosine_lr
 
 
@@ -185,6 +186,24 @@ def capture_norm(model: Forecaster, prefix: str, monkeypatch) -> list:
 
     monkeypatch.setattr(model, "_norm", norm)
     return seen
+
+
+def full_row_decode(model: Forecaster, memory, enc_x: np.ndarray):
+    """Forecaster.parallel_decode with every block over all label_len +
+    horizon rows and the head on the horizon slice of the last: the
+    reference for the decoder whose last block computes the horizon rows
+    alone."""
+    cfg = model.cfg
+    want = cfg.label_len + cfg.horizon
+    dec_x = np.zeros((enc_x.shape[0], want, cfg.n_features))
+    dec_x[:, : cfg.label_len] = enc_x[:, cfg.enc_len - cfg.label_len :]
+    h = model._embed(dec_x, "dec.embed")
+    for l in range(cfg.n_dec_layers):
+        self_attn = model._attend(h, h, f"dec.{l}.self", mask=causal_mask(want))
+        h = model._norm(h, self_attn, f"dec.{l}.ln1")
+        h = model._norm(h, model._attend(h, memory, f"dec.{l}.cross"), f"dec.{l}.ln2")
+        h = model._norm(h, model._ffn(h, f"dec.{l}"), f"dec.{l}.ln3")
+    return model._affine(te.slice_time(h, cfg.label_len, want), "head")
 
 
 def per_head_attention(q, k, v, n_heads, wq, wk, wv, wo, mask=None):

@@ -325,8 +325,10 @@ def test_criterion_08_single_decoder_pass_and_causal_mask(monkeypatch):
     """All horizons decode in one pass; the mask hides later positions."""
     decodes = count_decodes(monkeypatch)
     for horizon in (8, 24, 96):
+        # Two blocks: the last computes the horizon rows alone, the first
+        # every row, so its ln1 shows what the mask hides.
         cfg = ModelConfig(d_model=8, n_heads=2, n_enc_layers=2,
-                          n_dec_layers=1, d_ff=16, enc_len=48,
+                          n_dec_layers=2, d_ff=16, enc_len=48,
                           label_len=24, horizon=horizon, n_features=2)
         model = Forecaster(cfg, seed=1)
         rng = np.random.default_rng(horizon)
@@ -347,6 +349,7 @@ def test_criterion_08_single_decoder_pass_and_causal_mask(monkeypatch):
         model.parallel_decode(memory, bumped)
         assert len(seen) == 2
         a, b = seen
+        assert a.shape == (2, 24 + horizon, 8)
         assert np.array_equal(a[:, :12, :], b[:, :12, :])
         assert not np.array_equal(a[:, 12:, :], b[:, 12:, :])
     print("criterion 8: one decoder pass for H in {8,24,96}; causal mask "

@@ -35,6 +35,7 @@ from helpers import (
     assert_close_to_reference,
     capture_norm,
     count_decodes,
+    full_row_decode,
     per_head_attention,
     tape_reconstruct,
 )
@@ -219,6 +220,20 @@ class TestAttention:
         with pytest.raises(ValueError):
             multi_head_attention(x, x, x, 2, bad, wk, wv, wo)
 
+    def test_a_mask_for_other_query_rows_names_both_shapes(self):
+        # The full (20, 20) causal mask against the 8 horizon queries of a
+        # 12 + 8 row decoder.
+        wq, wk, wv, wo = self._weights(8)
+        q = te.constant(RNG.standard_normal((2, 8, 8)))
+        kv = te.constant(RNG.standard_normal((2, 20, 8)))
+        with pytest.raises(ValueError, match=r"^mask of shape \(20, 20\) does not "
+                                             r"broadcast to the \(\.\.\., Lq, Lk\) "
+                                             r"scores \(2, 8, 20\)$"):
+            multi_head_attention(q, kv, kv, 2, wq, wk, wv, wo, mask=causal_mask(20))
+        out = multi_head_attention(q, kv, kv, 2, wq, wk, wv, wo,
+                                   mask=causal_mask(20)[12:])
+        assert out.shape == (2, 8, 8)
+
 
 class TestDistill:
     def test_conv_mixing_matches_manual(self):
@@ -344,7 +359,9 @@ class TestForecaster:
         assert np.array_equal(out, pred.data)
 
     def test_decoder_self_attention_is_causal(self, monkeypatch):
-        cfg = tiny_cfg()
+        # The last block computes the horizon rows only, so the first of
+        # two blocks is the one that still decodes every row.
+        cfg = tiny_cfg(n_dec_layers=2)
         model = Forecaster(cfg, seed=2)
         enc = batch_for(cfg)
         memory, _ = model.encode(enc)
@@ -450,6 +467,100 @@ class TestForecaster:
         with pytest.raises(ValueError, match=drop) as err:
             load_forecaster(path)
         assert str(path) in str(err.value)
+
+
+class TestTrimmedDecoder:
+    """The last decoder block computes the horizon rows alone, against
+    the full-row decoder of tests/helpers.py, which runs every block over
+    all label_len + horizon rows and slices the horizon before the head."""
+
+    @staticmethod
+    def _model(n_dec_layers, kind, horizon, label_len):
+        cfg = ModelConfig(d_model=16, n_heads=2, n_enc_layers=2,
+                          n_dec_layers=n_dec_layers, d_ff=32, enc_len=24,
+                          label_len=label_len, horizon=horizon, n_features=1,
+                          activation=ActivationMode(kind=kind, type_id=1))
+        return Forecaster(cfg, seed=n_dec_layers + horizon)
+
+    @staticmethod
+    def _reference(model, enc):
+        with te.no_grad():
+            memory, _ = model.encode(enc)
+            return full_row_decode(model, memory, enc).data
+
+    @pytest.mark.parametrize("n_dec_layers", [1, 2])
+    @pytest.mark.parametrize("kind", ["gelu", "gated"])
+    @pytest.mark.parametrize("horizon", [8, 24])
+    @pytest.mark.parametrize("label_len", [1, 24])
+    def test_predict_equals_the_full_row_decoder(self, n_dec_layers, kind, horizon,
+                                                 label_len):
+        # Bit for bit when label_len is a multiple of 4. Otherwise within
+        # rounding: the (n, 1) column GEMMs (softmax row sums, the layer
+        # norm's variance mean, the one-target head) are matrix-vector
+        # products, which numpy's OpenBLAS rounds by a row's position
+        # modulo 4 (measured on x86-64), and such a label_len moves the
+        # horizon rows to other positions; at label_len 1 some windows of
+        # batches of 1 and 5 differ in the last bit.
+        model = self._model(n_dec_layers, kind, horizon, label_len)
+        rng = np.random.default_rng(horizon)
+        for n in (1, 5, 32):
+            enc = rng.standard_normal((n, 24, 1))
+            got, ref = model.predict(enc), self._reference(model, enc)
+            if label_len % 4 == 0:
+                assert np.array_equal(got, ref), n
+            else:
+                assert_close_to_reference(got, ref)
+
+    @pytest.mark.parametrize("n_dec_layers", [1, 2])
+    @pytest.mark.parametrize("kind", ["gelu", "gated"])
+    @pytest.mark.parametrize("label_len", [1, 24])
+    def test_step_gradients_match_the_full_row_decoder(self, n_dec_layers, kind,
+                                                       label_len):
+        model = self._model(n_dec_layers, kind, 8, label_len)
+        rng = np.random.default_rng(label_len)
+        enc = rng.standard_normal((5, 24, 1))
+        target = te.constant(rng.standard_normal((5, 8, 1)))
+
+        def grads(decode):
+            model.zero_grad()
+            memory, pairs = model.encode(enc)
+            diff = te.sub(decode(memory, enc), target)
+            loss = te.mean_all(te.mul(diff, diff))
+            for pre, pooled in pairs:
+                loss = te.add(loss, distill_loss(pre, pooled))
+            te.backward(loss)
+            return {name: p.grad.copy() for name, p in model.params.items()}
+
+        got = grads(model.parallel_decode)
+        ref = grads(lambda memory, x: full_row_decode(model, memory, x))
+        assert got.keys() == ref.keys()
+        for name in ref:
+            assert_close_to_reference(got[name], ref[name])
+
+    @pytest.mark.parametrize("n_dec_layers", [1, 2])
+    def test_only_the_last_block_takes_the_horizon_queries(self, monkeypatch,
+                                                          n_dec_layers):
+        cfg = tiny_cfg(n_dec_layers=n_dec_layers)
+        model = Forecaster(cfg, seed=2)
+        seen = {}
+        real = model._attend
+
+        def attend(q, kv, prefix, mask=None):
+            seen[prefix] = (q.shape, kv.shape, mask)
+            return real(q, kv, prefix, mask)
+
+        monkeypatch.setattr(model, "_attend", attend)
+        model.predict(batch_for(cfg))
+        want = cfg.label_len + cfg.horizon
+        for l in range(n_dec_layers):
+            q_shape, kv_shape, mask = seen[f"dec.{l}.self"]
+            last = l == n_dec_layers - 1
+            rows = cfg.horizon if last else want
+            assert q_shape == (2, rows, cfg.d_model)
+            assert kv_shape == (2, want, cfg.d_model)
+            full = causal_mask(want)
+            assert np.array_equal(mask, full[cfg.label_len :] if last else full)
+            assert seen[f"dec.{l}.cross"][0] == (2, rows, cfg.d_model)
 
 
 class TestStoredTable:

@@ -671,6 +671,19 @@ class TestPersistence:
         assert str(err.value) == (
             f"{path}: corrupt tensor container (negative size in entry 'x')")
 
+    # A byte count that is no multiple of 8, one cut short by the end of
+    # the payload, and one value for a shape of two.
+    @pytest.mark.parametrize("entry", ["x 1 1 0 7", "x 1 1 4 8", "x 1 2 0 8"])
+    def test_entry_that_does_not_fit_the_payload_names_the_file(self, tmp_path, entry):
+        payload = np.ones(1).astype("<f8").tobytes()
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"TENSORBIN 1\nmeta 0\ntensors 1\n" + entry.encode()
+                         + b"\nsha256 " + hashlib.sha256(payload).hexdigest().encode()
+                         + b"\nEND\n" + payload)
+        with pytest.raises(ValueError) as err:
+            load_tensors(path)
+        assert str(err.value) == f"{path}: payload size mismatch for 'x'"
+
     @pytest.mark.parametrize("manifest,message", [
         (b"NOTRIGHT 1\n", "not a tensor container"),
         (b"TENSORBIN 1\nmeat 0\n", "malformed meta header"),
