@@ -461,7 +461,7 @@ def cmd_sweep_types(args) -> int:
         fh.write("rank,type_id,val_mae,test_mae\n")
         for rank, entry in enumerate(result.entries, start=1):
             fh.write(
-                f"{rank},{entry.type_id},{_FLOAT_FMT % entry.val_mae},"
+                f"{rank},{entry.type_id},{_FLOAT_FMT % entry.report.val_mae},"
                 f"{_FLOAT_FMT % entry.report.test_mae}\n"
             )
     print(path)

@@ -162,8 +162,7 @@ def causal_mask(length: int) -> np.ndarray:
 
 def multi_head_attention(
     q: Tensor,
-    k: Tensor,
-    v: Tensor,
+    kv: Tensor,
     n_heads: int,
     wq: Tensor,
     wk: Tensor,
@@ -173,13 +172,13 @@ def multi_head_attention(
 ) -> Tensor:
     """Scaled dot-product attention over n_heads column blocks.
 
-    q has shape (..., Lq, d), k and v (..., Lk, d); all four projection
-    matrices are (d, d). The optional additive mask must broadcast to
-    the (..., Lq, Lk) score array; a per-example mask applies to every
-    head. The whole block is one te.attention node, which checks the
-    shapes.
+    q has shape (..., Lq, d) and kv, the source of keys and values,
+    (..., Lk, d); all four projection matrices are (d, d). The optional
+    additive mask must broadcast to the (..., Lq, Lk) score array; a
+    per-example mask applies to every head. The whole block is one
+    te.attention node, which checks the shapes.
     """
-    return te.attention(q, k, v, wq, wk, wv, wo, n_heads, mask)
+    return te.attention(q, kv, wq, wk, wv, wo, n_heads, mask)
 
 
 def distill_layer(
@@ -188,7 +187,6 @@ def distill_layer(
     w_cur: Tensor,
     w_next: Tensor,
     bias: Tensor,
-    gelu=None,
 ) -> Tensor:
     """Depthwise conv (kernel 3, zero same-padding) + GELU + stride-2 pool.
 
@@ -198,30 +196,22 @@ def distill_layer(
     length = h.shape[-2]
     if length < 2:
         raise ValueError(f"distill needs time length >= 2, got {length}")
-    gelu = gelu or GeluActivation()
     mixed = te.conv_time3(h, w_prev, w_cur, w_next, bias)
-    return te.maxpool_time2(te.apply_activation(mixed, gelu))
+    return te.maxpool_time2(te.apply_activation(mixed, GeluActivation()))
 
 
 def distill_loss(x: Tensor, x_hat: Tensor) -> Tensor:
     """Mean squared gap between a representation and its pooled copy.
 
-    x_hat may already have x's time length, or the pooled length
-    ceil(L / 2), in which case it is re-expanded by nearest-neighbor
-    repetition before comparing.
+    x_hat has the pooled length ceil(L / 2) and is re-expanded by
+    nearest-neighbor repetition before comparing.
     """
     if x.shape[:-2] != x_hat.shape[:-2] or x.shape[-1] != x_hat.shape[-1]:
         raise ValueError(f"incompatible shapes {x.shape} vs {x_hat.shape}")
     lx, lh = x.shape[-2], x_hat.shape[-2]
-    if lh == lx:
-        expanded = x_hat
-    elif lh == (lx + 1) // 2:
-        expanded = te.repeat_time2(x_hat, lx)
-    else:
-        raise ValueError(
-            f"x_hat time length {lh} is neither {lx} nor ceil({lx}/2)"
-        )
-    diff = te.sub(x, expanded)
+    if lh != (lx + 1) // 2:
+        raise ValueError(f"x_hat time length {lh} is not ceil({lx}/2)")
+    diff = te.sub(x, te.repeat_time2(x_hat, lx))
     return te.mean_all(te.mul(diff, diff))
 
 
@@ -344,7 +334,7 @@ class Forecaster:
                 mask: Optional[np.ndarray] = None) -> Tensor:
         names = _attn_param_names(prefix)
         return multi_head_attention(
-            q, kv, kv, self.cfg.n_heads,
+            q, kv, self.cfg.n_heads,
             *(self._p(n) for n in names), mask=mask,
         )
 
@@ -483,15 +473,12 @@ class Autoencoder:
 
     def _windows(self, windows) -> np.ndarray | WindowView:
         """Windows checked by shape; a WindowView stays a view, cut per
-        chunk when scored, and one 2-D window gains a leading axis."""
+        chunk when scored."""
         if not isinstance(windows, WindowView):
             windows = np.asarray(windows, dtype=np.float64)
-        given = windows.shape
-        if len(given) == 2:
-            windows = windows[None]
         if windows.shape[1:] != (self.window_len, self.n_features):
             raise ValueError(
-                f"expected (n, {self.window_len}, {self.n_features}) windows, got {given}"
+                f"expected (n, {self.window_len}, {self.n_features}) windows, got {windows.shape}"
             )
         return windows
 

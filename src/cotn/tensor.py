@@ -1,22 +1,21 @@
 """Dense float64 tensors with a define-by-run reverse-mode tape.
 
 Every operation builds the result eagerly with numpy and, when some input
-needs gradients, records the inputs plus one vector-Jacobian closure per
-input on the result, or one joint closure that returns every input's
-gradient at once. backward() walks that implicit graph once in reverse
-topological order, so each node's closures run exactly once per call.
-Inside ``with no_grad():`` nothing is recorded: every result is a
-constant, so inference keeps no tape alive.
+needs gradients, records the inputs plus one vector-Jacobian closure that
+returns every input's gradient at once. backward() walks that implicit
+graph once in reverse topological order, so each node's closure runs
+exactly once per call. Inside ``with no_grad():`` nothing is recorded:
+every result is a constant, so inference keeps no tape alive.
 
 The op set is deliberately small: what a toy encoder-decoder forecaster
 needs and nothing else. The forecaster's blocks are fused nodes
 (attention, affine, layer norm with a residual, the distillation
-convolution), each with a joint closure, because a step's cost is the
-number of numpy calls and nodes, not arithmetic. The small ops
-(elementwise arithmetic with broadcasting, matmul, masked softmax,
-time-axis surgery, pluggable scalar activations) serve the loss, the
-pooling and the tests' unfused references. Convention: the last axis is
-the feature/channel axis and the second-to-last is time.
+convolution), because a step's cost is the number of numpy calls and
+nodes, not arithmetic. The small ops (elementwise arithmetic with
+broadcasting, matmul, masked softmax, time-axis surgery, pluggable
+scalar activations) serve the loss, the pooling and the tests' unfused
+references. Convention: the last axis is the feature/channel axis and
+the second-to-last is time.
 
 The functions below are the only way to build an op: a Tensor has no
 arithmetic operators, so every recorded node comes from a named call.
@@ -76,7 +75,7 @@ NEG_INF = -1e30  # additive mask value; exp() underflows to exactly 0.0
 class Tensor:
     """A float64 array plus the tape bookkeeping to differentiate it."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_vjps")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -84,8 +83,8 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.name = name
         self._parents: tuple[Tensor, ...] = ()
-        # One VJP per parent, or one joint VJP for all of them (see _make).
-        self._vjps: tuple[Callable[[np.ndarray], np.ndarray], ...] | Callable = ()
+        # g -> one gradient (or None) per parent; None on leaves (see _make).
+        self._vjp: Optional[Callable[[np.ndarray], Sequence]] = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -131,7 +130,7 @@ def no_grad():
     """Record nothing inside the block; the previous mode comes back after.
 
     Op results made inside have requires_grad False and no parents or
-    VJP closures, and apply_activation asks only for values. Leaves made
+    VJP closure, and apply_activation asks only for values. Leaves made
     with parameter() still require gradients. The switch is process-wide,
     not per thread.
     """
@@ -144,15 +143,15 @@ def no_grad():
         _grad_enabled = previous
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], vjps) -> Tensor:
-    """The result node: vjps is one closure per parent, or one joint
-    closure that returns every parent's gradient at once (None for a
-    parent that needs none), so work shared between them is done once."""
+def _make(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
+    """The result node: vjp(g) returns one gradient per parent, in order
+    (None for a parent that needs none), so work shared between them is
+    done once."""
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
-        out._vjps = vjps if callable(vjps) else tuple(vjps)
+        out._vjp = vjp
     return out
 
 
@@ -212,37 +211,28 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
-    return _make(
-        data, (a, b),
-        (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape)),
-    )
+    return _make(a.data + b.data, (a, b),
+                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-    return _make(
-        data, (a, b),
-        (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(-g, b.shape)),
-    )
+    return _make(a.data - b.data, (a, b),
+                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
-    return _make(
-        data, (a, b),
-        (lambda g: _unbroadcast(g * b.data, a.shape),
-         lambda g: _unbroadcast(g * a.data, b.shape)),
-    )
+    return _make(a.data * b.data, (a, b),
+                 lambda g: (_unbroadcast(g * b.data, a.shape),
+                            _unbroadcast(g * a.data, b.shape)))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _make(a.data * c, (a,), (lambda g: g * c,))
+    return _make(a.data * c, (a,), lambda g: (g * c,))
 
 
 def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), (lambda g: -g,))
+    return _make(-a.data, (a,), lambda g: (-g,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -250,24 +240,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul needs >= 2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    data = a.data @ b.data
 
-    def da(g: np.ndarray) -> np.ndarray:
-        return _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+    def vjp(g: np.ndarray) -> tuple:
+        return (
+            _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None,
+            _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None,
+        )
 
-    def db(g: np.ndarray) -> np.ndarray:
-        return _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-
-    return _make(data, (a, b), (da, db))
+    return _make(a.data @ b.data, (a, b), vjp)
 
 
 def transpose_last2(a: Tensor) -> Tensor:
     if a.ndim < 2:
         raise ValueError(f"transpose_last2 needs >= 2-d input, got {a.shape}")
-    return _make(
-        np.swapaxes(a.data, -1, -2), (a,),
-        (lambda g: np.swapaxes(g, -1, -2),),
-    )
+    return _make(np.swapaxes(a.data, -1, -2), (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def softmax_last_axis(x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
@@ -285,11 +271,11 @@ def softmax_last_axis(x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
 
-    def dx(g: np.ndarray) -> np.ndarray:
+    def vjp(g: np.ndarray) -> tuple:
         inner = (g * y).sum(axis=-1, keepdims=True)
-        return y * (g - inner)
+        return (y * (g - inner),)
 
-    return _make(y, (x,), (dx,))
+    return _make(y, (x,), vjp)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, residual: Tensor,
@@ -368,31 +354,30 @@ def affine(x: Tensor, w: Tensor, b: Tensor, offset: Optional[np.ndarray] = None)
     return _make(y, (x, w, b), vjp)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
-              wo: Tensor, n_heads: int, mask: Optional[np.ndarray] = None) -> Tensor:
+def attention(q: Tensor, kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
+              n_heads: int, mask: Optional[np.ndarray] = None) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
 
-    q has shape (..., Lq, d), k and v (..., Lk, d); all four projection
-    matrices are (d, d). Head h is column block h of the projections:
-    softmax(Q_h K_h^T / sqrt(d / n_heads) + mask) V_h. The heads are
-    merged back into d columns before the output projection. The optional
-    additive mask must broadcast to the (..., Lq, Lk) scores; it applies
-    to every head and is not differentiated.
+    q has shape (..., Lq, d) and kv, the keys' and values' one source,
+    (..., Lk, d); all four projection matrices are (d, d). Head h is
+    column block h of the projections: softmax(Q_h K_h^T / sqrt(d /
+    n_heads) + mask) V_h. The heads are merged back into d columns before
+    the output projection. The optional additive mask must broadcast to
+    the (..., Lq, Lk) scores; it applies to every head and is not
+    differentiated.
 
-    Each input is projected by one GEMM over its rows, against its
-    weights side by side when one tensor feeds several of q, k and v.
-    Softmax row sums are GEMMs with a ones column. The VJP computes every
-    gradient in one pass.
+    Self-attention (q is kv) projects by one GEMM against the three
+    weights side by side; otherwise q takes one GEMM and kv one against
+    wk and wv side by side. Softmax row sums are GEMMs with a ones
+    column. The VJP computes every gradient in one pass.
     """
     d = q.shape[-1]
     if n_heads < 1 or d % n_heads != 0:
         raise ValueError(f"model width {d} not divisible by n_heads {n_heads}")
-    if k.shape[-1] != d or v.shape[-1] != d:
-        raise ValueError(f"q/k/v widths disagree: {q.shape}, {k.shape}, {v.shape}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ValueError(f"k and v must share their time length: {k.shape} vs {v.shape}")
-    if not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]:
-        raise ValueError(f"q/k/v batch shapes disagree: {q.shape}, {k.shape}, {v.shape}")
+    if kv.shape[-1] != d:
+        raise ValueError(f"q/kv widths disagree: {q.shape}, {kv.shape}")
+    if q.shape[:-2] != kv.shape[:-2]:
+        raise ValueError(f"q/kv batch shapes disagree: {q.shape}, {kv.shape}")
     for name, w in (("wq", wq), ("wk", wk), ("wv", wv), ("wo", wo)):
         if w.shape != (d, d):
             raise ValueError(f"{name} must be ({d}, {d}), got {w.shape}")
@@ -400,42 +385,27 @@ def attention(q: Tensor, k: Tensor, v: Tensor, wq: Tensor, wk: Tensor, wv: Tenso
     scale = 1.0 / math.sqrt(dh)
     lead, lq = q.shape[:-2], q.shape[-2]
     if mask is not None:
-        scores = lead + (lq, k.shape[-2])
+        scores = lead + (lq, kv.shape[-2])
         try:
             mask = np.broadcast_to(mask, scores)
         except ValueError:
             raise ValueError(f"mask of shape {np.shape(mask)} does not broadcast to the "
                              f"(..., Lq, Lk) scores {scores}") from None
-    # The distinct inputs in first-use order, each with the projections
-    # (0: q, 1: k, 2: v) it feeds.
-    inputs: list[Tensor] = []
-    roles: list[list[int]] = []
-    for role, t in enumerate((q, k, v)):
-        for i, seen in enumerate(inputs):
-            if seen is t:
-                roles[i].append(role)
-                break
-        else:
-            inputs.append(t)
-            roles.append([role])
 
     def heads_of(arr: np.ndarray, length: int, n: int) -> np.ndarray:
         # (..., length, n * d) -> (n, ..., H, length, dh), a view.
         arr = arr.reshape(lead + (length, n, n_heads, dh))
         return np.swapaxes(np.moveaxis(arr, -3, 0), -2, -3)
 
-    # The score scale is folded into wq, so the projections give q / sqrt(dh).
-    weights = (wq.data * scale, wk.data, wv.data)
-    packed = []
-    heads: list[np.ndarray] = [None, None, None]
-    for t, rs in zip(inputs, roles):
-        w = weights[rs[0]] if len(rs) == 1 else np.concatenate([weights[r] for r in rs], axis=1)
-        rows = _rows(t.data)
-        view = heads_of(rows @ w, t.shape[-2], len(rs))
-        for j, r in enumerate(rs):
-            heads[r] = view[j]
-        packed.append((rows, w))
-    qh, kh, vh = heads
+    # Each input with its weights side by side, in q, k, v order. The
+    # score scale is folded into wq, so the projections give q / sqrt(dh).
+    wqs = wq.data * scale
+    if q is kv:
+        packed = [(q, np.concatenate([wqs, wk.data, wv.data], axis=1))]
+    else:
+        packed = [(q, wqs), (kv, np.concatenate([wk.data, wv.data], axis=1))]
+    qh, kh, vh = (h for t, w in packed
+                  for h in heads_of(_rows(t.data) @ w, t.shape[-2], w.shape[1] // d))
     e = qh @ np.swapaxes(kh, -1, -2)
     if mask is not None:
         e += np.expand_dims(mask, -3)
@@ -469,27 +439,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, wq: Tensor, wk: Tensor, wv: Tenso
         c *= rinv
         du -= c
         np.multiply(du, e, out=ds)
-        dinputs, dweights = [], [None, None, None]
-        for t, rs, (rows, w) in zip(inputs, roles, packed):
-            dp = np.empty(t.shape[:-1] + (len(rs) * d,))
-            view = heads_of(dp, t.shape[-2], len(rs))
-            for j, r in enumerate(rs):
-                if r == 0:
-                    np.matmul(ds, kh, out=view[j])
-                elif r == 1:
-                    np.matmul(np.swapaxes(ds, -1, -2), qh, out=view[j])
-                else:
-                    np.matmul(np.swapaxes(e, -1, -2), u, out=view[j])
+        # The gradients of the q, k and v projections (in that order), as
+        # matmul operands.
+        factors = ((ds, kh), (np.swapaxes(ds, -1, -2), qh), (np.swapaxes(e, -1, -2), u))
+        dinputs, dweights = [], []
+        for t, w in packed:
+            n = w.shape[1] // d
+            dp = np.empty(t.shape[:-1] + (n * d,))
+            for j, view in enumerate(heads_of(dp, t.shape[-2], n)):
+                np.matmul(*factors[len(dweights) + j], out=view)
             dp = _rows(dp)
             dinputs.append((dp @ _transposed(w)).reshape(t.shape) if t.requires_grad
                            else None)
-            dw = rows.T @ dp
-            for j, r in enumerate(rs):
-                dweights[r] = dw[:, j * d : (j + 1) * d]
+            dw = _rows(t.data).T @ dp
+            dweights += [dw[:, j * d : (j + 1) * d] for j in range(n)]
         dweights[0] = dweights[0] * scale
         return dinputs + dweights + [merged.T @ g]
 
-    return _make(out, (*inputs, wq, wk, wv, wo), vjp)
+    return _make(out, (*(t for t, _ in packed), wq, wk, wv, wo), vjp)
 
 
 def apply_activation(x: Tensor, act) -> Tensor:
@@ -501,15 +468,14 @@ def apply_activation(x: Tensor, act) -> Tensor:
     """
     if _grad_enabled and x.requires_grad:
         y, slope = act.value_and_slope(x.data)
-        vjps = (lambda g: g * slope,)
     else:
-        y, vjps = act.value(x.data), ()
+        y, slope = act.value(x.data), None
     if y.shape != x.data.shape:
         raise ValueError(
             f"activation {getattr(act, 'name', act)!r} changed shape: "
             f"{x.data.shape} -> {y.shape}"
         )
-    return _make(y, (x,), vjps)
+    return _make(y, (x,), lambda g: (g * slope,))
 
 
 def _check_time_axis(x: Tensor, op: str) -> int:
@@ -525,12 +491,12 @@ def slice_time(x: Tensor, start: int, stop: int) -> Tensor:
         raise ValueError(f"bad time slice [{start}:{stop}] for length {length}")
     data = x.data[..., start:stop, :]
 
-    def dx(g: np.ndarray) -> np.ndarray:
+    def vjp(g: np.ndarray) -> tuple:
         full = np.zeros_like(x.data)
         full[..., start:stop, :] = g
-        return full
+        return (full,)
 
-    return _make(data, (x,), (dx,))
+    return _make(data, (x,), vjp)
 
 
 def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
@@ -540,12 +506,12 @@ def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
         raise ValueError(f"bad feature slice [{start}:{stop}] for width {width}")
     data = x.data[..., start:stop]
 
-    def dx(g: np.ndarray) -> np.ndarray:
+    def vjp(g: np.ndarray) -> tuple:
         full = np.zeros_like(x.data)
         full[..., start:stop] = g
-        return full
+        return (full,)
 
-    return _make(data, (x,), (dx,))
+    return _make(data, (x,), vjp)
 
 
 def concat_last(parts: Sequence[Tensor]) -> Tensor:
@@ -562,12 +528,8 @@ def concat_last(parts: Sequence[Tensor]) -> Tensor:
             )
     data = np.concatenate([p.data for p in parts], axis=-1)
     offsets = np.cumsum([0] + [p.shape[-1] for p in parts])
-
-    def make_vjp(i: int):
-        lo, hi = offsets[i], offsets[i + 1]
-        return lambda g: g[..., lo:hi]
-
-    return _make(data, parts, [make_vjp(i) for i in range(len(parts))])
+    return _make(data, parts,
+                 lambda g: tuple(g[..., lo:hi] for lo, hi in zip(offsets, offsets[1:])))
 
 
 # matmul, transpose_last2, softmax_last_axis, neg, slice_last,
@@ -588,22 +550,22 @@ def shift_time(x: Tensor, offset: int) -> Tensor:
     if abs(offset) >= length:
         raise ValueError(f"|offset| must be < time length {length}, got {offset}")
     if offset == 0:
-        return _make(x.data.copy(), (x,), (lambda g: g,))
+        return _make(x.data.copy(), (x,), lambda g: (g,))
     data = np.zeros_like(x.data)
     if offset > 0:
         data[..., offset:, :] = x.data[..., :-offset, :]
     else:
         data[..., :offset, :] = x.data[..., -offset:, :]
 
-    def dx(g: np.ndarray) -> np.ndarray:
+    def vjp(g: np.ndarray) -> tuple:
         out = np.zeros_like(g)
         if offset > 0:
             out[..., :-offset, :] = g[..., offset:, :]
         else:
             out[..., -offset:, :] = g[..., :offset, :]
-        return out
+        return (out,)
 
-    return _make(data, (x,), (dx,))
+    return _make(data, (x,), vjp)
 
 
 def conv_time3(x: Tensor, w_prev: Tensor, w_cur: Tensor, w_next: Tensor,
@@ -657,16 +619,16 @@ def maxpool_time2(x: Tensor) -> Tensor:
     else:
         data = pooled
 
-    def dx(g: np.ndarray) -> np.ndarray:
+    def vjp(g: np.ndarray) -> tuple:
         full = np.zeros_like(x.data)
         gp = g[..., :n_pairs, :]
         full[..., 0 : 2 * n_pairs : 2, :] = np.where(first_wins, gp, 0.0)
         full[..., 1 : 2 * n_pairs : 2, :] = np.where(first_wins, 0.0, gp)
         if length % 2:
             full[..., -1:, :] += g[..., -1:, :]
-        return full
+        return (full,)
 
-    return _make(data, (x,), (dx,))
+    return _make(data, (x,), vjp)
 
 
 def repeat_time2(x: Tensor, out_len: int) -> Tensor:
@@ -676,23 +638,23 @@ def repeat_time2(x: Tensor, out_len: int) -> Tensor:
         raise ValueError(f"out_len must be in 1..{2 * length}, got {out_len}")
     data = np.repeat(x.data, 2, axis=-2)[..., :out_len, :]
 
-    def dx(g: np.ndarray) -> np.ndarray:
+    def vjp(g: np.ndarray) -> tuple:
         pad = np.zeros(x.shape[:-2] + (2 * length, x.shape[-1]), dtype=np.float64)
         pad[..., :out_len, :] = g
-        return pad[..., 0::2, :] + pad[..., 1::2, :]
+        return (pad[..., 0::2, :] + pad[..., 1::2, :],)
 
-    return _make(data, (x,), (dx,))
+    return _make(data, (x,), vjp)
 
 
 def sum_all(x: Tensor) -> Tensor:
     data = np.asarray(x.data.sum())
-    return _make(data, (x,), (lambda g: np.broadcast_to(g, x.shape).copy(),))
+    return _make(data, (x,), lambda g: (np.broadcast_to(g, x.shape).copy(),))
 
 
 def mean_all(x: Tensor) -> Tensor:
     n = x.size
     data = np.asarray(x.data.mean())
-    return _make(data, (x,), (lambda g: np.broadcast_to(g / n, x.shape).copy(),))
+    return _make(data, (x,), lambda g: (np.broadcast_to(g / n, x.shape).copy(),))
 
 
 def topo_order(root: Tensor) -> list[Tensor]:
@@ -734,13 +696,11 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node._parents:
-            vjps = node._vjps
-            if callable(vjps):
-                pgs = vjps(g)
-            else:
-                pgs = [vjp(g) if p.requires_grad else None
-                       for p, vjp in zip(node._parents, vjps)]
+        if node._vjp is not None:
+            pgs = node._vjp(g)
+            if len(pgs) != len(node._parents):
+                raise ValueError(f"vjp gave {len(pgs)} gradient(s) for "
+                                 f"{len(node._parents)} parents")
             for parent, pg in zip(node._parents, pgs):
                 if pg is None or not parent.requires_grad:
                     continue

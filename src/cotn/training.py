@@ -216,7 +216,12 @@ def write_trial_report(path, report: TrialReport) -> None:
 def _batched_predict(model: Forecaster, enc, chunk: int = 64) -> np.ndarray:
     """The model's prediction of windows enc (an array or a split's
     WindowView), cut and predicted chunk windows at a time."""
-    # Predictions do not depend on the chunk. It is small so that each
+    # Chunks of a multiple of 4 windows predict the bits of one batch:
+    # numpy's OpenBLAS rounds the (n, 1) row-sum GEMMs by a row's position
+    # modulo 4, and such a chunk moves every row by a multiple of 4. Other
+    # chunks (one window, as `forecast` predicts) match only when every
+    # per-window row count (enc_len, the distilled lengths, label_len +
+    # horizon, horizon) is a multiple of 4. The chunk is small so that each
     # chunk's score arrays stay in cache and reuse freed pages: at 512
     # windows they take 2.4 MB and more, and predicting the 12,163
     # training windows of a 17k-row ETT file spent 0.4-0.5 s of system
@@ -311,16 +316,16 @@ def _stage_loop(
     rng: np.random.Generator,
     epochs: int,
     weights: Optional[np.ndarray],
-) -> tuple[list[float], int, Optional[np.ndarray]]:
+) -> tuple[list[float], Optional[np.ndarray]]:
     """Train in place for up to ``epochs`` epochs with early stopping.
 
-    Returns the per-epoch validation history, the number of epochs
-    actually run and the validation prediction of the best epoch (None
-    when no epoch ran or none improved on inf); on exit the model holds
-    the stage-best parameters, whose prediction that is.
+    Returns the per-epoch validation history (one entry per epoch run)
+    and the validation prediction of the best epoch (None when no epoch
+    ran or none improved on inf); on exit the model holds the stage-best
+    parameters, whose prediction that is.
     """
     if epochs == 0:
-        return [], 0, None
+        return [], None
     train = dataset.splits.train
     n = train.n_windows
     if n == 0:
@@ -378,7 +383,7 @@ def _stage_loop(
                 break
     if best_state is not None:
         model.load_state_arrays(best_state)
-    return history, len(history), best_pred
+    return history, best_pred
 
 
 def _fit_for(dataset: Dataset, cfg: TrainConfig) -> Autoencoder:
@@ -414,7 +419,6 @@ def _finish_report(
     dataset: Dataset,
     cfg: TrainConfig,
     history: list[float],
-    epochs_run: int,
     t0: float,
     val_pred: Optional[np.ndarray],
 ) -> TrialReport:
@@ -430,7 +434,7 @@ def _finish_report(
         seed=cfg.seed,
         activation=model.activation.name,
         plan=cfg.plan,
-        epochs_run=epochs_run,
+        epochs_run=len(history),
         epochs_to_convergence=_epochs_to_convergence(history),
         best_val_loss=final_val,
         train_mae=train_mae,
@@ -470,13 +474,12 @@ def run_training(
     weights = _anomaly_weights(dataset, cfg, ae)
     rng = np.random.default_rng(cfg.seed)
     pretrain = cfg.pretrain_epochs if cfg.plan == "warm_start" else 0
-    h1, run1, _ = _stage_loop(model, dataset, cfg, rng, pretrain, weights)
+    h1, _ = _stage_loop(model, dataset, cfg, rng, pretrain, weights)
     model.set_activation(cfg.activation)
     # Stage 2's best prediction is the final model's. Without one (no stage
     # 2 epochs), stage 1's would be stale: the activation has changed since.
-    h2, run2, val_pred = _stage_loop(
-        model, dataset, cfg, rng, cfg.epochs - pretrain, weights)
-    report = _finish_report(model, dataset, cfg, h1 + h2, run1 + run2, t0, val_pred)
+    h2, val_pred = _stage_loop(model, dataset, cfg, rng, cfg.epochs - pretrain, weights)
+    report = _finish_report(model, dataset, cfg, h1 + h2, t0, val_pred)
     return model, report
 
 
@@ -486,7 +489,6 @@ def run_training(
 @dataclass(frozen=True)
 class SweepEntry:
     type_id: int
-    val_mae: float
     report: TrialReport
 
 
@@ -516,7 +518,7 @@ def _run_sweep_one(args) -> "SweepEntry":
     dataset, model_cfg, cfg, type_id, ae = args
     mode = ActivationMode(kind="gated", type_id=type_id, lam=cfg.activation.lam)
     _, report = run_training(dataset, model_cfg, replace(cfg, activation=mode), ae)
-    return SweepEntry(type_id, report.val_mae, report)
+    return SweepEntry(type_id, report)
 
 
 def sweep_types(
@@ -537,7 +539,7 @@ def sweep_types(
     ae = _fit_for(dataset, cfg) if cfg.anomaly_weighting else None
     work = [(dataset, model_cfg, cfg, t, ae) for t in type_ids]
     entries = _fan_out(_run_sweep_one, work, jobs)
-    ranked = tuple(sorted(entries, key=lambda e: (e.val_mae, e.type_id)))
+    ranked = tuple(sorted(entries, key=lambda e: (e.report.val_mae, e.type_id)))
     return SweepResult(ranked)
 
 

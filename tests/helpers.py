@@ -206,12 +206,12 @@ def full_row_decode(model: Forecaster, memory, enc_x: np.ndarray):
     return model._affine(te.slice_time(h, cfg.label_len, want), "head")
 
 
-def per_head_attention(q, k, v, n_heads, wq, wk, wv, wo, mask=None):
+def per_head_attention(q, kv, n_heads, wq, wk, wv, wo, mask=None):
     """Multi-head attention one head at a time, as column slices of the
     projections concatenated back together: the unfused chain the one
     te.attention node must match to assert_close_to_reference."""
     dh = q.shape[-1] // n_heads
-    qp, kp, vp = te.matmul(q, wq), te.matmul(k, wk), te.matmul(v, wv)
+    qp, kp, vp = te.matmul(q, wq), te.matmul(kv, wk), te.matmul(kv, wv)
     heads = []
     for h in range(n_heads):
         lo, hi = h * dh, (h + 1) * dh
@@ -248,17 +248,15 @@ def unfused_layer_norm(x, gamma, beta, residual=None, eps: float = 1e-5):
     y = xhat * gamma.data
     y += beta.data
 
-    def dx(g):
+    def vjp(g):
         dxhat = g * gamma.data
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        return inv * (dxhat - m1 - xhat * m2)
+        return (inv * (dxhat - m1 - xhat * m2),
+                te._unbroadcast(g * xhat, gamma.shape),
+                te._unbroadcast(g, beta.shape))
 
-    return te._make(y, (x, gamma, beta), (
-        dx,
-        lambda g: te._unbroadcast(g * xhat, gamma.shape),
-        lambda g: te._unbroadcast(g, beta.shape),
-    ))
+    return te._make(y, (x, gamma, beta), vjp)
 
 
 def unfused_affine(x, w, b, offset=None):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import cotn.model
 import cotn.tensor as te
+from cotn.activation import gelu
 from cotn.model import (
     ActivationMode,
     Autoencoder,
@@ -31,7 +32,6 @@ from cotn.model import (
 )
 
 from helpers import (
-    IdentityActivation,
     assert_close_to_reference,
     capture_norm,
     count_decodes,
@@ -141,14 +141,14 @@ class TestAttention:
         wq, wk, wv, wo = self._weights(d)
         q = te.constant(RNG.standard_normal((2, 5, d)))
         kv = te.constant(RNG.standard_normal((2, 9, d)))
-        out = multi_head_attention(q, kv, kv, 2, wq, wk, wv, wo)
+        out = multi_head_attention(q, kv, 2, wq, wk, wv, wo)
         assert out.shape == (2, 5, d)
 
     def test_single_head_equals_merged_path(self):
         d = 4
         wq, wk, wv, wo = self._weights(d, seed=3)
         x = te.constant(RNG.standard_normal((1, 6, d)))
-        out = multi_head_attention(x, x, x, 1, wq, wk, wv, wo)
+        out = multi_head_attention(x, x, 1, wq, wk, wv, wo)
         assert out.shape == (1, 6, d)
 
     def test_causal_mask_blocks_future(self):
@@ -156,14 +156,12 @@ class TestAttention:
         wq, wk, wv, wo = self._weights(d, seed=5)
         x = RNG.standard_normal((1, 7, d))
         mask = causal_mask(7)
-        base = multi_head_attention(
-            te.constant(x), te.constant(x), te.constant(x),
-            2, wq, wk, wv, wo, mask=mask).data
+        xt = te.constant(x)
+        base = multi_head_attention(xt, xt, 2, wq, wk, wv, wo, mask=mask).data
         x2 = x.copy()
         x2[0, 5] += 10.0
-        pert = multi_head_attention(
-            te.constant(x2), te.constant(x2), te.constant(x2),
-            2, wq, wk, wv, wo, mask=mask).data
+        x2t = te.constant(x2)
+        pert = multi_head_attention(x2t, x2t, 2, wq, wk, wv, wo, mask=mask).data
         assert np.array_equal(base[0, :5], pert[0, :5])
         assert not np.allclose(base[0, 5:], pert[0, 5:])
 
@@ -189,7 +187,7 @@ class TestAttention:
             weights = [te.parameter(a) for a in arrays]
             xq = te.parameter(x)
             kv = xq if kind != "cross" else te.parameter(mem)
-            out = attention(xq, kv, kv, n_heads, *weights, mask=mask)
+            out = attention(xq, kv, n_heads, *weights, mask=mask)
             grads = te.backward(te.sum_all(te.mul(out, g_out)))
             leaves = [xq] + ([kv] if kind == "cross" else []) + weights
             return out.data, [grads[t] for t in leaves]
@@ -207,7 +205,7 @@ class TestAttention:
             monkeypatch.setattr(te, name, lambda *a, **k: calls.append(a))
         wq, wk, wv, wo = self._weights(8)
         x = te.parameter(RNG.standard_normal((2, 5, 8)))
-        multi_head_attention(x, x, x, 4, wq, wk, wv, wo)
+        multi_head_attention(x, x, 4, wq, wk, wv, wo)
         assert calls == []
 
     def test_validation(self):
@@ -215,10 +213,10 @@ class TestAttention:
         wq, wk, wv, wo = self._weights(d)
         x = te.constant(RNG.standard_normal((1, 4, d)))
         with pytest.raises(ValueError):
-            multi_head_attention(x, x, x, 3, wq, wk, wv, wo)
+            multi_head_attention(x, x, 3, wq, wk, wv, wo)
         bad = te.parameter(np.zeros((d, d + 1)))
         with pytest.raises(ValueError):
-            multi_head_attention(x, x, x, 2, bad, wk, wv, wo)
+            multi_head_attention(x, x, 2, bad, wk, wv, wo)
 
     def test_a_mask_for_other_query_rows_names_both_shapes(self):
         # The full (20, 20) causal mask against the 8 horizon queries of a
@@ -229,15 +227,14 @@ class TestAttention:
         with pytest.raises(ValueError, match=r"^mask of shape \(20, 20\) does not "
                                              r"broadcast to the \(\.\.\., Lq, Lk\) "
                                              r"scores \(2, 8, 20\)$"):
-            multi_head_attention(q, kv, kv, 2, wq, wk, wv, wo, mask=causal_mask(20))
-        out = multi_head_attention(q, kv, kv, 2, wq, wk, wv, wo,
+            multi_head_attention(q, kv, 2, wq, wk, wv, wo, mask=causal_mask(20))
+        out = multi_head_attention(q, kv, 2, wq, wk, wv, wo,
                                    mask=causal_mask(20)[12:])
         assert out.shape == (2, 8, 8)
 
 
 class TestDistill:
     def test_conv_mixing_matches_manual(self):
-        # Identity activation isolates the depthwise convolution.
         c = 2
         h = np.arange(12.0).reshape(1, 6, c)
         w_prev = np.array([0.5, -1.0])
@@ -246,13 +243,14 @@ class TestDistill:
         bias = np.array([0.1, -0.2])
         out = distill_layer(
             te.constant(h), te.constant(w_prev), te.constant(w_cur),
-            te.constant(w_next), te.constant(bias), gelu=IdentityActivation(),
+            te.constant(w_next), te.constant(bias),
         ).data
         padded = np.zeros((1, 8, c))
         padded[:, 1:7] = h
         mixed = (padded[:, :6] * w_prev + padded[:, 1:7] * w_cur
                  + padded[:, 2:8] * w_next + bias)
-        want = np.maximum(mixed[:, 0::2], mixed[:, 1::2])
+        act = gelu(mixed)
+        want = np.maximum(act[:, 0::2], act[:, 1::2])
         np.testing.assert_allclose(out, want, rtol=0, atol=0)
 
     def test_output_length_is_ceil_half(self):
@@ -269,12 +267,6 @@ class TestDistill:
         with pytest.raises(ValueError):
             distill_layer(h, ones, ones, ones, ones)
 
-    def test_loss_equal_length(self):
-        x = RNG.standard_normal((2, 6, 3))
-        y = RNG.standard_normal((2, 6, 3))
-        got = distill_loss(te.constant(x), te.constant(y)).item()
-        assert got == pytest.approx(((x - y) ** 2).mean(), rel=1e-12)
-
     def test_loss_half_length_expands(self):
         x = RNG.standard_normal((1, 5, 2))
         y = RNG.standard_normal((1, 3, 2))
@@ -283,10 +275,14 @@ class TestDistill:
         assert got == pytest.approx(((x - expanded) ** 2).mean(), rel=1e-12)
 
     def test_loss_rejects_other_lengths(self):
+        # Only the pooled length ceil(6 / 2) = 3 compares; x's own length
+        # is refused too.
         x = te.constant(RNG.standard_normal((1, 6, 2)))
-        y = te.constant(RNG.standard_normal((1, 4, 2)))
-        with pytest.raises(ValueError):
-            distill_loss(x, y)
+        for length in (4, 6):
+            y = te.constant(RNG.standard_normal((1, length, 2)))
+            with pytest.raises(ValueError,
+                               match=rf"^x_hat time length {length} is not ceil\(6/2\)$"):
+                distill_loss(x, y)
 
 
 class TestForecaster:
@@ -745,15 +741,17 @@ class TestAutoencoder:
             ae.step_errors(np.zeros((3, 7, 2)))
 
     def test_anomaly_score_single_window(self):
-        # One 2-D window scores as a batch of one.
+        # A batch of one window scores; one 2-D window is refused.
         ae, windows = self._fitted()
-        errors, weight = ae.step_errors(windows[0])[0], ae.weights(windows[0])[0]
+        errors, weight = ae.step_errors(windows[:1])[0], ae.weights(windows[:1])[0]
         assert errors.shape == (8,)
         assert 0.0 < weight <= 1.0
-        spiked = windows[0].copy()
-        spiked[2, 1] += 30.0
+        spiked = windows[:1].copy()
+        spiked[0, 2, 1] += 30.0
         assert ae.weights(spiked)[0] < weight
         assert ae.step_errors(spiked)[0].argmax() == 2
+        with pytest.raises(ValueError, match=r"expected \(n, 8, 2\) windows, got \(8, 2\)"):
+            ae.step_errors(windows[0])
 
     def test_checkpoint_round_trip(self, tmp_path):
         ae, windows = self._fitted()

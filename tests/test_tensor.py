@@ -251,44 +251,43 @@ class TestFusedNodes:
     and every gradient, to 1e-12 of the reference's largest magnitude."""
 
     # Self, causal, per-example-masked and cross attention through
-    # multi_head_attention are in test_model; these are the cases it lacks.
+    # multi_head_attention are in test_model; this is the case it lacks,
+    # cross-attention under a per-example (Lq, Lk) mask.
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
-    @pytest.mark.parametrize("kind", ["distinct", "cross_masked"])
+    @pytest.mark.parametrize("kind", ["cross_masked"])
     def test_attention(self, n_heads, kind):
         rng = np.random.default_rng(n_heads)
         d, lq, lk = 8, 7, 5
         x = rng.standard_normal((3, lq, d))
         mem = rng.standard_normal((3, lk, d))
         ws = [rng.standard_normal((d, d)) * 0.4 for _ in range(4)]
-        if kind == "distinct":  # q, k and v three tensors
-            qkv, mask = [x, mem, rng.standard_normal((3, lk, d))], None
-        else:  # k and v one tensor, a per-example (Lq, Lk) mask
-            qkv = [x, mem, mem]
-            mask = np.where(rng.random((3, lq, lk)) < 0.3, NEG_INF, 0.0)
-            mask[:, :, 0] = 0.0
+        mask = np.where(rng.random((3, lq, lk)) < 0.3, NEG_INF, 0.0)
+        mask[:, :, 0] = 0.0
 
-        def fused(q, k, v, wq, wk, wv, wo):
-            return te.attention(q, k, v, wq, wk, wv, wo, n_heads, mask)
+        def fused(q, kv, wq, wk, wv, wo):
+            return te.attention(q, kv, wq, wk, wv, wo, n_heads, mask)
 
-        def unfused(q, k, v, wq, wk, wv, wo):
-            return per_head_attention(q, k, v, n_heads, wq, wk, wv, wo, mask)
+        def unfused(q, kv, wq, wk, wv, wo):
+            return per_head_attention(q, kv, n_heads, wq, wk, wv, wo, mask)
 
-        _assert_matches_unfused(fused, unfused, qkv + ws)
+        _assert_matches_unfused(fused, unfused, [x, mem] + ws)
 
     def test_attention_finite_differences(self):
         mask = np.triu(np.full((4, 4), NEG_INF), 1)
-        check_op(lambda x, m, wq, wk, wv, wo: te.attention(x, m, m, wq, wk, wv, wo, 2),
+        check_op(lambda x, m, wq, wk, wv, wo: te.attention(x, m, wq, wk, wv, wo, 2),
                  [(2, 4, 4), (2, 3, 4)] + [(4, 4)] * 4, rtol=1e-5, atol=1e-7)
-        check_op(lambda x, wq, wk, wv, wo: te.attention(x, x, x, wq, wk, wv, wo, 2, mask),
+        check_op(lambda x, wq, wk, wv, wo: te.attention(x, x, wq, wk, wv, wo, 2, mask),
                  [(2, 4, 4)] + [(4, 4)] * 4, rtol=1e-5, atol=1e-7)
 
     def test_attention_validation(self):
         x = parameter(np.zeros((2, 4, 8)))
         w = parameter(np.zeros((8, 8)))
         with pytest.raises(ValueError, match="batch shapes"):
-            te.attention(x, parameter(np.zeros((3, 4, 8))), x, w, w, w, w, 2)
+            te.attention(x, parameter(np.zeros((3, 4, 8))), w, w, w, w, 2)
+        with pytest.raises(ValueError, match="widths disagree"):
+            te.attention(x, parameter(np.zeros((2, 4, 4))), w, w, w, w, 2)
         with pytest.raises(ValueError, match="not divisible"):
-            te.attention(x, x, x, w, w, w, w, 3)
+            te.attention(x, x, w, w, w, w, 3)
 
     @pytest.mark.parametrize("shape", [(3, 7, 8), (5, 16), (2, 4, 3, 6)])
     @pytest.mark.parametrize("residual", [False, True])
@@ -527,6 +526,15 @@ class TestGraph:
         x = te.add(constant(np.ones(3)), constant(np.ones(3)))
         assert topo_order(x) == [x]
 
+    @pytest.mark.parametrize("n_grads", [1, 3])
+    def test_a_vjp_must_give_one_gradient_per_parent(self, n_grads):
+        a, b = parameter(np.ones(3)), parameter(np.ones(3))
+        node = te._make(a.data + b.data, (a, b), lambda g: (g,) * n_grads)
+        with pytest.raises(ValueError,
+                           match=rf"^vjp gave {n_grads} gradient\(s\) for 2 parents$"):
+            backward(sum_all(node))
+        assert a.grad is None and b.grad is None
+
     def test_deep_chain_no_recursion_limit(self):
         x = parameter(np.array(1.0))
         y = x
@@ -562,7 +570,7 @@ class TestNoGrad:
                     apply_activation(a, GeluActivation()), mean_all(a)]
         for out in outs:
             assert out.requires_grad is False
-            assert out._parents == () and out._vjps == ()
+            assert out._parents == () and out._vjp is None
             assert topo_order(out) == [out]
         assert backward(outs[-1]) == {}
         assert a.grad is None and b.grad is None

@@ -493,6 +493,8 @@ def _capture_stage_histories(monkeypatch) -> list:
 
 class TestPredictPath:
     def test_chunk_size_does_not_change_predictions(self, tiny_dataset):
+        # Every per-window row count (16, 8, 12, 4) is a multiple of 4, so
+        # any chunk predicts the bits of one batch.
         model = Forecaster(replace(TINY_MODEL, activation=ActivationMode("gated", 1, 0.5)),
                            seed=3)
         train = tiny_dataset.splits.train
@@ -501,6 +503,21 @@ class TestPredictPath:
         assert preds[0].shape == (150, 4, 1)
         for p in preds[1:]:
             assert np.array_equal(p, preds[0])
+
+    @pytest.mark.parametrize("enc_len,label_len,horizon", [(24, 7, 5), (23, 12, 8),
+                                                           (24, 12, 5)])
+    def test_chunks_of_a_multiple_of_4_windows_predict_one_batch(
+            self, enc_len, label_len, horizon):
+        # Row counts that are not all multiples of 4. OpenBLAS rounds the
+        # (n, 1) row-sum GEMMs by a row's position modulo 4, so chunks of
+        # 1, 7 or 65 windows give other bits here; 4, 64 and 512 move every
+        # row by a multiple of 4.
+        model = Forecaster(replace(BENCH_MODEL, enc_len=enc_len, label_len=label_len,
+                                   horizon=horizon), seed=3)
+        enc = np.random.default_rng(enc_len + label_len).standard_normal((200, enc_len, 1))
+        whole = model.predict(enc)
+        for chunk in (4, 64, 512):
+            assert np.array_equal(_batched_predict(model, enc, chunk), whole)
 
     @pytest.mark.parametrize("n_features", [1, 7])
     def test_a_lone_last_window_predicts_as_in_any_chunk(self, n_features):
@@ -618,12 +635,11 @@ class TestSweep:
         result = sweep_types(tiny_dataset, TINY_MODEL, cfg)
         ids = sorted(e.type_id for e in result.entries)
         assert ids == [1, 2, 3, 4, 5, 6, 7, 8]
-        maes = [e.val_mae for e in result.entries]
+        maes = [e.report.val_mae for e in result.entries]
         assert maes == sorted(maes)
         assert result.winner == result.entries[0].type_id
         for e in result.entries:
             assert f"type={e.type_id}" in e.report.activation
-            assert e.val_mae == e.report.val_mae
 
     def test_parallel_jobs_same_ranking(self, tiny_dataset):
         cfg = tiny_train_cfg(epochs=1)
@@ -631,7 +647,7 @@ class TestSweep:
         par = sweep_types(tiny_dataset, TINY_MODEL, cfg, type_ids=(1, 4, 7),
                           jobs=3)
         assert [e.type_id for e in seq.entries] == [e.type_id for e in par.entries]
-        assert [e.val_mae for e in seq.entries] == [e.val_mae for e in par.entries]
+        assert [e.report.val_mae for e in seq.entries] == [e.report.val_mae for e in par.entries]
 
 
 class TestFanOut:
