@@ -76,11 +76,9 @@ TABLE_N_NODES_DEFAULT = 4001
 _FLOAT_FMT = "%.17g"
 
 
-def mot_activation_exact(
-    x: float, p: LorsParams, n_steps: int = N_STEPS_DEFAULT
-) -> float:
+def mot_activation_exact(x: float, p: LorsParams) -> float:
     """Max-over-time activation: peak oscillator output over a full run."""
-    return float(np.max(simulate(x, p, n_steps)))
+    return float(np.max(simulate(x, p)))
 
 
 def fixed_step_activation(x: float, p: LorsParams, t: int) -> float:
@@ -177,14 +175,9 @@ def build_table(
 
 
 @functools.lru_cache(maxsize=None)
-def table_for_type(
-    type_id: int,
-    x_min: float = TABLE_X_MIN_DEFAULT,
-    x_max: float = TABLE_X_MAX_DEFAULT,
-    n_nodes: int = TABLE_N_NODES_DEFAULT,
-) -> MetaActivationTable:
-    """Cached tabulation of a builtin oscillator type."""
-    return build_table(builtin_params(type_id), x_min, x_max, n_nodes, type_id=type_id)
+def table_for_type(type_id: int) -> MetaActivationTable:
+    """Cached tabulation of a builtin oscillator type on the default grid."""
+    return build_table(builtin_params(type_id), type_id=type_id)
 
 
 def _bracket(tab: MetaActivationTable, x: np.ndarray) -> np.ndarray:

@@ -141,25 +141,24 @@ _KNOWN_KEYS = {
 }
 
 
-def load_run_config(path: str | None, overrides: list[str]) -> dict[str, dict]:
+def load_run_config(path: str, overrides: list[str]) -> dict[str, dict]:
     """Read the INI config, apply --set overrides and parse every value;
     unknown keys and malformed values fail naming section.key."""
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"config file not found: {path}")
+    # Values are literal: a "%" is kept as it is, never interpolated.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(_utf8_lines(fh, path), source=path)
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     items: list[tuple[str, str, str]] = []
-    if path is not None:
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"config file not found: {path}")
-        # Values are literal: a "%" is kept as it is, never interpolated.
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
-                                           interpolation=None)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                parser.read_file(_utf8_lines(fh, path), source=path)
-        except configparser.Error as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-        for section in parser.sections():
-            if section not in _KNOWN_KEYS:
-                raise ConfigError(f"unknown config section [{section}]")
-            items += [(section, key, value) for key, value in parser.items(section)]
+    for section in parser.sections():
+        if section not in _KNOWN_KEYS:
+            raise ConfigError(f"unknown config section [{section}]")
+        items += [(section, key, value) for key, value in parser.items(section)]
     for item in overrides:
         lhs, sep, value = item.partition("=")
         section, dot, key = lhs.strip().partition(".")
@@ -604,7 +603,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
+        # MemoryError: a size numpy cannot allocate, such as table --nodes 1e11.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,8 +17,9 @@ and applied everywhere, so later splits leak nothing backwards through
 them. build_dataset is the one home of this policy: _split_rows draws
 the split boundaries, and training, evaluation and forecasting all cut
 their windows through build_dataset, the latter two with a checkpoint's
-statistics. A split keeps its windows as start rows into the normalized
-frame; a WindowView cuts the ones a caller indexes, when it indexes them.
+statistics. A split keeps its windows as a WindowView of start rows into
+the normalized frame, which cuts the ones a caller indexes, when it
+indexes them.
 """
 
 from __future__ import annotations
@@ -683,30 +684,28 @@ class WindowView:
 class WindowBatch:
     """A split's forecasting windows, as start rows into a normalized frame.
 
-    starts holds each window's first row in the frame. enc is the
-    (n, enc_len, F) WindowView of the frame's data that the forecaster
-    reads (it builds its decoder input from it), cut per batch by whoever
-    indexes it. tgt is (n, horizon, 1), read from the target feature, and
+    enc is the (n, enc_len, F) WindowView of the frame's data that the
+    forecaster reads (it builds its decoder input from it), cut per batch
+    by whoever indexes it; enc.starts holds each window's first row in the
+    frame. tgt is (n, horizon, 1), read from the target feature, and
     stored whole.
     """
 
     enc: WindowView
     tgt: np.ndarray
-    starts: np.ndarray
 
     @property
     def n_windows(self) -> int:
-        return int(self.starts.size)
+        return len(self.enc)
 
 
 @dataclass
 class SplitWindows:
-    """Chronological train/val/test windows plus the row boundaries used."""
+    """Chronological train/val/test windows."""
 
     train: WindowBatch
     val: WindowBatch
     test: WindowBatch
-    boundaries: tuple[int, int, int]
 
 
 @dataclass
@@ -732,7 +731,7 @@ def _windows_in_range(
     starts = starts[changes[starts + total - 1] == changes[starts]]
     tgt_rows = starts[:, None] + np.arange(enc_len, total)
     return WindowBatch(WindowView(frame.data, starts, enc_len),
-                       frame.data[tgt_rows, frame.target_index][:, :, None], starts)
+                       frame.data[tgt_rows, frame.target_index][:, :, None])
 
 
 def _split_rows(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, int]:
@@ -771,7 +770,6 @@ def window(
         train=make(0, i_train),
         val=make(i_train, i_val),
         test=make(i_val, n),
-        boundaries=(i_train, i_val, n),
     )
 
 

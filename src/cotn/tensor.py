@@ -70,6 +70,7 @@ __all__ = [
 _grad_enabled = True  # process-wide; see no_grad()
 
 NEG_INF = -1e30  # additive mask value; exp() underflows to exactly 0.0
+LN_EPS = 1e-5  # layer_norm's variance guard
 
 
 class Tensor:
@@ -113,9 +114,9 @@ def parameter(data, name: Optional[str] = None) -> Tensor:
     return Tensor(np.array(data, dtype=np.float64, copy=True), requires_grad=True, name=name)
 
 
-def constant(data, name: Optional[str] = None) -> Tensor:
+def constant(data) -> Tensor:
     """A non-trainable leaf tensor."""
-    return Tensor(data, requires_grad=False, name=name)
+    return Tensor(data, requires_grad=False)
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -278,8 +279,7 @@ def softmax_last_axis(x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
     return _make(y, (x,), vjp)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, residual: Tensor,
-               eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, residual: Tensor) -> Tensor:
     """Normalize x + residual over the last axis to zero mean / unit
     variance, then affine, in one node (the sublayer add of a Transformer
     block).
@@ -302,7 +302,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, residual: Tensor,
     avg = _column(d, 1.0 / d)
     center = _centering(d)
     xc = z @ center
-    inv = 1.0 / np.sqrt((xc * xc) @ avg + eps)
+    inv = 1.0 / np.sqrt((xc * xc) @ avg + LN_EPS)
     xhat = xc * inv
     y = xhat @ np.diag(gamma.data)
     y += beta.data

@@ -63,6 +63,11 @@ _FLOAT_FMT = "%.17g"
 _SUMMARY_METRICS = ("val_mae", "val_mse", "test_mae", "test_mse",
                     "epochs_to_convergence")
 
+# Adam's moment decays and denominator guard, and the autoencoder fit's
+# batch size and base rate: one value each in every run.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+AE_BATCH_SIZE, AE_LR = 64, 1e-3
+
 
 def _errors(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     """pred - target, once their shapes agree and are not empty."""
@@ -93,13 +98,9 @@ class Adam:
     element sees the same operations as a per-parameter update would.
     """
 
-    def __init__(self, params: dict[str, te.Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, te.Tensor], lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         sizes = [p.data.size for p in params.values()]
         self._bounds = np.cumsum([0] + sizes)
@@ -109,15 +110,15 @@ class Adam:
     def step(self, lr: Optional[float] = None) -> None:
         lr = self.lr if lr is None else lr
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         g = np.concatenate([
             p.grad.ravel() if p.grad is not None else np.zeros(p.data.size)
             for p in self.params.values()
         ])
-        m = self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
-        v = self.v = self.beta2 * self.v + (1.0 - self.beta2) * (g * g)
-        upd = lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m = self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * g
+        v = self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * (g * g)
+        upd = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         for p, lo, hi in zip(self.params.values(), self._bounds, self._bounds[1:]):
             p.data = p.data - upd[lo:hi].reshape(p.data.shape)
 
@@ -272,8 +273,6 @@ def fit_autoencoder(
     bottleneck: int = 8,
     seed: int = 0,
     epochs: int = 40,
-    batch_size: int = 64,
-    lr: float = 1e-3,
 ) -> Autoencoder:
     """Train a window autoencoder on reconstruction MSE and fit its
     anomaly threshold on the same windows. Each step takes the loss and
@@ -291,17 +290,17 @@ def fit_autoencoder(
     n, length, feats = windows.shape
     ae = Autoencoder(length, feats, hidden=hidden, bottleneck=bottleneck, seed=seed)
     rng = np.random.default_rng(seed)
-    opt = Adam(ae.params, lr=lr)
+    opt = Adam(ae.params, lr=AE_LR)
     for epoch in range(epochs):
         order = rng.permutation(n)
-        for lo in range(0, n, batch_size):
-            idx = order[lo : lo + batch_size]
+        for lo in range(0, n, AE_BATCH_SIZE):
+            idx = order[lo : lo + AE_BATCH_SIZE]
             loss, grads = ae.loss_and_grads(windows[idx].reshape(idx.size, -1))
             if not math.isfinite(loss):
                 raise RuntimeError(f"autoencoder diverged at epoch {epoch + 1}")
             for name, p in ae.params.items():
                 p.grad = grads[name]
-            opt.step(_cosine_lr(lr, epoch, epochs))
+            opt.step(_cosine_lr(AE_LR, epoch, epochs))
     ae.fit_threshold(windows)
     return ae
 
@@ -592,7 +591,6 @@ def multi_trial(
     baseline_cfg: TrainConfig,
     n_trials: int,
     jobs: int = 1,
-    baseline_name: Optional[str] = None,
 ) -> StatsSummary:
     """Run seeds 1..n_trials over a treatment/baseline pair.
 
@@ -600,11 +598,10 @@ def multi_trial(
     parameters; when both arms weight with the same ae_* settings they
     share one autoencoder fit per seed. The summary aggregates treatment
     and baseline metrics and the paired test-MAE win rate of the
-    treatment.
+    treatment; the baseline is named plan/activation kind.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    name = baseline_name or f"{baseline_cfg.plan}/{baseline_cfg.activation.kind}"
     work = [
         (dataset, model_cfg, treatment_cfg, baseline_cfg, seed)
         for seed in range(1, n_trials + 1)
@@ -623,7 +620,7 @@ def multi_trial(
     }
     return StatsSummary(
         n_trials=n_trials,
-        baseline_name=name,
+        baseline_name=f"{baseline_cfg.plan}/{baseline_cfg.activation.kind}",
         metrics=metrics,
         baseline_metrics=baseline_metrics,
         win_rate=wins / n_trials,
@@ -633,42 +630,30 @@ def multi_trial(
 # -- synthetic benchmark ------------------------------------------------------
 
 
-def make_synthetic_series(
-    seed: int, length: int = 2000, n_spikes: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Seasonal sine plus logistic-map noise, optionally with spikes.
+def make_synthetic_series(seed: int, length: int = 2000) -> np.ndarray:
+    """Seasonal sine plus logistic-map noise.
 
     value(t) = 0.8 * sin(2*pi*t / 48) + 0.2 * z(t) where z follows the
     chaotic logistic map z' = 3.9 * z * (1 - z) from a seeded start.
-    When n_spikes > 0, that many distinct positions get a +10-sigma jump
-    (sigma measured on the clean series); the positions are returned.
     """
     if length < 2:
         raise ValueError(f"length must be >= 2, got {length}")
-    if not 0 <= n_spikes <= length:
-        raise ValueError(f"n_spikes must be in 0..length, got {n_spikes}")
     rng = np.random.default_rng(seed)
     z = float(rng.uniform(0.2, 0.8))
     values = np.empty(length, dtype=np.float64)
     for t in range(length):
         z = 3.9 * z * (1.0 - z)
         values[t] = 0.8 * math.sin(2.0 * math.pi * t / 48.0) + 0.2 * z
-    positions = np.empty(0, dtype=np.int64)
-    if n_spikes:
-        sigma = float(values.std())
-        positions = np.sort(rng.choice(length, size=n_spikes, replace=False))
-        values = values.copy()
-        values[positions] += 10.0 * sigma
-    return values, positions
+    return values
 
 
 _SYNTH_EPOCH0 = 1577836800  # 2020-01-01 00:00:00 UTC
 _HOUR = 3600
 
 
-def make_synthetic_frame(seed: int, length: int = 2000, n_spikes: int = 0) -> FeatureFrame:
+def make_synthetic_frame(seed: int, length: int = 2000) -> FeatureFrame:
     """Wrap the synthetic series as a one-feature hourly FeatureFrame."""
-    values, _ = make_synthetic_series(seed, length, n_spikes)
+    values = make_synthetic_series(seed, length)
     epochs = _SYNTH_EPOCH0 + _HOUR * np.arange(length, dtype=np.int64)
     return FeatureFrame(
         epochs=epochs,
@@ -686,7 +671,7 @@ def write_synthetic_ett_csv(path, seed: int, length: int = 2000) -> None:
     OT carries the benchmark series; the load columns are smooth
     deterministic transforms of it so every column varies.
     """
-    values, _ = make_synthetic_series(seed, length)
+    values = make_synthetic_series(seed, length)
     shifted = np.roll(values, 1)
     shifted[0] = values[0]
     cols = {

@@ -42,7 +42,7 @@ from cotn.data import (
     _return_pass,
 )
 from cotn.model import SCORE_CHUNK, Autoencoder, Forecaster, causal_mask
-from cotn.training import Adam, _cosine_lr
+from cotn.training import AE_BATCH_SIZE, AE_LR, Adam, _cosine_lr
 
 
 def table_segment(tab: MetaActivationTable, x) -> np.ndarray:
@@ -234,7 +234,7 @@ def assert_close_to_reference(got, ref, rel: float = 1e-12) -> None:
     assert worst <= rel * scale, f"off by {worst:.3e}, bound {rel * scale:.3e}"
 
 
-def unfused_layer_norm(x, gamma, beta, residual=None, eps: float = 1e-5):
+def unfused_layer_norm(x, gamma, beta, residual=None):
     """The layer norm as it was before the residual and the GEMM means
     moved into te.layer_norm: te.add for the residual, then one node
     whose means are np.mean over the last axis."""
@@ -243,7 +243,7 @@ def unfused_layer_norm(x, gamma, beta, residual=None, eps: float = 1e-5):
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + te.LN_EPS)
     xhat = xc * inv
     y = xhat * gamma.data
     y += beta.data
@@ -274,11 +274,10 @@ def assert_same_dataset(got: Dataset, want: Dataset) -> None:
     pairs = [("stats.mean", got.stats.mean, want.stats.mean),
              ("stats.std", got.stats.std, want.stats.std),
              ("frame.data", got.frame.data, want.frame.data)]
-    assert got.splits.boundaries == want.splits.boundaries
     for split in ("train", "val", "test"):
         a, b = getattr(got.splits, split), getattr(want.splits, split)
         pairs += [(f"{split}.enc", a.enc[:], b.enc[:]), (f"{split}.tgt", a.tgt, b.tgt),
-                  (f"{split}.starts", a.starts, b.starts)]
+                  (f"{split}.starts", a.enc.starts, b.enc.starts)]
     for name, a, b in pairs:
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
@@ -436,19 +435,18 @@ def tape_step_errors(ae: Autoencoder, windows) -> np.ndarray:
 
 
 def tape_fit_autoencoder(windows, hidden: int = 32, bottleneck: int = 8, seed: int = 0,
-                         epochs: int = 40, batch_size: int = 64,
-                         lr: float = 1e-3) -> Autoencoder:
+                         epochs: int = 40) -> Autoencoder:
     """cotn.training.fit_autoencoder with every step's loss and gradients
     taken by te.backward through tape_reconstruct: the reference the
     plain-numpy fit must match bit for bit."""
     n, length, feats = windows.shape
     ae = Autoencoder(length, feats, hidden=hidden, bottleneck=bottleneck, seed=seed)
     rng = np.random.default_rng(seed)
-    opt = Adam(ae.params, lr=lr)
+    opt = Adam(ae.params, lr=AE_LR)
     for epoch in range(epochs):
         order = rng.permutation(n)
-        for lo in range(0, n, batch_size):
-            idx = order[lo : lo + batch_size]
+        for lo in range(0, n, AE_BATCH_SIZE):
+            idx = order[lo : lo + AE_BATCH_SIZE]
             x = te.constant(windows[idx].reshape(idx.size, -1))
             diff = te.sub(tape_reconstruct(ae, x), x)
             loss = te.mean_all(te.mul(diff, diff))
@@ -457,7 +455,7 @@ def tape_fit_autoencoder(windows, hidden: int = 32, bottleneck: int = 8, seed: i
             for p in ae.params.values():
                 p.grad = None
             te.backward(loss)
-            opt.step(_cosine_lr(lr, epoch, epochs))
+            opt.step(_cosine_lr(AE_LR, epoch, epochs))
     ae.tau = float(np.percentile(tape_step_errors(ae, windows), 95.0))
     if ae.tau <= 0.0:
         ae.tau = float(np.finfo(np.float64).tiny)

@@ -1,5 +1,6 @@
 """Meta-activations: max-over-time pooling, tables, GELU, the gate."""
 
+import functools
 import math
 
 import numpy as np
@@ -42,8 +43,10 @@ from helpers import (
 )
 
 
+@functools.lru_cache(maxsize=None)
 def small_table(type_id=4, lo=-2.0, hi=2.0, n=201):
-    return table_for_type(type_id, lo, hi, n)
+    """A builtin type tabulated on a small grid, built once per grid."""
+    return build_table(builtin_params(type_id), lo, hi, n, type_id=type_id)
 
 
 class TestMaxOverTime:
@@ -110,7 +113,7 @@ class TestTableBuild:
         assert node_spacing(tab) == pytest.approx(0.002, rel=1e-12)
 
     def test_cache_returns_same_object(self):
-        assert table_for_type(4, -2.0, 2.0, 201) is small_table()
+        assert table_for_type(4) is table_for_type(4)
 
     def test_validation(self):
         p = builtin_params(1)
@@ -369,7 +372,7 @@ def _grid(name):
         return table_for_type(1)
     if name == "test":
         return small_table()
-    return table_for_type(4, -1.0, 1.0, 2)
+    return small_table(4, -1.0, 1.0, 2)
 
 
 _GRIDS = ("default", "test", "two")

@@ -163,6 +163,25 @@ class TestTable:
         assert list(tmp_path.iterdir()) == []
 
 
+# 10**17 float64 values take 800 PB, more than a 64-bit address space
+# maps, so numpy refuses the array at once on any machine.
+_UNALLOCATABLE = str(10 ** 17)
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--nodes", _UNALLOCATABLE),
+    ("bifurcate", "--n", _UNALLOCATABLE),
+    ("bifurcate", "--n", "3", "--steps", _UNALLOCATABLE, "--keep", "5"),
+], ids=["table-nodes", "bifurcate-n", "bifurcate-steps"])
+def test_a_size_numpy_cannot_allocate_exits_1(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    code, lines = run(*argv, "--out", str(out))
+    assert code == 1 and lines == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 class TestTrain:
     def test_artifacts_written(self, workspace):
         out = workspace["out"]

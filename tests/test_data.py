@@ -30,6 +30,7 @@ from cotn.data import (
     rolling_std,
     window,
     write_stats,
+    _split_rows,
 )
 from cotn.model import Forecaster, ModelConfig
 from cotn.training import make_synthetic_frame, write_synthetic_ett_csv
@@ -584,9 +585,7 @@ class TestWindows:
         assert splits.val.n_windows == 0 and splits.test.n_windows == 0
 
     def test_split_boundaries_floor(self):
-        frame = self._frame(105)
-        splits = window(frame, 8, 4, 2, ratios=(0.7, 0.1, 0.2))
-        assert splits.boundaries == (73, 84, 105)
+        assert _split_rows(105, (0.7, 0.1, 0.2)) == (73, 84, 105)
 
     def test_windows_confined_to_splits(self):
         frame = self._frame(50)
@@ -596,7 +595,7 @@ class TestWindows:
         assert splits.train.n_windows == 26
         assert splits.val.n_windows == 0
         assert splits.test.n_windows == 1
-        assert splits.test.starts[0] == 40
+        assert splits.test.enc.starts[0] == 40
 
     def test_windows_respect_segments(self):
         seg = np.zeros(40, dtype=np.int64)
@@ -605,14 +604,14 @@ class TestWindows:
         splits = window(frame, 8, 4, 2, ratios=(1.0, 0.0, 0.0))
         # Starts 0..15 fit in segment 0; 25..30 in segment 1.
         assert splits.train.n_windows == 16 + 6
-        spans = [frame.segment_ids[s : s + 10] for s in splits.train.starts]
+        spans = [frame.segment_ids[s : s + 10] for s in splits.train.enc.starts]
         assert all(np.all(sp == sp[0]) for sp in spans)
 
     def test_window_contents(self):
         frame = self._frame(30)
         splits = window(frame, 6, 3, 2, ratios=(1.0, 0.0, 0.0))
         b = splits.train
-        s = int(b.starts[5])
+        s = int(b.enc.starts[5])
         assert np.array_equal(b.enc[5], frame.data[s : s + 6])
         t_idx = frame.target_index
         assert np.array_equal(
@@ -624,7 +623,7 @@ class TestWindows:
         one = window(frame, 8, 4, 2, stride=1, ratios=(1.0, 0.0, 0.0))
         two = window(frame, 8, 4, 2, stride=2, ratios=(1.0, 0.0, 0.0))
         assert two.train.n_windows == (one.train.n_windows + 1) // 2
-        assert np.array_equal(two.train.starts, one.train.starts[::2])
+        assert np.array_equal(two.train.enc.starts, one.train.enc.starts[::2])
 
     def test_validation(self):
         frame = self._frame(30)
@@ -670,7 +669,7 @@ class TestWindowGather:
         frame = _segmented_frame(n, changes, schema, seed=stride)
         assert not frame.data.flags.c_contiguous
         splits = window(frame, 8, 4, 3, stride=stride, ratios=ratios)
-        bounds = (0,) + splits.boundaries
+        bounds = (0,) + _split_rows(n, ratios)
         for i, name in enumerate(("train", "val", "test")):
             got = getattr(splits, name)
             enc, _, tgt, starts = loop_windows(
@@ -678,7 +677,7 @@ class TestWindowGather:
             assert got.enc.shape == enc.shape, name
             assert len(got.enc) == got.n_windows == starts.size, name
             for field, a, b in (("enc", got.enc[:], enc), ("tgt", got.tgt, tgt),
-                                ("starts", got.starts, starts)):
+                                ("starts", got.enc.starts, starts)):
                 assert a.dtype == b.dtype and a.shape == b.shape, (name, field)
                 assert a.tobytes() == b.tobytes(), (name, field)
                 assert a.flags.c_contiguous, (name, field)
@@ -689,7 +688,7 @@ class TestWindowGather:
         n, changes, ratios = self.CASES[case]
         frame = _segmented_frame(n, changes, seed=stride)
         splits = window(frame, 8, 4, 3, stride=stride, ratios=ratios)
-        bounds = (0,) + splits.boundaries
+        bounds = (0,) + _split_rows(n, ratios)
         rng = np.random.default_rng(stride)
         for i, name in enumerate(("train", "val", "test")):
             got = getattr(splits, name)
@@ -713,7 +712,7 @@ class TestWindowGather:
         n, changes, ratios = self.CASES[case]
         frame = _segmented_frame(n, changes, seed=stride)
         splits = window(frame, 8, 4, 3, stride=stride, ratios=ratios)
-        bounds = (0,) + splits.boundaries
+        bounds = (0,) + _split_rows(n, ratios)
         model = Forecaster(ModelConfig(d_model=4, n_heads=1, n_enc_layers=2, d_ff=4,
                                        enc_len=8, label_len=4, horizon=3,
                                        n_features=frame.n_features), seed=stride)
@@ -749,11 +748,11 @@ class TestWindowGather:
         frame = _segmented_frame(100, (30,))
         splits = window(frame, 8, 4, 3, ratios=(0.7, 0.1, 0.2))
         # The last training window's targets end on row 69, the split's last.
-        assert splits.train.starts[-1] + 11 == splits.boundaries[0] == 70
+        assert splits.train.enc.starts[-1] + 11 == _split_rows(100, (0.7, 0.1, 0.2))[0] == 70
         assert np.array_equal(splits.train.tgt[-1, :, 0],
                               frame.data[67:70, frame.target_index])
         # Starts 20..29 would straddle the segment change at row 30.
-        assert not np.any((splits.train.starts > 19) & (splits.train.starts < 30))
+        assert not np.any((splits.train.enc.starts > 19) & (splits.train.enc.starts < 30))
 
 
 class TestBuildDataset:

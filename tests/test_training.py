@@ -717,32 +717,21 @@ class TestMultiTrial:
 
 class TestSynthetic:
     def test_deterministic_and_bounded(self):
-        a, _ = make_synthetic_series(7, length=500)
-        b, _ = make_synthetic_series(7, length=500)
-        c, _ = make_synthetic_series(8, length=500)
+        a = make_synthetic_series(7, length=500)
+        b = make_synthetic_series(7, length=500)
+        c = make_synthetic_series(8, length=500)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert a.shape == (500,)
         assert np.all(a > -0.81) and np.all(a < 1.01)
 
     def test_seasonal_component_present(self):
-        values, _ = make_synthetic_series(3, length=480)
+        values = make_synthetic_series(3, length=480)
         # Correlation with the driving sine dominates the chaotic noise.
         t = np.arange(480)
         sine = np.sin(2 * np.pi * t / 48.0)
         corr = np.corrcoef(values, sine)[0, 1]
         assert corr > 0.9
-
-    def test_spikes_positions_and_height(self):
-        clean_v, _ = make_synthetic_series(9, length=400)
-        spiked, pos = make_synthetic_series(9, length=400, n_spikes=5)
-        assert pos.shape == (5,) and len(set(pos.tolist())) == 5
-        assert np.all(np.diff(pos) > 0)
-        sigma = clean_v.std()
-        np.testing.assert_allclose(spiked[pos] - clean_v[pos],
-                                   np.full(5, 10.0 * sigma), rtol=1e-12)
-        untouched = np.setdiff1d(np.arange(400), pos)
-        assert np.array_equal(spiked[untouched], clean_v[untouched])
 
     def test_frame_wrapper(self):
         frame = make_synthetic_frame(2, length=120)
@@ -755,7 +744,7 @@ class TestSynthetic:
         path = tmp_path / "synth.csv"
         write_synthetic_ett_csv(path, seed=4, length=100)
         raw = load_csv(path, "ett")
-        values, _ = make_synthetic_series(4, length=100)
+        values = make_synthetic_series(4, length=100)
         assert raw.n_rows == 100
         assert raw.period == 3600
         assert np.array_equal(raw.columns["OT"], values)
@@ -764,5 +753,3 @@ class TestSynthetic:
     def test_validation(self):
         with pytest.raises(ValueError):
             make_synthetic_series(1, length=1)
-        with pytest.raises(ValueError):
-            make_synthetic_series(1, length=10, n_spikes=11)
