@@ -33,6 +33,7 @@ from .data import (
     NormStats,
     WindowView,
     _utf8_lines,
+    _window_starts,
     build_dataset,
     clean,
     denormalize_feature,
@@ -40,7 +41,6 @@ from .data import (
     featurize,
     load_csv,
     normalize,
-    read_stats,
     write_stats,
 )
 from .model import (
@@ -101,8 +101,7 @@ class DataSpec:
         # Each message starts with the key; the config path prefixes it
         # with "data.", the checkpoint path also with the file. A nan
         # setting fails every check.
-        if self.schema not in ("ett", "ohlcv"):
-            raise ValueError(f"schema: expected ett or ohlcv, got {self.schema!r}")
+        _check_schema(self.schema)
         for name in ("enc_len", "horizon", "stride"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name}: expected >= 1, got {getattr(self, name)!r}")
@@ -123,6 +122,11 @@ class DataSpec:
         """The cleaning thresholds, checked by CleanConfig itself."""
         return CleanConfig(max_ffill_gap=self.max_ffill_gap, z_max=self.z_max,
                            return_limit=self.return_limit)
+
+
+def _check_schema(schema: str) -> None:
+    if schema not in ("ett", "ohlcv"):
+        raise ValueError(f"schema: expected ett or ohlcv, got {schema!r}")
 
 
 # The window shape is the data's; a checkpoint's model config carries it,
@@ -375,20 +379,19 @@ def cmd_train(args) -> int:
     model, report = run_training(dataset, model_cfg, train_cfg, ae)
     out = _out_dir(args)
     ckpt = os.path.join(out, "checkpoint.bin")
-    save_forecaster(
-        ckpt, model,
-        extra_tensors={"norm.mean": dataset.stats.mean, "norm.std": dataset.stats.std},
-        extra_meta=_dataset_meta(spec, dataset),
-    )
+    # The run's data record: both model files carry it, so each restores
+    # the run's data pass on its own.
+    record = {"extra_tensors": {"norm.mean": dataset.stats.mean,
+                                "norm.std": dataset.stats.std},
+              "extra_meta": _dataset_meta(spec, dataset)}
+    save_forecaster(ckpt, model, **record)
     write_stats(os.path.join(out, "norm_stats.txt"), dataset.stats)
     write_trial_report(os.path.join(out, "report.txt"), report)
     with open(os.path.join(out, "cleaning_report.txt"), "w", encoding="utf-8") as fh:
         for action in cleaned.report:
             fh.write(action.render() + "\n")
     if ae is not None:
-        # cotn anomaly cleans the data it scores with the same thresholds.
-        save_autoencoder(os.path.join(out, "autoencoder.bin"), ae,
-                         extra_meta=_meta_of(spec.cleaning(), "data."))
+        save_autoencoder(os.path.join(out, "autoencoder.bin"), ae, **record)
     print(ckpt)
     print(f"test_mae = {_FLOAT_FMT % report.test_mae}")
     print(f"test_mse = {_FLOAT_FMT % report.test_mse}")
@@ -468,51 +471,48 @@ def cmd_sweep_types(args) -> int:
     return 0
 
 
-def _cleaning_from_meta(meta: dict[str, str], path: str) -> CleanConfig:
-    """The cleaning thresholds an autoencoder file stores; a ValueError
-    names the file and the first data.* entry it lacks."""
+def _restore_autoencoder(path: str):
+    """An autoencoder file's model, data schema, cleaning thresholds and
+    statistics; a ValueError names the file and the first entry that is
+    missing, malformed or out of range."""
+    ae, extra, meta = load_autoencoder(path)
+    stats = _stats_from_extra(extra, meta, path)
+    if len(stats.names) != ae.n_features:
+        raise ValueError(f"{path}: norm.names lists {len(stats.names)} features "
+                         f"but the autoencoder takes {ae.n_features}")
+    schema = _required(meta, "data.schema", path)
     stored = _read_meta(CleanConfig, meta, path, "data.")
     try:
-        return CleanConfig(**stored)
+        _check_schema(schema)
+        cleaning = CleanConfig(**stored)
     except ValueError as exc:
         raise ValueError(f"{path}: data.{exc}") from None
+    return ae, schema, cleaning, stats
 
 
 def cmd_anomaly(args) -> int:
-    ae, meta = load_autoencoder(args.ae)
-    cleaning = _cleaning_from_meta(meta, args.ae)
-    stats_path = args.stats or os.path.join(
-        os.path.dirname(os.path.abspath(args.ae)), "norm_stats.txt"
-    )
-    stats = read_stats(stats_path)
-    frame, _ = _load_frame(args.data, args.schema, cleaning, args)
+    ae, schema, cleaning, stats = _restore_autoencoder(args.ae)
+    frame, _ = _load_frame(args.data, schema, cleaning, args)
     try:
         frame = normalize(frame, stats)
     except ValueError as exc:  # the statistics lack a feature of the data
-        raise ValueError(f"{stats_path} does not fit the features of {args.data}: "
-                         f"{exc}") from None
-    if frame.n_features != ae.n_features:
-        raise RuntimeError(
-            f"data has {frame.n_features} features but the autoencoder "
-            f"expects {ae.n_features}"
-        )
+        raise ValueError(f"{args.ae}: norm.names do not fit the features of "
+                         f"{args.data}: {exc}") from None
     length = ae.window_len
-    n_windows = frame.n_rows // length
-    if n_windows == 0:
-        raise RuntimeError(
-            f"need at least {length} rows to score, have {frame.n_rows}"
-        )
-    # Non-overlapping windows of consecutive rows, scored once, in chunks
-    # with the bits of one batch.
-    windows = frame.data[: n_windows * length].reshape(n_windows, length, -1)
-    errors = ae.step_errors(windows)
+    # Non-overlapping windows from the first row on, each scored once
+    # unless it straddles a data gap, in chunks with the bits of one batch.
+    starts = _window_starts(frame.segment_ids, 0, frame.n_rows, length, length)
+    if starts.size == 0:
+        raise RuntimeError(f"need {length} rows in one segment to score, "
+                           f"have {frame.n_rows} rows")
+    errors = ae.step_errors(WindowView(frame.data, starts, length))
     weights = ae.error_weights(errors)
     path = os.path.join(_out_dir(args), "anomaly.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("window,timestamp,step_error,window_weight\n")
-        for w in range(n_windows):
+        for w, start in enumerate(starts):
             for offset, err in enumerate(errors[w]):
-                epoch = int(frame.epochs[w * length + offset])
+                epoch = int(frame.epochs[start + offset])
                 fh.write(
                     f"{w},{epoch_to_text(epoch)},{_FLOAT_FMT % err},"
                     f"{_FLOAT_FMT % weights[w]}\n"
@@ -586,10 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("anomaly", parents=[common],
                        help="per-step reconstruction errors for a data file")
     p.add_argument("--data", required=True)
-    p.add_argument("--ae", required=True, help="autoencoder checkpoint")
-    p.add_argument("--stats", help="normalization stats file "
-                                   "(default: next to the checkpoint)")
-    p.add_argument("--schema", default="ett", choices=("ett", "ohlcv"))
+    p.add_argument("--ae", required=True,
+                   help="autoencoder.bin of a training run, which holds its "
+                        "schema, cleaning and statistics")
     p.set_defaults(func=cmd_anomaly)
 
     return parser

@@ -55,7 +55,6 @@ __all__ = [
     "normalize",
     "denormalize_feature",
     "write_stats",
-    "read_stats",
     "window",
     "build_dataset",
     "epoch_to_text",
@@ -596,55 +595,6 @@ def write_stats(path, stats: NormStats) -> None:
             fh.write(f"# dropped,{name}\n")
 
 
-def _stat_value(path, line_no: int, feature: str, what: str, text: str) -> float:
-    where = f"{path}: line {line_no}: {what} of {feature!r}"
-    try:
-        value = float(text)
-    except ValueError:
-        raise ParseError(f"{where} is not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise ParseError(f"{where} is not finite: {text!r}")
-    return value
-
-
-def read_stats(path) -> NormStats:
-    """Read stats written by write_stats; a ParseError names the file and
-    the line of a malformed row, a value that is not a finite number, or a
-    std that is not > 0."""
-    names: list[str] = []
-    mean: list[float] = []
-    std: list[float] = []
-    dropped: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = _utf8_lines(fh, path)
-        header = next(lines, "").rstrip("\n")
-        if header != "feature,mean,std":
-            raise ParseError(f"{path}: bad stats header {header!r}")
-        for line_no, line in enumerate(lines, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("# dropped,"):
-                dropped.append(line.split(",", 1)[1])
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ParseError(f"{path}: line {line_no}: expected 3 fields")
-            m = _stat_value(path, line_no, parts[0], "mean", parts[1])
-            s = _stat_value(path, line_no, parts[0], "std", parts[2])
-            # A zero std would divide by zero: constant features are listed
-            # as dropped instead.
-            if not s > 0.0:
-                raise ParseError(
-                    f"{path}: line {line_no}: std of {parts[0]!r} must be > 0, "
-                    f"got {parts[2]!r}"
-                )
-            names.append(parts[0])
-            mean.append(m)
-            std.append(s)
-    return NormStats(tuple(names), np.asarray(mean), np.asarray(std), tuple(dropped))
-
-
 # -- windows ------------------------------------------------------------------
 
 
@@ -717,18 +667,24 @@ class Dataset:
     frame: FeatureFrame  # normalized; every split's windows view its data
 
 
+def _window_starts(segment_ids: np.ndarray, row_lo: int, row_hi: int,
+                   length: int, stride: int) -> np.ndarray:
+    """The first rows of the windows of length rows, every stride rows
+    from row_lo, that end by row_hi and lie in one segment."""
+    starts = np.arange(row_lo, max(row_lo, row_hi - length + 1), stride, dtype=np.int64)
+    # changes[t] counts the segment changes in rows 1..t, so a window
+    # [s, s + length) stays in one segment when the count does not move.
+    changes = np.zeros(segment_ids.size, dtype=np.int64)
+    np.cumsum(segment_ids[1:] != segment_ids[:-1], out=changes[1:])
+    return starts[changes[starts + length - 1] == changes[starts]]
+
+
 def _windows_in_range(
     frame: FeatureFrame, row_lo: int, row_hi: int,
     enc_len: int, horizon: int, stride: int,
 ) -> WindowBatch:
     total = enc_len + horizon
-    starts = np.arange(row_lo, max(row_lo, row_hi - total + 1), stride, dtype=np.int64)
-    # changes[t] counts the segment changes in rows 1..t, so a window
-    # [s, s + total) stays in one segment when the count does not move.
-    seg = frame.segment_ids
-    changes = np.zeros(seg.size, dtype=np.int64)
-    np.cumsum(seg[1:] != seg[:-1], out=changes[1:])
-    starts = starts[changes[starts + total - 1] == changes[starts]]
+    starts = _window_starts(frame.segment_ids, row_lo, row_hi, total, stride)
     tgt_rows = starts[:, None] + np.arange(enc_len, total)
     return WindowBatch(WindowView(frame.data, starts, enc_len),
                        frame.data[tgt_rows, frame.target_index][:, :, None])

@@ -657,6 +657,27 @@ def _read_meta(cls, meta: dict[str, str], path, prefix: str = "", skip=()) -> di
             for name, kind in _scalar_fields(cls, skip).items()}
 
 
+def _save_model(path, kind: str, tensors: dict[str, np.ndarray], meta: dict[str, str],
+                extra_tensors: Optional[dict[str, np.ndarray]] = None,
+                extra_meta: Optional[dict[str, str]] = None) -> None:
+    """Write a model file: meta opens with its kind, and extra_tensors
+    are stored under an ``x.`` prefix, so they never collide with model
+    parameters."""
+    tensors = {**tensors, **{f"x.{name}": np.asarray(arr, dtype=np.float64)
+                             for name, arr in (extra_tensors or {}).items()}}
+    te.save_tensors(path, tensors, {"kind": kind, **meta, **(extra_meta or {})})
+
+
+def _load_model(path, kind: str) -> tuple[dict, dict[str, np.ndarray], dict[str, str]]:
+    """(tensors, extras, meta) of a model file of this kind; the extras
+    are the ``x.`` tensors without their prefix, the tensors the rest."""
+    tensors, meta = te.load_tensors(path)
+    if meta.get("kind") != kind:
+        raise ValueError(f"{path}: checkpoint kind is {meta.get('kind')!r}, not {kind!r}")
+    extra = {k[2:]: v for k, v in tensors.items() if k.startswith("x.")}
+    return {k: v for k, v in tensors.items() if not k.startswith("x.")}, extra, meta
+
+
 # A gated checkpoint stores its activation table under these names, so
 # that loading it neither rebuilds the table nor depends on the loading
 # machine's libm. Like "x.", the prefix never names a parameter.
@@ -670,21 +691,16 @@ def save_forecaster(
     extra_tensors: Optional[dict[str, np.ndarray]] = None,
     extra_meta: Optional[dict[str, str]] = None,
 ) -> None:
-    """Write parameters plus the full config as one checkpoint file.
-
-    extra_tensors are stored under an ``x.`` prefix so they can never
-    collide with model parameters. A gated model's activation table is
-    stored under ``table.``.
+    """Write parameters plus the full config as one checkpoint file, with
+    extras as _save_model stores them. A gated model's activation table
+    is stored under ``table.``.
     """
-    meta = {"kind": "forecaster", **_meta_of(model.cfg),
-            **_meta_of(model.cfg.activation, "activation."), **(extra_meta or {})}
+    meta = {**_meta_of(model.cfg), **_meta_of(model.cfg.activation, "activation.")}
     tensors = {name: p.data for name, p in model.params.items()}
     if isinstance(model.activation, GatedLeeActivation):
         tensors[_TABLE_NODES] = model.activation.tab.nodes
         tensors[_TABLE_VALUES] = model.activation.tab.values
-    for name, arr in (extra_tensors or {}).items():
-        tensors[f"x.{name}"] = np.asarray(arr, dtype=np.float64)
-    te.save_tensors(path, tensors, meta)
+    _save_model(path, "forecaster", tensors, meta, extra_tensors, extra_meta)
 
 
 def _stored_table(tensors: dict[str, np.ndarray], mode: ActivationMode,
@@ -707,9 +723,7 @@ def load_forecaster(path) -> tuple[Forecaster, dict[str, np.ndarray], dict[str, 
     A gated checkpoint's stored table is used as it is; one without it
     is refused, naming the missing entry.
     """
-    tensors, meta = te.load_tensors(path)
-    if meta.get("kind") != "forecaster":
-        raise ValueError(f"{path}: not a forecaster checkpoint")
+    tensors, extra, meta = _load_model(path, "forecaster")
     settings = _read_meta(ModelConfig, meta, path)
     mode = _read_meta(ActivationMode, meta, path, "activation.")
     try:
@@ -727,10 +741,10 @@ def load_forecaster(path) -> tuple[Forecaster, dict[str, np.ndarray], dict[str, 
     model = Forecaster(cfg, table=_stored_table(tensors, cfg.activation, path))
     try:
         model.load_state_arrays(
-            {k: v for k, v in tensors.items() if not k.startswith(("x.", "table."))})
+            {k: v for k, v in tensors.items() if not k.startswith("table.")})
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return model, {k[2:]: v for k, v in tensors.items() if k.startswith("x.")}, meta
+    return model, extra, meta
 
 
 _AE_SETTINGS = {"window_len": "int", "n_features": "int", "hidden": "int",
@@ -743,24 +757,22 @@ def _check_tau(tau: float, path) -> None:
 
 
 def save_autoencoder(path, ae: Autoencoder,
+                     extra_tensors: Optional[dict[str, np.ndarray]] = None,
                      extra_meta: Optional[dict[str, str]] = None) -> None:
-    """Write a fitted autoencoder; extra_meta entries are stored with it."""
+    """Write a fitted autoencoder, with extras as _save_model stores them."""
     if ae.tau is None:
         raise RuntimeError("refusing to save an unfitted autoencoder")
     _check_tau(ae.tau, path)
-    meta = {"kind": "autoencoder",
-            **{name: _as_text(getattr(ae, name)) for name in _AE_SETTINGS},
-            **(extra_meta or {})}
-    te.save_tensors(path, {name: p.data for name, p in ae.params.items()}, meta)
+    _save_model(path, "autoencoder", {name: p.data for name, p in ae.params.items()},
+                {name: _as_text(getattr(ae, name)) for name in _AE_SETTINGS},
+                extra_tensors, extra_meta)
 
 
-def load_autoencoder(path) -> tuple[Autoencoder, dict[str, str]]:
+def load_autoencoder(path) -> tuple[Autoencoder, dict[str, np.ndarray], dict[str, str]]:
     """Rebuild an autoencoder written by save_autoencoder; also returns
-    the file's meta entries. Every stored shape is checked against the
-    stored dimensions before the autoencoder is built."""
-    tensors, meta = te.load_tensors(path)
-    if meta.get("kind") != "autoencoder":
-        raise ValueError(f"{path}: not an autoencoder checkpoint")
+    the file's extras and meta entries. Every stored shape is checked
+    against the stored dimensions before the autoencoder is built."""
+    tensors, extra, meta = _load_model(path, "autoencoder")
     settings = {name: _required(meta, name, path, kind)
                 for name, kind in _AE_SETTINGS.items()}
     tau = settings.pop("tau")
@@ -776,4 +788,4 @@ def load_autoencoder(path) -> tuple[Autoencoder, dict[str, str]]:
     for name, p in ae.params.items():
         p.data = tensors[name]
     ae.tau = tau
-    return ae, meta
+    return ae, extra, meta

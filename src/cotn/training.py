@@ -98,17 +98,15 @@ class Adam:
     element sees the same operations as a per-parameter update would.
     """
 
-    def __init__(self, params: dict[str, te.Tensor], lr: float = 1e-3):
+    def __init__(self, params: dict[str, te.Tensor]):
         self.params = params
-        self.lr = lr
         self.t = 0
         sizes = [p.data.size for p in params.values()]
         self._bounds = np.cumsum([0] + sizes)
         self.m = np.zeros(self._bounds[-1])
         self.v = np.zeros(self._bounds[-1])
 
-    def step(self, lr: Optional[float] = None) -> None:
-        lr = self.lr if lr is None else lr
+    def step(self, lr: float) -> None:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
@@ -290,7 +288,7 @@ def fit_autoencoder(
     n, length, feats = windows.shape
     ae = Autoencoder(length, feats, hidden=hidden, bottleneck=bottleneck, seed=seed)
     rng = np.random.default_rng(seed)
-    opt = Adam(ae.params, lr=AE_LR)
+    opt = Adam(ae.params)
     for epoch in range(epochs):
         order = rng.permutation(n)
         for lo in range(0, n, AE_BATCH_SIZE):
@@ -329,7 +327,7 @@ def _stage_loop(
     n = train.n_windows
     if n == 0:
         raise ValueError("training split has no windows")
-    opt = Adam(model.params, lr=cfg.lr)
+    opt = Adam(model.params)
     history: list[float] = []
     best_val = math.inf
     best_state: Optional[dict[str, np.ndarray]] = None

@@ -442,7 +442,7 @@ def tape_fit_autoencoder(windows, hidden: int = 32, bottleneck: int = 8, seed: i
     n, length, feats = windows.shape
     ae = Autoencoder(length, feats, hidden=hidden, bottleneck=bottleneck, seed=seed)
     rng = np.random.default_rng(seed)
-    opt = Adam(ae.params, lr=AE_LR)
+    opt = Adam(ae.params)
     for epoch in range(epochs):
         order = rng.permutation(n)
         for lo in range(0, n, AE_BATCH_SIZE):

@@ -19,7 +19,7 @@ from cotn.data import (
     featurize,
     load_csv,
     normalize,
-    read_stats,
+    write_stats,
 )
 from cotn.model import (
     ActivationMode,
@@ -189,6 +189,16 @@ class TestTrain:
                      "cleaning_report.txt", "autoencoder.bin"):
             assert (out / name).exists(), name
 
+    def test_norm_stats_file_is_the_stored_statistics(self, workspace, tmp_path):
+        # No command reads norm_stats.txt: it is a readable copy of the
+        # statistics both model files store.
+        text = (workspace["out"] / "norm_stats.txt").read_text()
+        for name, load in (("checkpoint.bin", load_forecaster),
+                           ("autoencoder.bin", load_autoencoder)):
+            _, extra, meta = load(workspace["out"] / name)
+            write_stats(tmp_path / "stats.txt", cotn.cli._stats_from_extra(extra, meta, name))
+            assert (tmp_path / "stats.txt").read_text() == text, name
+
     def test_stdout_reports_test_metrics(self, workspace):
         lines = workspace["train_stdout"]
         assert lines[0].endswith("checkpoint.bin")
@@ -243,8 +253,12 @@ class TestTrainFitsOnce:
         dataset = build_dataset(frame, enc_len=16, label_len=8, horizon=4)
         ae = real(dataset.splits.train.enc, hidden=32, bottleneck=8, seed=1,
                   epochs=2)
+        spec = cotn.cli.DataSpec(path=str(workspace["csv"]), enc_len=16,
+                                 label_len=8, horizon=4)
         save_autoencoder(tmp_path / "fresh.bin", ae,
-                         extra_meta=cotn.model._meta_of(CleanConfig(), "data."))
+                         extra_tensors={"norm.mean": dataset.stats.mean,
+                                        "norm.std": dataset.stats.std},
+                         extra_meta=cotn.cli._dataset_meta(spec, dataset))
         assert (out / "autoencoder.bin").read_bytes() == (tmp_path / "fresh.bin").read_bytes()
         # And the run matches the workspace run made the same way.
         for name in ("checkpoint.bin", "autoencoder.bin", "norm_stats.txt"):
@@ -508,21 +522,32 @@ class TestMalformedMetadata:
         bad = self._edited(workspace["out"] / "autoencoder.bin",
                            tmp_path / "bad.bin", key, value)
         code, _ = run("anomaly", "--data", str(workspace["csv"]),
-                      "--ae", str(bad),
-                      "--stats", str(workspace["out"] / "norm_stats.txt"),
-                      "--out", str(tmp_path))
+                      "--ae", str(bad), "--out", str(tmp_path))
         assert code == 1
         assert capsys.readouterr().err == f"error: {bad}: {key!r}: {message}\n"
-
 
     def test_autoencoder_cleaning_out_of_range(self, workspace, tmp_path, capsys):
         bad = self._edited(workspace["out"] / "autoencoder.bin",
                            tmp_path / "bad.bin", "data.z_max", "0")
         code, _ = run("anomaly", "--data", str(workspace["csv"]), "--ae", str(bad),
-                      "--stats", str(workspace["out"] / "norm_stats.txt"),
                       "--out", str(tmp_path))
         assert code == 1
         assert capsys.readouterr().err == f"error: {bad}: data.z_max: expected > 0, got 0.0\n"
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("data.schema", "csv", "data.schema: expected ett or ohlcv, got 'csv'"),
+        ("norm.names", "HUFL,HULL", "norm.mean: expected shape (2,) for the 2 kept "
+                                    "features, got (7,)"),
+    ])
+    def test_autoencoder_data_record_out_of_range(self, workspace, tmp_path, capsys,
+                                                  key, value, message):
+        bad = self._edited(workspace["out"] / "autoencoder.bin",
+                           tmp_path / "bad.bin", key, value)
+        code, lines = run("anomaly", "--data", str(workspace["csv"]), "--ae", str(bad),
+                          "--out", str(tmp_path))
+        assert code == 1 and lines == []
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not (tmp_path / "anomaly.csv").exists()
 
 
 class TestEval:
@@ -558,7 +583,8 @@ class TestEval:
 
 
 class TestStoredStatistics:
-    """x.norm.mean and x.norm.std obey the rules of norm_stats.txt."""
+    """x.norm.mean and x.norm.std of checkpoint.bin and autoencoder.bin
+    obey the rules NormStats checks."""
 
     @pytest.mark.parametrize("edit,message", [
         ("extra_mean", "norm.mean: expected shape (7,) for the 7 kept features, "
@@ -566,21 +592,24 @@ class TestStoredStatistics:
         ("zero_std", "norm.std: every value must be > 0"),
         ("nan_std", "norm.std: every value must be finite"),
     ])
-    @pytest.mark.parametrize("command", ["eval", "forecast"])
+    @pytest.mark.parametrize("command", ["eval", "forecast", "anomaly"])
     def test_bad_statistics_exit_1_naming_the_file(self, workspace, tmp_path, capsys,
                                                    edit, message, command):
-        tensors, meta = te.load_tensors(workspace["out"] / "checkpoint.bin")
+        model, flag = (("autoencoder.bin", "--ae") if command == "anomaly"
+                       else ("checkpoint.bin", "--checkpoint"))
+        tensors, meta = te.load_tensors(workspace["out"] / model)
         if edit == "extra_mean":
             tensors["x.norm.mean"] = np.append(tensors["x.norm.mean"], 0.0)
         else:
             tensors["x.norm.std"][0] = 0.0 if edit == "zero_std" else np.nan
         bad = tmp_path / "bad.bin"
         te.save_tensors(bad, tensors, meta)
-        code, lines = run(command, "--checkpoint", str(bad),
+        code, lines = run(command, flag, str(bad),
                           "--data", str(workspace["csv"]), "--out", str(tmp_path))
         assert code == 1 and lines == []
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert not (tmp_path / "forecast.csv").exists()
+        assert not (tmp_path / "anomaly.csv").exists()
 
 
 def test_negative_size_in_an_old_container_exits_1(workspace, tmp_path, capsys):
@@ -778,6 +807,19 @@ class TestForecast:
         assert not (tmp_path / "forecast.csv").exists()
 
 
+def _stored_stats(path):
+    """The statistics an autoencoder file stores, as cotn anomaly reads them."""
+    return cotn.cli._restore_autoencoder(path)[3]
+
+
+def _with_entries(source, target, edit):
+    """A copy of a model file whose tensors and meta edit(tensors, meta) changed."""
+    tensors, meta = te.load_tensors(source)
+    edit(tensors, meta)
+    te.save_tensors(target, tensors, meta)
+    return target
+
+
 class TestAnomaly:
     def test_scores_every_full_window(self, workspace, tmp_path):
         code, lines = run("anomaly",
@@ -800,8 +842,8 @@ class TestAnomaly:
                       "--ae", str(workspace["out"] / "autoencoder.bin"),
                       "--out", str(tmp_path))
         assert code == 0
-        ae, _ = load_autoencoder(workspace["out"] / "autoencoder.bin")
-        stats = read_stats(workspace["out"] / "norm_stats.txt")
+        ae, _, _ = load_autoencoder(workspace["out"] / "autoencoder.bin")
+        stats = _stored_stats(workspace["out"] / "autoencoder.bin")
         frame = normalize(featurize(clean(load_csv(workspace["csv"], "ett"))), stats)
         n = frame.n_rows // 16
         windows = frame.data[: n * 16].reshape(n, 16, frame.n_features)
@@ -815,15 +857,102 @@ class TestAnomaly:
             assert err == "%.17g" % errors[i // 16, i % 16]
             assert weight == "%.17g" % weights[i // 16]
 
+    def test_autoencoder_copied_alone_scores_the_same(self, workspace, tmp_path):
+        # The file carries its run's schema, cleaning and statistics, so
+        # it needs nothing else from the run directory.
+        alone = tmp_path / "elsewhere" / "autoencoder.bin"
+        alone.parent.mkdir()
+        alone.write_bytes((workspace["out"] / "autoencoder.bin").read_bytes())
+        for ae, out in ((workspace["out"] / "autoencoder.bin", tmp_path / "run"),
+                        (alone, tmp_path / "alone")):
+            code, _ = run("anomaly", "--data", str(workspace["csv"]), "--ae", str(ae),
+                          "--out", str(out))
+            assert code == 0
+        assert ((tmp_path / "alone" / "anomaly.csv").read_bytes()
+                == (tmp_path / "run" / "anomaly.csv").read_bytes())
+
+    def test_ohlcv_run_scores_an_ohlcv_file(self, workspace, tmp_path):
+        # Prices and volumes made from the ETT file's OT and HUFL columns.
+        rows = ["date,open,high,low,close,volume"]
+        for line in workspace["csv"].read_text().splitlines()[1:]:
+            stamp, *values = line.split(",")
+            close = 10.0 + float(values[6])
+            open_ = close - 0.1 * float(values[1])
+            rows.append(f"{stamp},{open_!r},{max(open_, close) + 0.5!r},"
+                        f"{min(open_, close) - 0.5!r},{close!r},{100.0 + float(values[0])!r}")
+        csv = tmp_path / "ohlcv.csv"
+        csv.write_text("\n".join(rows) + "\n")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            f"[data]\npath = {csv}\nschema = ohlcv\nenc_len = 16\nlabel_len = 8\n"
+            "horizon = 4\n\n[model]\nd_model = 8\nn_heads = 2\nactivation = gelu\n\n"
+            "[train]\nepochs = 1\nseed = 1\nae_epochs = 1\n")
+        code, _ = run("train", "--config", str(cfg), "--out", str(tmp_path / "run"))
+        assert code == 0
+        ae_path = tmp_path / "run" / "autoencoder.bin"
+        code, _ = run("anomaly", "--data", str(csv), "--ae", str(ae_path),
+                      "--out", str(tmp_path))
+        assert code == 0
+        ae, schema, cleaning, stats = cotn.cli._restore_autoencoder(ae_path)
+        assert schema == "ohlcv"
+        frame = normalize(featurize(clean(load_csv(csv, "ohlcv"), cleaning)), stats)
+        assert (tmp_path / "anomaly.csv").read_text() == _anomaly_text(ae, frame)
+
+    @pytest.mark.parametrize("flag,value", [("--stats", "norm_stats.txt"),
+                                            ("--schema", "ett")])
+    def test_stats_and_schema_flags_are_usage_errors(self, workspace, tmp_path, capsys,
+                                                     flag, value):
+        code, lines = run("anomaly", "--data", str(workspace["csv"]),
+                          "--ae", str(workspace["out"] / "autoencoder.bin"),
+                          flag, value, "--out", str(tmp_path))
+        assert code == 2 and lines == []
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "anomaly.csv").exists()
+
+    def test_windows_never_straddle_a_gap(self, workspace, tmp_path):
+        # Data rows 150-159 deleted: a 10-hour gap, longer than
+        # max_ffill_gap, splits the file into two segments. The window
+        # grid from row 0 puts rows 144-159 of the frame across the gap.
+        lines = workspace["csv"].read_text().splitlines()
+        gapped = tmp_path / "gapped.csv"
+        gapped.write_text("\n".join(lines[:151] + lines[161:]) + "\n")
+        ae_path = workspace["out"] / "autoencoder.bin"
+        code, _ = run("anomaly", "--data", str(gapped), "--ae", str(ae_path),
+                      "--out", str(tmp_path))
+        assert code == 0
+        ae, _, cleaning, stats = cotn.cli._restore_autoencoder(ae_path)
+        frame = normalize(featurize(clean(load_csv(gapped, "ett"), cleaning)), stats)
+        assert frame.n_rows == 290 and list(np.unique(frame.segment_ids)) == [0, 1]
+        starts = [s for s in range(0, 290 - 15, 16) if s != 144]
+        windows = np.stack([frame.data[s:s + 16] for s in starts])
+        errors, weights = ae.step_errors(windows), ae.weights(windows)
+        expected = ["window,timestamp,step_error,window_weight"] + [
+            f"{w},{epoch_to_text(int(frame.epochs[s + i]))},"
+            f"{'%.17g' % errors[w, i]},{'%.17g' % weights[w]}"
+            for w, s in enumerate(starts) for i in range(16)]
+        assert (tmp_path / "anomaly.csv").read_text().splitlines() == expected
+
+    def test_no_window_in_one_segment_is_runtime_error(self, workspace, tmp_path,
+                                                       capsys):
+        # 15 rows, a 10-hour gap and 15 rows: no 16-row window fits.
+        lines = workspace["csv"].read_text().splitlines()
+        gapped = tmp_path / "gapped.csv"
+        gapped.write_text("\n".join(lines[:16] + lines[26:41]) + "\n")
+        code, lines = run("anomaly", "--data", str(gapped),
+                          "--ae", str(workspace["out"] / "autoencoder.bin"),
+                          "--out", str(tmp_path))
+        assert code == 1 and lines == []
+        assert capsys.readouterr().err == (
+            "error: need 16 rows in one segment to score, have 30 rows\n")
+        assert not (tmp_path / "anomaly.csv").exists()
+
     def test_autoencoder_missing_a_tensor_is_named(self, workspace, tmp_path, capsys):
         tensors, meta = te.load_tensors(workspace["out"] / "autoencoder.bin")
         del tensors["enc1.w"]
         broken = tmp_path / "ae.bin"
         te.save_tensors(broken, tensors, meta)
         code, _ = run("anomaly", "--data", str(workspace["csv"]),
-                      "--ae", str(broken),
-                      "--stats", str(workspace["out"] / "norm_stats.txt"),
-                      "--out", str(tmp_path))
+                      "--ae", str(broken), "--out", str(tmp_path))
         err = capsys.readouterr().err
         assert code == 1
         assert str(broken) in err and "'enc1.w'" in err
@@ -834,9 +963,7 @@ class TestAnomaly:
         broken = tmp_path / "ae.bin"
         te.save_tensors(broken, tensors, {**meta, "tau": tau})
         code, _ = run("anomaly", "--data", str(workspace["csv"]),
-                      "--ae", str(broken),
-                      "--stats", str(workspace["out"] / "norm_stats.txt"),
-                      "--out", str(tmp_path))
+                      "--ae", str(broken), "--out", str(tmp_path))
         err = capsys.readouterr().err
         assert code == 1
         assert f"{broken}: 'tau': expected a finite number > 0" in err
@@ -870,67 +997,78 @@ class TestAnomaly:
                       "--out", str(tmp_path / "long"))
         assert code == 0
         frame = normalize(featurize(clean(load_csv(long_csv, "ett"))),
-                          read_stats(workspace["out"] / "norm_stats.txt"))
+                          _stored_stats(workspace["out"] / "autoencoder.bin"))
         n = frame.n_rows // 16
         assert n > cotn.model.SCORE_CHUNK and len(calls) > 1
         assert np.array_equal(np.concatenate(calls), frame.data[: n * 16].reshape(n, -1))
 
-    @pytest.mark.parametrize("mean,std,problem", [
-        ("abc", "1", "mean of 'OT' is not a number: 'abc'"),
-        ("nan", "1", "mean of 'OT' is not finite: 'nan'"),
-        ("0", "", "std of 'OT' is not a number: ''"),
-        ("0", "inf", "std of 'OT' is not finite: 'inf'"),
-        ("0", "0", "std of 'OT' must be > 0, got '0'"),
-        ("0", "-1e-3", "std of 'OT' must be > 0, got '-1e-3'"),
-    ])
-    def test_bad_stats_value_names_file_and_line(self, workspace, tmp_path, capsys,
-                                                 mean, std, problem):
-        lines = (workspace["out"] / "norm_stats.txt").read_text().splitlines()
-        i = next(i for i, line in enumerate(lines) if line.startswith("OT,"))
-        lines[i] = f"OT,{mean},{std}"
-        stats = tmp_path / "stats.txt"
-        stats.write_text("\n".join(lines) + "\n")
-        code, _ = run("anomaly", "--data", str(workspace["csv"]),
-                      "--ae", str(workspace["out"] / "autoencoder.bin"),
-                      "--stats", str(stats), "--out", str(tmp_path))
-        assert code == 1
-        assert f"error: {stats}: line {i + 1}: {problem}" in capsys.readouterr().err
+    def test_missing_stats_file_is_runtime_error(self, workspace, tmp_path, capsys):
+        # An autoencoder.bin as earlier versions wrote it: the cleaning
+        # thresholds, but no statistics or schema. It is refused.
+        def old_format(tensors, meta):
+            for name in [k for k in tensors if k.startswith("x.")]:
+                del tensors[name]
+            for key in [k for k in meta if k.startswith(("norm.", "data."))]:
+                if key not in ("data.max_ffill_gap", "data.z_max", "data.return_limit"):
+                    del meta[key]
+
+        old = _with_entries(workspace["out"] / "autoencoder.bin", tmp_path / "old.bin",
+                            old_format)
+        code, lines = run("anomaly", "--data", str(workspace["csv"]), "--ae", str(old),
+                          "--out", str(tmp_path))
+        assert code == 1 and lines == []
+        assert capsys.readouterr().err == f"error: {old}: checkpoint has no 'norm.names'\n"
         assert not (tmp_path / "anomaly.csv").exists()
 
-    def test_missing_stats_file_is_runtime_error(self, workspace, tmp_path):
-        code, _ = run("anomaly",
-                      "--data", str(workspace["csv"]),
-                      "--ae", str(workspace["out"] / "autoencoder.bin"),
-                      "--stats", str(tmp_path / "absent.txt"),
-                      "--out", str(tmp_path))
-        assert code == 1
-
     def test_stats_error_comes_before_the_data_error(self, workspace, tmp_path, capsys):
+        def zero_std(tensors, meta):
+            tensors["x.norm.std"][0] = 0.0
+
+        bad = _with_entries(workspace["out"] / "autoencoder.bin", tmp_path / "bad.bin",
+                            zero_std)
         code, _ = run("anomaly",
                       "--data", str(tmp_path / "absent.csv"),
-                      "--ae", str(workspace["out"] / "autoencoder.bin"),
-                      "--stats", str(tmp_path / "absent.txt"),
-                      "--out", str(tmp_path))
+                      "--ae", str(bad), "--out", str(tmp_path))
         assert code == 1
         err = capsys.readouterr().err
-        assert "absent.txt" in err and "absent.csv" not in err
+        assert str(bad) in err and "absent.csv" not in err
 
     @pytest.mark.parametrize("keep", [3, 7])
     def test_stats_without_a_data_feature_name_both_files(self, workspace, tmp_path,
                                                            capsys, keep):
-        # The header and the first keep - 1 features: OT (the target, last)
-        # is missing either way, and with 3 lines a load column too.
-        lines = (workspace["out"] / "norm_stats.txt").read_text().splitlines()
-        stats = tmp_path / "partial_stats.txt"
-        stats.write_text("\n".join(lines[:keep]) + "\n")
+        # Stored statistics that keep the first keep - 1 features and name
+        # the rest X<i>: OT (the target, last) is missing either way, and
+        # with 3 the load columns too.
+        def renamed(tensors, meta):
+            names = meta["norm.names"].split(",")
+            names[keep - 1:] = [f"X{i}" for i in range(keep - 1, len(names))]
+            meta["norm.names"] = ",".join(names)
+
+        bad = _with_entries(workspace["out"] / "autoencoder.bin", tmp_path / "bad.bin",
+                            renamed)
         code, _ = run("anomaly", "--data", str(workspace["csv"]),
-                      "--ae", str(workspace["out"] / "autoencoder.bin"),
-                      "--stats", str(stats), "--out", str(tmp_path))
-        err = capsys.readouterr().err
+                      "--ae", str(bad), "--out", str(tmp_path))
         assert code == 1
-        assert f"error: {stats} does not fit the features of {workspace['csv']}: " in err
-        assert "'OT'" in err
+        assert capsys.readouterr().err == (
+            f"error: {bad}: norm.names do not fit the features of {workspace['csv']}: "
+            f"frame lacks feature 'X{keep - 1}'\n")
         assert not (tmp_path / "anomaly.csv").exists()
+
+    def test_stats_of_other_features_than_the_autoencoders(self, workspace, tmp_path,
+                                                            capsys):
+        # Statistics of 6 features, consistent in themselves, for an
+        # autoencoder of 7: refused before the data is read.
+        def six(tensors, meta):
+            meta["norm.names"] = ",".join(meta["norm.names"].split(",")[:6])
+            for name in ("x.norm.mean", "x.norm.std"):
+                tensors[name] = tensors[name][:6]
+
+        bad = _with_entries(workspace["out"] / "autoencoder.bin", tmp_path / "bad.bin", six)
+        code, _ = run("anomaly", "--data", str(tmp_path / "absent.csv"),
+                      "--ae", str(bad), "--out", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: norm.names lists 6 features but the autoencoder takes 7\n")
 
     def test_verbose_reports_rows_and_cleaning_actions(self, workspace, tmp_path,
                                                        capsys):
@@ -945,7 +1083,8 @@ class TestAnomaly:
 
 
 def _anomaly_text(ae, frame):
-    """The anomaly.csv that scoring this cleaned, normalized frame gives."""
+    """The anomaly.csv that scoring this cleaned, normalized frame of one
+    segment gives."""
     length = ae.window_len
     n = frame.n_rows // length
     windows = frame.data[: n * length].reshape(n, length, frame.n_features)
@@ -980,17 +1119,25 @@ class TestAnomalyCleaning:
 
     def test_stored_thresholds(self, workspace, spiked):
         for out, z_max in ((workspace["out"], "5.0"), (spiked[1], "3.0")):
-            _, meta = load_autoencoder(out / "autoencoder.bin")
-            assert {k: v for k, v in meta.items() if k.startswith("data.")} == {
+            _, extra, meta = load_autoencoder(out / "autoencoder.bin")
+            assert {k: meta[k] for k in ("data.max_ffill_gap", "data.z_max",
+                                         "data.return_limit")} == {
                 "data.max_ffill_gap": "3", "data.z_max": z_max, "data.return_limit": "0.2"}
+            # The data record is the checkpoint's, entry for entry.
+            _, ckpt_extra, ckpt_meta = load_forecaster(out / "checkpoint.bin")
+            record = {k: v for k, v in ckpt_meta.items() if k.startswith(("data.", "norm."))}
+            assert {k: v for k, v in meta.items() if k.startswith(("data.", "norm."))} == record
+            assert extra.keys() == ckpt_extra.keys() == {"norm.mean", "norm.std"}
+            for name in extra:
+                assert extra[name].tobytes() == ckpt_extra[name].tobytes()
 
     def test_scores_data_cleaned_as_training_saw_it(self, spiked, tmp_path):
         csv, out = spiked
         code, _ = run("anomaly", "--data", str(csv), "--ae", str(out / "autoencoder.bin"),
                       "--out", str(tmp_path))
         assert code == 0
-        ae, _ = load_autoencoder(out / "autoencoder.bin")
-        stats = read_stats(out / "norm_stats.txt")
+        ae, _, _ = load_autoencoder(out / "autoencoder.bin")
+        stats = _stored_stats(out / "autoencoder.bin")
         raw = load_csv(csv, "ett")
         strict, default = clean(raw, CleanConfig(z_max=3.0)), clean(raw)
         assert len(strict.report) > len(default.report)
@@ -1014,7 +1161,6 @@ class TestAnomalyCleaning:
         old = tmp_path / "old.bin"
         te.save_tensors(old, tensors, meta)
         code, lines = run("anomaly", "--data", str(workspace["csv"]), "--ae", str(old),
-                          "--stats", str(workspace["out"] / "norm_stats.txt"),
                           "--out", str(tmp_path))
         assert code == 1 and lines == []
         assert capsys.readouterr().err == f"error: {old}: checkpoint has no {missing!r}\n"

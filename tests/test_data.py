@@ -25,7 +25,6 @@ from cotn.data import (
     load_csv,
     log_returns,
     normalize,
-    read_stats,
     rolling_mean,
     rolling_std,
     window,
@@ -545,24 +544,13 @@ class TestNormalization:
         assert stats.mean.dtype == stats.std.dtype == np.float64
         assert np.array_equal(stats.std, [3.0, 4.0])
 
-    def test_stats_io_round_trip(self, tmp_path):
-        raw = ett_series(np.arange(30.0) ** 1.5)
-        raw.columns["HULL"] = np.full(30, 2.0)
-        stats = fit_stats(featurize(raw))
+    def test_stats_file_text(self, tmp_path):
+        # norm_stats.txt: the kept features with 17 significant digits,
+        # then the dropped ones.
         path = tmp_path / "stats.txt"
-        write_stats(path, stats)
-        back = read_stats(path)
-        assert back.names == stats.names
-        assert back.dropped == stats.dropped
-        assert np.array_equal(back.mean, stats.mean)
-        assert np.array_equal(back.std, stats.std)
-
-    def test_stats_file_not_utf8_names_the_file(self, tmp_path):
-        path = tmp_path / "stats.txt"
-        path.write_bytes(b"feature,mean,std\nOT,1.0,\xff\n")
-        with pytest.raises(ParseError) as err:
-            read_stats(path)
-        assert str(err.value) == f"{path}: not UTF-8 text"
+        write_stats(path, NormStats(("a", "b"), [0.1, -2.0], [3.0, 1e-300], ("c",)))
+        assert path.read_text() == ("feature,mean,std\na,0.10000000000000001,3\n"
+                                    "b,-2,1e-300\n# dropped,c\n")
 
     def test_too_few_rows(self):
         frame = self._frame(n=10).slice_rows(0, 1)

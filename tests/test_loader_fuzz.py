@@ -1,22 +1,28 @@
 """Damaged input files end in a named refusal, never in a traceback.
 
-Each reader gets random bytes, truncations, flipped bytes and edited or
-deleted fields of a file the package writes. It may load the result or
-raise ParseError, ConfigError, ValueError or OSError, which main() turns
-into exit 1 or 2. Whatever a reader refuses also goes through main() in
-a few cases, which must exit 1 or 2 with a message naming the file.
+Five readers are fuzzed: the tensor container, checkpoint.bin,
+autoencoder.bin with the data record cotn anomaly reads from it, the
+data CSV and the run configuration. Each gets random bytes, truncations,
+flipped bytes and edited or deleted fields of a file the package writes;
+the two model files also get whole entries edited or deleted in a
+container that stays valid. A reader may load the result or raise
+ParseError, ConfigError, ValueError or OSError, which main() turns into
+exit 1 or 2. Whatever a reader refuses also goes through main() in a few
+cases, which must exit 1 or 2 with a message naming the file.
 """
 
 import io
+import os
 import sys
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cotn import tensor as te
-from cotn.cli import ConfigError, load_run_config, main
-from cotn.data import ParseError, load_csv, read_stats
+from cotn.cli import ConfigError, _restore_autoencoder, load_run_config, main
+from cotn.data import ParseError, load_csv
 from cotn.model import load_forecaster
 from cotn.training import write_synthetic_ett_csv
 
@@ -36,8 +42,8 @@ FIELD = st.one_of(
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
-    """One gated training run: checkpoint.bin, autoencoder.bin,
-    norm_stats.txt, its data file and its config."""
+    """One gated training run: checkpoint.bin, autoencoder.bin, its data
+    file and its config."""
     root = tmp_path_factory.mktemp("fuzz")
     csv = root / "synth.csv"
     write_synthetic_ett_csv(csv, seed=5, length=200)
@@ -50,7 +56,6 @@ def run_dir(tmp_path_factory):
     out = root / "out"
     assert _main("train", "--config", str(cfg), "--out", str(out))[0] == 0
     return {"checkpoint": out / "checkpoint.bin", "ae": out / "autoencoder.bin",
-            "stats": out / "norm_stats.txt",
             "csv": csv, "cfg": cfg}
 
 
@@ -100,6 +105,25 @@ def damaged(draw, original: bytes) -> bytes:
     return b"\n".join(lines) + tail
 
 
+@st.composite
+def entries_edited(draw, path) -> bytes:
+    """The model file at path re-saved with up to three meta entries
+    edited, up to two tensors deleted and one value of a statistics
+    tensor replaced, in a container whose manifest and digest stay valid."""
+    tensors, meta = te.load_tensors(path)
+    meta.update(draw(st.dictionaries(st.sampled_from(sorted(meta)), FIELD, max_size=3)))
+    for name in draw(st.lists(st.sampled_from(sorted(tensors)), max_size=2)):
+        tensors.pop(name, None)
+    stats = sorted(k for k in tensors if k.startswith("x.norm."))
+    if stats and draw(st.booleans()):
+        values = tensors[draw(st.sampled_from(stats))]
+        values[draw(st.integers(0, values.size - 1))] = draw(st.floats())
+    with tempfile.TemporaryDirectory() as root:
+        te.save_tensors(os.path.join(root, "edited.bin"), tensors, meta)
+        with open(os.path.join(root, "edited.bin"), "rb") as fh:
+            return fh.read()
+
+
 def _loads_or_refuses(reader, path, data: bytes):
     """Write data to path and read it; None when the reader refuses it."""
     path.write_bytes(data)
@@ -125,21 +149,16 @@ class TestReaders:
     @FUZZ
     @given(data=st.data())
     def test_checkpoint_entries_edited(self, run_dir, tmp_path, data):
-        # Whole entries, in a container whose manifest and digest stay valid.
-        tensors, meta = te.load_tensors(run_dir["checkpoint"])
-        meta.update(data.draw(st.dictionaries(st.sampled_from(sorted(meta)), FIELD,
-                                              max_size=3)))
-        for name in data.draw(st.lists(st.sampled_from(sorted(tensors)), max_size=2)):
-            tensors.pop(name, None)
-        path = tmp_path / "c.bin"
-        te.save_tensors(path, tensors, meta)
-        _loads_or_refuses(load_forecaster, path, path.read_bytes())
+        _loads_or_refuses(load_forecaster, tmp_path / "c.bin",
+                          data.draw(entries_edited(run_dir["checkpoint"])))
 
     @FUZZ
     @given(data=st.data())
-    def test_stats(self, run_dir, tmp_path, data):
-        original = run_dir["stats"].read_bytes()
-        _loads_or_refuses(read_stats, tmp_path / "s.txt", data.draw(damaged(original)))
+    def test_autoencoder_entries_edited(self, run_dir, tmp_path, data):
+        # Also the data record: norm.* and data.* entries and the
+        # x.norm.mean and x.norm.std tensors.
+        _loads_or_refuses(_restore_autoencoder, tmp_path / "a.bin",
+                          data.draw(entries_edited(run_dir["ae"])))
 
     @FUZZ
     @given(data=st.data())
@@ -195,12 +214,13 @@ class TestThroughMain:
 
     @MAIN
     @given(data=st.data())
-    def test_anomaly_stats(self, run_dir, tmp_path, data):
-        path = tmp_path / "s.txt"
+    def test_anomaly_autoencoder(self, run_dir, tmp_path, data):
+        path = tmp_path / "a.bin"
+        damage = st.one_of(damaged(run_dir["ae"].read_bytes()), entries_edited(run_dir["ae"]))
         self._refused_exits_naming(
-            read_stats, path, data.draw(damaged(run_dir["stats"].read_bytes())),
-            "anomaly", "--ae", str(run_dir["ae"]), "--stats", str(path),
-            "--data", str(run_dir["csv"]), "--out", str(tmp_path))
+            _restore_autoencoder, path, data.draw(damage),
+            "anomaly", "--ae", str(path), "--data", str(run_dir["csv"]),
+            "--out", str(tmp_path))
 
     @MAIN
     @given(data=st.data())

@@ -756,8 +756,13 @@ class TestAutoencoder:
     def test_checkpoint_round_trip(self, tmp_path):
         ae, windows = self._fitted()
         path = tmp_path / "ae.bin"
-        save_autoencoder(path, ae)
-        back, _ = load_autoencoder(path)
+        save_autoencoder(path, ae, extra_tensors={"norm.mean": [1.0, 2.0]},
+                         extra_meta={"data.schema": "ett"})
+        back, extra, meta = load_autoencoder(path)
+        # Extras are stored as save_forecaster stores them, under "x.".
+        assert sorted(te.load_tensors(path)[0]) == sorted([*ae.params, "x.norm.mean"])
+        assert list(extra) == ["norm.mean"] and extra["norm.mean"].tolist() == [1.0, 2.0]
+        assert meta["kind"] == "autoencoder" and meta["data.schema"] == "ett"
         assert back.tau == ae.tau
         assert back.window_len == ae.window_len
         np.testing.assert_allclose(back.step_errors(windows),
@@ -862,7 +867,7 @@ class TestAutoencoderFileFuzz:
     def _load_or_refuse(path, data: bytes) -> None:
         path.write_bytes(data)
         try:
-            ae, _ = load_autoencoder(path)
+            ae, _, _ = load_autoencoder(path)
         except (ValueError, OSError):
             return
         assert math.isfinite(ae.tau) and ae.tau > 0.0

@@ -1,6 +1,8 @@
-"""The README's run-configuration example and key table match the code."""
+"""The README's command lines, run-configuration example and key table
+match the code."""
 
 import re
+import shlex
 from pathlib import Path
 
 from cotn.cli import (
@@ -9,6 +11,7 @@ from cotn.cli import (
     _build_data_spec,
     _build_model_cfg,
     _build_train_cfg,
+    build_parser,
     load_run_config,
 )
 from cotn.model import _parse
@@ -59,3 +62,20 @@ def test_table_defaults_are_the_codes():
             continue
         kind, default = table[name]
         assert _parse(kind, default) == value, f"{name}: {default} != {value!r}"
+
+
+def test_command_examples_parse():
+    # Parsed, not run: a flag the command line no longer takes cannot
+    # linger in the examples, and every subcommand has one.
+    parser = build_parser()
+    blocks = re.findall(r"```sh\n(.*?)```", README, re.DOTALL)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("cotn ")]
+    commands = set()
+    for line in lines:
+        try:
+            commands.add(parser.parse_args(shlex.split(line)[1:]).command)
+        except SystemExit:
+            raise AssertionError(f"README example does not parse: {line}") from None
+    assert commands == {"bifurcate", "table", "train", "eval", "forecast",
+                        "sweep-types", "anomaly"}

@@ -85,13 +85,13 @@ class TestMetrics:
 class TestAdam:
     def test_matches_reference_arithmetic(self):
         p = parameter(np.array([1.0]), name="x")
-        opt = Adam({"x": p}, lr=0.1)
+        opt = Adam({"x": p})
         m = v = 0.0
         x = 1.0
         for t in range(1, 4):
             g = 0.5
             p.grad = np.array([g])
-            opt.step()
+            opt.step(0.1)
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             mh = m / (1.0 - 0.9 ** t)
@@ -101,14 +101,14 @@ class TestAdam:
 
     def test_missing_grad_means_no_move(self):
         p = parameter(np.array([2.0]), name="x")
-        opt = Adam({"x": p}, lr=0.1)
+        opt = Adam({"x": p})
         p.grad = None
-        opt.step()
+        opt.step(0.1)
         assert p.data[0] == 2.0
 
     def test_explicit_lr_override(self):
         p = parameter(np.array([1.0]), name="x")
-        opt = Adam({"x": p}, lr=123.0)
+        opt = Adam({"x": p})
         p.grad = np.array([1.0])
         opt.step(lr=0.0)
         assert p.data[0] == 1.0
@@ -123,7 +123,7 @@ class TestAdam:
         ref = {n: p.data.copy() for n, p in params.items()}
         m = {n: np.zeros(s) for n, s in shapes.items()}
         v = {n: np.zeros(s) for n, s in shapes.items()}
-        opt = Adam(params, lr=0.01)
+        opt = Adam(params)
         for t in range(1, 6):
             grads = {n: rng.standard_normal(s) for n, s in shapes.items()}
             grads["c" if t % 2 else "d"] = None
