@@ -48,10 +48,9 @@ from .model import (
     Forecaster,
     ModelConfig,
     _meta_of,
-    _parse,
-    _read_meta,
     _required,
     _scalar_fields,
+    _settings,
     load_autoencoder,
     load_forecaster,
     save_autoencoder,
@@ -124,30 +123,33 @@ class DataSpec:
                            return_limit=self.return_limit)
 
 
-def _check_schema(schema: str) -> None:
+def _check_schema(schema: str, entry: str = "schema") -> str:
     if schema not in ("ett", "ohlcv"):
-        raise ValueError(f"schema: expected ett or ohlcv, got {schema!r}")
+        raise ValueError(f"{entry}: expected ett or ohlcv, got {schema!r}")
+    return schema
 
 
 # The window shape is the data's; a checkpoint's model config carries it,
 # so its data settings leave it out, and the path, which each run names.
 _WINDOW = ("enc_len", "label_len", "horizon")
 _UNSTORED = ("path",) + _WINDOW
-_MODEL_FIELDS = _scalar_fields(ModelConfig, skip=_WINDOW + ("n_features", "n_targets"))
-_MODE_FIELDS = _scalar_fields(ActivationMode, skip=("kind",))
 
 # Key -> kind of each section, from the dataclasses the section builds.
 # [model] also holds the activation mode, whose kind is spelled activation.
 _KNOWN_KEYS = {
     "data": _scalar_fields(DataSpec),
-    "model": {**_MODEL_FIELDS, "activation": "str", **_MODE_FIELDS},
+    "model": {**_scalar_fields(ModelConfig, skip=_WINDOW + ("n_features", "n_targets")),
+              "activation": "str", **_scalar_fields(ActivationMode, skip=("kind",))},
     "train": _scalar_fields(TrainConfig),
 }
 
 
-def load_run_config(path: str, overrides: list[str]) -> dict[str, dict]:
-    """Read the INI config, apply --set overrides and parse every value;
-    unknown keys and malformed values fail naming section.key."""
+def load_run_config(path: str, overrides: list[str], seed: int | None = None
+                    ) -> tuple[DataSpec, ModelConfig, TrainConfig]:
+    """The settings of an INI run configuration with --set overrides, and
+    seed, when given, in place of train.seed. Every value is parsed and
+    range-checked; ConfigError names section.key. The model has one
+    feature until the data sets the real count."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file not found: {path}")
     # Values are literal: a "%" is kept as it is, never interpolated.
@@ -158,77 +160,38 @@ def load_run_config(path: str, overrides: list[str]) -> dict[str, dict]:
             parser.read_file(_utf8_lines(fh, path), source=path)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    items: list[tuple[str, str, str]] = []
+    texts: dict[str, str] = {}
     for section in parser.sections():
         if section not in _KNOWN_KEYS:
             raise ConfigError(f"unknown config section [{section}]")
-        items += [(section, key, value) for key, value in parser.items(section)]
+        texts.update((f"{section}.{key}", value) for key, value in parser.items(section))
     for item in overrides:
         lhs, sep, value = item.partition("=")
         section, dot, key = lhs.strip().partition(".")
         if not sep or not dot or section not in _KNOWN_KEYS:
             raise ConfigError(f"--set expects section.key=value, got {item!r}")
-        items.append((section, key, value.strip()))
-    raw: dict[str, dict[str, str]] = {s: {} for s in _KNOWN_KEYS}
-    for section, key, value in items:
+        texts[f"{section}.{key}"] = value.strip()
+    for entry in texts:
+        section, _, key = entry.partition(".")
         if key not in _KNOWN_KEYS[section]:
-            raise ConfigError(f"unknown config key {section}.{key}")
-        raw[section][key] = value
-    cfg: dict[str, dict] = {s: {} for s in _KNOWN_KEYS}
-    for section, values in raw.items():
-        for key, text in values.items():
-            try:
-                cfg[section][key] = _parse(_KNOWN_KEYS[section][key], text)
-            except ValueError as exc:
-                raise ConfigError(f"{section}.{key}: {exc}") from None
-    return cfg
-
-
-def _build_data_spec(cfg: dict[str, dict]) -> DataSpec:
-    if "path" not in cfg["data"]:
+            raise ConfigError(f"unknown config key {entry}")
+    if "data.path" not in texts:
         raise ConfigError("data.path is required")
-    try:
-        return DataSpec(**cfg["data"])
-    except ValueError as exc:
-        raise ConfigError(f"data.{exc}") from None
-
-
-def _build_activation(cfg: dict[str, dict]) -> ActivationMode:
-    sec = cfg["model"]
     # The command line defaults to the gated activation; the library to GELU.
-    kind = sec.get("activation", "gated")
+    kind = texts.get("model.activation", "gated")
     if kind not in ("gelu", "gated"):
         raise ConfigError(f"model.activation: expected gelu or gated, got {kind!r}")
     try:
-        mode = ActivationMode(kind, **{k: v for k, v in sec.items() if k in _MODE_FIELDS})
+        spec = _settings(DataSpec, texts, None, "data.")
+        mode = _settings(ActivationMode, texts, None, "model.", kind=kind)
+        model_cfg = _settings(ModelConfig, texts, None, "model.", activation=mode,
+                              **{k: getattr(spec, k) for k in _WINDOW})
+        train_cfg = _settings(TrainConfig, texts, None, "train.", activation=mode)
     except ValueError as exc:
-        raise ConfigError(f"model.{exc}") from None
-    return mode
-
-
-def _build_model_cfg(cfg: dict[str, dict], spec: DataSpec) -> ModelConfig:
-    """The model config with one feature; the data sets the real count."""
-    sec = cfg["model"]
-    mode = _build_activation(cfg)
-    try:
-        return ModelConfig(
-            **{k: v for k, v in sec.items() if k in _MODEL_FIELDS},
-            **{k: getattr(spec, k) for k in _WINDOW},
-            activation=mode,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"model.{exc}") from None
-
-
-def _build_train_cfg(cfg: dict[str, dict], mode: ActivationMode,
-                     seed_override: int | None) -> TrainConfig:
-    kwargs = dict(cfg["train"])
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
-    try:
-        return TrainConfig(activation=mode, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"train.{exc}") from None
+        raise ConfigError(str(exc)) from None
+    if seed is not None:
+        train_cfg = replace(train_cfg, seed=seed)
+    return spec, model_cfg, train_cfg
 
 
 def _configure(args):
@@ -236,10 +199,7 @@ def _configure(args):
 
     Every value is parsed and range-checked before the data is read; the
     data then sets the model's feature count."""
-    cfg = load_run_config(args.config, args.set or [])
-    spec = _build_data_spec(cfg)
-    model_cfg = _build_model_cfg(cfg, spec)
-    train_cfg = _build_train_cfg(cfg, model_cfg.activation, args.seed)
+    spec, model_cfg, train_cfg = load_run_config(args.config, args.set or [], args.seed)
     dataset, cleaned = _prepare_dataset(spec, args)
     model_cfg = replace(model_cfg, n_features=dataset.frame.n_features)
     return spec, dataset, cleaned, model_cfg, train_cfg
@@ -267,8 +227,8 @@ def _parse_range(text: str) -> tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise ConfigError(f"--range expects numbers, got {text!r}") from None
-    if not lo < hi:
-        raise ConfigError(f"--range expects lo < hi, got {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ConfigError(f"--range expects finite lo < hi, got {text!r}")
     return lo, hi
 
 
@@ -311,11 +271,8 @@ def _dataset_meta(spec: DataSpec, dataset: Dataset) -> dict[str, str]:
 
 def _spec_from_meta(meta: dict[str, str], cfg: ModelConfig, path: str,
                     checkpoint: str) -> DataSpec:
-    stored = _read_meta(DataSpec, meta, checkpoint, "data.", skip=_UNSTORED)
-    try:
-        return DataSpec(path=path, **{k: getattr(cfg, k) for k in _WINDOW}, **stored)
-    except ValueError as exc:
-        raise ValueError(f"{checkpoint}: data.{exc}") from None
+    return _settings(DataSpec, meta, checkpoint, "data.", path=path,
+                     **{k: getattr(cfg, k) for k in _WINDOW})
 
 
 def _stats_from_extra(extra: dict[str, np.ndarray], meta: dict[str, str],
@@ -337,6 +294,9 @@ def _stats_from_extra(extra: dict[str, np.ndarray], meta: dict[str, str],
 
 def cmd_bifurcate(args) -> int:
     lo, hi = _parse_range(args.range)
+    for flag, value in (("--n", args.n), ("--keep", args.keep)):
+        if value < 1:
+            raise ConfigError(f"{flag}: expected >= 1, got {value}")
     if args.keep > args.steps:
         raise ConfigError(f"--keep ({args.keep}) cannot exceed --steps ({args.steps})")
     data = bifurcation_sweep(
@@ -425,19 +385,14 @@ def cmd_eval(args) -> int:
 def cmd_forecast(args) -> int:
     model, dataset = _restore(args)
     stats, frame = dataset.stats, dataset.frame
-    cfg = model.cfg
-    n = frame.n_rows
-    if n < cfg.enc_len:
-        raise RuntimeError(
-            f"need at least {cfg.enc_len} feature rows to forecast, have {n}"
-        )
-    start = n - cfg.enc_len
-    if not np.all(frame.segment_ids[start:] == frame.segment_ids[n - 1]):
-        raise RuntimeError(
-            "the final window straddles a data gap; cannot forecast from it"
-        )
+    enc_len, n = model.cfg.enc_len, frame.n_rows
+    # _restore's build_dataset found a training window, so n >= enc_len.
+    starts = _window_starts(frame.segment_ids, n - enc_len, n, enc_len, 1)
+    if starts.size == 0:
+        raise RuntimeError(f"{args.data}: the final window straddles a data gap; "
+                           "cannot forecast from it")
     # The final window, C-contiguous as training's; its targets lie past the data.
-    enc = WindowView(frame.data, np.array([start]), cfg.enc_len)[:]
+    enc = WindowView(frame.data, starts, enc_len)[:]
     pred = model.predict(enc)[0, :, 0]
     values = denormalize_feature(pred, stats, frame.target)
     path = os.path.join(_out_dir(args), "forecast.csv")
@@ -480,14 +435,8 @@ def _restore_autoencoder(path: str):
     if len(stats.names) != ae.n_features:
         raise ValueError(f"{path}: norm.names lists {len(stats.names)} features "
                          f"but the autoencoder takes {ae.n_features}")
-    schema = _required(meta, "data.schema", path)
-    stored = _read_meta(CleanConfig, meta, path, "data.")
-    try:
-        _check_schema(schema)
-        cleaning = CleanConfig(**stored)
-    except ValueError as exc:
-        raise ValueError(f"{path}: data.{exc}") from None
-    return ae, schema, cleaning, stats
+    schema = _check_schema(_required(meta, "data.schema", path), f"{path}: data.schema")
+    return ae, schema, _settings(CleanConfig, meta, path, "data."), stats
 
 
 def cmd_anomaly(args) -> int:

@@ -630,19 +630,24 @@ def _scalar_fields(cls, skip=()) -> dict[str, str]:
             if f.type in _KINDS and f.name not in skip}
 
 
-def _required(store: dict, key: str, path, kind: Optional[str] = None):
-    """store[key], parsed as kind if one is given; a ValueError names the
-    checkpoint and the key when the entry is missing or malformed."""
+def _at(source, message: str) -> str:
+    return message if source is None else f"{source}: {message}"
+
+
+def _required(store: dict, key: str, source, kind: Optional[str] = None):
+    """store[key], parsed as kind if one is given. A malformed entry is
+    refused as "[source: ]key: what was expected"; a missing one, which
+    only a model file can lack, names the file and the key."""
     try:
         value = store[key]
     except KeyError:
-        raise ValueError(f"{path}: checkpoint has no {key!r}") from None
+        raise ValueError(f"{source}: checkpoint has no {key!r}") from None
     if kind is None:
         return value
     try:
         return _parse(kind, value)
     except ValueError as exc:
-        raise ValueError(f"{path}: {key!r}: {exc}") from None
+        raise ValueError(_at(source, f"{key}: {exc}")) from None
 
 
 def _meta_of(obj, prefix: str = "", skip=()) -> dict[str, str]:
@@ -651,10 +656,26 @@ def _meta_of(obj, prefix: str = "", skip=()) -> dict[str, str]:
             for name in _scalar_fields(type(obj), skip)}
 
 
-def _read_meta(cls, meta: dict[str, str], path, prefix: str = "", skip=()) -> dict:
-    """The keyword arguments _meta_of wrote for cls, parsed back."""
-    return {name: _required(meta, prefix + name, path, kind)
-            for name, kind in _scalar_fields(cls, skip).items()}
+def _settings(cls, texts: dict[str, str], source, prefix: str = "", **given):
+    """A settings dataclass from the given values and, for its other
+    stored fields, the text entries prefix + field, each parsed as its
+    field's kind.
+
+    source None reads a run configuration, where a missing entry keeps
+    the field's default; a model file's path makes every entry required.
+    Every refusal, of a malformed entry or of a value out of range,
+    reads "[source: ]prefix + field: what was expected".
+    """
+    kwargs = dict(given)
+    for name, kind in _scalar_fields(cls).items():
+        key = prefix + name
+        if name not in given and (source is not None or key in texts):
+            kwargs[name] = _required(texts, key, source, kind)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        # Each settings dataclass starts its message with the field's name.
+        raise ValueError(_at(source, f"{prefix}{exc}")) from None
 
 
 def _save_model(path, kind: str, tensors: dict[str, np.ndarray], meta: dict[str, str],
@@ -724,12 +745,8 @@ def load_forecaster(path) -> tuple[Forecaster, dict[str, np.ndarray], dict[str, 
     is refused, naming the missing entry.
     """
     tensors, extra, meta = _load_model(path, "forecaster")
-    settings = _read_meta(ModelConfig, meta, path)
-    mode = _read_meta(ActivationMode, meta, path, "activation.")
-    try:
-        cfg = ModelConfig(**settings, activation=ActivationMode(**mode))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    mode = _settings(ActivationMode, meta, path, "activation.")
+    cfg = _settings(ModelConfig, meta, path, activation=mode)
     # The stored arrays bound every size the config gives the parameters;
     # check them before the model allocates parameters of those sizes.
     d = cfg.d_model
@@ -753,7 +770,7 @@ _AE_SETTINGS = {"window_len": "int", "n_features": "int", "hidden": "int",
 
 def _check_tau(tau: float, path) -> None:
     if not (math.isfinite(tau) and tau > 0.0):
-        raise ValueError(f"{path}: 'tau': expected a finite number > 0, got {tau!r}")
+        raise ValueError(f"{path}: tau: expected a finite number > 0, got {tau!r}")
 
 
 def save_autoencoder(path, ae: Autoencoder,

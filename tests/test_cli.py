@@ -163,6 +163,20 @@ class TestTable:
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("bifurcate", "--n", "0"), "--n: expected >= 1, got 0"),
+    (("bifurcate", "--keep", "0"), "--keep: expected >= 1, got 0"),
+    (("bifurcate", "--range=0:inf"), "--range expects finite lo < hi, got '0:inf'"),
+    (("table", "--range=0:inf"), "--range expects finite lo < hi, got '0:inf'"),
+], ids=["bifurcate-n", "bifurcate-keep", "bifurcate-range", "table-range"])
+def test_a_flag_out_of_range_exits_2_naming_the_flag(argv, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    code, lines = run(*argv, "--out", str(out))
+    assert code == 2 and lines == []
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # 10**17 float64 values take 800 PB, more than a 64-bit address space
 # maps, so numpy refuses the array at once on any machine.
 _UNALLOCATABLE = str(10 ** 17)
@@ -263,6 +277,26 @@ class TestTrainFitsOnce:
         # And the run matches the workspace run made the same way.
         for name in ("checkpoint.bin", "autoencoder.bin", "norm_stats.txt"):
             assert (out / name).read_bytes() == (workspace["out"] / name).read_bytes()
+
+
+# What a malformed value of each kind is refused with; a text setting
+# is refused with its choices.
+_EXPECTED = {"int": "an integer", "float": "a number", "bool": "a boolean",
+             "activation.kind": "gelu or gated", "data.schema": "ett or ohlcv"}
+
+
+def _prefixed(prefix, cls, skip=()):
+    return {prefix + k: kind for k, kind in cotn.model._scalar_fields(cls, skip).items()}
+
+
+# Entry -> kind of every setting cotn reads back from each model file.
+_FILE_SETTINGS = {
+    "checkpoint.bin": {**_prefixed("", ModelConfig),
+                       **_prefixed("activation.", ActivationMode),
+                       **_prefixed("data.", cotn.cli.DataSpec, skip=cotn.cli._UNSTORED)},
+    "autoencoder.bin": {**cotn.model._AE_SETTINGS, **_prefixed("data.", CleanConfig),
+                        "data.schema": "str"},
+}
 
 
 class TestConfigErrors:
@@ -391,6 +425,18 @@ class TestConfigErrors:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("entry,kind", [
+        (f"{section}.{key}", kind) for section, keys in cotn.cli._KNOWN_KEYS.items()
+        for key, kind in keys.items() if kind != "str"])
+    def test_every_typed_key_refuses_a_malformed_value(self, workspace, tmp_path,
+                                                       capsys, entry, kind):
+        code, _ = run("train", "--config", str(workspace["cfg"]),
+                      "--set", f"data.path={tmp_path / 'absent.csv'}",
+                      "--set", f"{entry}=x")
+        assert code == 2
+        expected = _EXPECTED[kind]
+        assert capsys.readouterr().err == f"error: {entry}: expected {expected}, got 'x'\n"
+
     def test_known_keys_are_pinned(self):
         # The keys and kinds derived from the config dataclasses.
         assert cotn.cli._KNOWN_KEYS == {
@@ -477,7 +523,23 @@ class TestMalformedMetadata:
         code, _ = run("eval", "--checkpoint", str(bad),
                       "--data", str(workspace["csv"]))
         assert code == 1
-        assert capsys.readouterr().err == f"error: {bad}: {key!r}: {message}\n"
+        assert capsys.readouterr().err == f"error: {bad}: {key}: {message}\n"
+
+    @pytest.mark.parametrize("name,entry,kind", [
+        (name, entry, kind) for name, entries in _FILE_SETTINGS.items()
+        for entry, kind in entries.items()])
+    def test_every_setting_entry_refuses_x_naming_file_and_entry(
+            self, workspace, tmp_path, capsys, name, entry, kind):
+        expected = _EXPECTED[kind if kind != "str" else entry]
+        bad = self._edited(workspace["out"] / name, tmp_path / "bad.bin", entry, "x")
+        if name == "checkpoint.bin":
+            argv = ("eval", "--checkpoint", str(bad))
+        else:
+            argv = ("anomaly", "--ae", str(bad), "--out", str(tmp_path))
+        code, lines = run(*argv, "--data", str(workspace["csv"]))
+        assert code == 1 and lines == []
+        assert capsys.readouterr().err == (
+            f"error: {bad}: {entry}: expected {expected}, got 'x'\n")
 
     @pytest.mark.parametrize("key,value,message", [
         ("data.stride", "0", "data.stride: expected >= 1, got 0"),
@@ -509,7 +571,8 @@ class TestMalformedMetadata:
         code, _ = run("eval", "--checkpoint", str(bad),
                       "--data", str(workspace["csv"]))
         assert code == 1
-        assert capsys.readouterr().err == f"error: {bad}: type_id: expected 1..8, got 9\n"
+        assert capsys.readouterr().err == (
+            f"error: {bad}: activation.type_id: expected 1..8, got 9\n")
 
     @pytest.mark.parametrize("key,value,message", [
         ("hidden", "x", "expected an integer, got 'x'"),
@@ -524,7 +587,7 @@ class TestMalformedMetadata:
         code, _ = run("anomaly", "--data", str(workspace["csv"]),
                       "--ae", str(bad), "--out", str(tmp_path))
         assert code == 1
-        assert capsys.readouterr().err == f"error: {bad}: {key!r}: {message}\n"
+        assert capsys.readouterr().err == f"error: {bad}: {key}: {message}\n"
 
     def test_autoencoder_cleaning_out_of_range(self, workspace, tmp_path, capsys):
         bad = self._edited(workspace["out"] / "autoencoder.bin",
@@ -792,6 +855,27 @@ class TestForecast:
         for r in rows[1:]:
             assert np.isfinite(float(r.split(",")[1]))
 
+    def test_final_window_across_a_gap_exits_1_naming_the_file(self, workspace,
+                                                                tmp_path, capsys):
+        # Six deleted rows, more than cleaning fills, leave a gap in the
+        # final 16-row window; the training windows lie before it.
+        rows = workspace["csv"].read_text().splitlines()
+        gapped = tmp_path / "gapped.csv"
+        gapped.write_text("\n".join(rows[:291] + rows[297:]) + "\n")
+        code, _ = run("train", "--config", str(workspace["cfg"]),
+                      "--set", f"data.path={gapped}", "--set", "train.epochs=1",
+                      "--set", "train.anomaly_weighting=false",
+                      "--out", str(tmp_path / "run"))
+        assert code == 0
+        code, lines = run("forecast",
+                          "--checkpoint", str(workspace["out"] / "checkpoint.bin"),
+                          "--data", str(gapped), "--out", str(tmp_path))
+        assert code == 1 and lines == []
+        assert capsys.readouterr().err == (
+            f"error: {gapped}: the final window straddles a data gap; "
+            "cannot forecast from it\n")
+        assert not (tmp_path / "forecast.csv").exists()
+
     @pytest.mark.parametrize("horizon", ["4", "9"])
     def test_horizon_flag_is_a_usage_error(self, workspace, tmp_path, capsys,
                                            horizon):
@@ -966,7 +1050,7 @@ class TestAnomaly:
                       "--ae", str(broken), "--out", str(tmp_path))
         err = capsys.readouterr().err
         assert code == 1
-        assert f"{broken}: 'tau': expected a finite number > 0" in err
+        assert f"{broken}: tau: expected a finite number > 0" in err
         assert not (tmp_path / "anomaly.csv").exists()
 
     @pytest.fixture(scope="class")

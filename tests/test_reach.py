@@ -13,8 +13,10 @@ Likewise every keyword default of a ``src/`` function, method or
 constructor (an ``__init__`` or a dataclass field) must be set by some
 call in ``src/``, ``perfbench/`` or ``tests/test_acceptance.py``: a
 setting only tests vary is a constant. Calls are matched by the callee's
-name; one with ``*`` or ``**`` arguments sets every parameter, and
-``replace(obj, field=...)`` sets that field of every dataclass.
+name; one with ``*`` or ``**`` arguments sets every parameter,
+``replace(obj, field=...)`` sets that field of every dataclass, and
+``_settings(Cls, ...)``, which builds Cls from text, sets every field of
+Cls.
 Files are parsed with ast, not imported.
 """
 
@@ -173,7 +175,8 @@ def defaults_in_source(source: str) -> dict[str, tuple[str, int | None, bool]]:
 
 def calls_in_source(source: str) -> dict[str, tuple[int, set[str]]]:
     """Callee name -> (most positional arguments, keywords) over its calls;
-    a call with * or ** arguments counts as passing all of them."""
+    a call with * or ** arguments counts as passing all of them, and so
+    does _settings(Cls, ...) as a call of Cls."""
     out: dict[str, tuple[int, set[str]]] = {}
     for n in ast.walk(ast.parse(source)):
         if not isinstance(n, ast.Call):
@@ -186,6 +189,9 @@ def calls_in_source(source: str) -> dict[str, tuple[int, set[str]]]:
         most, keys = out.get(name, (0, set()))
         out[name] = (math.inf if star else max(most, len(n.args)),
                      keys | {k.arg for k in n.keywords if k.arg})
+        if name == "_settings" and n.args and isinstance(n.args[0], ast.Name):
+            cls = n.args[0].id
+            out[cls] = (math.inf, out.get(cls, (0, set()))[1])
     return out
 
 
@@ -236,3 +242,4 @@ def test_what_sets_a_default():
     assert unset("f(1)\nK(1)\nk.m()\nD(1)\n") == sorted(defaults)
     assert unset("f(1, 2)\nf(0, c=3)\nK(1, 2)\nk.m(z=1)\nD(1, 2)\n") == ["D.w"]
     assert unset("f(*a)\nK(**kw)\nreplace(d, w=[])\n") == ["D.v", "K.m.z"]
+    assert unset("_settings(D, texts, None)\n_settings(K)\n") == ["K.m.z", "f.b", "f.c"]

@@ -5,15 +5,7 @@ import re
 import shlex
 from pathlib import Path
 
-from cotn.cli import (
-    _KNOWN_KEYS,
-    _build_activation,
-    _build_data_spec,
-    _build_model_cfg,
-    _build_train_cfg,
-    build_parser,
-    load_run_config,
-)
+from cotn.cli import _KNOWN_KEYS, build_parser, load_run_config
 from cotn.model import _parse
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -25,13 +17,12 @@ def _table():
             for section, key, kind, default in ROW.findall(README)}
 
 
-def _defaults():
+def _defaults(tmp_path):
     """Each key's value when a run configuration gives only data.path."""
-    cfg = {"data": {"path": "data.csv"}, "model": {}, "train": {}}
-    spec = _build_data_spec(cfg)
-    mode = _build_activation(cfg)
-    model = _build_model_cfg(cfg, spec)
-    train = _build_train_cfg(cfg, mode, None)
+    path = tmp_path / "run.ini"
+    path.write_text("[data]\npath = data.csv\n", encoding="utf-8")
+    spec, model, train = load_run_config(str(path), [])
+    mode = model.activation
     sources = {"data": vars(spec), "train": vars(train),
                "model": {**vars(model), **vars(mode), "activation": mode.kind}}
     return {(s, k): sources[s][k] for s, keys in _KNOWN_KEYS.items() for k in keys}
@@ -42,9 +33,9 @@ def test_ini_example_loads(tmp_path):
     assert example is not None
     path = tmp_path / "run.ini"
     path.write_text(example.group(1), encoding="utf-8")
-    cfg = load_run_config(str(path), [])
-    assert cfg["model"]["activation"] == "gated"
-    assert cfg["train"]["anomaly_weighting"] is True
+    _, model, train = load_run_config(str(path), [])
+    assert model.activation.kind == "gated"
+    assert train.anomaly_weighting is True
 
 
 def test_table_names_every_key_with_its_type():
@@ -54,10 +45,10 @@ def test_table_names_every_key_with_its_type():
         assert kind == _KNOWN_KEYS[section][key], f"{section}.{key}"
 
 
-def test_table_defaults_are_the_codes():
+def test_table_defaults_are_the_codes(tmp_path):
     table = _table()
     assert table[("data", "path")][1] == "required"
-    for name, value in _defaults().items():
+    for name, value in _defaults(tmp_path).items():
         if name == ("data", "path"):
             continue
         kind, default = table[name]
