@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .activation import build_table, write_table
 from .data import (
+    SCHEMAS,
     CleanConfig,
     Dataset,
     NormStats,
@@ -275,6 +276,14 @@ def _spec_from_meta(meta: dict[str, str], cfg: ModelConfig, path: str,
                      **{k: getattr(cfg, k) for k in _WINDOW})
 
 
+def _check_target(meta: dict[str, str], schema: str, checkpoint: str) -> None:
+    """Refuse a model file whose data.target is not its schema's target."""
+    target = _required(meta, "data.target", checkpoint)
+    expected = SCHEMAS[schema]["target"]
+    if target != expected:
+        raise ValueError(f"{checkpoint}: data.target: expected {expected}, got {target}")
+
+
 def _stats_from_extra(extra: dict[str, np.ndarray], meta: dict[str, str],
                       checkpoint: str) -> NormStats:
     def names(key):
@@ -368,6 +377,7 @@ def _restore(args) -> tuple[Forecaster, Dataset]:
     model, extra, meta = load_forecaster(args.checkpoint)
     stats = _stats_from_extra(extra, meta, args.checkpoint)
     spec = _spec_from_meta(meta, model.cfg, args.data, args.checkpoint)
+    _check_target(meta, spec.schema, args.checkpoint)
     dataset, _ = _prepare_dataset(spec, args, stats)
     return model, dataset
 
@@ -436,6 +446,7 @@ def _restore_autoencoder(path: str):
         raise ValueError(f"{path}: norm.names lists {len(stats.names)} features "
                          f"but the autoencoder takes {ae.n_features}")
     schema = _check_schema(_required(meta, "data.schema", path), f"{path}: data.schema")
+    _check_target(meta, schema, path)
     return ae, schema, _settings(CleanConfig, meta, path, "data."), stats
 
 

@@ -428,8 +428,10 @@ _AE_GELU_AFTER = ("enc1", "dec1")
 def _ae_shapes(window_len: int, n_features: int, hidden: int,
                bottleneck: int) -> dict[str, tuple[int, ...]]:
     """Parameter name -> shape, layer by layer in forward order."""
-    if min(window_len, n_features, hidden, bottleneck) < 1:
-        raise ValueError("all autoencoder dimensions must be >= 1")
+    for name, value in (("window_len", window_len), ("n_features", n_features),
+                        ("hidden", hidden), ("bottleneck", bottleneck)):
+        if value < 1:
+            raise ValueError(f"{name}: expected >= 1, got {value!r}")
     flat = window_len * n_features
     widths = (flat, hidden, bottleneck, hidden, flat)
     shapes: dict[str, tuple[int, ...]] = {}

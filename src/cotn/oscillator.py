@@ -211,10 +211,16 @@ def simulate_many(
 
     Row j equals ``simulate(raw_inputs[j], p, n_steps)`` bit for
     bit: every input is stepped together with _lors_update's operations
-    in its order, and tanh and exp go through the same libm calls. A row
-    whose state (E, I, L) repeats exactly is at a fixed point; once half
-    the rows still stepping are, those stop and their remaining outputs
-    are filled with L.
+    in its order, and tanh and exp go through the same libm calls.
+
+    Two rules skip steps without changing a bit. A row whose Gaussian
+    factor is too small to move the output is Omega throughout and never
+    steps: since |E - I| <= 2, ``2 * exp(-k S^2)`` below half the gap
+    between |Omega| and the next float towards 0 makes
+    ``(E - I) * exp(-k S^2) + Omega`` round to Omega whatever E and I
+    are. A row whose state (E, I, L) repeats exactly is at a fixed
+    point; once half the rows still stepping are, those stop and their
+    remaining outputs are filled with L.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -227,11 +233,16 @@ def simulate_many(
     omega = _libm(math.tanh, p.mu * s)
     with np.errstate(over="ignore"):  # -inf for huge inputs, as in floats
         decay = _libm(math.exp, -p.k * s * s)
-    a4s, b4s = p.a4 * s, p.b4 * s
-    live = np.arange(s.size)
-    e = np.zeros(s.size)
-    i = np.zeros(s.size)
-    out = np.zeros(s.size)
+    # The freeze rule above: these rows are Omega at every step.
+    mag = np.abs(omega)
+    frozen = 2.0 * decay < 0.5 * (mag - np.nextafter(mag, 0.0))
+    values[frozen] = omega[frozen, None]
+    live = np.flatnonzero(~frozen)
+    a4s, b4s = p.a4 * s[live], p.b4 * s[live]
+    omega, decay = omega[live], decay[live]
+    e = np.zeros(live.size)
+    i = np.zeros(live.size)
+    out = np.zeros(live.size)
     for t in range(n_steps):
         if live.size == 0:
             break

@@ -589,6 +589,38 @@ class TestMalformedMetadata:
         assert code == 1
         assert capsys.readouterr().err == f"error: {bad}: {key}: {message}\n"
 
+    @pytest.mark.parametrize("key", ["window_len", "n_features", "hidden", "bottleneck"])
+    def test_autoencoder_dimension_below_1(self, workspace, tmp_path, capsys, key):
+        bad = self._edited(workspace["out"] / "autoencoder.bin",
+                           tmp_path / "bad.bin", key, "0")
+        code, lines = run("anomaly", "--data", str(workspace["csv"]),
+                          "--ae", str(bad), "--out", str(tmp_path))
+        assert code == 1 and lines == []
+        assert capsys.readouterr().err == f"error: {bad}: {key}: expected >= 1, got 0\n"
+
+    @pytest.mark.parametrize("command", ["eval", "forecast", "anomaly"])
+    @pytest.mark.parametrize("edit", ["edited", "deleted"])
+    def test_stored_target_is_the_schemas(self, workspace, tmp_path, capsys,
+                                          command, edit):
+        model, flag = (("autoencoder.bin", "--ae") if command == "anomaly"
+                       else ("checkpoint.bin", "--checkpoint"))
+        tensors, meta = te.load_tensors(workspace["out"] / model)
+        assert meta["data.schema"] == "ett" and meta["data.target"] == "OT"
+        if edit == "edited":
+            meta["data.target"] = "HUFL"
+            message = "data.target: expected OT, got HUFL"
+        else:
+            del meta["data.target"]
+            message = "checkpoint has no 'data.target'"
+        bad = tmp_path / "bad.bin"
+        te.save_tensors(bad, tensors, meta)
+        code, lines = run(command, flag, str(bad),
+                          "--data", str(workspace["csv"]), "--out", str(tmp_path))
+        assert code == 1 and lines == []
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not (tmp_path / "forecast.csv").exists()
+        assert not (tmp_path / "anomaly.csv").exists()
+
     def test_autoencoder_cleaning_out_of_range(self, workspace, tmp_path, capsys):
         bad = self._edited(workspace["out"] / "autoencoder.bin",
                            tmp_path / "bad.bin", "data.z_max", "0")

@@ -779,7 +779,7 @@ class TestAutoencoder:
         save_autoencoder(path, ae)
         tensors, meta = te.load_tensors(path)
         te.save_tensors(path, tensors, {**meta, "hidden": "0"})
-        with pytest.raises(ValueError, match="dimensions must be >= 1") as err:
+        with pytest.raises(ValueError, match="hidden: expected >= 1, got 0") as err:
             load_autoencoder(path)
         assert str(path) in str(err.value)
 

@@ -265,6 +265,60 @@ DEFAULT_GRID = np.linspace(-4.0, 4.0, 4001)
 SPECIAL_INPUTS = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.05, -0.05]
 
 
+def _frozen(x, p):
+    # simulate_many's freeze rule, restated with scalar libm calls: the
+    # Gaussian factor times |E - I| <= 2 stays below half the gap from
+    # |Omega| down to the next float.
+    s = stimulus_signal(x, p.e)
+    mag = abs(math.tanh(p.mu * s))
+    decay = math.exp(-p.k * s * s)
+    return 2.0 * decay < 0.5 * (mag - math.nextafter(mag, 0.0))
+
+
+def _freeze_edge(p, sign):
+    # The smallest x > 0 (by bisection on bit patterns) whose sign * x is
+    # frozen, or None when not even 1e300 is.
+    lo, hi = 0, int(np.float64(1e300).view(np.int64))
+    if not _frozen(sign * 1e300, p):
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _frozen(sign * float(np.int64(mid).view(np.float64)), p):
+            hi = mid
+        else:
+            lo = mid
+    return float(np.int64(hi).view(np.float64))
+
+
+def _around_freeze_edges(p):
+    # Inputs just inside and just outside each sign's freeze edge, and a
+    # few percent inside it, where a looser rule would freeze rows whose
+    # E - I term still moves the output.
+    inputs = []
+    for sign in (1.0, -1.0):
+        edge = _freeze_edge(p, sign)
+        if edge is None:
+            continue
+        near = [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf),
+                edge * 1.01]
+        near += [edge * (1.0 - f) for f in (0.001, 0.003, 0.01, 0.02, 0.03, 0.05)]
+        inputs += [sign * x for x in near]
+    return inputs
+
+
+_PARAM = st.floats(min_value=-6.0, max_value=6.0)
+_LORS_PARAMS = st.builds(
+    LorsParams,
+    a1=_PARAM, a2=_PARAM, a3=_PARAM, a4=_PARAM,
+    b1=_PARAM, b2=_PARAM, b3=_PARAM, b4=_PARAM,
+    mu=st.floats(min_value=0.0, max_value=6.0, exclude_min=True),
+    k=st.floats(min_value=0.0, max_value=600.0),
+    xi_e=st.floats(min_value=-1.0, max_value=1.0),
+    xi_i=st.floats(min_value=-1.0, max_value=1.0),
+    e=st.floats(min_value=0.0, max_value=0.01),
+)
+
+
 class TestSimulateMany:
     @pytest.mark.parametrize("type_id", range(1, 9))
     def test_rows_equal_simulate_on_the_default_grid(self, type_id):
@@ -307,14 +361,39 @@ class TestSimulateMany:
             return real(fn, a)
 
         monkeypatch.setattr(oscillator, "_libm", counting)
-        full = DEFAULT_GRID.size * (2 + 2 * 100)
+        # Frozen rows take only the invariants' calls, so a full run of
+        # the rows that step counts 2 per row plus 200 per stepping row.
+        # Types 1, 2 and 6 never have half their stepping rows at a fixed
+        # point (type 1's band never settles); the other types do.
+        n = DEFAULT_GRID.size
+        live = {t: sum(not _frozen(float(x), builtin_params(t)) for x in DEFAULT_GRID)
+                for t in builtin_type_ids()}
         stepped = {}
         for type_id in builtin_type_ids():
             calls.clear()
             simulate_many(DEFAULT_GRID, builtin_params(type_id))
             stepped[type_id] = sum(calls)
-        assert stepped[1] == full
-        assert all(stepped[t] < full for t in range(2, 9)), stepped
+        assert all(stepped[t] == 2 * n + 200 * live[t] for t in (1, 2, 6)), stepped
+        assert all(stepped[t] < 2 * n + 200 * live[t] for t in (3, 4, 5, 7, 8)), stepped
+        assert all(live[t] <= 0.25 * n for t in builtin_type_ids()), live
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=_LORS_PARAMS, n_steps=st.sampled_from([1, 7, 100]))
+    def test_freeze_rule_keeps_the_bits(self, p, n_steps):
+        inputs = _around_freeze_edges(p) + SPECIAL_INPUTS[:6]
+        got = simulate_many(inputs, p, n_steps)
+        assert np.array_equal(_bits(got), _bits(_reference_rows(inputs, p, n_steps)))
+
+    @pytest.mark.parametrize("type_id", range(1, 9))
+    def test_rows_straddling_the_first_frozen_node(self, type_id):
+        p = builtin_params(type_id)
+        first = min(x for x in DEFAULT_GRID if x > 0 and _frozen(float(x), p))
+        side = np.linspace(0.9 * first, 1.1 * first, 100)
+        inputs = np.concatenate([-side, side])
+        assert not all(_frozen(float(x), p) for x in inputs)
+        assert any(_frozen(float(x), p) for x in inputs)
+        assert np.array_equal(_bits(simulate_many(inputs, p)),
+                              _bits(_reference_rows(inputs, p)))
 
     def test_validation(self):
         p = builtin_params(2)
