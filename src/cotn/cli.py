@@ -171,7 +171,9 @@ def load_run_config(path: str, overrides: list[str], seed: int | None = None
         section, dot, key = lhs.strip().partition(".")
         if not sep or not dot or section not in _KNOWN_KEYS:
             raise ConfigError(f"--set expects section.key=value, got {item!r}")
-        texts[f"{section}.{key}"] = value.strip()
+        texts[f"{section}.{parser.optionxform(key)}"] = value.strip()
+    if seed is not None:
+        texts["train.seed"] = str(seed)
     for entry in texts:
         section, _, key = entry.partition(".")
         if key not in _KNOWN_KEYS[section]:
@@ -190,8 +192,6 @@ def load_run_config(path: str, overrides: list[str], seed: int | None = None
         train_cfg = _settings(TrainConfig, texts, None, "train.", activation=mode)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if seed is not None:
-        train_cfg = replace(train_cfg, seed=seed)
     return spec, model_cfg, train_cfg
 
 
@@ -335,17 +335,17 @@ def cmd_train(args) -> int:
     spec, dataset, cleaned, model_cfg, train_cfg = _configure(args)
     _vlog(args, f"training plan={train_cfg.plan} "
                 f"activation={model_cfg.activation.kind} seed={train_cfg.seed}")
-    ae = None
+    ae = weights = None
     if train_cfg.anomaly_weighting:
-        # Fitted once: training weights with it and autoencoder.bin saves it.
-        ae = fit_autoencoder(
+        # Fitted once: training takes its weights and autoencoder.bin saves it.
+        ae, weights = fit_autoencoder(
             dataset.splits.train.enc,
             hidden=train_cfg.ae_hidden,
             bottleneck=train_cfg.ae_bottleneck,
             seed=train_cfg.seed,
             epochs=train_cfg.ae_epochs,
         )
-    model, report = run_training(dataset, model_cfg, train_cfg, ae)
+    model, report = run_training(dataset, model_cfg, train_cfg, weights)
     out = _out_dir(args)
     ckpt = os.path.join(out, "checkpoint.bin")
     # The run's data record: both model files carry it, so each restores
@@ -463,7 +463,7 @@ def cmd_anomaly(args) -> int:
     # unless it straddles a data gap, in chunks with the bits of one batch.
     starts = _window_starts(frame.segment_ids, 0, frame.n_rows, length, length)
     if starts.size == 0:
-        raise RuntimeError(f"need {length} rows in one segment to score, "
+        raise RuntimeError(f"{args.data}: need {length} rows in one segment to score, "
                            f"have {frame.n_rows} rows")
     errors = ae.step_errors(WindowView(frame.data, starts, length))
     weights = ae.error_weights(errors)

@@ -446,7 +446,7 @@ class Autoencoder:
 
     Scores a window by its per-step squared reconstruction error; after
     fitting, tau holds the 95th-percentile step error of the training
-    split and weights fall as errors rise above it.
+    split and error_weights fall as errors rise above it.
 
     The network runs in plain numpy, not on the tape: loss_and_grads
     differentiates the reconstruction MSE by hand, making the numpy calls
@@ -463,9 +463,6 @@ class Autoencoder:
         self.hidden = hidden
         self.bottleneck = bottleneck
         self.tau: Optional[float] = None
-        # The WindowView fit_threshold scored and each window's largest
-        # step error, so that weights() does not score those windows again.
-        self._fitted: Optional[tuple[WindowView, np.ndarray]] = None
         rng = np.random.default_rng(seed)
         self.params: dict[str, Tensor] = {}
         for name, shape in shapes.items():
@@ -556,38 +553,23 @@ class Autoencoder:
             lo = hi
         return out
 
-    def fit_threshold(self, train_windows: np.ndarray) -> float:
-        """Set tau to the 95th percentile of training-split step errors.
-
-        A split's WindowView is read-only, so its window errors are kept
-        for weights(); they hold for the parameters the threshold was
-        fitted with.
-        """
+    def fit_threshold(self, train_windows) -> np.ndarray:
+        """Set tau to the 95th percentile of training-split step errors,
+        and return those step_errors, so that the training windows'
+        weights (error_weights) need no second scoring."""
         errs = self.step_errors(train_windows)
         self.tau = float(np.percentile(errs, 95.0))
         if self.tau <= 0.0:
             # Degenerate (perfect reconstruction); keep weights defined.
             self.tau = float(np.finfo(np.float64).tiny)
-        self._fitted = ((train_windows, errs.max(axis=1))
-                        if isinstance(train_windows, WindowView) else None)
-        return self.tau
-
-    def weights(self, windows: np.ndarray) -> np.ndarray:
-        """Sample weights of the windows, from their step errors; the
-        WindowView the threshold was fitted on is not scored again."""
-        if self._fitted is not None and self._fitted[0] is windows:
-            return self._weights_of(self._fitted[1])
-        return self.error_weights(self.step_errors(windows))
+        return errs
 
     def error_weights(self, errors: np.ndarray) -> np.ndarray:
         """Sample weights 1 / (1 + max_step_error / tau), in (0, 1], of
         windows whose step_errors are given."""
-        return self._weights_of(errors.max(axis=1))
-
-    def _weights_of(self, worst: np.ndarray) -> np.ndarray:
         if self.tau is None:
             raise RuntimeError("autoencoder threshold not fitted; call fit_threshold")
-        return 1.0 / (1.0 + worst / self.tau)
+        return 1.0 / (1.0 + errors.max(axis=1) / self.tau)
 
 
 # -- checkpoints -----------------------------------------------------------

@@ -153,6 +153,7 @@ class TrainConfig:
             ("epochs", self.epochs >= 1, ">= 1"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("patience", self.patience >= 0, ">= 0"),
+            ("seed", self.seed >= 0, ">= 0"),
             ("lr", 0 < self.lr < math.inf, "a finite number > 0"),
             ("w_distill", 0 <= self.w_distill < math.inf, "a finite number >= 0"),
             ("lr_schedule", self.lr_schedule in ("cosine", "constant"), "cosine or constant"),
@@ -173,7 +174,7 @@ class TrialReport:
     Two runs with identical seeds produce identical reports except for
     wall_time_s; metric_dict() exposes exactly the reproducible part.
     wall_time_s counts an autoencoder fit made during the run, not one
-    passed in already fitted.
+    whose weights were passed in.
     """
 
     seed: int
@@ -271,11 +272,12 @@ def fit_autoencoder(
     bottleneck: int = 8,
     seed: int = 0,
     epochs: int = 40,
-) -> Autoencoder:
-    """Train a window autoencoder on reconstruction MSE and fit its
-    anomaly threshold on the same windows. Each step takes the loss and
-    gradients from Autoencoder.loss_and_grads, off the tape, and hands the
-    gradients to Adam as .grad.
+) -> tuple[Autoencoder, np.ndarray]:
+    """Train a window autoencoder on reconstruction MSE, fit its anomaly
+    threshold on the same windows and return it with those windows'
+    sample weights, from the errors the threshold was fitted on. Each
+    step takes the loss and gradients from Autoencoder.loss_and_grads,
+    off the tape, and hands the gradients to Adam as .grad.
 
     windows is an (n, window_len, n_features) array or a split's
     WindowView; each batch is cut from it and flattened as it is used.
@@ -299,8 +301,7 @@ def fit_autoencoder(
             for name, p in ae.params.items():
                 p.grad = grads[name]
             opt.step(_cosine_lr(AE_LR, epoch, epochs))
-    ae.fit_threshold(windows)
-    return ae
+    return ae, ae.error_weights(ae.fit_threshold(windows))
 
 
 # -- core stage loop ----------------------------------------------------------
@@ -383,32 +384,15 @@ def _stage_loop(
     return history, best_pred
 
 
-def _fit_for(dataset: Dataset, cfg: TrainConfig) -> Autoencoder:
-    # The autoencoder cfg's anomaly weighting fits: it depends only on the
-    # training windows, cfg.seed and the ae_* settings.
-    return fit_autoencoder(
-        dataset.splits.train.enc,
-        hidden=cfg.ae_hidden,
-        bottleneck=cfg.ae_bottleneck,
-        seed=cfg.seed,
-        epochs=cfg.ae_epochs,
-    )
-
-
-def _anomaly_weights(
-    dataset: Dataset, cfg: TrainConfig, ae: Optional[Autoencoder]
-) -> Optional[np.ndarray]:
-    train = dataset.splits.train
-    if ae is not None and (ae.window_len, ae.n_features) != train.enc.shape[1:]:
-        raise ValueError(
-            f"autoencoder expects ({ae.window_len}, {ae.n_features}) windows but "
-            f"the training windows are {train.enc.shape[1:]}"
-        )
+def _anomaly_weights(dataset: Dataset, cfg: TrainConfig) -> Optional[np.ndarray]:
+    """The training windows' anomaly weights of cfg, None when it does
+    not weight. They depend only on those windows, cfg.seed and the ae_*
+    settings, so runs that share these can share them."""
     if not cfg.anomaly_weighting:
         return None
-    if ae is None:
-        ae = _fit_for(dataset, cfg)
-    return ae.weights(train.enc)
+    return fit_autoencoder(dataset.splits.train.enc, hidden=cfg.ae_hidden,
+                           bottleneck=cfg.ae_bottleneck, seed=cfg.seed,
+                           epochs=cfg.ae_epochs)[1]
 
 
 def _finish_report(
@@ -446,7 +430,7 @@ def _finish_report(
 
 def run_training(
     dataset: Dataset, model_cfg: ModelConfig, cfg: TrainConfig,
-    ae: Optional[Autoencoder] = None,
+    weights: Optional[np.ndarray] = None,
 ) -> tuple[Forecaster, TrialReport]:
     """Build a model and train it per the config's plan.
 
@@ -459,16 +443,22 @@ def run_training(
     stages share one rng and one set of anomaly weights, and the
     validation histories concatenate for the convergence measure.
 
-    ``ae`` is an already fitted anomaly autoencoder to weight with, so
-    runs that share one fit it once; a run passed the autoencoder it
-    would have fitted itself is bit-identical to one that fits it. The
-    report's wall_time_s then leaves the fit out.
+    ``weights``, one per training window, are anomaly weights to train
+    with in place of the run's own, so runs that share one autoencoder
+    fit make it once; a run passed _anomaly_weights(dataset, cfg) is
+    bit-identical to one that fits its own. The report's wall_time_s
+    then leaves the fit out.
     """
+    n = dataset.splits.train.n_windows
+    if weights is not None and weights.shape != (n,):
+        raise ValueError(f"weights: expected shape ({n},), one per training window, "
+                         f"got {weights.shape}")
     model = Forecaster(
         replace(model_cfg, activation=ActivationMode(kind="gelu")), seed=cfg.seed
     )
     t0 = time.perf_counter()
-    weights = _anomaly_weights(dataset, cfg, ae)
+    if weights is None:
+        weights = _anomaly_weights(dataset, cfg)
     rng = np.random.default_rng(cfg.seed)
     pretrain = cfg.pretrain_epochs if cfg.plan == "warm_start" else 0
     h1, _ = _stage_loop(model, dataset, cfg, rng, pretrain, weights)
@@ -512,9 +502,9 @@ def _fan_out(fn, work: list, jobs: int) -> list:
 
 
 def _run_sweep_one(args) -> "SweepEntry":
-    dataset, model_cfg, cfg, type_id, ae = args
+    dataset, model_cfg, cfg, type_id, weights = args
     mode = ActivationMode(kind="gated", type_id=type_id, lam=cfg.activation.lam)
-    _, report = run_training(dataset, model_cfg, replace(cfg, activation=mode), ae)
+    _, report = run_training(dataset, model_cfg, replace(cfg, activation=mode), weights)
     return SweepEntry(type_id, report)
 
 
@@ -531,10 +521,10 @@ def sweep_types(
     Each type is an independent run, so jobs > 1 fans them out over
     processes; the ranking is identical either way. The types differ only
     in activation, so the anomaly autoencoder is fitted once, here, and
-    every run weights with it.
+    every run trains with its weights.
     """
-    ae = _fit_for(dataset, cfg) if cfg.anomaly_weighting else None
-    work = [(dataset, model_cfg, cfg, t, ae) for t in type_ids]
+    weights = _anomaly_weights(dataset, cfg)
+    work = [(dataset, model_cfg, cfg, t, weights) for t in type_ids]
     entries = _fan_out(_run_sweep_one, work, jobs)
     ranked = tuple(sorted(entries, key=lambda e: (e.report.val_mae, e.type_id)))
     return SweepResult(ranked)
@@ -575,10 +565,10 @@ def _run_pair(args) -> tuple[TrialReport, TrialReport]:
     t_cfg, b_cfg = replace(t_cfg, seed=seed), replace(b_cfg, seed=seed)
     # Both arms share the seed; with the same ae_* settings they would fit
     # the same autoencoder, so it is fitted once for the pair.
-    t_ae = _fit_for(dataset, t_cfg) if t_cfg.anomaly_weighting else None
+    t_weights = _anomaly_weights(dataset, t_cfg)
     share = b_cfg.anomaly_weighting and _ae_settings(b_cfg) == _ae_settings(t_cfg)
-    _, t_report = run_training(dataset, model_cfg, t_cfg, t_ae)
-    _, b_report = run_training(dataset, model_cfg, b_cfg, t_ae if share else None)
+    _, t_report = run_training(dataset, model_cfg, t_cfg, t_weights)
+    _, b_report = run_training(dataset, model_cfg, b_cfg, t_weights if share else None)
     return t_report, b_report
 
 

@@ -366,8 +366,8 @@ def test_criterion_09_anomaly_scorer_flags_spikes():
     starts = np.arange(0, z.size - length + 1, 8)
     windows = z[starts[:, None] + np.arange(length)][..., None]
 
-    ae = fit_autoencoder(windows, hidden=32, bottleneck=8, seed=0, epochs=40)
-    clean_weights = ae.weights(windows)
+    ae, _ = fit_autoencoder(windows, hidden=32, bottleneck=8, seed=0, epochs=40)
+    clean_weights = ae.error_weights(ae.step_errors(windows))
     median_clean = float(np.median(clean_weights))
 
     rng = np.random.default_rng(123)
@@ -378,7 +378,7 @@ def test_criterion_09_anomaly_scorer_flags_spikes():
 
     errs = ae.step_errors(spiked)
     hits = int((errs.argmax(axis=1) == pos).sum())
-    spiked_weights = ae.weights(spiked)
+    spiked_weights = ae.error_weights(errs)
     assert hits >= 90, f"spike held the max error in only {hits}/100 windows"
     assert np.all(spiked_weights < median_clean), (
         "some spiked window weighed at least as much as the clean median"

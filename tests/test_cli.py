@@ -265,8 +265,8 @@ class TestTrainFitsOnce:
         # Byte-identical to a fresh fit of the run's training windows.
         frame = featurize(clean(load_csv(workspace["csv"], "ett"), CleanConfig()))
         dataset = build_dataset(frame, enc_len=16, label_len=8, horizon=4)
-        ae = real(dataset.splits.train.enc, hidden=32, bottleneck=8, seed=1,
-                  epochs=2)
+        ae, _ = real(dataset.splits.train.enc, hidden=32, bottleneck=8, seed=1,
+                     epochs=2)
         spec = cotn.cli.DataSpec(path=str(workspace["csv"]), enc_len=16,
                                  label_len=8, horizon=4)
         save_autoencoder(tmp_path / "fresh.bin", ae,
@@ -368,6 +368,31 @@ class TestConfigErrors:
         code, _ = run("train", "--config", str(workspace["cfg"]), "--set", setting)
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flags,value", [(("--seed", "-1"), -1),
+                                             (("--set", "train.seed=-3"), -3)])
+    def test_negative_seed_is_a_config_error(self, workspace, tmp_path, capsys,
+                                             flags, value):
+        # Refused with the other settings, before the data is read.
+        code, _ = run("train", "--config", str(workspace["cfg"]),
+                      "--set", f"data.path={tmp_path / 'absent.csv'}", *flags)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: train.seed: expected >= 0, got {value}\n"
+
+    def test_set_matches_key_case_as_the_file_does(self, workspace, tmp_path, capsys):
+        # configparser lowercases the file's option names; --set's keys
+        # match the same way. Section names are case-sensitive in both.
+        cfg = tmp_path / "case.ini"
+        cfg.write_text(workspace["cfg"].read_text().replace("\nepochs = 2", "\nEpochs = 3"))
+        assert cotn.cli.load_run_config(str(cfg), [])[2].epochs == 3
+        _, _, train_cfg = cotn.cli.load_run_config(str(workspace["cfg"]),
+                                                   ["train.Epochs=5"])
+        assert train_cfg.epochs == 5
+        code, _ = run("train", "--config", str(workspace["cfg"]),
+                      "--set", f"data.path={tmp_path / 'absent.csv'}",
+                      "--set", "Train.epochs=1")
+        assert code == 2
+        assert "--set expects section.key=value" in capsys.readouterr().err
 
     def test_percent_in_a_value_is_literal(self, workspace, tmp_path):
         data = tmp_path / "s2k%.csv"
@@ -963,7 +988,8 @@ class TestAnomaly:
         frame = normalize(featurize(clean(load_csv(workspace["csv"], "ett"))), stats)
         n = frame.n_rows // 16
         windows = frame.data[: n * 16].reshape(n, 16, frame.n_features)
-        errors, weights = ae.step_errors(windows), ae.weights(windows)
+        errors = ae.step_errors(windows)
+        weights = ae.error_weights(errors)
         rows = (tmp_path / "anomaly.csv").read_text().splitlines()[1:]
         assert len(rows) == n * 16
         for i, row in enumerate(rows):
@@ -1041,7 +1067,8 @@ class TestAnomaly:
         assert frame.n_rows == 290 and list(np.unique(frame.segment_ids)) == [0, 1]
         starts = [s for s in range(0, 290 - 15, 16) if s != 144]
         windows = np.stack([frame.data[s:s + 16] for s in starts])
-        errors, weights = ae.step_errors(windows), ae.weights(windows)
+        errors = ae.step_errors(windows)
+        weights = ae.error_weights(errors)
         expected = ["window,timestamp,step_error,window_weight"] + [
             f"{w},{epoch_to_text(int(frame.epochs[s + i]))},"
             f"{'%.17g' % errors[w, i]},{'%.17g' % weights[w]}"
@@ -1059,7 +1086,7 @@ class TestAnomaly:
                           "--out", str(tmp_path))
         assert code == 1 and lines == []
         assert capsys.readouterr().err == (
-            "error: need 16 rows in one segment to score, have 30 rows\n")
+            f"error: {gapped}: need 16 rows in one segment to score, have 30 rows\n")
         assert not (tmp_path / "anomaly.csv").exists()
 
     def test_autoencoder_missing_a_tensor_is_named(self, workspace, tmp_path, capsys):
@@ -1204,7 +1231,8 @@ def _anomaly_text(ae, frame):
     length = ae.window_len
     n = frame.n_rows // length
     windows = frame.data[: n * length].reshape(n, length, frame.n_features)
-    errors, weights = ae.step_errors(windows), ae.weights(windows)
+    errors = ae.step_errors(windows)
+    weights = ae.error_weights(errors)
     rows = ["window,timestamp,step_error,window_weight"]
     for i in range(n * length):
         w = i // length

@@ -711,16 +711,23 @@ class TestAutoencoder:
         assert recon.requires_grad
         assert ae.reconstruct(flat).tobytes() == recon.data.tobytes()
         errs = ((flat - recon.data) ** 2).reshape(40, 8, 2).mean(axis=2)
-        assert np.array_equal(ae.weights(windows), 1.0 / (1.0 + errs.max(axis=1) / ae.tau))
+        weights = ae.error_weights(ae.step_errors(windows))
+        assert np.array_equal(weights, 1.0 / (1.0 + errs.max(axis=1) / ae.tau))
         assert all(p.grad is None for p in ae.params.values())
 
     def test_threshold_is_95th_percentile(self):
         ae, windows = self._fitted()
         assert ae.tau == np.percentile(ae.step_errors(windows), 95.0)
 
+    def test_fit_threshold_returns_the_errors_it_fitted_on(self):
+        ae, windows = self._fitted()
+        errs = ae.fit_threshold(windows)
+        assert errs.tobytes() == ae.step_errors(windows).tobytes()
+        assert ae.tau == np.percentile(errs, 95.0)
+
     def test_weights_in_unit_interval(self):
         ae, windows = self._fitted()
-        w = ae.weights(windows)
+        w = ae.error_weights(ae.step_errors(windows))
         assert w.shape == (40,)
         assert np.all(w > 0.0) and np.all(w <= 1.0)
 
@@ -728,12 +735,13 @@ class TestAutoencoder:
         ae, windows = self._fitted()
         spiked = windows.copy()
         spiked[:, 3, 0] += 25.0
-        assert np.all(ae.weights(spiked) < ae.weights(windows))
+        assert np.all(ae.error_weights(ae.step_errors(spiked))
+                      < ae.error_weights(ae.step_errors(windows)))
 
     def test_unfitted_refuses_weights(self):
         ae = Autoencoder(8, 2)
         with pytest.raises(RuntimeError):
-            ae.weights(np.zeros((1, 8, 2)))
+            ae.error_weights(np.zeros((1, 8)))
 
     def test_window_shape_validation(self):
         ae = Autoencoder(8, 2)
@@ -743,12 +751,13 @@ class TestAutoencoder:
     def test_anomaly_score_single_window(self):
         # A batch of one window scores; one 2-D window is refused.
         ae, windows = self._fitted()
-        errors, weight = ae.step_errors(windows[:1])[0], ae.weights(windows[:1])[0]
+        errors = ae.step_errors(windows[:1])[0]
+        weight = ae.error_weights(errors[None])[0]
         assert errors.shape == (8,)
         assert 0.0 < weight <= 1.0
         spiked = windows[:1].copy()
         spiked[0, 2, 1] += 30.0
-        assert ae.weights(spiked)[0] < weight
+        assert ae.error_weights(ae.step_errors(spiked))[0] < weight
         assert ae.step_errors(spiked)[0].argmax() == 2
         with pytest.raises(ValueError, match=r"expected \(n, 8, 2\) windows, got \(8, 2\)"):
             ae.step_errors(windows[0])
@@ -788,7 +797,8 @@ class TestAutoencoder:
         # which must be stored as a plain float literal.
         ae, windows = self._fitted()
         monkeypatch.setattr(ae, "step_errors", lambda w: np.zeros((len(w), 8)))
-        tau = ae.fit_threshold(windows)
+        ae.fit_threshold(windows)
+        tau = ae.tau
         assert type(tau) is float and tau == np.finfo(np.float64).tiny
         save_autoencoder(tmp_path / "ae.bin", ae)
         assert load_autoencoder(tmp_path / "ae.bin")[0].tau == tau

@@ -9,7 +9,7 @@ import pytest
 
 import cotn.tensor as te
 from cotn import training
-from cotn.data import FeatureFrame, build_dataset, load_csv
+from cotn.data import FeatureFrame, WindowView, build_dataset, load_csv
 from cotn.model import SCORE_CHUNK, ActivationMode, Autoencoder, Forecaster, ModelConfig
 from cotn.tensor import parameter
 from cotn.training import (
@@ -228,8 +228,8 @@ class TestAutoencoderFit:
     def test_fit_sets_threshold_and_is_deterministic(self):
         rng = np.random.default_rng(8)
         windows = rng.standard_normal((60, 8, 2))
-        a = fit_autoencoder(windows, hidden=12, bottleneck=3, seed=5, epochs=3)
-        b = fit_autoencoder(windows, hidden=12, bottleneck=3, seed=5, epochs=3)
+        a, _ = fit_autoencoder(windows, hidden=12, bottleneck=3, seed=5, epochs=3)
+        b, _ = fit_autoencoder(windows, hidden=12, bottleneck=3, seed=5, epochs=3)
         assert a.tau is not None and a.tau > 0
         assert a.tau == b.tau
         np.testing.assert_allclose(a.step_errors(windows),
@@ -243,8 +243,8 @@ class TestAutoencoderFit:
     def test_view_fit_equals_the_array_fit(self, n_features):
         view = _train_view(n_features, 400, seed=n_features)
         whole = view[:]
-        a = fit_autoencoder(view, hidden=12, bottleneck=3, seed=5, epochs=3)
-        b = fit_autoencoder(whole, hidden=12, bottleneck=3, seed=5, epochs=3)
+        a, _ = fit_autoencoder(view, hidden=12, bottleneck=3, seed=5, epochs=3)
+        b, _ = fit_autoencoder(whole, hidden=12, bottleneck=3, seed=5, epochs=3)
         assert a.tau == b.tau
         assert _param_bytes(a) == _param_bytes(b)
         assert a.step_errors(view).tobytes() == b.step_errors(whole).tobytes()
@@ -276,7 +276,7 @@ class TestTapeReference:
         view = _train_view(n_features, 260, seed=n_features)
         windows = view if as_view else view[:]
         assert windows.shape[0] % 64 != 0  # a short last batch
-        a = fit_autoencoder(windows, hidden=12, bottleneck=3, seed=5, epochs=3)
+        a, _ = fit_autoencoder(windows, hidden=12, bottleneck=3, seed=5, epochs=3)
         b = tape_fit_autoencoder(windows, hidden=12, bottleneck=3, seed=5, epochs=3)
         assert a.tau == b.tau and _param_bytes(a) == _param_bytes(b)
         assert a.step_errors(windows).tobytes() == tape_step_errors(b, windows).tobytes()
@@ -343,34 +343,30 @@ def count_fits(monkeypatch):
     return calls
 
 
-def _fit_for_run(dataset, cfg):
-    return fit_autoencoder(dataset.splits.train.enc, hidden=cfg.ae_hidden,
-                           bottleneck=cfg.ae_bottleneck, seed=cfg.seed,
-                           epochs=cfg.ae_epochs)
-
-
 class TestSharedAutoencoder:
     @pytest.mark.parametrize("plan,pretrain", [("direct", 0), ("warm_start", 1)])
     def test_passed_in_fit_is_bit_identical(self, tiny_dataset, plan, pretrain):
         cfg = tiny_train_cfg(epochs=2, plan=plan, pretrain_epochs=pretrain,
                              anomaly_weighting=True, ae_epochs=3)
         model_own, rep_own = run_training(tiny_dataset, TINY_MODEL, cfg)
-        ae = _fit_for_run(tiny_dataset, cfg)
-        model_in, rep_in = run_training(tiny_dataset, TINY_MODEL, cfg, ae=ae)
+        weights = training._anomaly_weights(tiny_dataset, cfg)
+        model_in, rep_in = run_training(tiny_dataset, TINY_MODEL, cfg, weights)
         assert rep_in.metric_dict() == rep_own.metric_dict()
         assert _param_bytes(model_in) == _param_bytes(model_own)
 
     def test_passed_in_fit_is_not_refitted(self, tiny_dataset, count_fits):
         cfg = tiny_train_cfg(epochs=1, anomaly_weighting=True, ae_epochs=2)
-        ae = _fit_for_run(tiny_dataset, cfg)
-        run_training(tiny_dataset, TINY_MODEL, cfg, ae=ae)
-        assert count_fits == []
-        run_training(tiny_dataset, TINY_MODEL, cfg)
+        weights = training._anomaly_weights(tiny_dataset, cfg)
         assert count_fits == [1]
+        run_training(tiny_dataset, TINY_MODEL, cfg, weights)
+        assert count_fits == [1]
+        run_training(tiny_dataset, TINY_MODEL, cfg)
+        assert count_fits == [1, 1]
 
     def test_training_windows_are_scored_once(self, tiny_dataset, monkeypatch):
-        # fit_threshold scores the training windows; the weights reuse those
-        # errors, whether the run fits its autoencoder or is handed it.
+        # fit_threshold scores the training windows; the weights come from
+        # those errors, whether the run fits its autoencoder or is handed
+        # the weights.
         scored = []
         real = Autoencoder.step_errors
 
@@ -384,46 +380,33 @@ class TestSharedAutoencoder:
         _, own = run_training(tiny_dataset, TINY_MODEL, cfg)
         assert scored == [train]
         del scored[:]
-        ae = _fit_for_run(tiny_dataset, cfg)
-        _, handed = run_training(tiny_dataset, TINY_MODEL, cfg, ae=ae)
+        weights = training._anomaly_weights(tiny_dataset, cfg)
+        _, handed = run_training(tiny_dataset, TINY_MODEL, cfg, weights)
         assert scored == [train]
         assert handed.metric_dict() == own.metric_dict()
-        # The kept errors are those of a fresh scoring, bit for bit.
-        fresh = ae.error_weights(real(ae, train))
-        assert ae.weights(train).tobytes() == fresh.tobytes()
 
-    def test_autoencoder_fitted_elsewhere_scores_the_training_windows(
-            self, tiny_dataset, monkeypatch):
-        cfg = tiny_train_cfg(epochs=1, anomaly_weighting=True, ae_epochs=2)
-        train = tiny_dataset.splits.train.enc
-        # The same windows as a plain array, and a WindowView of other rows.
-        as_array = train[:]
-        other = type(train)(train.data, train.starts[::-1].copy(), 16)
-        for windows in (as_array, other):
-            ae = fit_autoencoder(windows, hidden=cfg.ae_hidden,
-                                 bottleneck=cfg.ae_bottleneck, seed=cfg.seed,
-                                 epochs=cfg.ae_epochs)
-            scored = []
-            real = Autoencoder.step_errors
-            monkeypatch.setattr(Autoencoder, "step_errors",
-                                lambda self, w: scored.append(w) or real(self, w))
-            weights = training._anomaly_weights(tiny_dataset, cfg, ae)
-            monkeypatch.undo()
-            assert scored == [train]
-            assert weights.tobytes() == ae.error_weights(ae.step_errors(train)).tobytes()
+    @pytest.mark.parametrize("n", [1, SCORE_CHUNK, SCORE_CHUNK + 1, 2 * SCORE_CHUNK + 1])
+    @pytest.mark.parametrize("as_view", [False, True])
+    def test_fit_weights_equal_a_fresh_scoring(self, n, as_view):
+        # Across step_errors' chunk boundaries, where a lone last window
+        # joins the chunk before it.
+        data = np.random.default_rng(n).standard_normal((n + 5, 2))
+        view = WindowView(data, np.arange(n), 6)
+        windows = view if as_view else view[:]
+        ae, weights = fit_autoencoder(windows, hidden=4, bottleneck=2, seed=3, epochs=1)
+        assert weights.shape == (n,)
+        assert weights.tobytes() == ae.error_weights(ae.step_errors(windows)).tobytes()
 
-    def test_mismatched_autoencoder_rejected(self, tiny_dataset):
+    def test_weights_of_another_shape_rejected(self, tiny_dataset):
+        n = tiny_dataset.splits.train.n_windows
         cfg = tiny_train_cfg(epochs=1, anomaly_weighting=True, ae_epochs=2)
-        short = fit_autoencoder(tiny_dataset.splits.train.enc[:][:, :8], hidden=4,
-                                bottleneck=2, epochs=1)
-        with pytest.raises(ValueError, match="autoencoder expects"):
-            run_training(tiny_dataset, TINY_MODEL, cfg, ae=short)
-        wide = fit_autoencoder(np.zeros((4, 16, 2)), hidden=4, bottleneck=2,
-                               epochs=1)
-        with pytest.raises(ValueError, match="autoencoder expects"):
-            run_training(tiny_dataset, TINY_MODEL,
-                         tiny_train_cfg(epochs=1, plan="warm_start",
-                                        pretrain_epochs=1), ae=wide)
+        message = rf"weights: expected shape \({n},\), one per training window"
+        for weights in (np.ones(n - 1), np.ones(n + 1), np.ones((n, 1))):
+            with pytest.raises(ValueError, match=message):
+                run_training(tiny_dataset, TINY_MODEL, cfg, weights)
+        # Refused whether or not the run weights.
+        with pytest.raises(ValueError, match=message):
+            run_training(tiny_dataset, TINY_MODEL, tiny_train_cfg(epochs=1), np.ones(3))
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_sweep_fits_once(self, tiny_dataset, count_fits, jobs):
