@@ -8,10 +8,11 @@ the maximum summarizes the transient.
 
 Because one exact evaluation costs a 100-step simulation, the function is
 tabulated once on a uniform grid and evaluated by piecewise-linear
-interpolation with clamping. The grid must be exactly
-np.linspace(x_min, x_max, n_nodes): a query's segment then comes from its
-scaled offset, corrected by at most one step against the nodes, in
-constant time and bit-identical to a binary search. One call returns the
+interpolation with clamping. A table is its bounds and its node values,
+and its grid is np.linspace(x_min, x_max, n_nodes) by construction: a
+query's segment comes from its scaled offset, corrected by at most one
+step against the nodes, in constant time and bit-identical to a binary
+search. One call returns the
 interpolated value and the segment slope together, so a recorded forward
 pass never looks the table up again for its backward pass. Node values
 are produced by the exact path, so table and exact function agree
@@ -21,7 +22,10 @@ measured on 10,000 uniform samples (type 1), the worst
 absolute deviation is about 0.6 both on [-2, 2] with 2001 nodes and on
 the default [-4, 4] grid with 4001 nodes, all of it inside |x| < 0.12,
 while outside the band the error stays below 1e-5. Training-scale inputs
-hit the band rarely; the gate below also blends the table with GELU.
+hit the band often: during a 4-epoch type-1 run of the benchmark model
+(the bundled synthetic benchmark, batch 32, no anomaly weighting), 9.7%
+of FFN inputs had |x| < 0.12 and 22% had |x| < 0.276 (type 1's first
+frozen node). The gate below blends the table with GELU.
 
 The gated activation blends the exact-erf GELU with a tabulated
 oscillator activation through a fixed mixing weight lam in [0, 1]:
@@ -92,47 +96,45 @@ def fixed_step_activation(x: float, p: LorsParams, t: int) -> float:
     return float(simulate(x, p, t)[-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetaActivationTable:
     """Piecewise-linear tabulation of a max-over-time activation.
 
-    nodes is the uniform grid, equal to np.linspace(x_min, x_max, n_nodes)
-    with n_nodes >= 2, and values the exact activation at each node;
-    x_min and x_max are the grid's first and last node, and steps and
-    rises the segments' np.diff of nodes and of values, which the lookup
-    gathers. type_id identifies the builtin oscillator type (0 marks a
-    custom parameter set).
+    values holds the exact activation at each node of the uniform grid
+    nodes = np.linspace(x_min, x_max, len(values)), of at least 2 nodes;
+    steps and rises are the segments' np.diff of nodes and of values,
+    which the lookup gathers. type_id identifies the builtin oscillator
+    type (0 marks a custom parameter set). Each refusal starts with the
+    field's name. Tables compare by identity, as their fields are arrays.
     """
 
     type_id: int
-    nodes: np.ndarray
+    x_min: float
+    x_max: float
     values: np.ndarray
-    x_min: float = field(init=False)
-    x_max: float = field(init=False)
-    steps: np.ndarray = field(init=False, repr=False, compare=False)
-    rises: np.ndarray = field(init=False, repr=False, compare=False)
+    nodes: np.ndarray = field(init=False, repr=False)
+    steps: np.ndarray = field(init=False, repr=False)
+    rises: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=np.float64)
+        x_min, x_max = float(self.x_min), float(self.x_max)
+        if not math.isfinite(x_min):
+            raise ValueError(f"x_min: expected a finite number, got {x_min!r}")
+        if not (math.isfinite(x_max - x_min) and x_max > x_min):
+            raise ValueError(f"x_max: expected a number > x_min ({x_min!r}) with a "
+                             f"finite x_max - x_min, got {x_max!r}")
         values = np.asarray(self.values, dtype=np.float64)
-        if nodes.ndim != 1 or nodes.shape != values.shape or nodes.size < 2:
-            raise ValueError(
-                f"nodes/values must be equal-length 1-d arrays of >= 2 entries, "
-                f"got {nodes.shape} and {values.shape}"
-            )
-        object.__setattr__(self, "x_min", float(nodes[0]))
-        object.__setattr__(self, "x_max", float(nodes[-1]))
-        if not np.all(np.diff(nodes) > 0):
-            raise ValueError("nodes must be strictly ascending")
-        if not np.array_equal(nodes, np.linspace(self.x_min, self.x_max, nodes.size)):
-            raise ValueError(
-                f"nodes must be the uniform grid np.linspace({self.x_min!r}, "
-                f"{self.x_max!r}, {nodes.size})"
-            )
+        if values.ndim != 1 or values.size < 2:
+            raise ValueError(f"values: expected a 1-d array of >= 2 entries, "
+                             f"got shape {values.shape}")
         if not np.all(np.isfinite(values)):
-            raise ValueError("table values must be finite")
-        object.__setattr__(self, "nodes", nodes)
+            raise ValueError(f"values: expected finite numbers, "
+                             f"got {float(values[~np.isfinite(values)][0])!r}")
+        nodes = np.linspace(x_min, x_max, values.size)
+        object.__setattr__(self, "x_min", x_min)
+        object.__setattr__(self, "x_max", x_max)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "steps", np.diff(nodes))
         object.__setattr__(self, "rises", np.diff(values))
         # _bracket trusts its scaled guess to within one segment. The guess
@@ -145,7 +147,8 @@ class MetaActivationTable:
             exact = (np.array_equal(_bracket(self, nodes[:-1]), seg)
                      and np.array_equal(_bracket(self, below), seg))
         if not exact:
-            raise ValueError("node spacing is too fine for the float64 grid")
+            raise ValueError(f"x_max: expected a node spacing that float64 resolves, "
+                             f"got {(x_max - x_min) / (nodes.size - 1)!r}")
 
     @property
     def n_nodes(self) -> int:
@@ -169,9 +172,8 @@ def build_table(
         raise ValueError(f"need finite x_min < x_max, got [{x_min}, {x_max}]")
     if n_nodes < 2:
         raise ValueError(f"n_nodes must be >= 2, got {n_nodes}")
-    nodes = np.linspace(x_min, x_max, n_nodes)
-    values = simulate_many(nodes, p).max(axis=1)
-    return MetaActivationTable(type_id, nodes, values)
+    values = simulate_many(np.linspace(x_min, x_max, n_nodes), p).max(axis=1)
+    return MetaActivationTable(type_id, x_min, x_max, values)
 
 
 @functools.lru_cache(maxsize=None)

@@ -683,13 +683,6 @@ def _load_model(path, kind: str) -> tuple[dict, dict[str, np.ndarray], dict[str,
     return {k: v for k, v in tensors.items() if not k.startswith("x.")}, extra, meta
 
 
-# A gated checkpoint stores its activation table under these names, so
-# that loading it neither rebuilds the table nor depends on the loading
-# machine's libm. Like "x.", the prefix never names a parameter.
-_TABLE_NODES = "table.nodes"
-_TABLE_VALUES = "table.values"
-
-
 def save_forecaster(
     path,
     model: Forecaster,
@@ -698,28 +691,27 @@ def save_forecaster(
 ) -> None:
     """Write parameters plus the full config as one checkpoint file, with
     extras as _save_model stores them. A gated model's activation table
-    is stored under ``table.``.
+    is stored under ``table.``: its bounds as meta entries and its values
+    as a tensor, so that loading it neither rebuilds the table nor
+    depends on the loading machine's libm. Like ``x.``, the prefix never
+    names a parameter.
     """
     meta = {**_meta_of(model.cfg), **_meta_of(model.cfg.activation, "activation.")}
     tensors = {name: p.data for name, p in model.params.items()}
     if isinstance(model.activation, GatedLeeActivation):
-        tensors[_TABLE_NODES] = model.activation.tab.nodes
-        tensors[_TABLE_VALUES] = model.activation.tab.values
+        meta.update(_meta_of(model.activation.tab, "table.", skip=("type_id",)))
+        tensors["table.values"] = model.activation.tab.values
     _save_model(path, "forecaster", tensors, meta, extra_tensors, extra_meta)
 
 
-def _stored_table(tensors: dict[str, np.ndarray], mode: ActivationMode,
-                  path) -> Optional[MetaActivationTable]:
+def _stored_table(tensors: dict[str, np.ndarray], meta: dict[str, str],
+                  mode: ActivationMode, path) -> Optional[MetaActivationTable]:
     """The activation table a gated checkpoint must store; None for a
     GELU checkpoint, which stores none."""
     if mode.kind == "gelu":
         return None
-    nodes = _required(tensors, _TABLE_NODES, path)
-    values = _required(tensors, _TABLE_VALUES, path)
-    try:
-        return MetaActivationTable(mode.type_id, nodes, values)
-    except ValueError as exc:
-        raise ValueError(f"{path}: stored activation table: {exc}") from None
+    return _settings(MetaActivationTable, meta, path, "table.", type_id=mode.type_id,
+                     values=_required(tensors, "table.values", path))
 
 
 def load_forecaster(path) -> tuple[Forecaster, dict[str, np.ndarray], dict[str, str]]:
@@ -739,7 +731,7 @@ def load_forecaster(path) -> tuple[Forecaster, dict[str, np.ndarray], dict[str, 
                         (f"dec.{cfg.n_dec_layers - 1}.ff1.w", (d, cfg.d_ff))):
         if _required(tensors, name, path).shape != shape:
             raise ValueError(f"{path}: {name} has shape {tensors[name].shape}, not {shape}")
-    model = Forecaster(cfg, table=_stored_table(tensors, cfg.activation, path))
+    model = Forecaster(cfg, table=_stored_table(tensors, meta, cfg.activation, path))
     try:
         model.load_state_arrays(
             {k: v for k, v in tensors.items() if not k.startswith("table.")})

@@ -138,7 +138,6 @@ class TrainConfig:
     seed: int = 1
     patience: int = 10
     w_distill: float = 0.05
-    plan: str = "direct"  # "direct" | "warm_start"
     pretrain_epochs: int = 0
     activation: ActivationMode = field(default_factory=ActivationMode)
     anomaly_weighting: bool = True
@@ -157,7 +156,6 @@ class TrainConfig:
             ("lr", 0 < self.lr < math.inf, "a finite number > 0"),
             ("w_distill", 0 <= self.w_distill < math.inf, "a finite number >= 0"),
             ("lr_schedule", self.lr_schedule in ("cosine", "constant"), "cosine or constant"),
-            ("plan", self.plan in ("direct", "warm_start"), "direct or warm_start"),
             ("pretrain_epochs", 0 <= self.pretrain_epochs <= self.epochs, "0..epochs"),
             ("ae_hidden", self.ae_hidden >= 1, ">= 1"),
             ("ae_bottleneck", self.ae_bottleneck >= 1, ">= 1"),
@@ -165,6 +163,11 @@ class TrainConfig:
         ):
             if not ok:
                 raise ValueError(f"{name}: expected {want}, got {getattr(self, name)!r}")
+
+    @property
+    def plan(self) -> str:
+        """warm_start when GELU epochs come first, direct otherwise."""
+        return "warm_start" if self.pretrain_epochs > 0 else "direct"
 
 
 @dataclass(frozen=True)
@@ -460,12 +463,12 @@ def run_training(
     if weights is None:
         weights = _anomaly_weights(dataset, cfg)
     rng = np.random.default_rng(cfg.seed)
-    pretrain = cfg.pretrain_epochs if cfg.plan == "warm_start" else 0
-    h1, _ = _stage_loop(model, dataset, cfg, rng, pretrain, weights)
+    h1, _ = _stage_loop(model, dataset, cfg, rng, cfg.pretrain_epochs, weights)
     model.set_activation(cfg.activation)
     # Stage 2's best prediction is the final model's. Without one (no stage
     # 2 epochs), stage 1's would be stale: the activation has changed since.
-    h2, val_pred = _stage_loop(model, dataset, cfg, rng, cfg.epochs - pretrain, weights)
+    h2, val_pred = _stage_loop(model, dataset, cfg, rng,
+                               cfg.epochs - cfg.pretrain_epochs, weights)
     report = _finish_report(model, dataset, cfg, h1 + h2, t0, val_pred)
     return model, report
 

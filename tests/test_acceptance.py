@@ -401,8 +401,7 @@ def test_criterion_10_warm_start_converges_no_later(bench_dataset):
         _, direct = run_training(bench_dataset, BENCH_MODEL,
                                  _bench_cfg(seed=seed))
         _, warm = run_training(bench_dataset, BENCH_MODEL,
-                               _bench_cfg(seed=seed, plan="warm_start",
-                                          pretrain_epochs=3))
+                               _bench_cfg(seed=seed, pretrain_epochs=3))
         wins += warm.epochs_to_convergence <= direct.epochs_to_convergence
         warm_losses.append(warm.best_val_loss)
         direct_losses.append(direct.best_val_loss)

@@ -121,24 +121,54 @@ class TestTableBuild:
             build_table(p, 1.0, -1.0, 11)
         with pytest.raises(ValueError):
             build_table(p, -1.0, 1.0, 1)
-        with pytest.raises(ValueError):
-            MetaActivationTable(0, np.array([0.0, 0.5, 0.4]), np.zeros(3))
-        with pytest.raises(ValueError):
-            MetaActivationTable(0, np.array([0.0, 1.0]), np.array([0.0, math.nan]))
 
     def test_endpoints_are_the_first_and_last_node(self):
-        tab = MetaActivationTable(0, np.linspace(-1.5, 2.5, 9), np.zeros(9))
+        tab = MetaActivationTable(0, -1.5, 2.5, np.zeros(9))
         assert (tab.x_min, tab.x_max) == (-1.5, 2.5)
+        assert (tab.nodes[0], tab.nodes[-1]) == (-1.5, 2.5)
         assert type(tab.x_min) is float and type(tab.x_max) is float
 
-    def test_nodes_must_be_the_linspace_grid(self):
-        with pytest.raises(ValueError, match="linspace"):
-            MetaActivationTable(0, np.array([0.0, 0.3, 1.0]), np.zeros(3))
+    def test_nodes_are_the_linspace_of_the_bounds(self):
+        # The grid is derived, so no table holds another: build_table's
+        # table has the nodes it simulated.
         tab = small_table()
-        nodes = tab.nodes.copy()
-        nodes[5] = np.nextafter(nodes[5], np.inf)
-        with pytest.raises(ValueError, match="linspace"):
-            MetaActivationTable(4, nodes, tab.values)
+        assert tab.nodes.tobytes() == np.linspace(-2.0, 2.0, 201).tobytes()
+        assert tab.n_nodes == tab.values.size == 201
+
+    @pytest.mark.parametrize("x_min,x_max,n,message", [
+        (math.nan, 1.0, 3, "x_min: expected a finite number, got nan"),
+        (-math.inf, 1.0, 3, "x_min: expected a finite number, got -inf"),
+        (0.0, math.inf, 3, "x_max: expected a number > x_min (0.0) with a finite "
+                           "x_max - x_min, got inf"),
+        (0.0, math.nan, 3, "x_max: expected a number > x_min (0.0) with a finite "
+                           "x_max - x_min, got nan"),
+        (1.0, 1.0, 3, "x_max: expected a number > x_min (1.0) with a finite "
+                      "x_max - x_min, got 1.0"),
+        (1.0, -1.0, 3, "x_max: expected a number > x_min (1.0) with a finite "
+                       "x_max - x_min, got -1.0"),
+        (-1e308, 1e308, 3, "x_max: expected a number > x_min (-1e+308) with a "
+                           "finite x_max - x_min, got 1e+308"),
+        (0.0, 1.0, 1, "values: expected a 1-d array of >= 2 entries, got shape (1,)"),
+    ])
+    def test_bounds_and_size_are_checked(self, x_min, x_max, n, message):
+        with pytest.raises(ValueError) as err:
+            MetaActivationTable(0, x_min, x_max, np.zeros(n))
+        assert str(err.value) == message
+
+    def test_values_must_be_finite_1d(self):
+        with pytest.raises(ValueError) as err:
+            MetaActivationTable(0, 0.0, 1.0, np.array([0.0, math.inf, math.nan]))
+        assert str(err.value) == "values: expected finite numbers, got inf"
+        with pytest.raises(ValueError, match=r"got shape \(\)"):
+            MetaActivationTable(0, 0.0, 1.0, np.array(0.5))
+
+    def test_equal_tables_compare_by_identity(self):
+        # Comparing two tables' arrays elementwise would raise; tables are
+        # distinct objects, hashable by identity.
+        a = MetaActivationTable(0, -1.0, 1.0, np.arange(5.0))
+        b = MetaActivationTable(0, -1.0, 1.0, np.arange(5.0))
+        assert a == a and a != b
+        assert len({a, b}) == 2
 
     def test_grid_too_fine_for_the_bracket_rejected(self):
         # A strictly ascending linspace grid whose spacing is subnormal:
@@ -146,8 +176,9 @@ class TestTableBuild:
         x_min, x_max = 9.046800706458055e-301, 9.046800706458122e-301
         nodes = np.linspace(x_min, x_max, 38)
         assert np.all(np.diff(nodes) > 0) and nodes[-1] == x_max
-        with pytest.raises(ValueError, match="too fine"):
-            MetaActivationTable(0, nodes, np.zeros(38))
+        with pytest.raises(ValueError,
+                           match="^x_max: expected a node spacing that float64 resolves"):
+            MetaActivationTable(0, x_min, x_max, np.zeros(38))
 
 
 class TestTableEval:
@@ -567,7 +598,9 @@ class TestStoredDiffs:
         assert np.array_equal(tab.steps, np.diff(tab.nodes))
         assert np.array_equal(tab.rises, np.diff(tab.values))
         assert "steps" not in repr(tab) and "rises" not in repr(tab)
-        assert tab == MetaActivationTable(tab.type_id, tab.nodes, tab.values)
+        again = MetaActivationTable(tab.type_id, tab.x_min, tab.x_max, tab.values.copy())
+        for name in ("nodes", "values", "steps", "rises"):
+            assert np.array_equal(getattr(again, name), getattr(tab, name))
 
     @pytest.mark.parametrize("grid", _GRIDS)
     @pytest.mark.parametrize("with_slope", [True, False])

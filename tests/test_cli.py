@@ -9,7 +9,7 @@ import cotn.cli
 import cotn.model
 from cotn import tensor as te
 from cotn import training
-from cotn.activation import build_table
+from cotn.activation import MetaActivationTable, build_table
 from cotn.cli import main
 from cotn.data import (
     CleanConfig,
@@ -293,7 +293,8 @@ def _prefixed(prefix, cls, skip=()):
 _FILE_SETTINGS = {
     "checkpoint.bin": {**_prefixed("", ModelConfig),
                        **_prefixed("activation.", ActivationMode),
-                       **_prefixed("data.", cotn.cli.DataSpec, skip=cotn.cli._UNSTORED)},
+                       **_prefixed("data.", cotn.cli.DataSpec, skip=cotn.cli._UNSTORED),
+                       **_prefixed("table.", MetaActivationTable, skip=("type_id",))},
     "autoencoder.bin": {**cotn.model._AE_SETTINGS, **_prefixed("data.", CleanConfig),
                         "data.schema": "str"},
 }
@@ -309,6 +310,13 @@ class TestConfigErrors:
         bad.write_text("[train]\nnesterov = true\n")
         code, _ = run("train", "--config", str(bad))
         assert code == 2
+
+    def test_plan_is_not_a_key(self, workspace, capsys):
+        # pretrain_epochs alone chooses between a warm start and a direct run.
+        code, _ = run("train", "--config", str(workspace["cfg"]),
+                      "--set", "train.plan=warm_start")
+        assert code == 2
+        assert capsys.readouterr().err.endswith("unknown config key train.plan\n")
 
     def test_config_not_utf8_names_the_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
@@ -480,7 +488,7 @@ class TestConfigErrors:
             "train": {
                 "epochs": "int", "batch_size": "int", "lr": "float",
                 "lr_schedule": "str", "seed": "int", "patience": "int",
-                "w_distill": "float", "plan": "str", "pretrain_epochs": "int",
+                "w_distill": "float", "pretrain_epochs": "int",
                 "anomaly_weighting": "bool", "ae_hidden": "int",
                 "ae_bottleneck": "int", "ae_epochs": "int",
             },
@@ -488,8 +496,8 @@ class TestConfigErrors:
 
 
 def test_checkpoint_meta_format_is_pinned(tmp_path):
-    # The meta entries are derived from ModelConfig, ActivationMode and
-    # DataSpec; a new field must not change the stored format unnoticed.
+    # The meta entries are derived from ModelConfig, ActivationMode,
+    # MetaActivationTable and DataSpec; a new field must not change the stored format unnoticed.
     cfg = ModelConfig(d_model=12, n_heads=3, n_enc_layers=3, n_dec_layers=2,
                       d_ff=20, enc_len=16, label_len=8, horizon=4, n_features=3,
                       distill=False, activation=ActivationMode("gated", 3, 0.1))
@@ -511,7 +519,7 @@ def test_checkpoint_meta_format_is_pinned(tmp_path):
         "n_dec_layers": "2", "d_ff": "20", "enc_len": "16", "label_len": "8",
         "horizon": "4", "n_features": "3", "n_targets": "1", "distill": "0",
         "activation.kind": "gated", "activation.type_id": "3",
-        "activation.lam": "0.1",
+        "activation.lam": "0.1", "table.x_min": "-4.0", "table.x_max": "4.0",
         "data.schema": "ohlcv", "data.stride": "2", "data.train_ratio": "0.6",
         "data.val_ratio": "0.15", "data.test_ratio": "0.25",
         "data.max_ffill_gap": "0", "data.z_max": "4.5",
@@ -590,7 +598,7 @@ class TestMalformedMetadata:
         tensors, meta = te.load_tensors(workspace["out"] / "checkpoint.bin")
         meta["activation.type_id"] = "9"
         if not stored_table:
-            del tensors["table.nodes"], tensors["table.values"]
+            del tensors["table.values"], meta["table.x_min"], meta["table.x_max"]
         bad = tmp_path / "bad.bin"
         te.save_tensors(bad, tensors, meta)
         code, _ = run("eval", "--checkpoint", str(bad),
@@ -765,40 +773,83 @@ def test_container_without_a_digest_exits_1(workspace, tmp_path, capsys):
 class TestStoredTable:
     """The gated checkpoint's table is checked as it is loaded."""
 
-    @pytest.mark.parametrize("edit,message", [
-        ("nan", "table values must be finite"),
-        ("not_linspace", "nodes must be the uniform grid"),
-        ("no_values", "checkpoint has no 'table.values'"),
-    ])
-    def test_malformed_table_exits_1_naming_the_file(self, workspace, tmp_path,
-                                                    capsys, edit, message):
+    @staticmethod
+    def _run_edited(workspace, tmp_path, command, edit):
         tensors, meta = te.load_tensors(workspace["out"] / "checkpoint.bin")
-        if edit == "nan":
-            tensors["table.values"][100] = np.nan
-        elif edit == "not_linspace":
-            tensors["table.nodes"][1] += 1e-3
-        else:
-            del tensors["table.values"]
-        bad = tmp_path / "bad.bin"
-        te.save_tensors(bad, tensors, meta)
-        code, _ = run("eval", "--checkpoint", str(bad),
-                      "--data", str(workspace["csv"]))
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {bad}: ") and message in err
-
-    @pytest.mark.parametrize("command", ["eval", "forecast"])
-    def test_checkpoint_without_a_table_exits_1(self, workspace, tmp_path, capsys,
-                                                command):
-        tensors, meta = te.load_tensors(workspace["out"] / "checkpoint.bin")
-        del tensors["table.nodes"], tensors["table.values"]
+        edit(tensors, meta)
         bad = tmp_path / "bad.bin"
         te.save_tensors(bad, tensors, meta)
         code, lines = run(command, "--checkpoint", str(bad),
                           "--data", str(workspace["csv"]), "--out", str(tmp_path))
-        assert code == 1 and lines == []
-        assert capsys.readouterr().err == f"error: {bad}: checkpoint has no 'table.nodes'\n"
         assert not (tmp_path / "forecast.csv").exists()
+        return bad, code, lines
+
+    @pytest.mark.parametrize("command", ["eval", "forecast"])
+    @pytest.mark.parametrize("key,value,refusal", [
+        ("table.x_min", "abc", "table.x_min: expected a number, got 'abc'"),
+        ("table.x_min", "nan", "table.x_min: expected a finite number, got nan"),
+        ("table.x_min", "-inf", "table.x_min: expected a finite number, got -inf"),
+        ("table.x_max", "abc", "table.x_max: expected a number, got 'abc'"),
+        ("table.x_max", "nan", "table.x_max: expected a number > x_min (-4.0) "
+                               "with a finite x_max - x_min, got nan"),
+        ("table.x_max", "inf", "table.x_max: expected a number > x_min (-4.0) "
+                               "with a finite x_max - x_min, got inf"),
+        ("table.x_max", "-4.0", "table.x_max: expected a number > x_min (-4.0) "
+                                "with a finite x_max - x_min, got -4.0"),
+        # x_min >= x_max is refused at table.x_max, the bound checked last.
+        ("table.x_min", "4.5", "table.x_max: expected a number > x_min (4.5) "
+                               "with a finite x_max - x_min, got 4.0"),
+    ])
+    def test_malformed_bound_exits_1_naming_file_and_entry(
+            self, workspace, tmp_path, capsys, command, key, value, refusal):
+        bad, code, lines = self._run_edited(
+            workspace, tmp_path, command, lambda tensors, meta: meta.update({key: value}))
+        assert code == 1 and lines == []
+        assert capsys.readouterr().err == f"error: {bad}: {refusal}\n"
+
+    @pytest.mark.parametrize("command", ["eval", "forecast"])
+    @pytest.mark.parametrize("edit,message", [
+        ("nan", "expected finite numbers, got nan"),
+        ("inf", "expected finite numbers, got -inf"),
+        ("short", "expected a 1-d array of >= 2 entries, got shape (1,)"),
+        ("empty", "expected a 1-d array of >= 2 entries, got shape (0,)"),
+    ])
+    def test_malformed_values_exit_1_naming_file_and_entry(
+            self, workspace, tmp_path, capsys, command, edit, message):
+        def change(tensors, meta):
+            values = tensors["table.values"]
+            if edit == "nan":
+                values[100] = np.nan
+            elif edit == "inf":
+                values[7] = -np.inf
+            else:
+                tensors["table.values"] = values[:1 if edit == "short" else 0]
+
+        bad, code, lines = self._run_edited(workspace, tmp_path, command, change)
+        assert code == 1 and lines == []
+        assert capsys.readouterr().err == f"error: {bad}: table.values: {message}\n"
+
+    @pytest.mark.parametrize("command", ["eval", "forecast"])
+    @pytest.mark.parametrize("missing", ["table.x_min", "table.x_max", "table.values"])
+    def test_checkpoint_without_a_table_entry_exits_1(self, workspace, tmp_path, capsys,
+                                                      command, missing):
+        bad, code, lines = self._run_edited(
+            workspace, tmp_path, command,
+            lambda tensors, meta: (tensors.pop(missing, None), meta.pop(missing, None)))
+        assert code == 1 and lines == []
+        assert capsys.readouterr().err == f"error: {bad}: checkpoint has no {missing!r}\n"
+
+    @pytest.mark.parametrize("command", ["eval", "forecast"])
+    def test_file_with_stored_nodes_exits_1(self, workspace, tmp_path, capsys, command):
+        # The older format stored the grid as the tensor table.nodes and
+        # no bounds; such a file is refused, naming the first bound.
+        def to_old_format(tensors, meta):
+            tensors["table.nodes"] = np.linspace(-4.0, 4.0, tensors["table.values"].size)
+            del meta["table.x_min"], meta["table.x_max"]
+
+        bad, code, lines = self._run_edited(workspace, tmp_path, command, to_old_format)
+        assert code == 1 and lines == []
+        assert capsys.readouterr().err == f"error: {bad}: checkpoint has no 'table.x_min'\n"
 
     def test_eval_does_not_rebuild_the_table(self, workspace, tmp_path,
                                              monkeypatch):

@@ -7,12 +7,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cotn.model
 import cotn.tensor as te
-from cotn.activation import gelu
+from cotn.activation import MetaActivationTable, gelu
 from cotn.model import (
     ActivationMode,
     Autoencoder,
@@ -583,11 +583,13 @@ class TestStoredTable:
         return calls
 
     def test_loading_uses_the_stored_table(self, tmp_path, monkeypatch):
+        # The grid is stored as its bounds; only the values are a tensor.
         model, path = self._saved(tmp_path)
         tensors, meta = te.load_tensors(path)
-        assert np.array_equal(tensors["table.nodes"], model.activation.tab.nodes)
+        assert [name for name in tensors if name.startswith("table.")] == ["table.values"]
         assert np.array_equal(tensors["table.values"], model.activation.tab.values)
-        assert not any(key.startswith("table.") for key in meta)
+        assert {key: v for key, v in meta.items() if key.startswith("table.")} == {
+            "table.x_min": "-4.0", "table.x_max": "4.0"}
 
         def refuse(*args, **kwargs):
             raise AssertionError("the stored table was rebuilt")
@@ -609,8 +611,10 @@ class TestStoredTable:
         assert back.activation.tab.type_id == 2
 
     @pytest.mark.parametrize("deleted,missing", [
-        pytest.param(("table.nodes", "table.values"), "table.nodes", id="both"),
-        pytest.param(("table.nodes",), "table.nodes", id="no_nodes"),
+        pytest.param(("table.values", "table.x_min", "table.x_max"), "table.values",
+                     id="all"),
+        pytest.param(("table.x_min",), "table.x_min", id="no_x_min"),
+        pytest.param(("table.x_max",), "table.x_max", id="no_x_max"),
         pytest.param(("table.values",), "table.values", id="no_values"),
     ])
     def test_checkpoint_without_a_table_is_refused(self, tmp_path, monkeypatch,
@@ -620,7 +624,8 @@ class TestStoredTable:
         _, path = self._saved(tmp_path)
         tensors, meta = te.load_tensors(path)
         for name in deleted:
-            del tensors[name]
+            tensors.pop(name, None)
+            meta.pop(name, None)
         te.save_tensors(path, tensors, meta)
         calls = self._count_rebuilds(monkeypatch)
         with pytest.raises(ValueError) as err:
@@ -662,27 +667,58 @@ class TestStoredTable:
         load_forecaster(path)
         assert calls == []
 
+    def test_file_with_stored_nodes_is_refused(self, tmp_path, monkeypatch):
+        # The older format stored the grid as the tensor table.nodes.
+        model, path = self._saved(tmp_path)
+        tensors, meta = te.load_tensors(path)
+        del meta["table.x_min"], meta["table.x_max"]
+        tensors["table.nodes"] = model.activation.tab.nodes
+        te.save_tensors(path, tensors, meta)
+        calls = self._count_rebuilds(monkeypatch)
+        with pytest.raises(ValueError) as err:
+            load_forecaster(path)
+        assert str(err.value) == f"{path}: checkpoint has no 'table.x_min'"
+        assert calls == []
+
     @pytest.mark.parametrize("edit,message", [
-        ("nan", "table values must be finite"),
-        ("not_linspace", "linspace"),
-        ("scalar_nodes", "1-d arrays"),
-        ("short", "equal-length"),
+        ("nan", "table.values: expected finite numbers, got nan"),
+        ("short", "table.values: expected a 1-d array of >= 2 entries, got shape (1,)"),
+        ("scalar", "table.values: expected a 1-d array of >= 2 entries, got shape ()"),
     ])
-    def test_malformed_stored_table_names_the_file(self, tmp_path, edit, message):
+    def test_malformed_stored_values_name_the_file_and_entry(self, tmp_path, edit,
+                                                             message):
         _, path = self._saved(tmp_path)
         tensors, meta = te.load_tensors(path)
         if edit == "nan":
             tensors["table.values"][7] = math.nan
-        elif edit == "not_linspace":
-            tensors["table.nodes"][5] = np.nextafter(tensors["table.nodes"][5], 9.0)
-        elif edit == "scalar_nodes":
-            tensors["table.nodes"] = np.array(0.5)
+        elif edit == "short":
+            tensors["table.values"] = tensors["table.values"][:1]
         else:
-            tensors["table.values"] = tensors["table.values"][:-1]
+            tensors["table.values"] = np.array(0.5)
         te.save_tensors(path, tensors, meta)
-        with pytest.raises(ValueError, match=message) as err:
+        with pytest.raises(ValueError) as err:
             load_forecaster(path)
-        assert str(err.value).startswith(f"{path}: ")
+        assert str(err.value) == f"{path}: {message}"
+
+    @settings(max_examples=60, deadline=None)
+    @given(x_min=st.floats(-1e3, 1e3), x_max=st.floats(-1e3, 1e3),
+           n=st.integers(2, 300), seed=st.integers(0, 2 ** 32 - 1))
+    @example(x_min=-4.0, x_max=4.0, n=4001, seed=0)
+    @example(x_min=-0.0, x_max=5e-324 * 2 ** 60, n=3, seed=1)
+    def test_table_round_trips_bit_for_bit(self, x_min, x_max, n, seed):
+        assume(x_min < x_max)
+        values = np.random.default_rng(seed).standard_normal(n)
+        tab = MetaActivationTable(2, x_min, x_max, values)
+        model = Forecaster(tiny_cfg(activation=ActivationMode("gated", 2, 0.5)),
+                           table=tab)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.bin")
+            save_forecaster(path, model)
+            back = load_forecaster(path)[0].activation.tab
+        assert (back.type_id, back.x_min, back.x_max) == (2, x_min, x_max)
+        assert math.copysign(1.0, back.x_min) == math.copysign(1.0, x_min)
+        for name in ("nodes", "steps", "rises", "values"):
+            assert getattr(back, name).tobytes() == getattr(tab, name).tobytes(), name
 
 
 class TestAutoencoder:

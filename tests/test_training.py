@@ -154,8 +154,8 @@ class TestSchedule:
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            tiny_train_cfg(plan="cold_start")
+        with pytest.raises(TypeError):  # plan is derived, not set
+            tiny_train_cfg(plan="warm_start")
         with pytest.raises(ValueError):
             tiny_train_cfg(lr_schedule="linear")
         with pytest.raises(ValueError):
@@ -344,9 +344,9 @@ def count_fits(monkeypatch):
 
 
 class TestSharedAutoencoder:
-    @pytest.mark.parametrize("plan,pretrain", [("direct", 0), ("warm_start", 1)])
-    def test_passed_in_fit_is_bit_identical(self, tiny_dataset, plan, pretrain):
-        cfg = tiny_train_cfg(epochs=2, plan=plan, pretrain_epochs=pretrain,
+    @pytest.mark.parametrize("pretrain", [0, 1])
+    def test_passed_in_fit_is_bit_identical(self, tiny_dataset, pretrain):
+        cfg = tiny_train_cfg(epochs=2, pretrain_epochs=pretrain,
                              anomaly_weighting=True, ae_epochs=3)
         model_own, rep_own = run_training(tiny_dataset, TINY_MODEL, cfg)
         weights = training._anomaly_weights(tiny_dataset, cfg)
@@ -532,11 +532,11 @@ class TestPredictPath:
             activation=BENCH_MODEL.activation))
         assert counts and max(counts) <= 100, max(counts)
 
-    @pytest.mark.parametrize("plan,pretrain", [("direct", 0), ("warm_start", 1)])
+    @pytest.mark.parametrize("pretrain", [0, 1])
     def test_best_val_loss_is_the_best_history_entry(self, tiny_dataset, monkeypatch,
-                                                     plan, pretrain):
+                                                     pretrain):
         histories = _capture_stage_histories(monkeypatch)
-        cfg = tiny_train_cfg(epochs=3, plan=plan, pretrain_epochs=pretrain)
+        cfg = tiny_train_cfg(epochs=3, pretrain_epochs=pretrain)
         _, report = run_training(tiny_dataset, TINY_MODEL, cfg)
         stage2 = histories[-1]
         assert len(stage2) == 3 - pretrain
@@ -571,7 +571,7 @@ class TestPredictPath:
     def test_no_stage2_epochs_predicts_validation_afresh(self, tiny_dataset):
         # The whole budget pretrains under GELU, so no stage-2 prediction
         # exists; the report must be the gated model's fresh prediction.
-        cfg = tiny_train_cfg(epochs=2, plan="warm_start", pretrain_epochs=2)
+        cfg = tiny_train_cfg(epochs=2, pretrain_epochs=2)
         model, report = run_training(tiny_dataset, TINY_MODEL, cfg)
         assert report.activation == model.activation.name != "gelu"
         val = tiny_dataset.splits.val
@@ -580,26 +580,14 @@ class TestPredictPath:
 
 
 class TestWarmStart:
-    def test_zero_pretrain_equals_direct_bit_for_bit(self, tiny_dataset):
-        direct = tiny_train_cfg(plan="direct")
-        warm = tiny_train_cfg(plan="warm_start", pretrain_epochs=0)
-        model_d, rep_d = run_training(tiny_dataset, TINY_MODEL, direct)
-        model_w, rep_w = run_training(tiny_dataset, TINY_MODEL, warm)
-        d, w = rep_d.metric_dict(), rep_w.metric_dict()
-        assert d.pop("plan") == "direct" and w.pop("plan") == "warm_start"
-        assert d == w
-        enc = tiny_dataset.splits.test.enc[:4]
-        assert np.array_equal(model_d.predict(enc), model_w.predict(enc))
-
-    def test_direct_plan_ignores_pretrain_epochs(self, tiny_dataset):
-        model_0, rep_0 = run_training(tiny_dataset, TINY_MODEL, tiny_train_cfg())
-        model_2, rep_2 = run_training(tiny_dataset, TINY_MODEL,
-                                      tiny_train_cfg(pretrain_epochs=2))
-        assert rep_2.metric_dict() == rep_0.metric_dict()
-        assert _param_bytes(model_2) == _param_bytes(model_0)
+    def test_plan_is_derived_from_pretrain_epochs(self):
+        # One setting makes the choice: GELU epochs first make a warm
+        # start, none a direct run (the report's plan reads this).
+        assert tiny_train_cfg().plan == "direct"
+        assert tiny_train_cfg(pretrain_epochs=1).plan == "warm_start"
 
     def test_pretrain_then_swap(self, tiny_dataset):
-        warm = tiny_train_cfg(plan="warm_start", pretrain_epochs=2, epochs=4)
+        warm = tiny_train_cfg(pretrain_epochs=2, epochs=4)
         model, rep = run_training(tiny_dataset, TINY_MODEL, warm)
         assert rep.plan == "warm_start"
         assert rep.epochs_run <= 4
