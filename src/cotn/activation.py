@@ -168,8 +168,9 @@ def build_table(
     steps all nodes at once bit-identically to simulate, so the table
     reproduces mot_activation_exact bit-for-bit at the nodes.
     """
-    if not (math.isfinite(x_min) and math.isfinite(x_max)) or not x_min < x_max:
-        raise ValueError(f"need finite x_min < x_max, got [{x_min}, {x_max}]")
+    if not (math.isfinite(x_min) and math.isfinite(x_max - x_min)) or not x_min < x_max:
+        raise ValueError(f"need finite x_min < x_max with a finite x_max - x_min, "
+                         f"got [{x_min}, {x_max}]")
     if n_nodes < 2:
         raise ValueError(f"n_nodes must be >= 2, got {n_nodes}")
     values = simulate_many(np.linspace(x_min, x_max, n_nodes), p).max(axis=1)

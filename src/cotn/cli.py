@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .activation import build_table, write_table
+from .activation import MetaActivationTable, build_table, write_table
 from .data import (
     SCHEMAS,
     CleanConfig,
@@ -230,6 +230,8 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise ConfigError(f"--range expects numbers, got {text!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ConfigError(f"--range expects finite lo < hi, got {text!r}")
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"--range expects a finite hi - lo, got {text!r}")
     return lo, hi
 
 
@@ -322,6 +324,11 @@ def cmd_table(args) -> int:
     if args.nodes < 2:
         raise ConfigError(f"--nodes must be >= 2, got {args.nodes}")
     lo, hi = _parse_range(args.range)
+    try:  # the grid alone, so that one too fine for float64 is refused unsimulated
+        MetaActivationTable(args.type, lo, hi, np.zeros(args.nodes))
+    except ValueError:
+        raise ConfigError(f"--range expects a node spacing that float64 resolves at "
+                          f"--nodes {args.nodes}, got {args.range!r}") from None
     tab = build_table(
         builtin_params(args.type), lo, hi, args.nodes, type_id=args.type
     )

@@ -177,7 +177,9 @@ class TrialReport:
     Two runs with identical seeds produce identical reports except for
     wall_time_s; metric_dict() exposes exactly the reproducible part.
     wall_time_s counts an autoencoder fit made during the run, not one
-    whose weights were passed in.
+    whose weights were passed in. train_mae and train_mse are NaN when the
+    training split is empty or left unscored, as sweep entries and paired
+    trials leave it.
     """
 
     seed: int
@@ -405,13 +407,15 @@ def _finish_report(
     history: list[float],
     t0: float,
     val_pred: Optional[np.ndarray],
+    score_train: bool,
 ) -> TrialReport:
     # val_pred is the model's validation prediction when the caller has it
     # (predict is deterministic, so it equals a fresh one bit for bit).
     if val_pred is None:
         val_pred = _val_predict(model, dataset)
     final_val = mse(val_pred, dataset.splits.val.tgt)
-    train_mae, train_mse = _split_metrics(model, dataset, "train")
+    train_mae, train_mse = (_split_metrics(model, dataset, "train") if score_train
+                            else (math.nan, math.nan))
     val_mae, val_mse = _split_metrics(model, dataset, "val", val_pred)
     test_mae, test_mse = _split_metrics(model, dataset, "test")
     return TrialReport(
@@ -433,7 +437,7 @@ def _finish_report(
 
 def run_training(
     dataset: Dataset, model_cfg: ModelConfig, cfg: TrainConfig,
-    weights: Optional[np.ndarray] = None,
+    weights: Optional[np.ndarray] = None, score_train: bool = True,
 ) -> tuple[Forecaster, TrialReport]:
     """Build a model and train it per the config's plan.
 
@@ -451,6 +455,9 @@ def run_training(
     fit make it once; a run passed _anomaly_weights(dataset, cfg) is
     bit-identical to one that fits its own. The report's wall_time_s
     then leaves the fit out.
+
+    ``score_train=False`` leaves the training split unpredicted: the
+    report's train_mae and train_mse read NaN, as for an empty split.
     """
     n = dataset.splits.train.n_windows
     if weights is not None and weights.shape != (n,):
@@ -469,7 +476,7 @@ def run_training(
     # 2 epochs), stage 1's would be stale: the activation has changed since.
     h2, val_pred = _stage_loop(model, dataset, cfg, rng,
                                cfg.epochs - cfg.pretrain_epochs, weights)
-    report = _finish_report(model, dataset, cfg, h1 + h2, t0, val_pred)
+    report = _finish_report(model, dataset, cfg, h1 + h2, t0, val_pred, score_train)
     return model, report
 
 
@@ -507,7 +514,8 @@ def _fan_out(fn, work: list, jobs: int) -> list:
 def _run_sweep_one(args) -> "SweepEntry":
     dataset, model_cfg, cfg, type_id, weights = args
     mode = ActivationMode(kind="gated", type_id=type_id, lam=cfg.activation.lam)
-    _, report = run_training(dataset, model_cfg, replace(cfg, activation=mode), weights)
+    _, report = run_training(dataset, model_cfg, replace(cfg, activation=mode), weights,
+                             score_train=False)
     return SweepEntry(type_id, report)
 
 
@@ -570,8 +578,9 @@ def _run_pair(args) -> tuple[TrialReport, TrialReport]:
     # the same autoencoder, so it is fitted once for the pair.
     t_weights = _anomaly_weights(dataset, t_cfg)
     share = b_cfg.anomaly_weighting and _ae_settings(b_cfg) == _ae_settings(t_cfg)
-    _, t_report = run_training(dataset, model_cfg, t_cfg, t_weights)
-    _, b_report = run_training(dataset, model_cfg, b_cfg, t_weights if share else None)
+    _, t_report = run_training(dataset, model_cfg, t_cfg, t_weights, score_train=False)
+    _, b_report = run_training(dataset, model_cfg, b_cfg, t_weights if share else None,
+                               score_train=False)
     return t_report, b_report
 
 

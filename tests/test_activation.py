@@ -121,6 +121,9 @@ class TestTableBuild:
             build_table(p, 1.0, -1.0, 11)
         with pytest.raises(ValueError):
             build_table(p, -1.0, 1.0, 1)
+        # Finite bounds whose linspace overflows are refused unsimulated.
+        with pytest.raises(ValueError, match="finite x_max - x_min"):
+            build_table(p, -1e308, 1e308, 5)
 
     def test_endpoints_are_the_first_and_last_node(self):
         tab = MetaActivationTable(0, -1.5, 2.5, np.zeros(9))

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import cotn.activation
 import cotn.cli
 import cotn.model
 from cotn import tensor as te
@@ -168,13 +169,31 @@ class TestTable:
     (("bifurcate", "--keep", "0"), "--keep: expected >= 1, got 0"),
     (("bifurcate", "--range=0:inf"), "--range expects finite lo < hi, got '0:inf'"),
     (("table", "--range=0:inf"), "--range expects finite lo < hi, got '0:inf'"),
-], ids=["bifurcate-n", "bifurcate-keep", "bifurcate-range", "table-range"])
+    # Each bound is finite, their difference is not: linspace would be NaN.
+    (("bifurcate", "--range=-1e308:1e308"),
+     "--range expects a finite hi - lo, got '-1e308:1e308'"),
+    (("table", "--type", "1", "--range=-1e308:1e308", "--nodes", "5"),
+     "--range expects a finite hi - lo, got '-1e308:1e308'"),
+    (("table", "--range=0:1e-310"),
+     "--range expects a node spacing that float64 resolves at --nodes 4001, "
+     "got '0:1e-310'"),
+], ids=["bifurcate-n", "bifurcate-keep", "bifurcate-range", "table-range",
+        "bifurcate-range-span", "table-range-span", "table-range-too-fine"])
 def test_a_flag_out_of_range_exits_2_naming_the_flag(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
     code, lines = run(*argv, "--out", str(out))
     assert code == 2 and lines == []
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_a_grid_too_fine_is_refused_before_simulating(tmp_path, monkeypatch):
+    def simulate_many(*args, **kwargs):
+        raise AssertionError("simulated a grid it then refused")
+
+    monkeypatch.setattr(cotn.activation, "simulate_many", simulate_many)
+    code, lines = run("table", "--range=0:1e-310", "--out", str(tmp_path))
+    assert code == 2 and lines == []
 
 
 # 10**17 float64 values take 800 PB, more than a 64-bit address space

@@ -326,6 +326,19 @@ class TestRunTraining:
         assert rep_off.metric_dict() != rep_on.metric_dict()
 
 
+_TRAIN_METRICS = ("train_mae", "train_mse")
+
+
+def _assert_same_unscored_train(got: dict, want: dict) -> None:
+    """got equals want on every metric but the training split's, which
+    both leave unscored (NaN)."""
+    assert got.keys() == want.keys()
+    for key in _TRAIN_METRICS:
+        assert math.isnan(got[key]) and math.isnan(want[key]), key
+    assert ({k: v for k, v in got.items() if k not in _TRAIN_METRICS}
+            == {k: v for k, v in want.items() if k not in _TRAIN_METRICS})
+
+
 @pytest.fixture
 def count_fits(monkeypatch):
     """Count fit_autoencoder calls; a call in a forked worker fails."""
@@ -421,11 +434,13 @@ class TestSharedAutoencoder:
             mode = ActivationMode(kind="gated", type_id=t, lam=0.5)
             _, rep = run_training(tiny_dataset, TINY_MODEL,
                                   tiny_train_cfg(epochs=1, anomaly_weighting=True,
-                                                 ae_epochs=2, activation=mode))
+                                                 ae_epochs=2, activation=mode),
+                                  score_train=False)
             own.append((rep.val_mae, t, rep.metric_dict()))
         own.sort(key=lambda e: (e[0], e[1]))
         assert [e.type_id for e in result.entries] == [t for _, t, _ in own]
-        assert [e.report.metric_dict() for e in result.entries] == [d for _, _, d in own]
+        for entry, (_, _, want) in zip(result.entries, own):
+            _assert_same_unscored_train(entry.report.metric_dict(), want)
 
     def test_sweep_without_weighting_fits_nothing(self, tiny_dataset, count_fits):
         sweep_types(tiny_dataset, TINY_MODEL, tiny_train_cfg(epochs=1),
@@ -459,6 +474,74 @@ class TestSharedAutoencoder:
         assert summary.metrics["test_mae"]["max"] == max(t_mae)
         assert summary.baseline_metrics["test_mae"]["min"] == min(b_mae)
         assert summary.baseline_metrics["test_mae"]["max"] == max(b_mae)
+
+
+class TestUnscoredTrainingSplit:
+    """Sweeps and paired trials read only validation and test metrics, so
+    their runs never predict a training window."""
+
+    @pytest.fixture
+    def predicted(self, monkeypatch):
+        # Windows per Forecaster.predict call; jobs=1 keeps every call here.
+        sizes = []
+        real = Forecaster.predict
+
+        def counting(self, enc):
+            sizes.append(enc.shape[0])
+            return real(self, enc)
+
+        monkeypatch.setattr(Forecaster, "predict", counting)
+        return sizes
+
+    @staticmethod
+    def _per_run(dataset) -> int:
+        # One epoch: stage 2's validation prediction, then the test split.
+        return dataset.splits.val.n_windows + dataset.splits.test.n_windows
+
+    def test_sweep_predicts_no_training_window(self, tiny_dataset, predicted):
+        types = (1, 4)
+        result = sweep_types(tiny_dataset, TINY_MODEL, tiny_train_cfg(epochs=1),
+                             type_ids=types, jobs=1)
+        assert sum(predicted) == len(types) * self._per_run(tiny_dataset)
+        for entry in result.entries:
+            assert math.isnan(entry.report.train_mae)
+            assert math.isnan(entry.report.train_mse)
+            assert math.isfinite(entry.report.val_mae)
+            assert math.isfinite(entry.report.test_mae)
+
+    def test_multi_trial_predicts_no_training_window(self, tiny_dataset, predicted,
+                                                     monkeypatch):
+        reports = []
+        real = training._run_pair
+
+        def keeping(args):
+            pair = real(args)
+            reports.extend(pair)
+            return pair
+
+        monkeypatch.setattr(training, "_run_pair", keeping)
+        treatment = tiny_train_cfg(epochs=1)
+        baseline = tiny_train_cfg(epochs=1, activation=ActivationMode(kind="gelu"))
+        multi_trial(tiny_dataset, TINY_MODEL, treatment, baseline, n_trials=2, jobs=1)
+        assert len(reports) == 4
+        assert sum(predicted) == len(reports) * self._per_run(tiny_dataset)
+        for rep in reports:
+            assert math.isnan(rep.train_mae) and math.isnan(rep.train_mse)
+
+    def test_run_training_scores_the_training_split_by_default(self, tiny_dataset,
+                                                              predicted):
+        _, rep = run_training(tiny_dataset, TINY_MODEL, tiny_train_cfg(epochs=1))
+        splits = tiny_dataset.splits
+        assert sum(predicted) == splits.train.n_windows + self._per_run(tiny_dataset)
+        assert math.isfinite(rep.train_mae) and math.isfinite(rep.train_mse)
+
+    def test_unscored_run_trains_and_scores_the_rest_the_same(self, tiny_dataset):
+        cfg = tiny_train_cfg(epochs=2, anomaly_weighting=True, ae_epochs=2)
+        scored_model, scored = run_training(tiny_dataset, TINY_MODEL, cfg)
+        model, unscored = run_training(tiny_dataset, TINY_MODEL, cfg, score_train=False)
+        want = dict(scored.metric_dict(), train_mae=math.nan, train_mse=math.nan)
+        _assert_same_unscored_train(unscored.metric_dict(), want)
+        assert _param_bytes(model) == _param_bytes(scored_model)
 
 
 def _capture_stage_histories(monkeypatch) -> list:
