@@ -33,6 +33,7 @@ from .data import (
     Dataset,
     NormStats,
     WindowView,
+    _LAST_EPOCH,
     _utf8_lines,
     _window_starts,
     build_dataset,
@@ -408,12 +409,15 @@ def cmd_forecast(args) -> int:
     if starts.size == 0:
         raise RuntimeError(f"{args.data}: the final window straddles a data gap; "
                            "cannot forecast from it")
+    last_epoch = int(frame.epochs[n - 1])
+    if last_epoch + model.cfg.horizon * frame.period > _LAST_EPOCH:
+        raise ValueError(f"{args.data}: the forecast horizon passes "
+                         f"{epoch_to_text(_LAST_EPOCH)}; cannot forecast from it")
     # The final window, C-contiguous as training's; its targets lie past the data.
     enc = WindowView(frame.data, starts, enc_len)[:]
     pred = model.predict(enc)[0, :, 0]
     values = denormalize_feature(pred, stats, frame.target)
     path = os.path.join(_out_dir(args), "forecast.csv")
-    last_epoch = int(frame.epochs[n - 1])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("timestamp,forecast\n")
         for h, v in enumerate(values, start=1):

@@ -25,6 +25,7 @@ indexes them.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -79,6 +80,8 @@ SCHEMAS: dict[str, dict] = {
 
 _FLOAT_FMT = "%.17g"
 _EPOCH0 = datetime(1970, 1, 1)
+# The last epoch epoch_to_text renders, 9999-12-31 23:59:59.
+_LAST_EPOCH = int((datetime(9999, 12, 31, 23, 59, 59) - _EPOCH0).total_seconds())
 
 
 def epoch_to_text(epoch: int) -> str:
@@ -132,6 +135,17 @@ def _utf8_lines(fh, path):
         raise ParseError(f"{path}: not UTF-8 text") from None
 
 
+def _csv_rows(fh, path):
+    """The CSV records of the text file fh; a ParseError names the file
+    and line where the csv module refuses one (a field over its size
+    limit, say)."""
+    reader = csv.reader(_utf8_lines(fh, path))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _parse_timestamp(text: str, path, line_no: int) -> int:
     try:
         dt = datetime.fromisoformat(text.strip())
@@ -151,22 +165,68 @@ def _infer_period(epochs: np.ndarray, path) -> int:
     return int(values[np.argmax(counts)])
 
 
-def load_csv(path, schema: str) -> RawSeries:
-    """Parse a headered CSV into a RawSeries.
+# The plain shape of a data file: an ASCII header without quotes or
+# carriage returns, then rows "YYYY-MM-DD HH:MM:SS,<number>,...", each
+# ending in a newline but perhaps the last, made of these bytes alone.
+# A stamp lies bytewise between _STAMP_LO and _STAMP_HI.
+_PLAIN_BYTES = b"0123456789.eE+-,: \n"
+_STAMP_LO = np.frombuffer(b"0000-00-00 00:00:00,", dtype=np.uint8)
+_STAMP_HI = np.frombuffer(b"9999-99-99 99:99:99,", dtype=np.uint8)
+_YEAR1 = int((datetime(1, 1, 1) - _EPOCH0).total_seconds())
 
-    The first column must hold ISO-8601 timestamps; the remaining columns
-    must match the schema by name and order. Rows are sorted by time;
-    duplicate timestamps are kept here and dropped by clean(). The
-    sampling period (seconds) is the modal positive delta (1 for a
-    single row).
+
+def _read_plain(path, schema: str):
+    """(epochs, columns) of a file in the plain shape, parsed in bulk by
+    numpy; None for any other file, which _read_rows reads or refuses.
+
+    It accepts only what _read_rows accepts, with the same bits: csv
+    splits an unquoted line at its commas, np.loadtxt parses these
+    number bytes as float() does, datetime64 refuses the days and times
+    fromisoformat refuses but year 0, which is refused here.
     """
-    if schema not in SCHEMAS:
-        raise ValueError(f"unknown schema {schema!r}; expected one of {sorted(SCHEMAS)}")
+    want = SCHEMAS[schema]["columns"]
+    with open(path, "rb") as fh:
+        head = fh.readline().removesuffix(b"\n")
+        body = fh.read()
+    if not (head.isascii() and b'"' not in head and b"\r" not in head
+            and head.split(b",")[1:] == [name.encode() for name in want]):
+        return None
+    if not body or body.translate(None, _PLAIN_BYTES):
+        return None
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    buf = np.frombuffer(body, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    n = ends.size
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # One space per row, its stamp's, so no number is padded, and
+    # len(want) commas per row: a row with fewer fails np.loadtxt's usecols.
+    if (np.min(ends - starts) < _STAMP_LO.size
+            or [np.count_nonzero(buf == ord(c)) for c in " ,"] != [n, len(want) * n]):
+        return None
+    stamps = buf[starts[:, None] + np.arange(_STAMP_LO.size)]
+    if not np.all((stamps >= _STAMP_LO) & (stamps <= _STAMP_HI)):
+        return None
+    try:
+        epochs = (np.ascontiguousarray(stamps[:, :-1]).view("S19")[:, 0]
+                  .astype("datetime64[s]").astype(np.int64))
+        values = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None,
+                            usecols=range(1, 1 + len(want)), ndmin=2, encoding="ascii")
+    except ValueError:
+        return None
+    if epochs.min() < _YEAR1 or not np.all(np.isfinite(values)):
+        return None
+    return epochs, {name: values[:, j].copy() for j, name in enumerate(want)}
+
+
+def _read_rows(path, schema: str):
+    """(epochs, columns) of a file, parsed row by row; a ParseError
+    names the file and the first bad line."""
     want = SCHEMAS[schema]["columns"]
     epochs: list[int] = []
     cols: list[list[float]] = [[] for _ in want]
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(_utf8_lines(fh, path))
+        reader = _csv_rows(fh, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -201,8 +261,23 @@ def load_csv(path, schema: str) -> RawSeries:
                 cols[j].append(value)
     if not epochs:
         raise ParseError(f"{path}: no data rows")
-    ep = np.asarray(epochs, dtype=np.int64)
-    data = {name: np.asarray(col, dtype=np.float64) for name, col in zip(want, cols)}
+    return (np.asarray(epochs, dtype=np.int64),
+            {name: np.asarray(col, dtype=np.float64) for name, col in zip(want, cols)})
+
+
+def load_csv(path, schema: str) -> RawSeries:
+    """Parse a headered CSV into a RawSeries.
+
+    The first column must hold ISO-8601 timestamps; the remaining columns
+    must match the schema by name and order. Rows are sorted by time;
+    duplicate timestamps are kept here and dropped by clean(). The
+    sampling period (seconds) is the modal positive delta (1 for a
+    single row). A file in the plain shape is parsed in bulk, any other
+    row by row, to the same bits.
+    """
+    if schema not in SCHEMAS:
+        raise ValueError(f"unknown schema {schema!r}; expected one of {sorted(SCHEMAS)}")
+    ep, data = _read_plain(path, schema) or _read_rows(path, schema)
     order = np.argsort(ep, kind="stable")
     if not np.all(order == np.arange(ep.size)):
         ep = ep[order]

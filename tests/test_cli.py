@@ -13,6 +13,7 @@ from cotn import training
 from cotn.activation import MetaActivationTable, build_table
 from cotn.cli import main
 from cotn.data import (
+    _LAST_EPOCH,
     CleanConfig,
     build_dataset,
     clean,
@@ -1000,6 +1001,39 @@ class TestForecast:
         assert code == 1 and lines == []
         assert capsys.readouterr().err == (
             f"error: {gapped}: the final window straddles a data gap; "
+            "cannot forecast from it\n")
+        assert not (tmp_path / "forecast.csv").exists()
+
+    @staticmethod
+    def _restamped(workspace, path, last_epoch):
+        """The workspace's data rows, restamped hourly up to last_epoch."""
+        header, *rows = workspace["csv"].read_text().splitlines()
+        path.write_text("\n".join([header] + [
+            epoch_to_text(last_epoch - 3600 * (len(rows) - 1 - i)) + row[row.index(","):]
+            for i, row in enumerate(rows)]) + "\n")
+        return path
+
+    def test_horizon_ending_9999_12_31_is_forecast(self, workspace, tmp_path):
+        # 4 steps from 19:00 end at 9999-12-31 23:00:00.
+        late = self._restamped(workspace, tmp_path / "late.csv", _LAST_EPOCH - 3599 - 4 * 3600)
+        code, _ = run("forecast",
+                      "--checkpoint", str(workspace["out"] / "checkpoint.bin"),
+                      "--data", str(late), "--out", str(tmp_path))
+        assert code == 0
+        rows = (tmp_path / "forecast.csv").read_text().splitlines()
+        assert rows[-1].startswith("9999-12-31 23:00:00,")
+
+    def test_horizon_past_9999_12_31_exits_1_before_predicting(self, workspace, tmp_path,
+                                                               capsys, monkeypatch):
+        # 4 steps from 20:00 would end at 10000-01-01 00:00:00.
+        late = self._restamped(workspace, tmp_path / "late.csv", _LAST_EPOCH - 3599 - 3 * 3600)
+        monkeypatch.setattr(Forecaster, "predict", None)
+        code, lines = run("forecast",
+                          "--checkpoint", str(workspace["out"] / "checkpoint.bin"),
+                          "--data", str(late), "--out", str(tmp_path))
+        assert code == 1 and lines == []
+        assert capsys.readouterr().err == (
+            f"error: {late}: the forecast horizon passes 9999-12-31 23:59:59; "
             "cannot forecast from it\n")
         assert not (tmp_path / "forecast.csv").exists()
 

@@ -1,14 +1,17 @@
 """Data pipeline: parsing, cleaning, features, normalization, windows."""
 
+import csv
 import math
 import pickle
 import tracemalloc
+from datetime import datetime
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import cotn.data
 from cotn.data import (
     SCHEMAS,
     CleanConfig,
@@ -244,6 +247,173 @@ class TestLoadCsv:
         ]
         raw = load_csv(ett_csv(tmp_path / "d.csv", rows), "ett")
         assert raw.period == HOUR
+
+
+# A file in the plain shape with every number form the bulk path reads.
+PLAIN = ("date,HUFL,HULL,MUFL,MULL,LUFL,LULL,OT\n"
+         "2020-01-01 00:00:00,1.5,-2,3e-3,4.25E+2,.5,6.,-0\n"
+         "2020-01-01 01:00:00,0.1,1e-320,+7,123456789012345678901234567890,"
+         "0.30000000000000004,-1.7976931348623157e308,000\n"
+         "2020-01-01 02:00:00,1,2,3,4,5,6,7\n")
+STAMP = "2020-01-01 01:00:00"
+
+
+def _value(text):
+    """PLAIN with its first number replaced by text."""
+    return lambda t: t.replace(",1.5,", f",{text},", 1)
+
+
+def _stamp(text):
+    """PLAIN with its second stamp replaced by text."""
+    return lambda t: t.replace(STAMP, text)
+
+
+def _lines(edit):
+    """PLAIN with edit applied to its list of lines."""
+    def apply(t):
+        lines = t.splitlines(keepends=True)
+        edit(lines)
+        return "".join(lines)
+    return apply
+
+
+# (id, edit of PLAIN, whether the bulk path reads the result)
+BULK_CASES = [
+    ("plain", lambda t: t, True),
+    ("no final newline", lambda t: t[:-1], True),
+    ("unsorted", _lines(lambda ls: ls.__setitem__(slice(1, 4), ls[3:0:-1])), True),
+    ("duplicate stamps", lambda t: t.replace("01:00:00", "00:00:00"), True),
+    ("one row", lambda t: "".join(t.splitlines(keepends=True)[:2]), True),
+    ("years 1 and 9999", lambda t: t.replace("2020-01-01 00:00:00", "0001-01-01 00:00:00")
+     .replace("2020-01-01 02:00:00", "9999-12-31 23:59:59"), True),
+    ("CRLF", lambda t: t.replace("\n", "\r\n"), False),
+    ("blank line", _lines(lambda ls: ls.insert(2, "\n")), False),
+    ("whitespace-only line", _lines(lambda ls: ls.insert(2, "  \n")), False),
+    ("# line", _lines(lambda ls: ls.insert(2, "# note\n")), False),
+    ("T separator", _stamp("2020-01-01T01:00:00"), False),
+    ("+05:00", _stamp(STAMP + "+05:00"), False),
+    ("Z", _stamp(STAMP + "Z"), False),
+    ("fractional seconds", _stamp(STAMP + ".5"), False),
+    ("date only", _stamp("2020-01-01"), False),
+    ("2020-02-30", _stamp("2020-02-30 01:00:00"), False),
+    ("24:00:00", _stamp("2020-01-01 24:00:00"), False),
+    ("23:59:60", _stamp("2020-01-01 23:59:60"), False),
+    ("year 0000", _stamp("0000-01-01 01:00:00"), False),
+    ("padded stamp", _stamp(f" {STAMP}"), False),
+    ("1_0", _value("1_0"), False),
+    ("Unicode digits", _value("\u0661\u0662"), False),
+    ("padded field", _value(" 1.5 "), False),
+    ("quoted field", _value('"1.5"'), False),
+    ("quoted header", lambda t: t.replace("date", '"date"', 1), False),
+    ("NaN", _value("NaN"), False),
+    ("inf", _value("-inf"), False),
+    ("overflow to inf", _value("1e400"), False),
+    ("BOM", lambda t: "\ufeff" + t, False),
+    ("not UTF-8", lambda t: t.encode() + b"2020-01-01 03:00:00,\xff\n", False),
+    ("extra field", _lines(lambda ls: ls.__setitem__(2, ls[2][:-1] + ",8\n")), False),
+    ("missing field", _value("1.5,"), False),
+    ("empty field", _value(""), False),
+    ("bad number", _value("1.2.3"), False),
+    ("colon in a number", _value("1:5"), False),
+    ("stamp alone", lambda t: t + "2020-01-01 03:00:00\n", False),
+    ("short last row", lambda t: t + " ::,,,,,,,", False),
+    ("CR in the header", lambda t: "da\rte" + t[4:], False),
+    ("CR in a number", _value("1.5\r"), False),
+    ("NUL in a number", _value("1.5\x00"), False),
+    ("tab-padded field", _value("\t1.5"), False),
+    ("header mismatch", lambda t: t.replace(",OT", ",ot", 1), False),
+    ("header only", lambda t: t.splitlines(keepends=True)[0], False),
+    ("empty file", lambda t: "", False),
+]
+
+
+def _load_outcome(path):
+    """The series load_csv reads from path, as bytes, or its refusal."""
+    try:
+        raw = load_csv(path, "ett")
+    except ParseError as exc:
+        return str(exc)
+    return (raw.epochs.dtype, raw.epochs.tobytes(), raw.period,
+            {name: (col.dtype, col.tobytes()) for name, col in raw.columns.items()})
+
+
+def _reader_bits(parsed):
+    epochs, columns = parsed
+    return (epochs.dtype, epochs.tobytes(),
+            {name: (col.dtype, col.tobytes()) for name, col in columns.items()})
+
+
+def _digits(width, top):
+    return st.integers(0, top).map(lambda v: str(v).zfill(width))
+
+
+# Rows of the plain shape: stamps valid or not, and numbers made of the
+# bytes it admits, each row with one number that may be malformed.
+PLAIN_STAMPS = st.one_of(
+    st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)).map(
+        lambda d: d.replace(microsecond=0).isoformat(" ")),
+    st.tuples(_digits(4, 9999), _digits(2, 13), _digits(2, 32), _digits(2, 25),
+              _digits(2, 61), _digits(2, 61)).map(lambda p: "{}-{}-{} {}:{}:{}".format(*p)),
+)
+FLOAT_TEXTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.17g" % v),
+    st.from_regex(r"\A[+-]?[0-9]{0,30}(\.[0-9]{0,30})?([eE][+-]?[0-9]{1,4})?\Z"),
+)
+PLAIN_ROWS = st.tuples(
+    PLAIN_STAMPS, st.lists(FLOAT_TEXTS, min_size=7, max_size=7), st.integers(0, 6),
+    st.one_of(FLOAT_TEXTS, st.text("0123456789.eE+-", max_size=12)),
+).map(lambda r: f"{r[0]},{','.join(r[1][:r[2]] + [r[3]] + r[1][r[2] + 1:])}\n")
+
+
+class TestBulkParse:
+    """load_csv's bulk path reads the plain shape; the row loop reads
+    everything else, refuses what is malformed and names the line."""
+
+    @pytest.mark.parametrize("edit,bulk", [pytest.param(e, b, id=i) for i, e, b in BULK_CASES])
+    def test_bulk_path_and_row_loop_agree(self, tmp_path, monkeypatch, edit, bulk):
+        p = tmp_path / "d.csv"
+        text = edit(PLAIN)
+        p.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+        assert (cotn.data._read_plain(p, "ett") is not None) is bulk
+        got = _load_outcome(p)
+        monkeypatch.setattr(cotn.data, "_read_plain", lambda path, schema: None)
+        assert _load_outcome(p) == got
+
+    def test_long_field_names_the_line(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text(_value('"' + "7" * 200_000 + '"')(PLAIN))
+        with pytest.raises(ParseError) as err:
+            load_csv(p, "ett")
+        assert str(err.value) == (
+            f"{p}: line 2: field larger than field limit ({csv.field_size_limit()})")
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(PLAIN_ROWS, min_size=1, max_size=3))
+    def test_on_the_plain_shape_both_accept_the_same_files(self, tmp_path, rows):
+        p = tmp_path / "d.csv"
+        p.write_text("date,HUFL,HULL,MUFL,MULL,LUFL,LULL,OT\n" + "".join(rows))
+        plain = cotn.data._read_plain(p, "ett")
+        try:
+            parsed = cotn.data._read_rows(p, "ett")
+        except ParseError:
+            assert plain is None
+        else:
+            assert plain is not None and _reader_bits(plain) == _reader_bits(parsed)
+
+    @pytest.mark.parametrize("rows", [2000, 17420])
+    def test_benchmark_inputs_take_the_bulk_path(self, tmp_path, monkeypatch, rows):
+        # The files perfbench generates: a fall back on the row loop
+        # would cost their workloads the bulk parse unseen.
+        p = tmp_path / "d.csv"
+        write_synthetic_ett_csv(p, seed=1, length=rows)
+
+        def refuse(path, schema):
+            raise AssertionError(f"{path} fell back on the row loop")
+
+        monkeypatch.setattr(cotn.data, "_read_rows", refuse)
+        assert load_csv(p, "ett").n_rows == rows
 
 
 class TestClean:

@@ -3,12 +3,13 @@
 Five readers are fuzzed: the tensor container, checkpoint.bin,
 autoencoder.bin with the data record cotn anomaly reads from it, the
 data CSV and the run configuration. Each gets random bytes, truncations,
-flipped bytes and edited or deleted fields of a file the package writes;
-the two model files also get whole entries edited or deleted in a
-container that stays valid. A reader may load the result or raise
-ParseError, ConfigError, ValueError or OSError, which main() turns into
-exit 1 or 2. Whatever a reader refuses also goes through main() in a few
-cases, which must exit 1 or 2 with a message naming the file.
+flipped bytes, deleted lines and edited or overlong fields of a file the
+package writes; the two model files also get whole entries edited or
+deleted in a container that stays valid. A reader may load the result
+or raise ParseError, ConfigError, ValueError or OSError, which main()
+turns into exit 1 or 2. Whatever a reader refuses also goes through
+main() in a few cases, which must exit 1 or 2 with a message naming the
+file.
 """
 
 import io
@@ -73,11 +74,17 @@ def _main(*argv):
         sys.stdout, sys.stderr = out, err
 
 
+# A quoted field longer than the csv module's field size limit.
+LONG_FIELD = b'"' + b"7" * 200_000 + b'"'
+
+
 @st.composite
 def damaged(draw, original: bytes) -> bytes:
     """original with one kind of damage: replaced by random bytes, cut
-    short, up to four bytes flipped, a line deleted or a field edited."""
-    kind = draw(st.sampled_from(["random", "cut", "flip", "drop_line", "edit_field"]))
+    short, up to four bytes flipped, a line deleted, or a field edited
+    or replaced by LONG_FIELD."""
+    kind = draw(st.sampled_from(["random", "cut", "flip", "drop_line", "edit_field",
+                                 "long_field"]))
     if kind == "random":
         return draw(st.binary(max_size=300))
     if kind == "cut":
@@ -100,7 +107,7 @@ def damaged(draw, original: bytes) -> bytes:
         sep = b"=" if b"=" in lines[i] else b"," if b"," in lines[i] else b" "
         fields = lines[i].split(sep)
         j = draw(st.integers(0, len(fields) - 1))
-        fields[j] = draw(FIELD).encode("ascii")
+        fields[j] = LONG_FIELD if kind == "long_field" else draw(FIELD).encode("ascii")
         lines[i] = sep.join(fields)
     return b"\n".join(lines) + tail
 

@@ -708,7 +708,13 @@ class TestStoredTable:
     def test_table_round_trips_bit_for_bit(self, x_min, x_max, n, seed):
         assume(x_min < x_max)
         values = np.random.default_rng(seed).standard_normal(n)
-        tab = MetaActivationTable(2, x_min, x_max, values)
+        try:
+            tab = MetaActivationTable(2, x_min, x_max, values)
+        except ValueError as exc:
+            # No such table exists to store: a grid float64 cannot resolve
+            # is refused (test_grid_too_fine_for_the_bracket_rejected).
+            assume(not str(exc).startswith("x_max: expected a node spacing"))
+            raise
         model = Forecaster(tiny_cfg(activation=ActivationMode("gated", 2, 0.5)),
                            table=tab)
         with tempfile.TemporaryDirectory() as tmp:
