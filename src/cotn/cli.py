@@ -363,7 +363,9 @@ def cmd_train(args) -> int:
               "extra_meta": _dataset_meta(spec, dataset)}
     save_forecaster(ckpt, model, **record)
     write_stats(os.path.join(out, "norm_stats.txt"), dataset.stats)
-    write_trial_report(os.path.join(out, "report.txt"), report)
+    # run_training leaves the training split unscored; only report.txt reads it.
+    train = _split_metrics(model, dataset, "train")
+    write_trial_report(os.path.join(out, "report.txt"), report, train)
     with open(os.path.join(out, "cleaning_report.txt"), "w", encoding="utf-8") as fh:
         for action in cleaned.report:
             fh.write(action.render() + "\n")

@@ -80,7 +80,8 @@ SCHEMAS: dict[str, dict] = {
 
 _FLOAT_FMT = "%.17g"
 _EPOCH0 = datetime(1970, 1, 1)
-# The last epoch epoch_to_text renders, 9999-12-31 23:59:59.
+# The first and last epochs epoch_to_text can format.
+_YEAR1 = int((datetime(1, 1, 1) - _EPOCH0).total_seconds())
 _LAST_EPOCH = int((datetime(9999, 12, 31, 23, 59, 59) - _EPOCH0).total_seconds())
 
 
@@ -152,8 +153,15 @@ def _parse_timestamp(text: str, path, line_no: int) -> int:
     except ValueError:
         raise ParseError(f"{path}: line {line_no}: bad timestamp {text!r}") from None
     if dt.tzinfo is not None:
-        return int(round(dt.timestamp()))
-    return int(round((dt - _EPOCH0).total_seconds()))
+        epoch = int(round(dt.timestamp()))
+    else:
+        epoch = int(round((dt - _EPOCH0).total_seconds()))
+    # An offset, or rounding off a fraction, can carry a stamp past the
+    # years epoch_to_text can format.
+    if not _YEAR1 <= epoch <= _LAST_EPOCH:
+        raise ParseError(f"{path}: line {line_no}: timestamp {text!r} falls "
+                         "outside years 1 to 9999")
+    return epoch
 
 
 def _infer_period(epochs: np.ndarray, path) -> int:
@@ -172,7 +180,6 @@ def _infer_period(epochs: np.ndarray, path) -> int:
 _PLAIN_BYTES = b"0123456789.eE+-,: \n"
 _STAMP_LO = np.frombuffer(b"0000-00-00 00:00:00,", dtype=np.uint8)
 _STAMP_HI = np.frombuffer(b"9999-99-99 99:99:99,", dtype=np.uint8)
-_YEAR1 = int((datetime(1, 1, 1) - _EPOCH0).total_seconds())
 
 
 def _read_plain(path, schema: str):

@@ -213,14 +213,11 @@ def simulate_many(
     bit: every input is stepped together with _lors_update's operations
     in its order, and tanh and exp go through the same libm calls.
 
-    Two rules skip steps without changing a bit. A row whose Gaussian
-    factor is too small to move the output is Omega throughout and never
-    steps: since |E - I| <= 2, ``2 * exp(-k S^2)`` below half the gap
-    between |Omega| and the next float towards 0 makes
-    ``(E - I) * exp(-k S^2) + Omega`` round to Omega whatever E and I
-    are. A row whose state (E, I, L) repeats exactly is at a fixed
-    point; once half the rows still stepping are, those stop and their
-    remaining outputs are filled with L.
+    A row whose Gaussian factor is too small to move the output is Omega
+    throughout and never steps, without changing a bit: since
+    |E - I| <= 2, ``2 * exp(-k S^2)`` below half the gap between |Omega|
+    and the next float towards 0 makes ``(E - I) * exp(-k S^2) + Omega``
+    round to Omega whatever E and I are.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -244,8 +241,6 @@ def simulate_many(
     i = np.zeros(live.size)
     out = np.zeros(live.size)
     for t in range(n_steps):
-        if live.size == 0:
-            break
         x = p.a1 * out
         x += p.a2 * e
         x -= p.a3 * i
@@ -264,21 +259,7 @@ def simulate_many(
         out_new *= decay
         out_new += omega
         values[live, t] = out_new
-        # Bit patterns, so that 0.0 and -0.0 count as different states.
-        moving = ((e_new.view(np.int64) != e.view(np.int64))
-                  | (i_new.view(np.int64) != i.view(np.int64))
-                  | (out_new.view(np.int64) != out.view(np.int64)))
         e, i, out = e_new, i_new, out_new
-        # A settled row steps on to the same state, so it may stay until
-        # half the rows have settled. Dropping rows only then keeps the
-        # arrays to a few sizes: a new size at every step fragmented the
-        # heap enough to raise the peak memory of later work.
-        if 2 * np.count_nonzero(moving) <= live.size:
-            still = ~moving
-            values[live[still], t + 1:] = out[still, None]
-            live, e, i, out = live[moving], e[moving], i[moving], out[moving]
-            a4s, b4s = a4s[moving], b4s[moving]
-            omega, decay = omega[moving], decay[moving]
     return values
 
 

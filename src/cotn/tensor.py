@@ -264,11 +264,7 @@ def softmax_last_axis(x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
     entries to zero attention weights exactly.
     """
     z = x.data if mask is None else x.data + mask
-    # numpy reduces a short last axis slowly, so the row max reduces the
-    # leading axis of a transposed copy; a max is exact in any order. The
-    # sum keeps its axis: the order of a sum changes its bits.
-    zmax = np.moveaxis(z, -1, 0).copy().max(axis=0)[..., None]
-    y = np.subtract(z, zmax)
+    y = np.subtract(z, z.max(axis=-1, keepdims=True))
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
 

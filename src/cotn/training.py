@@ -177,9 +177,8 @@ class TrialReport:
     Two runs with identical seeds produce identical reports except for
     wall_time_s; metric_dict() exposes exactly the reproducible part.
     wall_time_s counts an autoencoder fit made during the run, not one
-    whose weights were passed in. train_mae and train_mse are NaN when the
-    training split is empty or left unscored, as sweep entries and paired
-    trials leave it.
+    whose weights were passed in. The training split is not scored: only
+    ``cotn train``'s report.txt reads its metrics, and it scores them itself.
     """
 
     seed: int
@@ -188,8 +187,6 @@ class TrialReport:
     epochs_run: int
     epochs_to_convergence: int
     best_val_loss: float
-    train_mae: float
-    train_mse: float
     val_mae: float
     val_mse: float
     test_mae: float
@@ -207,11 +204,16 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def write_trial_report(path, report: TrialReport) -> None:
-    """Write a report as ``key = value`` lines (wall time included)."""
+def write_trial_report(path, report: TrialReport, train: tuple[float, float]) -> None:
+    """Write a report as ``key = value`` lines (wall time included), with
+    train, the training split's (MAE, MSE), as train_mae and train_mse
+    after best_val_loss."""
     with open(path, "w", encoding="utf-8") as fh:
         for key, val in report.metric_dict().items():
             fh.write(f"{key} = {_fmt_value(val)}\n")
+            if key == "best_val_loss":
+                fh.write(f"train_mae = {_FLOAT_FMT % train[0]}\n")
+                fh.write(f"train_mse = {_FLOAT_FMT % train[1]}\n")
         fh.write(f"wall_time_s = {_FLOAT_FMT % report.wall_time_s}\n")
 
 
@@ -407,15 +409,12 @@ def _finish_report(
     history: list[float],
     t0: float,
     val_pred: Optional[np.ndarray],
-    score_train: bool,
 ) -> TrialReport:
     # val_pred is the model's validation prediction when the caller has it
     # (predict is deterministic, so it equals a fresh one bit for bit).
     if val_pred is None:
         val_pred = _val_predict(model, dataset)
     final_val = mse(val_pred, dataset.splits.val.tgt)
-    train_mae, train_mse = (_split_metrics(model, dataset, "train") if score_train
-                            else (math.nan, math.nan))
     val_mae, val_mse = _split_metrics(model, dataset, "val", val_pred)
     test_mae, test_mse = _split_metrics(model, dataset, "test")
     return TrialReport(
@@ -425,8 +424,6 @@ def _finish_report(
         epochs_run=len(history),
         epochs_to_convergence=_epochs_to_convergence(history),
         best_val_loss=final_val,
-        train_mae=train_mae,
-        train_mse=train_mse,
         val_mae=val_mae,
         val_mse=val_mse,
         test_mae=test_mae,
@@ -437,7 +434,7 @@ def _finish_report(
 
 def run_training(
     dataset: Dataset, model_cfg: ModelConfig, cfg: TrainConfig,
-    weights: Optional[np.ndarray] = None, score_train: bool = True,
+    weights: Optional[np.ndarray] = None,
 ) -> tuple[Forecaster, TrialReport]:
     """Build a model and train it per the config's plan.
 
@@ -455,9 +452,6 @@ def run_training(
     fit make it once; a run passed _anomaly_weights(dataset, cfg) is
     bit-identical to one that fits its own. The report's wall_time_s
     then leaves the fit out.
-
-    ``score_train=False`` leaves the training split unpredicted: the
-    report's train_mae and train_mse read NaN, as for an empty split.
     """
     n = dataset.splits.train.n_windows
     if weights is not None and weights.shape != (n,):
@@ -476,7 +470,7 @@ def run_training(
     # 2 epochs), stage 1's would be stale: the activation has changed since.
     h2, val_pred = _stage_loop(model, dataset, cfg, rng,
                                cfg.epochs - cfg.pretrain_epochs, weights)
-    report = _finish_report(model, dataset, cfg, h1 + h2, t0, val_pred, score_train)
+    report = _finish_report(model, dataset, cfg, h1 + h2, t0, val_pred)
     return model, report
 
 
@@ -514,8 +508,7 @@ def _fan_out(fn, work: list, jobs: int) -> list:
 def _run_sweep_one(args) -> "SweepEntry":
     dataset, model_cfg, cfg, type_id, weights = args
     mode = ActivationMode(kind="gated", type_id=type_id, lam=cfg.activation.lam)
-    _, report = run_training(dataset, model_cfg, replace(cfg, activation=mode), weights,
-                             score_train=False)
+    _, report = run_training(dataset, model_cfg, replace(cfg, activation=mode), weights)
     return SweepEntry(type_id, report)
 
 
@@ -578,9 +571,8 @@ def _run_pair(args) -> tuple[TrialReport, TrialReport]:
     # the same autoencoder, so it is fitted once for the pair.
     t_weights = _anomaly_weights(dataset, t_cfg)
     share = b_cfg.anomaly_weighting and _ae_settings(b_cfg) == _ae_settings(t_cfg)
-    _, t_report = run_training(dataset, model_cfg, t_cfg, t_weights, score_train=False)
-    _, b_report = run_training(dataset, model_cfg, b_cfg, t_weights if share else None,
-                               score_train=False)
+    _, t_report = run_training(dataset, model_cfg, t_cfg, t_weights)
+    _, b_report = run_training(dataset, model_cfg, b_cfg, t_weights if share else None)
     return t_report, b_report
 
 

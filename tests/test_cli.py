@@ -263,6 +263,49 @@ class TestTrain:
         report = read_trial_report(tmp_path / "report.txt")
         assert report["seed"] == "42"
 
+    @pytest.mark.parametrize("stamp", ["9999-12-31T23:00:00-05:00",
+                                       "0001-01-01T01:00:00+05:00"])
+    def test_refuses_a_stamp_outside_years_1_to_9999(self, workspace, tmp_path,
+                                                      capsys, stamp):
+        # Each stamp's offset carries its UTC time past one end of the years.
+        header, *rows = workspace["csv"].read_text().splitlines()
+        rows[-1] = stamp + rows[-1][rows[-1].index(","):]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([header] + rows) + "\n")
+        code, lines = run("train", "--config", str(workspace["cfg"]),
+                          "--set", f"data.path={bad}", "--out", str(tmp_path / "run"))
+        assert code == 1 and lines == []
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line {len(rows) + 1}: timestamp {stamp!r} falls "
+            "outside years 1 to 9999\n")
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+
+class TestTrainScoresOnce:
+    def test_training_windows_are_predicted_once(self, workspace, tmp_path,
+                                                 monkeypatch):
+        # One epoch predicts the validation windows once, the report the
+        # test windows, and train alone the training windows, for report.txt.
+        sizes = []
+        real = Forecaster.predict
+
+        def counting(self, enc):
+            sizes.append(enc.shape[0])
+            return real(self, enc)
+
+        monkeypatch.setattr(Forecaster, "predict", counting)
+        code, _ = run("train", "--config", str(workspace["cfg"]),
+                      "--out", str(tmp_path), "--set", "train.epochs=1",
+                      "--set", "train.anomaly_weighting=false")
+        assert code == 0
+        frame = featurize(clean(load_csv(workspace["csv"], "ett"), CleanConfig()))
+        splits = build_dataset(frame, enc_len=16, label_len=8, horizon=4).splits
+        assert splits.train.n_windows > 0
+        assert sum(sizes) == (splits.train.n_windows + splits.val.n_windows
+                              + splits.test.n_windows)
+        report = read_trial_report(tmp_path / "report.txt")
+        assert float(report["train_mae"]) >= 0 and float(report["train_mse"]) >= 0
+
 
 class TestTrainFitsOnce:
     def test_one_fit_and_it_is_the_saved_autoencoder(self, workspace, tmp_path,
@@ -708,9 +751,9 @@ class TestEval:
         got = dict(line.split(" = ") for line in lines)
         assert set(got) == {"train_mae", "train_mse", "val_mae", "val_mse",
                             "test_mae", "test_mse"}
+        # %.17g text, so equal text is equal bits.
         report = read_trial_report(workspace["out"] / "report.txt")
-        assert float(got["test_mae"]) == float(report["test_mae"])
-        assert float(got["test_mse"]) == float(report["test_mse"])
+        assert got == {key: report[key] for key in got}
 
     def test_missing_checkpoint_is_runtime_error(self, workspace, tmp_path):
         code, _ = run("eval", "--checkpoint", str(tmp_path / "nope.bin"),

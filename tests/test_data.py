@@ -180,6 +180,27 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="line 3"):
             load_csv(p, "ett")
 
+    @pytest.mark.parametrize("stamp", ["9999-12-31T23:00:00-05:00",
+                                       "0001-01-01T01:00:00+05:00",
+                                       "9999-12-31 23:59:59.5"])
+    def test_stamp_outside_years_1_to_9999_names_line(self, tmp_path, stamp):
+        # An offset, or rounding off a fraction, carries the stamp past one
+        # end of the years epoch_to_text renders.
+        p = simple_ett(tmp_path / "d.csv", 3)
+        p.write_text(p.read_text().replace("2020-01-01 01:00:00", stamp))
+        with pytest.raises(ParseError) as err:
+            load_csv(p, "ett")
+        assert str(err.value) == (f"{p}: line 3: timestamp {stamp!r} falls "
+                                  "outside years 1 to 9999")
+
+    def test_offset_stamps_at_years_1_and_9999_load(self, tmp_path):
+        rows = [("0001-01-01T05:00:00+05:00", [0.0] * 7),
+                ("9999-12-31T18:59:59-05:00", [1.0] * 7)]
+        raw = load_csv(ett_csv(tmp_path / "d.csv", rows), "ett")
+        ends = [datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)]
+        assert raw.epochs.tolist() == [(t - datetime(1970, 1, 1)).total_seconds()
+                                       for t in ends]
+
     @pytest.mark.parametrize("edit,message", [
         ("timestamp", "line 3: bad timestamp 'not-a-time'"),
         ("one_time", "cannot infer sampling period: no increasing timestamps"),

@@ -349,10 +349,9 @@ class TestSimulateMany:
         assert np.array_equal(_bits(simulate_many(inputs, p)),
                               _bits(_reference_rows(inputs, p)))
 
-    def test_early_stop_fires_for_settling_types_only(self, monkeypatch):
-        # Each oscillator step takes two libm calls per moving row; the
-        # loop invariants take two per row once. Fewer calls than that
-        # for a full run means some rows stopped early.
+    def test_only_unfrozen_rows_step(self, monkeypatch):
+        # The loop invariants take two libm calls per row once; each of
+        # the 100 steps takes two per row that is not frozen.
         calls = []
         real = oscillator._libm
 
@@ -361,21 +360,14 @@ class TestSimulateMany:
             return real(fn, a)
 
         monkeypatch.setattr(oscillator, "_libm", counting)
-        # Frozen rows take only the invariants' calls, so a full run of
-        # the rows that step counts 2 per row plus 200 per stepping row.
-        # Types 1, 2 and 6 never have half their stepping rows at a fixed
-        # point (type 1's band never settles); the other types do.
         n = DEFAULT_GRID.size
-        live = {t: sum(not _frozen(float(x), builtin_params(t)) for x in DEFAULT_GRID)
-                for t in builtin_type_ids()}
-        stepped = {}
         for type_id in builtin_type_ids():
+            p = builtin_params(type_id)
+            live = sum(not _frozen(float(x), p) for x in DEFAULT_GRID)
+            assert 0 < live <= 0.25 * n, (type_id, live)
             calls.clear()
-            simulate_many(DEFAULT_GRID, builtin_params(type_id))
-            stepped[type_id] = sum(calls)
-        assert all(stepped[t] == 2 * n + 200 * live[t] for t in (1, 2, 6)), stepped
-        assert all(stepped[t] < 2 * n + 200 * live[t] for t in (3, 4, 5, 7, 8)), stepped
-        assert all(live[t] <= 0.25 * n for t in builtin_type_ids()), live
+            simulate_many(DEFAULT_GRID, p)
+            assert sum(calls) == 2 * n + 200 * live, type_id
 
     @settings(max_examples=40, deadline=None)
     @given(p=_LORS_PARAMS, n_steps=st.sampled_from([1, 7, 100]))

@@ -179,8 +179,8 @@ class TestReportIO:
         return TrialReport(
             seed=3, activation="gelu", plan="direct", epochs_run=7,
             epochs_to_convergence=4, best_val_loss=0.123456789012345678,
-            train_mae=1.1, train_mse=2.2, val_mae=3.3, val_mse=4.4,
-            test_mae=5.5, test_mse=1.0 / 3.0, wall_time_s=9.9,
+            val_mae=3.3, val_mse=4.4, test_mae=5.5, test_mse=1.0 / 3.0,
+            wall_time_s=9.9,
         )
 
     def test_metric_dict_excludes_wall_time(self):
@@ -190,7 +190,7 @@ class TestReportIO:
 
     def test_keys_in_report_order(self, tmp_path):
         path = tmp_path / "report.txt"
-        write_trial_report(path, self._report())
+        write_trial_report(path, self._report(), (1.1, 2.2))
         keys = [line.split(" = ")[0] for line in path.read_text().splitlines()]
         assert keys == ["seed", "activation", "plan", "epochs_run",
                         "epochs_to_convergence", "best_val_loss", "train_mae",
@@ -200,8 +200,10 @@ class TestReportIO:
     def test_round_trip_exact_floats(self, tmp_path):
         report = self._report()
         path = tmp_path / "report.txt"
-        write_trial_report(path, report)
+        write_trial_report(path, report, (1.1, 2.0 / 3.0))
         back = read_trial_report(path)
+        assert float(back["train_mae"]) == 1.1
+        assert float(back["train_mse"]) == 2.0 / 3.0
         assert float(back["test_mse"]) == report.test_mse
         assert float(back["best_val_loss"]) == report.best_val_loss
         assert back["activation"] == "gelu"
@@ -309,7 +311,7 @@ class TestRunTraining:
         assert rep.plan == "direct" and rep.seed == 1
         assert "type=1" in rep.activation
         assert 1 <= rep.epochs_to_convergence <= rep.epochs_run <= cfg.epochs
-        for v in (rep.train_mae, rep.val_mae, rep.test_mae):
+        for v in (rep.val_mae, rep.test_mae):
             assert math.isfinite(v) and v >= 0
         assert model.cfg.activation == cfg.activation
 
@@ -324,19 +326,6 @@ class TestRunTraining:
         _, rep_off = run_training(tiny_dataset, TINY_MODEL, off)
         _, rep_on = run_training(tiny_dataset, TINY_MODEL, on)
         assert rep_off.metric_dict() != rep_on.metric_dict()
-
-
-_TRAIN_METRICS = ("train_mae", "train_mse")
-
-
-def _assert_same_unscored_train(got: dict, want: dict) -> None:
-    """got equals want on every metric but the training split's, which
-    both leave unscored (NaN)."""
-    assert got.keys() == want.keys()
-    for key in _TRAIN_METRICS:
-        assert math.isnan(got[key]) and math.isnan(want[key]), key
-    assert ({k: v for k, v in got.items() if k not in _TRAIN_METRICS}
-            == {k: v for k, v in want.items() if k not in _TRAIN_METRICS})
 
 
 @pytest.fixture
@@ -434,13 +423,12 @@ class TestSharedAutoencoder:
             mode = ActivationMode(kind="gated", type_id=t, lam=0.5)
             _, rep = run_training(tiny_dataset, TINY_MODEL,
                                   tiny_train_cfg(epochs=1, anomaly_weighting=True,
-                                                 ae_epochs=2, activation=mode),
-                                  score_train=False)
+                                                 ae_epochs=2, activation=mode))
             own.append((rep.val_mae, t, rep.metric_dict()))
         own.sort(key=lambda e: (e[0], e[1]))
         assert [e.type_id for e in result.entries] == [t for _, t, _ in own]
         for entry, (_, _, want) in zip(result.entries, own):
-            _assert_same_unscored_train(entry.report.metric_dict(), want)
+            assert entry.report.metric_dict() == want
 
     def test_sweep_without_weighting_fits_nothing(self, tiny_dataset, count_fits):
         sweep_types(tiny_dataset, TINY_MODEL, tiny_train_cfg(epochs=1),
@@ -477,8 +465,8 @@ class TestSharedAutoencoder:
 
 
 class TestUnscoredTrainingSplit:
-    """Sweeps and paired trials read only validation and test metrics, so
-    their runs never predict a training window."""
+    """A run scores only the validation and test splits, so no run, alone,
+    in a sweep or in a paired trial, predicts a training window."""
 
     @pytest.fixture
     def predicted(self, monkeypatch):
@@ -504,8 +492,6 @@ class TestUnscoredTrainingSplit:
                              type_ids=types, jobs=1)
         assert sum(predicted) == len(types) * self._per_run(tiny_dataset)
         for entry in result.entries:
-            assert math.isnan(entry.report.train_mae)
-            assert math.isnan(entry.report.train_mse)
             assert math.isfinite(entry.report.val_mae)
             assert math.isfinite(entry.report.test_mae)
 
@@ -525,23 +511,13 @@ class TestUnscoredTrainingSplit:
         multi_trial(tiny_dataset, TINY_MODEL, treatment, baseline, n_trials=2, jobs=1)
         assert len(reports) == 4
         assert sum(predicted) == len(reports) * self._per_run(tiny_dataset)
-        for rep in reports:
-            assert math.isnan(rep.train_mae) and math.isnan(rep.train_mse)
 
-    def test_run_training_scores_the_training_split_by_default(self, tiny_dataset,
-                                                              predicted):
+    def test_run_training_predicts_only_validation_and_test_windows(self, tiny_dataset,
+                                                                    predicted):
         _, rep = run_training(tiny_dataset, TINY_MODEL, tiny_train_cfg(epochs=1))
-        splits = tiny_dataset.splits
-        assert sum(predicted) == splits.train.n_windows + self._per_run(tiny_dataset)
-        assert math.isfinite(rep.train_mae) and math.isfinite(rep.train_mse)
-
-    def test_unscored_run_trains_and_scores_the_rest_the_same(self, tiny_dataset):
-        cfg = tiny_train_cfg(epochs=2, anomaly_weighting=True, ae_epochs=2)
-        scored_model, scored = run_training(tiny_dataset, TINY_MODEL, cfg)
-        model, unscored = run_training(tiny_dataset, TINY_MODEL, cfg, score_train=False)
-        want = dict(scored.metric_dict(), train_mae=math.nan, train_mse=math.nan)
-        _assert_same_unscored_train(unscored.metric_dict(), want)
-        assert _param_bytes(model) == _param_bytes(scored_model)
+        assert tiny_dataset.splits.train.n_windows > 0
+        assert sum(predicted) == self._per_run(tiny_dataset)
+        assert math.isfinite(rep.val_mae) and math.isfinite(rep.test_mae)
 
 
 def _capture_stage_histories(monkeypatch) -> list:
@@ -627,7 +603,7 @@ class TestPredictPath:
 
     def test_report_predicts_no_validation_windows(self, tiny_dataset, monkeypatch):
         # After a trained stage 2 the report reuses that stage's best val
-        # prediction: finishing predicts the train and test windows only.
+        # prediction: finishing predicts the test windows only.
         in_finish = []
         seen = []
         real_finish, real_predict = training._finish_report, Forecaster.predict
@@ -649,7 +625,7 @@ class TestPredictPath:
         run_training(tiny_dataset, TINY_MODEL, tiny_train_cfg(epochs=2))
         splits = tiny_dataset.splits
         assert splits.val.n_windows > 0
-        assert sum(seen) == splits.train.n_windows + splits.test.n_windows
+        assert sum(seen) == splits.test.n_windows
 
     def test_no_stage2_epochs_predicts_validation_afresh(self, tiny_dataset):
         # The whole budget pretrains under GELU, so no stage-2 prediction
