@@ -12,7 +12,7 @@ interpolation with clamping. A table is its bounds and its node values,
 and its grid is np.linspace(x_min, x_max, n_nodes) by construction: a
 query's segment comes from its scaled offset, corrected by at most one
 step against the nodes, in constant time and bit-identical to a binary
-search. One call returns the
+search. One lookup returns the
 interpolated value and the segment slope together, so a recorded forward
 pass never looks the table up again for its backward pass. Node values
 are produced by the exact path, so table and exact function agree
@@ -32,6 +32,7 @@ oscillator activation through a fixed mixing weight lam in [0, 1]:
 
     gated(x) = lam * gelu(x) + (1 - lam) * table(x)
 
+The table, GELU and gate functions take and return arrays (ndim >= 1).
 The activation objects at the bottom are what cotn.tensor.apply_activation
 consumes: value(x) when no gradient is recorded, value_and_slope(x) when
 the tape records one.
@@ -60,13 +61,11 @@ __all__ = [
     "fixed_step_activation",
     "build_table",
     "table_for_type",
-    "table_value_and_slope",
     "table_eval",
     "table_grad",
     "gelu_value_and_slope",
     "gelu",
     "gelu_grad",
-    "gated_value_and_slope",
     "gated_activation",
     "write_table",
     "GeluActivation",
@@ -202,13 +201,9 @@ def _bracket(tab: MetaActivationTable, x: np.ndarray) -> np.ndarray:
     return np.clip(j, 0, top, out=j)
 
 
-def _table_lookup(tab: MetaActivationTable, x, with_slope: bool):
-    # Value and, with with_slope, slope of the lookup; the slope is None
-    # without it, which skips the slope's last steps. Scalar input gives
-    # floats.
-    xq = np.asarray(x, dtype=np.float64)
-    scalar = xq.ndim == 0
-    xq = np.atleast_1d(xq)
+def _table_lookup(tab: MetaActivationTable, xq: np.ndarray, with_slope: bool):
+    # Value and, with with_slope, slope of the lookup of a float64 array;
+    # the slope is None without it, which skips the slope's last steps.
     j = _bracket(tab, xq)
     left = tab.nodes[j]
     step = tab.steps[j]
@@ -230,31 +225,19 @@ def _table_lookup(tab: MetaActivationTable, x, with_slope: bool):
         np.copyto(slope, 0.0, where=clamped)
     else:
         slope = None
-    if scalar:
-        return float(value[0]), None if slope is None else float(slope[0])
     return value, slope
 
 
-def table_value_and_slope(tab: MetaActivationTable, x):
-    """Table lookup and the slope of the segment it used, in one pass.
-
-    The value interpolates linearly between nodes, reproduces the stored
-    value exactly when x hits a node and clamps to the boundary node
-    value outside [x_min, x_max]. The slope is the right-hand segment's
-    at an interior node, and 0 below x_min and at or beyond x_max, where
-    the lookup clamps. Scalar input gives a pair of floats.
-    """
-    return _table_lookup(tab, x, True)
-
-
 def table_eval(tab: MetaActivationTable, x):
-    """Piecewise-linear table lookup with clamping outside the range."""
-    return _table_lookup(tab, x, False)[0]
+    """Piecewise-linear table lookup, exact at the nodes, clamped to the
+    boundary node values outside [x_min, x_max]."""
+    return _table_lookup(tab, np.asarray(x, dtype=np.float64), False)[0]
 
 
 def table_grad(tab: MetaActivationTable, x):
-    """Slope of the active table segment; 0 outside the tabulated range."""
-    return table_value_and_slope(tab, x)[1]
+    """Slope of the segment table_eval uses (the right-hand one at a
+    node); 0 below x_min and at or beyond x_max, where it clamps."""
+    return _table_lookup(tab, np.asarray(x, dtype=np.float64), True)[1]
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -266,7 +249,7 @@ def _gelu_value(xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the order of 1 + erf(x / sqrt 2) and (x * 0.5) * cdf2, with the sum
     # and the product taken in place. erf writes a fresh array: dividing
     # into a preallocated one and taking erf in place raised the peak RSS
-    # of a 17k-row `cotn train` by 2.5 MB. 0-d input gives numpy scalars.
+    # of a 17k-row `cotn train` by 2.5 MB.
     cdf2 = _erf(xq / _SQRT2)
     cdf2 += 1.0
     value = xq * 0.5
@@ -280,20 +263,15 @@ def _gelu_slope(xq: np.ndarray, cdf2: np.ndarray) -> np.ndarray:
 
 def gelu(x):
     """Exact-erf GELU: x * Phi(x) with Phi the standard normal CDF."""
-    out = _gelu_value(np.asarray(x, dtype=np.float64))[0]
-    return float(out) if out.ndim == 0 else out
+    return _gelu_value(np.asarray(x, dtype=np.float64))[0]
 
 
 def gelu_value_and_slope(x):
-    """Exact-erf GELU and its derivative Phi(x) + x * phi(x).
-
-    phi is the standard normal density; erf is evaluated once for both
-    outputs. Scalar input gives a pair of floats.
-    """
+    """Exact-erf GELU and its derivative Phi(x) + x * phi(x), phi the
+    standard normal density; erf is evaluated once for both."""
     xq = np.asarray(x, dtype=np.float64)
     value, cdf2 = _gelu_value(xq)
-    slope = _gelu_slope(xq, cdf2)
-    return (float(value), float(slope)) if xq.ndim == 0 else (value, slope)
+    return value, _gelu_slope(xq, cdf2)
 
 
 def gelu_grad(x):
@@ -301,33 +279,20 @@ def gelu_grad(x):
     return gelu_value_and_slope(x)[1]
 
 
-def _gated(x, lam: float, tab: MetaActivationTable, with_slope: bool):
-    # The blend and, if asked, its slope; scalar input gives floats. The
-    # value-only path skips the GELU derivative and the table slope.
-    xq = np.asarray(x, dtype=np.float64)
-    x1 = np.atleast_1d(xq)
-    g_value, cdf2 = _gelu_value(x1)
-    t_value, t_slope = _table_lookup(tab, x1, with_slope)
+def _gated(xq: np.ndarray, lam: float, tab: MetaActivationTable, with_slope: bool):
+    # The blend and, if asked, its slope; the value-only path skips the
+    # GELU derivative and the table slope.
+    g_value, cdf2 = _gelu_value(xq)
+    t_value, t_slope = _table_lookup(tab, xq, with_slope)
     rest = 1.0 - lam
     value = lam * g_value + rest * t_value
-    slope = lam * _gelu_slope(x1, cdf2) + rest * t_slope if with_slope else None
-    if xq.ndim == 0:
-        return float(value[0]), None if slope is None else float(slope[0])
+    slope = lam * _gelu_slope(xq, cdf2) + rest * t_slope if with_slope else None
     return value, slope
-
-
-def gated_value_and_slope(x, lam: float, tab: MetaActivationTable):
-    """The blend ``lam * gelu(x) + (1 - lam) * table(x)`` and its slope.
-
-    The slope blends the GELU derivative with the table's segment slope
-    (right-segment convention at nodes).
-    """
-    return _gated(x, lam, tab, True)
 
 
 def gated_activation(x, lam: float, tab: MetaActivationTable):
     """Blend ``lam * gelu(x) + (1 - lam) * table(x)``."""
-    return _gated(x, lam, tab, False)[0]
+    return _gated(np.asarray(x, dtype=np.float64), lam, tab, False)[0]
 
 
 def write_table(tab: MetaActivationTable, path) -> None:
@@ -352,10 +317,10 @@ class GeluActivation:
     name = "gelu"
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        return gelu(np.asarray(x, dtype=np.float64))
+        return gelu(x)
 
     def value_and_slope(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return gelu_value_and_slope(np.asarray(x, dtype=np.float64))
+        return gelu_value_and_slope(x)
 
 
 class GatedLeeActivation:
@@ -371,7 +336,7 @@ class GatedLeeActivation:
         self.name = f"gated(type={tab.type_id}, lam={lam:g})"
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        return gated_activation(np.asarray(x, dtype=np.float64), self.lam, self.tab)
+        return gated_activation(x, self.lam, self.tab)
 
     def value_and_slope(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return gated_value_and_slope(np.asarray(x, dtype=np.float64), self.lam, self.tab)
+        return _gated(np.asarray(x, dtype=np.float64), self.lam, self.tab, True)

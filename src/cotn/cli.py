@@ -140,7 +140,7 @@ _UNSTORED = ("path",) + _WINDOW
 # [model] also holds the activation mode, whose kind is spelled activation.
 _KNOWN_KEYS = {
     "data": _scalar_fields(DataSpec),
-    "model": {**_scalar_fields(ModelConfig, skip=_WINDOW + ("n_features", "n_targets")),
+    "model": {**_scalar_fields(ModelConfig, skip=_WINDOW + ("n_features",)),
               "activation": "str", **_scalar_fields(ActivationMode, skip=("kind",))},
     "train": _scalar_fields(TrainConfig),
 }
@@ -203,6 +203,8 @@ def _configure(args):
     data then sets the model's feature count."""
     spec, model_cfg, train_cfg = load_run_config(args.config, args.set or [], args.seed)
     dataset, cleaned = _prepare_dataset(spec, args)
+    if dataset.splits.val.n_windows == 0:  # refused before any fit or epoch
+        raise ValueError(f"{spec.path}: validation split has no windows")
     model_cfg = replace(model_cfg, n_features=dataset.frame.n_features)
     return spec, dataset, cleaned, model_cfg, train_cfg
 
@@ -311,12 +313,12 @@ def cmd_bifurcate(args) -> int:
             raise ConfigError(f"{flag}: expected >= 1, got {value}")
     if args.keep > args.steps:
         raise ConfigError(f"--keep ({args.keep}) cannot exceed --steps ({args.steps})")
-    data = bifurcation_sweep(
+    grid, outputs = bifurcation_sweep(
         builtin_params(args.type), lo, hi,
         n_x=args.n, n_steps=args.steps, keep_last=args.keep,
     )
     path = os.path.join(_out_dir(args), f"bifurcation_type{args.type}.csv")
-    write_bifurcation_csv(data, path)
+    write_bifurcation_csv(grid, outputs, path)
     print(path)
     return 0
 

@@ -110,7 +110,6 @@ class ModelConfig:
     label_len: int = 12
     horizon: int = 8
     n_features: int = 1
-    n_targets: int = 1
     distill: bool = True
     activation: ActivationMode = field(default_factory=ActivationMode)
 
@@ -120,8 +119,6 @@ class ModelConfig:
                      "label_len", "horizon", "n_features"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: expected >= 1, got {getattr(self, name)!r}")
-        if self.n_targets != 1:
-            raise ValueError(f"n_targets: expected 1, got {self.n_targets!r}")
         if self.d_model < 1 or self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model: expected a positive multiple of n_heads "
                              f"({self.n_heads}), got {self.d_model!r}")
@@ -241,7 +238,7 @@ class Forecaster:
     # -- construction ---------------------------------------------------
 
     def _add(self, name: str, data: np.ndarray) -> None:
-        self.params[name] = te.parameter(data, name=name)
+        self.params[name] = te.parameter(data)
 
     def _add_linear(self, rng, name: str, fan_in: int, fan_out: int) -> None:
         self._add(f"{name}.w", te.glorot_uniform(rng, fan_in, fan_out, (fan_in, fan_out)))
@@ -281,7 +278,7 @@ class Forecaster:
             self._add_linear(rng, f"dec.{l}.ff1", d, cfg.d_ff)
             self._add_linear(rng, f"dec.{l}.ff2", cfg.d_ff, d)
             self._add_norm(f"dec.{l}.ln3")
-        self._add_linear(rng, "head", d, cfg.n_targets)
+        self._add_linear(rng, "head", d, 1)
 
     # -- parameter plumbing ----------------------------------------------
 
@@ -380,7 +377,7 @@ class Forecaster:
 
         The decoder input is the last label_len rows of enc_x followed by
         horizon rows of zeros; the returned tensor holds the head output
-        at the horizon positions, shape (batch, horizon, n_targets).
+        at the horizon positions, shape (batch, horizon, 1).
         """
         cfg = self.cfg
         want = cfg.label_len + cfg.horizon
@@ -402,7 +399,7 @@ class Forecaster:
         return self.parallel_decode(memory, enc_x), pairs
 
     def predict(self, enc_x: np.ndarray) -> np.ndarray:
-        """Forecast as a plain array, shape (batch, horizon, n_targets).
+        """Forecast as a plain array, shape (batch, horizon, 1).
 
         Runs under te.no_grad(): nothing is recorded for a backward pass.
         """
@@ -468,7 +465,7 @@ class Autoencoder:
         for name, shape in shapes.items():
             data = (np.zeros(shape) if name.endswith(".b")
                     else te.glorot_uniform(rng, shape[0], shape[1], shape))
-            self.params[name] = te.parameter(data, name=name)
+            self.params[name] = te.parameter(data)
 
     def _windows(self, windows) -> np.ndarray | WindowView:
         """Windows checked by shape; a WindowView stays a view, cut per

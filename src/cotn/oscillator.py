@@ -25,7 +25,6 @@ __all__ = [
     "N_STEPS_DEFAULT",
     "LorsParams",
     "OscState",
-    "BifurcationData",
     "ZERO_STATE",
     "lors_step",
     "stimulus_signal",
@@ -109,31 +108,6 @@ class OscState:
 
 
 ZERO_STATE = OscState()
-
-
-@dataclass(frozen=True)
-class BifurcationData:
-    """Settled outputs across a stimulus grid.
-
-    outputs[j] holds the last ``keep_last`` trajectory values for
-    stimulus_grid[j]; a tight cluster means a fixed point or small cycle,
-    a wide spread marks the chaotic band.
-    """
-
-    stimulus_grid: np.ndarray
-    outputs: np.ndarray
-
-    def __post_init__(self) -> None:
-        grid = np.asarray(self.stimulus_grid, dtype=np.float64)
-        outs = np.asarray(self.outputs, dtype=np.float64)
-        if grid.ndim != 1 or outs.ndim != 2 or outs.shape[0] != grid.shape[0]:
-            raise ValueError(
-                f"grid/outputs shapes inconsistent: {grid.shape} vs {outs.shape}"
-            )
-        if grid.shape[0] > 1 and not np.all(np.diff(grid) > 0):
-            raise ValueError("stimulus_grid must be strictly ascending")
-        object.__setattr__(self, "stimulus_grid", grid)
-        object.__setattr__(self, "outputs", outs)
 
 
 def _sgn(x: float) -> float:
@@ -308,11 +282,12 @@ def bifurcation_sweep(
     n_x: int = 401,
     n_steps: int = 300,
     keep_last: int = 100,
-) -> BifurcationData:
+) -> tuple[np.ndarray, np.ndarray]:
     """Sweep a stimulus grid and record the settled outputs per point.
 
-    Each grid point is simulated for n_steps from rest and the final
-    keep_last outputs are retained.
+    Returns the ascending grid and outputs, whose row j holds the last
+    keep_last of n_steps outputs from rest at grid[j]: a tight cluster
+    is a fixed point or small cycle, a wide spread the chaotic band.
     """
     if n_x < 1:
         raise ValueError(f"n_x must be >= 1, got {n_x}")
@@ -325,13 +300,14 @@ def bifurcation_sweep(
             f"keep_last must be in 1..n_steps, got keep_last={keep_last} n_steps={n_steps}"
         )
     grid = np.linspace(x_lo, x_hi, n_x) if n_x > 1 else np.array([x_lo], dtype=np.float64)
-    return BifurcationData(grid, simulate_many(grid, p, n_steps)[:, -keep_last:])
+    return grid, simulate_many(grid, p, n_steps)[:, -keep_last:]
 
 
-def write_bifurcation_csv(data: BifurcationData, path) -> None:
-    """Write sweep results as ``x,lors`` rows, one per retained value."""
+def write_bifurcation_csv(grid: np.ndarray, outputs: np.ndarray, path) -> None:
+    """Write a sweep's grid and outputs as ``x,lors`` rows, one per
+    retained value."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,lors\n")
-        for x, row in zip(data.stimulus_grid, data.outputs):
+        for x, row in zip(grid, outputs):
             for v in row:
                 fh.write(f"{_FLOAT_FMT % x},{_FLOAT_FMT % v}\n")

@@ -76,13 +76,12 @@ LN_EPS = 1e-5  # layer_norm's variance guard
 class Tensor:
     """A float64 array plus the tape bookkeeping to differentiate it."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
-        self.name = name
         self._parents: tuple[Tensor, ...] = ()
         # g -> one gradient (or None) per parent; None on leaves (see _make).
         self._vjp: Optional[Callable[[np.ndarray], Sequence]] = None
@@ -105,13 +104,12 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}{tag}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def parameter(data, name: Optional[str] = None) -> Tensor:
+def parameter(data) -> Tensor:
     """A trainable leaf tensor."""
-    return Tensor(np.array(data, dtype=np.float64, copy=True), requires_grad=True, name=name)
+    return Tensor(np.array(data, dtype=np.float64, copy=True), requires_grad=True)
 
 
 def constant(data) -> Tensor:

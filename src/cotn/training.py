@@ -122,8 +122,6 @@ class Adam:
 
 
 def _cosine_lr(base: float, epoch: int, total: int) -> float:
-    if total <= 0:
-        return base
     return base * 0.5 * (1.0 + math.cos(math.pi * epoch / total))
 
 
@@ -239,13 +237,6 @@ def _batched_predict(model: Forecaster, enc, chunk: int = 64) -> np.ndarray:
     return np.concatenate(parts, axis=0)
 
 
-def _val_predict(model: Forecaster, dataset: Dataset) -> np.ndarray:
-    batch = dataset.splits.val
-    if batch.n_windows == 0:
-        raise ValueError("validation split has no windows")
-    return _batched_predict(model, batch.enc)
-
-
 def _split_metrics(model: Forecaster, dataset: Dataset, which: str,
                    pred: Optional[np.ndarray] = None) -> tuple[float, float]:
     """Denormalized MAE and MSE of a split; pred, when given, is the
@@ -262,12 +253,12 @@ def _split_metrics(model: Forecaster, dataset: Dataset, which: str,
 
 
 def _epochs_to_convergence(history: list[float]) -> int:
-    best = min(history)
-    threshold = best * 1.01
+    threshold = min(history) * 1.01
+    # The best entry meets the bound; only a NaN best runs to the end.
     for idx, v in enumerate(history, start=1):
         if v <= threshold:
-            return idx
-    return len(history)  # unreachable; best itself satisfies the bound
+            break
+    return idx
 
 
 # -- autoencoder fitting ------------------------------------------------------
@@ -333,8 +324,6 @@ def _stage_loop(
         return [], None
     train = dataset.splits.train
     n = train.n_windows
-    if n == 0:
-        raise ValueError("training split has no windows")
     opt = Adam(model.params)
     history: list[float] = []
     best_val = math.inf
@@ -375,7 +364,7 @@ def _stage_loop(
             model.zero_grad()
             te.backward(loss)
             opt.step(lr)
-        pred = _val_predict(model, dataset)
+        pred = _batched_predict(model, dataset.splits.val.enc)
         val = mse(pred, dataset.splits.val.tgt)
         history.append(val)
         if val < best_val:
@@ -389,6 +378,13 @@ def _stage_loop(
     if best_state is not None:
         model.load_state_arrays(best_state)
     return history, best_pred
+
+
+def _require_windows(dataset: Dataset) -> None:
+    # Refused before any fit or epoch: an epoch needs both splits' windows.
+    for split, name in ((dataset.splits.train, "training"), (dataset.splits.val, "validation")):
+        if split.n_windows == 0:
+            raise ValueError(f"{name} split has no windows")
 
 
 def _anomaly_weights(dataset: Dataset, cfg: TrainConfig) -> Optional[np.ndarray]:
@@ -413,7 +409,7 @@ def _finish_report(
     # val_pred is the model's validation prediction when the caller has it
     # (predict is deterministic, so it equals a fresh one bit for bit).
     if val_pred is None:
-        val_pred = _val_predict(model, dataset)
+        val_pred = _batched_predict(model, dataset.splits.val.enc)
     final_val = mse(val_pred, dataset.splits.val.tgt)
     val_mae, val_mse = _split_metrics(model, dataset, "val", val_pred)
     test_mae, test_mse = _split_metrics(model, dataset, "test")
@@ -453,6 +449,7 @@ def run_training(
     bit-identical to one that fits its own. The report's wall_time_s
     then leaves the fit out.
     """
+    _require_windows(dataset)
     n = dataset.splits.train.n_windows
     if weights is not None and weights.shape != (n,):
         raise ValueError(f"weights: expected shape ({n},), one per training window, "
@@ -527,6 +524,7 @@ def sweep_types(
     in activation, so the anomaly autoencoder is fitted once, here, and
     every run trains with its weights.
     """
+    _require_windows(dataset)
     weights = _anomaly_weights(dataset, cfg)
     work = [(dataset, model_cfg, cfg, t, weights) for t in type_ids]
     entries = _fan_out(_run_sweep_one, work, jobs)
@@ -594,6 +592,7 @@ def multi_trial(
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    _require_windows(dataset)
     work = [
         (dataset, model_cfg, treatment_cfg, baseline_cfg, seed)
         for seed in range(1, n_trials + 1)

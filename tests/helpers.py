@@ -28,10 +28,10 @@ import numpy as np
 
 import cotn.tensor as te
 from cotn.activation import (
+    GatedLeeActivation,
     GeluActivation,
     MetaActivationTable,
     _bracket,
-    gated_value_and_slope,
 )
 from cotn.data import (
     CleanConfig,
@@ -63,7 +63,7 @@ def node_spacing(tab: MetaActivationTable) -> float:
 
 def gated_grad(x, lam: float, tab: MetaActivationTable):
     """Derivative of the gated blend (right-segment convention off-node)."""
-    return gated_value_and_slope(x, lam, tab)[1]
+    return GatedLeeActivation(lam, tab).value_and_slope(x)[1]
 
 
 def reference_table_lookup(tab: MetaActivationTable, x, with_slope: bool):
@@ -72,8 +72,6 @@ def reference_table_lookup(tab: MetaActivationTable, x, with_slope: bool):
     reference for cotn.activation._table_lookup, which gathers them from
     the table's stored diffs."""
     xq = np.asarray(x, dtype=np.float64)
-    scalar = xq.ndim == 0
-    xq = np.atleast_1d(xq)
     j = _bracket(tab, xq)
     j_next = j + 1
     left = tab.nodes[j]
@@ -95,8 +93,6 @@ def reference_table_lookup(tab: MetaActivationTable, x, with_slope: bool):
         np.copyto(slope, 0.0, where=clamped)
     else:
         slope = None
-    if scalar:
-        return float(value[0]), None if slope is None else float(slope[0])
     return value, slope
 
 

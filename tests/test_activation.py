@@ -18,7 +18,6 @@ from cotn.activation import (
     build_table,
     fixed_step_activation,
     gated_activation,
-    gated_value_and_slope,
     gelu,
     gelu_grad,
     gelu_value_and_slope,
@@ -26,7 +25,6 @@ from cotn.activation import (
     table_eval,
     table_for_type,
     table_grad,
-    table_value_and_slope,
     write_table,
 )
 from cotn.model import ActivationMode
@@ -203,19 +201,20 @@ class TestTableEval:
 
     def test_clamping(self):
         tab = small_table()
-        assert table_eval(tab, -10.0) == tab.values[0]
-        assert table_eval(tab, 10.0) == tab.values[-1]
-        assert table_eval(tab, tab.x_min) == tab.values[0]
-        assert table_eval(tab, tab.x_max) == tab.values[-1]
+        got = table_eval(tab, np.array([-10.0, 10.0, tab.x_min, tab.x_max]))
+        assert np.array_equal(got, tab.values[[0, -1, 0, -1]])
 
-    def test_scalar_and_array_agree(self):
+    def test_shape_follows_the_input(self):
+        # The tape passes (batch, time, width) arrays; each element is
+        # looked up as it would be in a flat array.
         tab = small_table()
         xs = np.array([-3.0, -0.013, 0.0, 0.4117, 2.0, 5.0])
-        arr = table_eval(tab, xs)
-        for x, v in zip(xs, arr):
-            scalar = table_eval(tab, float(x))
-            assert isinstance(scalar, float)
-            assert scalar == v
+        flat_value, flat_slope = table_eval(tab, xs), table_grad(tab, xs)
+        for shape in ((6,), (2, 3), (1, 3, 2)):
+            x = xs.reshape(shape)
+            assert np.array_equal(table_eval(tab, x), flat_value.reshape(shape))
+            assert np.array_equal(table_grad(tab, x), flat_slope.reshape(shape))
+            assert gelu(x).shape == gated_activation(x, 0.5, tab).shape == shape
 
     @settings(max_examples=100, deadline=None)
     @given(x=st.floats(min_value=-2.0, max_value=2.0,
@@ -227,7 +226,7 @@ class TestTableEval:
         j = max(j, 0)
         lo = min(tab.values[j], tab.values[j + 1])
         hi = max(tab.values[j], tab.values[j + 1])
-        assert lo - 1e-12 <= table_eval(tab, x) <= hi + 1e-12
+        assert lo - 1e-12 <= table_eval(tab, np.array([x]))[0] <= hi + 1e-12
 
 
 class TestTableGrad:
@@ -236,29 +235,27 @@ class TestTableGrad:
         j = 77
         mid = 0.5 * (tab.nodes[j] + tab.nodes[j + 1])
         want = (tab.values[j + 1] - tab.values[j]) / (tab.nodes[j + 1] - tab.nodes[j])
-        assert table_grad(tab, float(mid)) == pytest.approx(want, rel=1e-12)
+        assert table_grad(tab, np.array([mid]))[0] == pytest.approx(want, rel=1e-12)
 
     def test_zero_outside_range(self):
         tab = small_table()
-        assert table_grad(tab, tab.x_min - 1.0) == 0.0
-        assert table_grad(tab, tab.x_max) == 0.0
-        assert table_grad(tab, tab.x_max + 1.0) == 0.0
+        x = np.array([tab.x_min - 1.0, tab.x_max, tab.x_max + 1.0])
+        assert np.array_equal(table_grad(tab, x), np.zeros(3))
 
     def test_interior_node_uses_right_segment(self):
         tab = small_table()
         j = 120
         want = (tab.values[j + 1] - tab.values[j]) / (tab.nodes[j + 1] - tab.nodes[j])
-        assert table_grad(tab, float(tab.nodes[j])) == pytest.approx(want, rel=1e-12)
+        assert table_grad(tab, tab.nodes[j : j + 1])[0] == pytest.approx(want, rel=1e-12)
 
     def test_matches_finite_difference_off_nodes(self):
         tab = small_table()
         rng = np.random.default_rng(3)
         h = node_spacing(tab) / 16
-        for _ in range(30):
-            j = int(rng.integers(0, tab.n_nodes - 1))
-            x = float(tab.nodes[j]) + node_spacing(tab) * float(rng.uniform(0.2, 0.8))
-            fd = (table_eval(tab, x + h) - table_eval(tab, x - h)) / (2 * h)
-            assert table_grad(tab, x) == pytest.approx(fd, rel=1e-9, abs=1e-12)
+        j = rng.integers(0, tab.n_nodes - 1, size=30)
+        x = tab.nodes[j] + node_spacing(tab) * rng.uniform(0.2, 0.8, size=30)
+        fd = (table_eval(tab, x + h) - table_eval(tab, x - h)) / (2 * h)
+        np.testing.assert_allclose(table_grad(tab, x), fd, rtol=1e-9, atol=1e-12)
 
 
 class TestTableSegment:
@@ -287,9 +284,10 @@ class TestTableSegment:
 
 class TestGelu:
     def test_known_values(self):
-        assert gelu(0.0) == 0.0
-        assert gelu(1.0) == pytest.approx(0.8413447460685429, abs=1e-15)
-        assert gelu(-1.0) == pytest.approx(-0.15865525393145707, abs=1e-15)
+        got = gelu(np.array([0.0, 1.0, -1.0]))
+        assert got[0] == 0.0
+        assert got[1] == pytest.approx(0.8413447460685429, abs=1e-15)
+        assert got[2] == pytest.approx(-0.15865525393145707, abs=1e-15)
 
     def test_matches_erf_formula(self):
         x = np.linspace(-5, 5, 101)
@@ -303,8 +301,8 @@ class TestGelu:
         np.testing.assert_allclose(gelu_grad(x), fd, rtol=0, atol=1e-9)
 
     def test_asymptotes(self):
-        assert gelu(10.0) == pytest.approx(10.0, abs=1e-12)
-        assert gelu(-10.0) == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(gelu(np.array([10.0, -10.0])), [10.0, 0.0],
+                                   rtol=0, atol=1e-12)
 
 
 class TestGate:
@@ -497,9 +495,7 @@ class TestFusedValueAndSlope:
     def test_table_matches_reference_on_edges(self, grid):
         tab = _grid(grid)
         x = _edge_inputs(tab)
-        value, slope = table_value_and_slope(tab, x)
         want_value, want_slope = _reference_lookup(tab, x)
-        assert _same(value, want_value) and _same(slope, want_slope)
         assert _same(table_eval(tab, x), want_value)
         assert _same(table_grad(tab, x), want_slope)
 
@@ -507,24 +503,16 @@ class TestFusedValueAndSlope:
     @given(grid=st.sampled_from(_GRIDS), x=_INPUTS)
     def test_table_matches_reference_on_random_floats(self, grid, x):
         tab = _grid(grid)
-        value, slope = table_value_and_slope(tab, x)
         want_value, want_slope = _reference_lookup(tab, x)
+        assert _same(table_eval(tab, x), want_value)
+        assert _same(table_grad(tab, x), want_slope)
+
+    def test_gelu_special_values(self):
+        x = np.array([0.3, -2.5, 0.0, -0.0, math.inf, -math.inf, math.nan])
+        want_value, want_slope = _reference_gelu(x)
+        value, slope = gelu_value_and_slope(x)
         assert _same(value, want_value) and _same(slope, want_slope)
-
-    def test_scalar_input_gives_floats(self):
-        tab = small_table()
-        for fused in (table_value_and_slope(tab, 0.3), gelu_value_and_slope(0.3),
-                      gated_value_and_slope(0.3, 0.5, tab)):
-            assert all(isinstance(v, float) for v in fused)
-
-    @pytest.mark.parametrize("x", [0.3, -2.5, 0.0, -0.0, math.inf, -math.inf, math.nan])
-    def test_gelu_takes_scalars_and_0d_arrays(self, x):
-        want_value, want_slope = _reference_gelu(np.array([x]))
-        for arg in (x, np.float64(x), np.array(x)):
-            value, slope = gelu_value_and_slope(arg)
-            assert type(value) is float and type(slope) is float
-            assert _same(value, want_value[0]) and _same(slope, want_slope[0])
-            assert type(gelu(arg)) is float and _same(gelu(arg), want_value[0])
+        assert _same(gelu(x), want_value) and _same(gelu_grad(x), want_slope)
 
     @settings(max_examples=200, deadline=None)
     @given(x=_INPUTS)
@@ -535,7 +523,7 @@ class TestFusedValueAndSlope:
         value, slope = gelu_value_and_slope(x)
         assert _same(value, g_value) and _same(slope, g_slope)
         t_value, t_slope = _reference_lookup(tab, x)
-        value, slope = gated_value_and_slope(x, lam, tab)
+        value, slope = GatedLeeActivation(lam, tab).value_and_slope(x)
         assert _same(value, 0.3 * g_value + 0.7 * t_value)
         assert _same(slope, 0.3 * g_slope + 0.7 * t_slope)
 
@@ -562,16 +550,10 @@ class TestFusedValueAndSlope:
         tab = _grid(grid)
         lam = 0.3
         x = np.concatenate([_edge_inputs(tab), [tab.x_min - 1.0, tab.x_max + 1.0]])
-        assert _same(table_eval(tab, x), table_value_and_slope(tab, x)[0])
-        assert _same(gated_activation(x, lam, tab),
-                     gated_value_and_slope(x, lam, tab)[0])
+        assert _same(table_eval(tab, x), activation._table_lookup(tab, x, True)[0])
         handle = GatedLeeActivation(lam, tab)
+        assert _same(gated_activation(x, lam, tab), handle.value_and_slope(x)[0])
         assert _same(handle.value(x), handle.value_and_slope(x)[0])
-        for v in x:
-            assert _same(gated_activation(v, lam, tab),
-                         gated_value_and_slope(v, lam, tab)[0])
-            assert isinstance(gated_activation(v, lam, tab), float)
-            assert isinstance(table_eval(tab, v), float)
 
     def test_value_only_paths_skip_the_slope(self, monkeypatch):
         tab = small_table()
@@ -616,16 +598,11 @@ class TestStoredDiffs:
         want_value, want_slope = reference_table_lookup(tab, x, with_slope)
         assert _same(value, want_value)
         assert slope is None if not with_slope else _same(slope, want_slope)
-        for v in x[::7]:
-            got = activation._table_lookup(tab, v, with_slope)
-            want = reference_table_lookup(tab, v, with_slope)
-            assert type(got[0]) is float and _same(got[0], want[0])
-            assert got[1] is None if not with_slope else _same(got[1], want[1])
 
     @settings(max_examples=200, deadline=None)
     @given(grid=st.sampled_from(_GRIDS), x=_INPUTS)
     def test_matches_gathered_differences_on_random_floats(self, grid, x):
         tab = _grid(grid)
-        value, slope = table_value_and_slope(tab, x)
+        value, slope = activation._table_lookup(tab, x, True)
         want_value, want_slope = reference_table_lookup(tab, x, True)
         assert _same(value, want_value) and _same(slope, want_slope)

@@ -178,8 +178,12 @@ class TestTable:
     (("table", "--range=0:1e-310"),
      "--range expects a node spacing that float64 resolves at --nodes 4001, "
      "got '0:1e-310'"),
+    (("bifurcate", "--range", "1"), "--range expects lo:hi, got '1'"),
+    (("table", "--range", "a:b"), "--range expects numbers, got 'a:b'"),
+    (("table", "--nodes", "1"), "--nodes must be >= 2, got 1"),
 ], ids=["bifurcate-n", "bifurcate-keep", "bifurcate-range", "table-range",
-        "bifurcate-range-span", "table-range-span", "table-range-too-fine"])
+        "bifurcate-range-span", "table-range-span", "table-range-too-fine",
+        "bifurcate-range-one-part", "table-range-not-numbers", "table-nodes"])
 def test_a_flag_out_of_range_exits_2_naming_the_flag(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
     code, lines = run(*argv, "--out", str(out))
@@ -340,6 +344,27 @@ class TestTrainFitsOnce:
         # And the run matches the workspace run made the same way.
         for name in ("checkpoint.bin", "autoencoder.bin", "norm_stats.txt"):
             assert (out / name).read_bytes() == (workspace["out"] / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep-types"])
+@pytest.mark.parametrize("ratios", [("0", "0.3"), ("0.02", "0.28")],
+                         ids=["no-rows", "fewer-rows-than-a-window"])
+def test_no_validation_windows_exits_1_before_any_fit(workspace, tmp_path, capsys,
+                                                      monkeypatch, command, ratios):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fitted or trained on data it then refused")
+
+    for module in (cotn.cli, training):
+        monkeypatch.setattr(module, "fit_autoencoder", refuse)
+    monkeypatch.setattr(Forecaster, "forward", refuse)
+    out = tmp_path / "run"
+    code, lines = run(command, "--config", str(workspace["cfg"]), "--out", str(out),
+                      "--set", f"data.val_ratio={ratios[0]}",
+                      "--set", f"data.test_ratio={ratios[1]}")
+    assert code == 1 and lines == []
+    assert capsys.readouterr().err == (
+        f"error: {workspace['csv']}: validation split has no windows\n")
+    assert not out.exists()
 
 
 # What a malformed value of each kind is refused with; a text setting
@@ -580,7 +605,7 @@ def test_checkpoint_meta_format_is_pinned(tmp_path):
         "kind": "forecaster",
         "d_model": "12", "n_heads": "3", "n_enc_layers": "3",
         "n_dec_layers": "2", "d_ff": "20", "enc_len": "16", "label_len": "8",
-        "horizon": "4", "n_features": "3", "n_targets": "1", "distill": "0",
+        "horizon": "4", "n_features": "3", "distill": "0",
         "activation.kind": "gated", "activation.type_id": "3",
         "activation.lam": "0.1", "table.x_min": "-4.0", "table.x_max": "4.0",
         "data.schema": "ohlcv", "data.stride": "2", "data.train_ratio": "0.6",

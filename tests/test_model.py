@@ -65,13 +65,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="^n_heads: expected >= 1, got 0$"):
             tiny_cfg(n_heads=0)
 
-    @pytest.mark.parametrize("n_targets", [0, 2])
-    def test_one_target_only(self, n_targets):
-        # The loss compares the head's output with one target column, so
-        # more targets would only fail in the loss after a whole epoch.
-        with pytest.raises(ValueError, match=f"^n_targets: expected 1, got {n_targets}$"):
-            tiny_cfg(n_targets=n_targets)
-
     def test_label_len_bounded_by_enc_len(self):
         with pytest.raises(ValueError, match=r"^label_len: expected <= enc_len \(12\), "
                                              "got 13$"):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from cotn import oscillator
 from cotn.oscillator import (
-    BifurcationData,
     LorsParams,
     OscState,
     ZERO_STATE,
@@ -209,23 +208,23 @@ class TestSimulate:
 
 class TestBifurcation:
     def test_shapes_and_grid(self):
-        data = bifurcation_sweep(builtin_params(1), -1.0, 1.0, n_x=21,
-                                 n_steps=120, keep_last=30)
-        assert data.stimulus_grid.shape == (21,)
-        assert data.outputs.shape == (21, 30)
-        assert data.stimulus_grid[0] == -1.0 and data.stimulus_grid[-1] == 1.0
-        assert np.all(np.diff(data.stimulus_grid) > 0)
+        grid, outputs = bifurcation_sweep(builtin_params(1), -1.0, 1.0, n_x=21,
+                                          n_steps=120, keep_last=30)
+        assert grid.shape == (21,)
+        assert outputs.shape == (21, 30)
+        assert grid[0] == -1.0 and grid[-1] == 1.0
+        assert np.all(np.diff(grid) > 0)
 
     def test_single_point_grid(self):
-        data = bifurcation_sweep(builtin_params(2), 0.3, 0.3, n_x=1,
-                                 n_steps=50, keep_last=5)
-        assert data.stimulus_grid.shape == (1,)
-        assert data.outputs.shape == (1, 5)
+        grid, outputs = bifurcation_sweep(builtin_params(2), 0.3, 0.3, n_x=1,
+                                          n_steps=50, keep_last=5)
+        assert grid.shape == (1,)
+        assert outputs.shape == (1, 5)
 
     def test_rows_match_simulate_tail(self):
         p = builtin_params(6)
-        data = bifurcation_sweep(p, -0.2, 0.2, n_x=5, n_steps=80, keep_last=11)
-        for x, row in zip(data.stimulus_grid, data.outputs):
+        grid, outputs = bifurcation_sweep(p, -0.2, 0.2, n_x=5, n_steps=80, keep_last=11)
+        for x, row in zip(grid, outputs):
             assert np.array_equal(row, simulate(float(x), p, 80)[-11:])
 
     def test_validation(self):
@@ -236,20 +235,18 @@ class TestBifurcation:
             bifurcation_sweep(p, -1.0, 1.0, n_x=0)
         with pytest.raises(ValueError):
             bifurcation_sweep(p, -1.0, 1.0, n_x=5, n_steps=10, keep_last=11)
-        with pytest.raises(ValueError):
-            BifurcationData(np.array([1.0, 0.5]), np.zeros((2, 3)))
 
     def test_csv_round_trip(self, tmp_path):
-        data = bifurcation_sweep(builtin_params(3), -0.5, 0.5, n_x=4,
-                                 n_steps=40, keep_last=6)
+        grid, outputs = bifurcation_sweep(builtin_params(3), -0.5, 0.5, n_x=4,
+                                          n_steps=40, keep_last=6)
         path = tmp_path / "bif.csv"
-        write_bifurcation_csv(data, path)
+        write_bifurcation_csv(grid, outputs, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "x,lors"
         assert len(lines) == 1 + 4 * 6
         parsed = np.array([[float(a) for a in ln.split(",")] for ln in lines[1:]])
-        assert np.array_equal(parsed[:, 1].reshape(4, 6), data.outputs)
-        assert np.array_equal(parsed[::6, 0], data.stimulus_grid)
+        assert np.array_equal(parsed[:, 1].reshape(4, 6), outputs)
+        assert np.array_equal(parsed[::6, 0], grid)
 
 
 def _bits(a):

@@ -463,6 +463,24 @@ class TestPooling:
         )
         np.testing.assert_allclose(grads[ts], fd, rtol=1e-6, atol=1e-9)
 
+    @pytest.mark.parametrize("length", [1, 5, 7])
+    def test_maxpool_grad_on_odd_lengths(self, length):
+        # Each pair routes its output's weight to its larger row; the odd
+        # tail row passes through forward and backward.
+        rng = np.random.default_rng(length)
+        x = rng.standard_normal((2, length, 3))
+        g_out = rng.standard_normal((2, (length + 1) // 2, 3))
+        out, (grad,) = _value_and_grads(maxpool_time2, [x], g_out)
+        want = np.zeros_like(x)
+        for t in range(length // 2):
+            first = x[:, 2 * t] >= x[:, 2 * t + 1]
+            want[:, 2 * t] = np.where(first, g_out[:, t], 0.0)
+            want[:, 2 * t + 1] = np.where(first, 0.0, g_out[:, t])
+        want[:, -1] = g_out[:, -1]
+        assert np.array_equal(out[:, -1], x[:, -1])
+        assert np.array_equal(grad, want)
+        check_op(maxpool_time2, [(2, length, 3)], seed=length)
+
     def test_repeat_time2_values(self):
         x = np.array([[[1.0], [2.0]]])
         assert np.array_equal(repeat_time2(constant(x), 4).data,

@@ -84,7 +84,7 @@ class TestMetrics:
 
 class TestAdam:
     def test_matches_reference_arithmetic(self):
-        p = parameter(np.array([1.0]), name="x")
+        p = parameter(np.array([1.0]))
         opt = Adam({"x": p})
         m = v = 0.0
         x = 1.0
@@ -100,14 +100,14 @@ class TestAdam:
             assert p.data[0] == pytest.approx(x, rel=1e-12)
 
     def test_missing_grad_means_no_move(self):
-        p = parameter(np.array([2.0]), name="x")
+        p = parameter(np.array([2.0]))
         opt = Adam({"x": p})
         p.grad = None
         opt.step(0.1)
         assert p.data[0] == 2.0
 
     def test_explicit_lr_override(self):
-        p = parameter(np.array([1.0]), name="x")
+        p = parameter(np.array([1.0]))
         opt = Adam({"x": p})
         p.grad = np.array([1.0])
         opt.step(lr=0.0)
@@ -119,7 +119,7 @@ class TestAdam:
         # moments must give each element the per-parameter arithmetic.
         rng = np.random.default_rng(5)
         shapes = {"a": (3, 4), "b": (4,), "c": (2, 2, 2), "d": (1,)}
-        params = {n: parameter(rng.standard_normal(s), name=n) for n, s in shapes.items()}
+        params = {n: parameter(rng.standard_normal(s)) for n, s in shapes.items()}
         ref = {n: p.data.copy() for n, p in params.items()}
         m = {n: np.zeros(s) for n, s in shapes.items()}
         v = {n: np.zeros(s) for n, s in shapes.items()}
@@ -326,6 +326,57 @@ class TestRunTraining:
         _, rep_off = run_training(tiny_dataset, TINY_MODEL, off)
         _, rep_on = run_training(tiny_dataset, TINY_MODEL, on)
         assert rep_off.metric_dict() != rep_on.metric_dict()
+
+    @pytest.mark.parametrize("call", ["run_training", "sweep_types", "multi_trial"])
+    @pytest.mark.parametrize("split", ["training", "validation"])
+    def test_a_split_without_windows_is_refused_before_any_fit(self, count_fits,
+                                                               monkeypatch, call, split):
+        def refuse(*args, **kwargs):
+            raise AssertionError("trained on a dataset it then refused")
+
+        monkeypatch.setattr(Forecaster, "forward", refuse)
+        dataset = build_dataset(make_synthetic_frame(seed=0, length=300), enc_len=16,
+                                label_len=8, horizon=4, ratios=(0.8, 0.0, 0.2))
+        splits = dataset.splits
+        assert splits.val.n_windows == 0 < splits.test.n_windows
+        if split == "training":
+            dataset = replace(dataset, splits=replace(splits, train=splits.val,
+                                                      val=splits.test))
+        cfg = tiny_train_cfg(anomaly_weighting=True, ae_epochs=1)
+        with pytest.raises(ValueError, match=f"^{split} split has no windows$"):
+            if call == "run_training":
+                run_training(dataset, TINY_MODEL, cfg)
+            elif call == "sweep_types":
+                sweep_types(dataset, TINY_MODEL, cfg, jobs=1)
+            else:
+                multi_trial(dataset, TINY_MODEL, cfg, cfg, n_trials=1)
+        assert count_fits == []
+
+
+class TestEarlyStopping:
+    def test_stops_patience_epochs_after_the_best_and_keeps_it(self, tiny_dataset,
+                                                                monkeypatch):
+        # At a constant rate of 1e-2 the validation loss of this run is
+        # lowest at epoch 5 of 12 and above that at epochs 6 and 7.
+        states = []
+        real = training._batched_predict
+
+        def snapshot(model, enc, *args):
+            states.append(model.state_arrays())
+            return real(model, enc, *args)
+
+        histories = _capture_stage_histories(monkeypatch)
+        monkeypatch.setattr(training, "_batched_predict", snapshot)
+        cfg = tiny_train_cfg(epochs=12, patience=1, lr=1e-2, lr_schedule="constant")
+        model, report = run_training(tiny_dataset, TINY_MODEL, cfg)
+        history = histories[-1]
+        best = int(np.argmin(history)) + 1
+        assert report.epochs_run == len(history) == best + cfg.patience + 1 < cfg.epochs
+        assert report.best_val_loss == history[best - 1]
+        # One validation prediction after each epoch, then the test windows'.
+        assert len(states) == len(history) + 1
+        kept = model.state_arrays()
+        assert all(np.array_equal(kept[name], arr) for name, arr in states[best - 1].items())
 
 
 @pytest.fixture
